@@ -46,7 +46,6 @@ from .core import (
 from .errors import ConfigError, OqbmError, UnknownFigure
 
 CSV_HEADER = "t,x,P,Q,C_R,C_I,rho11,rho22"
-_ZERO_TOL = 1e-15  # a rate counts as zero when below this times the largest rate
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,9 @@ def build_scenario(config: dict) -> Scenario:
 
 
 def classify_regime(p: Params) -> str:
-    scale = max(p.gamma_p, p.gamma_z, p.delta, p.omega)
+    """The one rate that is exactly 0.0 (the closed forms' own rule), else "general"."""
     zeros = [name for name, v in (("omega", p.omega), ("delta", p.delta), ("gamma_z", p.gamma_z))
-             if abs(v) <= _ZERO_TOL * scale]
+             if v == 0.0]
     if len(zeros) == 1:
         return zeros[0]
     return "general"

@@ -150,6 +150,8 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     Custom initial data has no closed form here; use the spectral solver.
     """
     _require_regime(validate_params(p))
+    if t < 0.0:
+        raise NonPositiveTime(f"t must be >= 0, got {t}")
     if isinstance(ic, Custom):
         raise WrongRegime("custom initial data has no closed form; use spectral.solve")
     if t == 0.0:
@@ -157,7 +159,6 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     x = grid.nodes
     drift = 2.0 * p.delta * t
     if isinstance(ic, GaussianMixture):
-        _, _ = gaussian_solution(p, ic, t, x)  # validates regime/time
         v1 = ic.sigma1**2 + 4.0 * p.gamma_p * t
         v2 = ic.sigma2**2 + 4.0 * p.gamma_p * t
         rho11 = ic.p * np.exp(-((x - drift) ** 2) / (2.0 * v1)) / math.sqrt(2.0 * math.pi * v1)

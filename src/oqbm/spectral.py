@@ -145,26 +145,25 @@ def cardano_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     s = np.where(qc < 0.0, qc - root, qc + root)
     w = s ** (1.0 / 3.0)
     base = -2.0 * gp * x2 - (2.0 / 3.0) * gz
+    # s == 0 is a triple root of the depressed cubic: all three roots are base
+    ok = s != 0.0
     out = np.empty((xis.size, 3), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(w != 0.0, rc / np.where(w != 0.0, w, 1.0), np.inf)
-    out[:, 0] = base + w / 3.0 - ratio
+    out[~ok, :] = base[~ok, None]
+    w, base = w[ok], base[ok]
+    ratio = rc[ok] / w
+    out[ok, 0] = base + w / 3.0 - ratio
     re = base - w / 6.0 + 0.5 * ratio
     im = 0.5 * math.sqrt(3.0) * (w / 3.0 + ratio)
-    out[:, 1] = re + 1j * im
-    out[:, 2] = re - 1j * im
+    out[ok, 1] = re + 1j * im
+    out[ok, 2] = re - 1j * im
     # the small root is a difference of large terms (|xi| < 1e-8 gives
     # +3e-16 for the zero mode); the product of the other two does not cancel
     _, _, a3 = char_coeffs(xis, p)
     rows = np.arange(xis.size)
     k = np.argmin(np.abs(out), axis=1)
     pair = out[rows, (k + 1) % 3] * out[rows, (k + 2) % 3]
-    # s == 0 (triple root of the depressed cubic) gives 0/0 above
-    degenerate = (s == 0.0)
-    usable = (pair != 0.0) & ~degenerate
+    usable = (pair != 0.0) & ok
     out[rows[usable], k[usable]] = -a3[usable] / pair[usable]
-    if degenerate.any():
-        out[degenerate, :] = base[degenerate, None]
     return out
 
 
@@ -219,8 +218,11 @@ def eigensystem(sm: SymbolMatrix, p: Params) -> EigenSystem:
 def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     """Assert the dissipativity structure of the eigenvalues on samples.
 
-    For xi != 0 all real parts must be strictly negative; at xi = 0 exactly
-    one eigenvalue vanishes and the other two have negative real part.
+    For xi != 0 all real parts must be strictly negative.  At xi = 0 the
+    spectrum is exactly {0, -gz +- sqrt(gz^2 - 4 om^2)}: one zero mode when
+    omega > 0, two when omega = 0 < gamma_z, three when both vanish.  Those
+    must lie within 1e-10 * scale of zero, and so must the real parts of the
+    others when gamma_z = 0 (+-2i omega); otherwise the others need Re < 0.
 
     One exception at xi != 0: the mode of least modulus is about -a3/a2,
     and where a3/a2 lies below the least normal double that mode cannot be
@@ -231,18 +233,23 @@ def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     validate_params(p)
     max_re = -math.inf
     zero_res = 0.0
+    n_zero = 1 if p.omega > 0.0 else (2 if p.gamma_z > 0.0 else 3)
     for xi in xi_samples:
         lam = cardano_eigenvalues(np.array([float(xi)]), p)[0]
         scale = max(abs(p.gamma_z), p.omega, p.gamma_p * xi * xi, abs(p.delta * xi), 1.0)
         if xi == 0.0:
             order = np.argsort(np.abs(lam))
-            zero_res = max(zero_res, abs(lam[order[0]]))
-            if abs(lam[order[0]]) > 1e-10 * scale:
-                raise StabilityViolation(f"no zero mode at xi=0: eigenvalues {lam}")
-            rest = lam[order[1:]]
-            if np.any(rest.real >= 0.0) and (p.gamma_z > 0 or p.omega > 0):
+            zero, rest = lam[order[:n_zero]], lam[order[n_zero:]]
+            zero_res = max(zero_res, float(np.max(np.abs(zero))))
+            if np.any(np.abs(zero) > 1e-10 * scale):
+                raise StabilityViolation(f"expected {n_zero} zero modes at xi=0: eigenvalues {lam}")
+            if p.gamma_z == 0.0:
+                if np.any(np.abs(rest.real) > 1e-10 * scale):
+                    raise StabilityViolation(f"+-2i omega pair off the imaginary axis at xi=0: {lam}")
+            elif np.any(rest.real >= 0.0):
                 raise StabilityViolation(f"non-negative real part at xi=0: {lam}")
-            max_re = max(max_re, float(np.max(rest.real)))
+            else:
+                max_re = max(max_re, float(np.max(rest.real)))
         else:
             non_negative = lam.real >= 0.0
             _, a2, a3 = char_coeffs(float(xi), p)

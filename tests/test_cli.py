@@ -64,6 +64,8 @@ class TestDispatch:
         assert cli.classify_regime(Params(1e-3, 0.0, 1e-1, 1e-2)) == "gamma_z"
         assert cli.classify_regime(Params(1e-3, 1e-3, 1e-2, 1e-2)) == "general"
         assert cli.classify_regime(Params(1e-3, 0.0, 0.0, 1e-2)) == "general"
+        # only an exact zero selects a closed form; a tiny rate is general
+        assert cli.classify_regime(Params(1e-3, 1e-3, 1e-2, 1e-21)) == "general"
 
     def test_snapshot_solver_names(self):
         scenario = cli.build_scenario(TINY_CONFIG)
@@ -196,6 +198,18 @@ class TestMain:
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps(dict(TINY_CONFIG, gamma_p=0.0)))
         assert cli.main(["solve", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+
+    def test_near_zero_rate_solves(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(dict(TINY_CONFIG, omega=1e-21)))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "snapshot_manifest.json").read_text())
+        assert manifest["regime"] == "general"
+        # the spectral route at omega = 1e-21 matches the closed omega = 0 route
+        _, closed = cli.solve_snapshot(cli.build_scenario(TINY_CONFIG), 50.0)
+        rows = np.loadtxt(out / "snapshot_t50.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 2] - closed.rho_plus)) < 1e-12
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

@@ -195,3 +195,5 @@ class TestFullSolve:
     def test_time_validation(self):
         with pytest.raises(NonPositiveTime):
             omega0.laplace_solution(RATES, LAPL, 0.0, np.zeros(3))
+        with pytest.raises(NonPositiveTime):
+            omega0.solve(RATES, GAUSS, -1.0, SpatialGrid(24.0, 1024))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,44 @@ class TestStability:
         monkeypatch.setattr(spectral, "cardano_eigenvalues", tampered)
         with pytest.raises(StabilityViolation):
             spectral.stability_check(p, [xi])
+
+    @pytest.mark.parametrize("p", [
+        Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0),  # 0, 0, -2 gamma_z
+        Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.0),  # 0, 0, 0
+        Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5),  # 0, +-2i omega
+    ])
+    def test_zero_modes_counted_from_rates(self, p):
+        # the exact zeros at xi = 0 come out as +-6e-17; that must not matter
+        report = spectral.stability_check(p, [0.0, 0.3])
+        assert report.max_real_part < 0.0
+        assert report.zero_mode_residual < 1e-12
+
+    @pytest.mark.parametrize("p, mode", [
+        (Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 1),  # a zero mode
+        (Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 2),  # the -2 gamma_z mode
+        (Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5), 1),  # one of +-2i omega
+    ])
+    def test_zero_frequency_violations_raise(self, monkeypatch, p, mode):
+        cardano = spectral.cardano_eigenvalues
+
+        def tampered(xis, p):
+            lam = cardano(xis, p)
+            order = np.argsort(np.abs(lam[0]))
+            lam[0, order[mode]] = complex(1e-3, lam[0, order[mode]].imag)
+            return lam
+
+        monkeypatch.setattr(spectral, "cardano_eigenvalues", tampered)
+        with pytest.raises(StabilityViolation):
+            spectral.stability_check(p, [0.0])
+
+    def test_triple_root_is_warning_free(self):
+        # the depressed cubic has a triple root here; its rows must not form inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = spectral.stability_check(Params(1.0, 0.0, 0.0, 0.0), [1e-100])
+            lam = spectral.cardano_eigenvalues(np.array([0.0, 1e-100]), Params(1.0, 0.0, 0.0, 0.0))
+        assert report.max_real_part < 0.0
+        assert np.all(lam == np.array([[0.0], [-2e-200]]))
 
     def test_large_frequency_dominated_by_diffusion(self):
         p = Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.1)
