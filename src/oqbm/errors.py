@@ -65,10 +65,6 @@ class StabilityViolation(OqbmError):
     """An eigenvalue with positive real part was found; implementation bug."""
 
 
-class DefectiveMatrix(OqbmError):
-    """No well-conditioned eigenbasis exists at this frequency."""
-
-
 class ConfigError(OqbmError):
     """A run configuration is missing keys or has inconsistent values."""
 

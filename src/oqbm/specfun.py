@@ -28,6 +28,8 @@ from scipy.special import erf, erfcx  # re-exported unchanged
 from .core import Params
 from .errors import DegenerateParams, NegativeArgument, NonPositiveTime
 
+_ERFC_ZERO = 30.0  # exp(-x^2) is exactly 0.0 in double precision beyond x ~ 27.3
+
 
 def _exp_nsq(y: np.ndarray) -> np.ndarray:
     """exp(-y^2) with the classic split that keeps the rounding tight."""
@@ -45,10 +47,11 @@ def erfc(x):
 
     Evaluated as erfcx(|x|) * exp(-x^2) and reflected as 2 - value for
     x < 0; scipy.special.erfc itself is off by up to ~6e-14 (relative) in the
-    tail 6 < x < 27.
+    tail 6 < x < 27.  |x| is capped at _ERFC_ZERO, beyond which exp(-x^2)
+    underflows to zero anyway, so +-inf give 0 and 2 rather than inf - inf.
     """
     v = np.asarray(x, dtype=float)
-    y = np.abs(v)
+    y = np.minimum(np.abs(v), _ERFC_ZERO)
     out = erfcx(y) * _exp_nsq(y)
     return _scalar_or_array(np.where(v < 0.0, 2.0 - out, out))
 

@@ -10,19 +10,20 @@ into u_hat' = Q(xi) u_hat with the 3x3 symbol
 The solution is exp(t Q(xi)) applied to the transformed initial data, pulled
 back by the inverse transform; the Green's matrix is the inverse transform of
 exp(t Q) itself.  Eigenvalues come from the cubic in closed (Cardano) form
-with principal complex branches; eigenvectors from the resolvent ratios.
-Frequencies where that basis is ill-conditioned fall back to a dense
-eigensolver and, failing that, to scaling-and-squaring.
+with principal complex branches.  The exponential is the Newton interpolant
+of exp at those eigenvalues (Putzer's formula), which needs no eigenvectors
+and holds unchanged where eigenvalues coalesce (xi = 0, the critical point
+gamma_z = 2 omega, zeros of the cubic's discriminant); only the divided
+differences of exp switch to series forms there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import omega0
 from .core import (
@@ -35,32 +36,14 @@ from .core import (
     to_bloch,
     validate_params,
 )
-from .errors import (
-    DefectiveMatrix,
-    GridUnderResolved,
-    StabilityViolation,
-    TailNotDecayed,
-)
+from .errors import GridUnderResolved, StabilityViolation, TailNotDecayed
 
-_COND_LIMIT = 1e8          # eigenbasis condition beyond which the basis is useless
-_DIAG_COND_LIMIT = 1e5     # stricter gate for the fast diagonalized exponential
-_RESIDUAL_LIMIT = 1e-8     # characteristic-polynomial residual gate
+_NEAR = 1.0                # points this close use series forms of the divided differences
+_SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
 _FFT_IMAG_TOL = 1e-10      # relative imaginary residue allowed in real kernels
 _TINY = np.finfo(float).tiny  # least positive normal double
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    xi: float
-    q: np.ndarray  # (3, 3) complex
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    lambdas: np.ndarray    # (3,) complex
-    vectors: np.ndarray    # (3, 3) complex, columns are eigenvectors
-    inverse: np.ndarray    # (3, 3) complex
-    condition: float
+_EPS = np.finfo(float).eps
+_RE_ULPS = 8.0             # round-off allowed in Re lambda, in ulp of max |lambda|
 
 
 @dataclass(frozen=True)
@@ -83,10 +66,6 @@ class GreenMatrix:
     time: float
     entries: np.ndarray  # (3, 3, n)
     delta_shifts: dict
-
-
-def build_symbol(xi: float, p: Params) -> SymbolMatrix:
-    return SymbolMatrix(xi=float(xi), q=symbol_matrices(np.array([xi]), p)[0])
 
 
 def symbol_matrices(xis: np.ndarray, p: Params) -> np.ndarray:
@@ -167,68 +146,25 @@ def cardano_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     return out
 
 
-def _ratio_eigenvectors(xis: np.ndarray, lam: np.ndarray, p: Params):
-    """Eigenvectors from the resolvent ratios, unnormalized; shape (m, 3, 3).
-
-    Column j solves (Q - lam_j) v = 0 with third component fixed to one:
-    v = (-2 i delta xi / (2 gp xi^2 + lam), omega / (2 gp xi^2 + 2 gz + lam), 1).
-    Returns (vectors, bad) where ``bad`` marks frequencies whose denominators
-    degenerate (those need the dense fallback).
-    """
-    m = xis.size
-    den1 = lam + (2.0 * p.gamma_p * xis**2)[:, None]
-    den2 = den1 + 2.0 * p.gamma_z
-    scale = (np.abs(lam).max(axis=1) + 2.0 * p.gamma_z + 4.0 * p.omega
-             + 2.0 * p.delta * np.abs(xis) + 1e-300)
-    tol = 1e-9 * scale[:, None]
-    bad = (np.abs(den1) < tol).any(axis=1) | (np.abs(den2) < tol).any(axis=1)
-    u = np.empty((m, 3, 3), dtype=complex)
-    safe1 = np.where(np.abs(den1) < tol, 1.0, den1)
-    safe2 = np.where(np.abs(den2) < tol, 1.0, den2)
-    u[:, 0, :] = (-2j * p.delta * xis)[:, None] / safe1
-    u[:, 1, :] = p.omega / safe2
-    u[:, 2, :] = 1.0
-    return u, bad
-
-
-def eigensystem(sm: SymbolMatrix, p: Params) -> EigenSystem:
-    """Diagonalization at a single frequency; DefectiveMatrix when hopeless."""
-    xis = np.array([sm.xi])
-    lam = cardano_eigenvalues(xis, p)
-    vec, bad = _ratio_eigenvectors(xis, lam, p)
-    a1, a2, a3 = char_coeffs(sm.xi, p)
-    scale = max(np.max(np.abs(sm.q)), 1e-300)
-    residual = np.max(np.abs(lam[0] ** 3 + a1 * lam[0] ** 2 + a2 * lam[0] + a3)) / scale**3
-    if bad[0] or residual > _RESIDUAL_LIMIT:
-        w, v = np.linalg.eig(sm.q)
-        lam, vec = w[None, :], v[None, :, :]
-    cond = float(np.linalg.cond(vec[0]))
-    pairwise = np.abs(lam[0][:, None] - lam[0][None, :])
-    pairwise[np.arange(3), np.arange(3)] = np.inf
-    gap = float(np.min(pairwise))
-    if not np.isfinite(cond) or cond > _COND_LIMIT or gap < 1e-8 * scale:
-        raise DefectiveMatrix(
-            f"no well-conditioned eigenbasis at xi={sm.xi} (cond={cond:.2e}); use exp_symbol"
-        )
-    return EigenSystem(
-        lambdas=lam[0], vectors=vec[0], inverse=np.linalg.inv(vec[0]), condition=cond
-    )
-
-
 def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     """Assert the dissipativity structure of the eigenvalues on samples.
 
-    For xi != 0 all real parts must be strictly negative.  At xi = 0 the
-    spectrum is exactly {0, -gz +- sqrt(gz^2 - 4 om^2)}: one zero mode when
-    omega > 0, two when omega = 0 < gamma_z, three when both vanish.  Those
-    must lie within 1e-10 * scale of zero, and so must the real parts of the
-    others when gamma_z = 0 (+-2i omega); otherwise the others need Re < 0.
+    At xi = 0 the spectrum is exactly {0, -gz +- sqrt(gz^2 - 4 om^2)}: one
+    zero mode when omega > 0, two when omega = 0 < gamma_z, three when both
+    vanish.  Those must lie within 1e-10 * scale of zero, and so must the
+    real parts of the others when gamma_z = 0 (+-2i omega); otherwise the
+    others need Re < 0.
 
-    One exception at xi != 0: the mode of least modulus is about -a3/a2,
-    and where a3/a2 lies below the least normal double that mode cannot be
-    told from zero in double precision (|xi| below ~1e-152 for rates of
-    order one).  There its real part may be zero; a zero real part
-    anywhere else, and a positive one anywhere, raises StabilityViolation.
+    At xi != 0 every exact real part is negative.  The Cardano form leaves
+    round-off of a few ulp of max |lambda| in each root (up to 3.6 seen), and
+    at gamma_z = 0 and small xi the exact real part of the +-2i omega pair,
+    about -2 gp xi^2, is smaller than that.  So a complex mode, one whose
+    imaginary part exceeds _RE_ULPS ulp of max |lambda|, needs a real part
+    below that many ulp; a real mode needs Re < 0.  One exception: the mode
+    of least modulus is about -a3/a2, and where a3/a2 lies below the least
+    normal double that mode cannot be told from zero in double precision
+    (|xi| below ~1e-152 for rates of order one); there only a positive real
+    part raises StabilityViolation.
     """
     validate_params(p)
     max_re = -math.inf
@@ -251,59 +187,97 @@ def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
             else:
                 max_re = max(max_re, float(np.max(rest.real)))
         else:
-            non_negative = lam.real >= 0.0
+            slack = _RE_ULPS * _EPS * np.max(np.abs(lam))
+            not_negative = lam.real >= np.where(np.abs(lam.imag) > slack, slack, 0.0)
             _, a2, a3 = char_coeffs(float(xi), p)
             if a2 > 0.0 and a3 / a2 < _TINY:
                 k = int(np.argmin(np.abs(lam)))
-                non_negative[k] = lam[k].real > 0.0
-            if np.any(non_negative):
+                not_negative[k] = lam[k].real > 0.0
+            if np.any(not_negative):
                 raise StabilityViolation(f"Re lambda >= 0 at xi={xi}: {lam}")
             max_re = max(max_re, float(np.max(lam.real)))
     return StabilityReport(max_real_part=max_re, zero_mode_residual=zero_res, n_samples=len(xi_samples))
 
 
-def exp_symbol(sm: SymbolMatrix, t: float, es: Optional[EigenSystem] = None) -> np.ndarray:
-    """exp(t Q(xi)) for one frequency; diagonalization if possible, else expm."""
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if es is None:
-        return scipy.linalg.expm(t * sm.q)
-    return (es.vectors * np.exp(t * es.lambdas)) @ es.inverse
+def _sinhc(w: np.ndarray) -> np.ndarray:
+    """sinh(w) / w by its Taylor series, exact to round-off for |w| <= 1/2."""
+    w2 = w * w
+    out = np.ones_like(w)
+    for k in range(7, 0, -1):
+        out = 1.0 + out * w2 / ((2 * k) * (2 * k + 1))
+    return out
+
+
+def _exp_dd2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Divided difference (e^x - e^y) / (x - y), elementwise.
+
+    Close points use e^((x+y)/2) sinh(h/2) / (h/2) with h = x - y, which
+    holds at x = y; the plain quotient serves the rest.
+    """
+    h = x - y
+    out = np.empty_like(h)
+    near = np.abs(h) <= _NEAR
+    out[near] = np.exp(0.5 * (x[near] + y[near])) * _sinhc(0.5 * h[near])
+    far = ~near
+    out[far] = (np.exp(x[far]) - np.exp(y[far])) / h[far]
+    return out
+
+
+def _exp_dd3_series(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarray:
+    """Divided difference e[d1, d2, d3] of exp for |d_k| <= _NEAR.
+
+    The series is sum_m h_m(d1, d2, d3) / (m + 2)!, with h_m the complete
+    homogeneous symmetric polynomial of degree m, built one point at a time
+    by h_m(d1..dk) = h_m(d1..dk-1) + dk h_(m-1)(d1..dk).  Its m-th term is
+    at most 1 / (2 m!).
+    """
+    h1 = h2 = h3 = np.ones_like(d1)
+    weight = 0.5
+    total = weight * h3
+    for m in range(1, _SERIES_TERMS):
+        h1 = d1 * h1
+        h2 = h1 + d2 * h2
+        h3 = h2 + d3 * h3
+        weight /= m + 2
+        total = total + weight * h3
+    return total
 
 
 def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
-    """Stacked exp(t Q(xi_k)), shape (m, 3, 3), with per-frequency fallbacks."""
+    """Stacked exp(t Q(xi_k)), shape (m, 3, 3).
+
+    With z1, z2, z3 the eigenvalues of A = t Q, Putzer's formula
+
+        exp(A) = e[z1] I + e[z1, z2] (A - z1) + e[z1, z2, z3] (A - z1)(A - z2)
+
+    holds whether or not the eigenvalues are distinct; e[...] are divided
+    differences of exp.  Each row puts its closest pair last, so |z1 - z3|
+    is at least half the spread of the three points.  e[z1, z2, z3] is a
+    series about the centroid where all three lie within _NEAR of it, and
+    (e[z1, z2] - e[z2, z3]) / (z1 - z3) elsewhere.
+    """
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     xis = np.asarray(xis, dtype=float)
-    m = xis.size
-    if t == 0.0:
-        return np.broadcast_to(np.eye(3, dtype=complex), (m, 3, 3)).copy()
-    q = symbol_matrices(xis, p)
-    lam = cardano_eigenvalues(xis, p)
-    vec, bad = _ratio_eigenvectors(xis, lam, p)
-
-    # replace flagged frequencies with the dense eigensolver
-    if bad.any():
-        w, v = np.linalg.eig(q[bad])
-        lam[bad] = w
-        vec[bad] = v
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(vec)
-    scale = np.abs(q).reshape(m, 9).max(axis=1)
-    pairwise = np.abs(lam[:, :, None] - lam[:, None, :])
-    pairwise[:, np.arange(3), np.arange(3)] = np.inf
-    gap = np.min(pairwise, axis=(1, 2))
-    # diagonalization loses ~cond * eps digits; route anything marginal to expm
-    hard = ~np.isfinite(cond) | (cond > _DIAG_COND_LIMIT) | (gap < 1e-6 * scale)
-    easy = ~hard
-    out = np.empty((m, 3, 3), dtype=complex)
-    if easy.any():
-        inv = np.linalg.inv(vec[easy])
-        out[easy] = np.einsum("mik,mk,mkj->mij", vec[easy], np.exp(t * lam[easy]), inv)
-    for idx in np.nonzero(hard)[0]:
-        out[idx] = scipy.linalg.expm(t * q[idx])
-    return out
+    a = t * symbol_matrices(xis, p)
+    z = t * cardano_eigenvalues(xis, p)
+    gap = np.abs(z - np.roll(z, -1, axis=1))  # gap[:, j] = |z_j - z_(j+1)|
+    first = (np.argmin(gap, axis=1) + 2) % 3
+    z = np.take_along_axis(z, (first[:, None] + np.arange(3)) % 3, axis=1)
+    z1, z2, z3 = z.T
+    e12 = _exp_dd2(z1, z2)
+    e123 = np.empty_like(e12)
+    centre = z.mean(axis=1)
+    d = z - centre[:, None]
+    near = np.abs(d).max(axis=1) <= _NEAR
+    far = ~near
+    e123[near] = np.exp(centre[near]) * _exp_dd3_series(*d[near].T)
+    e123[far] = (e12[far] - _exp_dd2(z2[far], z3[far])) / (z1[far] - z3[far])
+    eye = np.eye(3)
+    b1 = a - z1[:, None, None] * eye
+    b2 = a - z2[:, None, None] * eye
+    return (np.exp(z1)[:, None, None] * eye + e12[:, None, None] * b1
+            + e123[:, None, None] * (b1 @ b2))
 
 
 def green_function(

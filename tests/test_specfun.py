@@ -31,6 +31,16 @@ class TestErf:
             ref = float(mp.erf(x))
             assert abs(sf.erf(x) - ref) <= 1e-14 * max(abs(ref), 1e-18)
 
+    def test_infinite_arguments(self):
+        # exp(-x^2) must not be formed as exp(-inf) * exp(-(inf - inf) * inf)
+        assert sf.erfc(math.inf) == 0.0
+        assert sf.erfc(-math.inf) == 2.0
+        assert math.isnan(sf.erfc(math.nan))
+        x = np.array([math.inf, -math.inf, math.nan, 0.5, -3.0, 40.0])
+        out = sf.erfc(x)
+        assert out[0] == 0.0 and out[1] == 2.0 and math.isnan(out[2])
+        assert np.array_equal(out[3:], [sf.erfc(0.5), sf.erfc(-3.0), 0.0])
+
     def test_erfcx_scaled_form(self, rng):
         for x in rng.uniform(0.0, 50.0, 200):
             ref = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x)))

@@ -1,9 +1,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
 from hypothesis import example, given, settings, strategies as st
 
 from oqbm import omega0, oracle, spectral
@@ -15,40 +17,60 @@ from oqbm.core import (
     from_bloch,
     sample_initial,
 )
-from oqbm.errors import (
-    DefectiveMatrix,
-    GridUnderResolved,
-    StabilityViolation,
-    TailNotDecayed,
-)
+from oqbm.errors import GridUnderResolved, StabilityViolation, TailNotDecayed
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
+CRITICAL = Params(gamma_p=1.0, gamma_z=0.2, delta=0.5, omega=0.1)  # gamma_z = 2 omega
+
+
+def symbol(xi, p):
+    return spectral.symbol_matrices(np.array([xi]), p)[0]
+
+
+def discriminant_zeros(p):
+    """Frequencies in (1e-3, 30) where the characteristic cubic has a double root."""
+    def disc(xi):
+        a1, a2, a3 = spectral.char_coeffs(xi, p)
+        return (18 * a1 * a2 * a3 - 4 * a1**3 * a3 + a1**2 * a2**2
+                - 4 * a2**3 - 27 * a3**2)
+
+    xs = np.geomspace(1e-3, 30.0, 400)
+    d = np.array([disc(x) for x in xs])
+    return [brentq(disc, xs[i], xs[i + 1], xtol=1e-300)
+            for i in np.nonzero(np.sign(d[:-1]) != np.sign(d[1:]))[0]]
+
+
+def mpmath_expm(q, t):
+    """exp(t q) at 40 digits from the double entries of q."""
+    with mpmath.workdps(40):
+        m = mpmath.matrix([[mpmath.mpc(v.real, v.imag) * t for v in row] for row in q])
+        e = mpmath.expm(m)
+        return np.array([[complex(e[i, j]) for j in range(3)] for i in range(3)])
 
 
 class TestSymbol:
     def test_structure_at_zero_frequency(self):
         p = Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.2)
-        q = spectral.build_symbol(0.0, p).q
+        q = symbol(0.0, p)
         expected = np.array([[0, 0, 0], [0, -0.6, 0.2], [0, -0.8, 0]], dtype=complex)
         assert np.max(np.abs(q - expected)) < 1e-15
 
     def test_undriven_zero_frequency_is_diagonal(self):
         p = Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.0)
-        q = spectral.build_symbol(0.0, p).q
+        q = symbol(0.0, p)
         assert np.max(np.abs(q - np.diag([0.0, -0.6, 0.0]))) < 1e-15
 
     def test_unit_frequency_substitution(self):
         p = Params(gamma_p=1.0, gamma_z=0.0, delta=1.0, omega=0.0)
-        q = spectral.build_symbol(1.0, p).q
+        q = symbol(1.0, p)
         expected = np.array([[-2, 0, -2j], [0, -2, 0], [-2j, 0, -2]])
         assert np.max(np.abs(q - expected)) < 1e-15
 
     def test_conjugate_symmetry(self, rng):
         p = Params(*rng.uniform(0.01, 1.0, 4))
         for xi in rng.uniform(-20, 20, 10):
-            assert np.max(np.abs(spectral.build_symbol(-xi, p).q
-                                 - np.conj(spectral.build_symbol(xi, p).q))) < 1e-14
+            assert np.max(np.abs(symbol(-xi, p) - np.conj(symbol(xi, p)))) < 1e-14
 
 
 class TestCharacteristicCubic:
@@ -77,7 +99,7 @@ class TestCharacteristicCubic:
             p = Params(*rng.uniform(0.01, 2.0, 4))
             xi = float(rng.uniform(-10, 10))
             a1, a2, a3 = spectral.char_coeffs(xi, p)
-            q = spectral.build_symbol(xi, p).q
+            q = symbol(xi, p)
             lam = complex(rng.normal(), rng.normal())
             det = np.linalg.det(lam * np.eye(3) - q)
             poly = lam**3 + a1 * lam**2 + a2 * lam + a3
@@ -91,7 +113,7 @@ class TestEigenvalues:
             p = Params(*np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 4)))
             xi = float(rng.uniform(-30, 30))
             lam = spectral.cardano_eigenvalues(np.array([xi]), p)[0]
-            ref = np.linalg.eigvals(spectral.build_symbol(xi, p).q)
+            ref = np.linalg.eigvals(symbol(xi, p))
             scale = max(1.0, np.max(np.abs(ref)))
             for lv in lam:
                 worst = max(worst, np.min(np.abs(ref - lv)) / scale)
@@ -152,36 +174,6 @@ class TestEigenvalues:
         w = 2 * math.sqrt(p.delta**2 * xi**2 + p.omega**2)
         for e in (base, base + 1j * w, base - 1j * w):
             assert np.min(np.abs(lam - e)) < 1e-12
-
-
-class TestEigensystem:
-    def test_vectors_satisfy_eigen_equation(self, rng):
-        for _ in range(100):
-            p = Params(*rng.uniform(0.02, 2.0, 4))
-            xi = float(rng.uniform(0.05, 20.0) * rng.choice([-1, 1]))
-            sm = spectral.build_symbol(xi, p)
-            try:
-                es = spectral.eigensystem(sm, p)
-            except DefectiveMatrix:
-                continue
-            for j in range(3):
-                res = sm.q @ es.vectors[:, j] - es.lambdas[j] * es.vectors[:, j]
-                assert np.max(np.abs(res)) < 1e-8 * max(1.0, np.max(np.abs(sm.q)))
-            recon = (es.vectors * np.exp(es.lambdas)) @ es.inverse
-            assert np.max(np.abs(recon - scipy.linalg.expm(sm.q))) < 1e-9
-
-    def test_defective_critical_point_raises(self):
-        # gamma_z = 2*omega makes the internal block a Jordan cell at xi=0
-        p = Params(gamma_p=1.0, gamma_z=0.2, delta=0.5, omega=0.1)
-        with pytest.raises(DefectiveMatrix):
-            spectral.eigensystem(spectral.build_symbol(0.0, p), p)
-
-    def test_exp_symbol_falls_back_for_defective(self):
-        p = Params(gamma_p=1.0, gamma_z=0.2, delta=0.5, omega=0.1)
-        sm = spectral.build_symbol(0.0, p)
-        direct = spectral.exp_symbol(sm, 3.0)
-        ref = scipy.linalg.expm(3.0 * sm.q)
-        assert np.max(np.abs(direct - ref)) < 1e-13
 
 
 class TestStability:
@@ -264,6 +256,13 @@ class TestStability:
         assert report.max_real_part < 0.0
         assert np.all(lam == np.array([[0.0], [-2e-200]]))
 
+    @pytest.mark.parametrize("xi", [1e-12, 1e-10, 1e-9])
+    def test_undamped_pair_at_small_frequency(self, xi):
+        # the exact real part of the +-2i omega pair, -2 gp xi^2, lies below
+        # the round-off of |lambda| = 1; the computed one is +5.6e-17
+        report = spectral.stability_check(Params(1.0, 0.0, 0.7, 0.5), [xi])
+        assert report.max_real_part < 8 * np.finfo(float).eps
+
     def test_large_frequency_dominated_by_diffusion(self):
         p = Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.1)
         lam = spectral.cardano_eigenvalues(np.array([100.0]), p)[0]
@@ -272,8 +271,6 @@ class TestStability:
 
 class TestExpSymbol:
     def test_identity_at_zero_time(self):
-        sm = spectral.build_symbol(0.7, GENERAL)
-        assert np.max(np.abs(spectral.exp_symbol(sm, 0.0) - np.eye(3))) == 0.0
         E = spectral.exp_symbols(np.array([0.3, 0.9]), GENERAL, 0.0)
         assert np.max(np.abs(E - np.eye(3))) == 0.0
 
@@ -316,9 +313,37 @@ class TestExpSymbol:
             xi = float(rng.uniform(-20, 20))
             t = float(rng.uniform(0.0, 100.0))
             mine = spectral.exp_symbols(np.array([xi]), p, t)[0]
-            ref = scipy.linalg.expm(t * spectral.build_symbol(xi, p).q)
+            ref = scipy.linalg.expm(t * symbol(xi, p))
             worst = max(worst, np.max(np.abs(mine - ref)))
         assert worst < 1e-10
+
+    def test_critical_point_matches_expm(self):
+        # gamma_z = 2 omega makes the internal block a Jordan cell at xi = 0
+        direct = spectral.exp_symbols(np.array([0.0]), CRITICAL, 3.0)[0]
+        ref = scipy.linalg.expm(3.0 * symbol(0.0, CRITICAL))
+        assert np.max(np.abs(direct - ref)) < 1e-13
+
+    def test_matches_mpmath_where_eigenvalues_coalesce(self):
+        # eigenvalues meet at xi = 0, near it, at the critical point, at
+        # omega = 0, at gamma_z = 0, under pure diffusion and at zeros of
+        # the cubic's discriminant (a double root)
+        coalescing = [CRITICAL,
+                      Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.0),
+                      Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5),
+                      Params(gamma_p=1.0, gamma_z=0.0, delta=0.0, omega=0.0)]
+        points = [(xi, p) for p in coalescing for xi in (0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.1)]
+        for p in (CRITICAL, Params(1.0, 0.5, 0.7, 0.1), Params(1.0, 1.0, 1.0, 0.4),
+                  Params(0.1, 3.0, 1.0, 0.5)):
+            zeros = discriminant_zeros(p)
+            assert zeros
+            points += [(xi, p) for xi in zeros]
+        worst = 0.0
+        for xi, p in points:
+            for t in (0.5, 3.0, 40.0):
+                mine = spectral.exp_symbols(np.array([xi]), p, t)[0]
+                ref = mpmath_expm(symbol(xi, p), t)
+                worst = max(worst, np.max(np.abs(mine - ref)) / max(1.0, np.max(np.abs(ref))))
+        assert worst <= 1e-12
 
 
 class TestGreenFunction:
