@@ -37,6 +37,7 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
+    check_tail,
     from_bloch,
     plan_grid,
     sample_initial,
@@ -107,6 +108,7 @@ def build_scenario(config: dict) -> Scenario:
             raise ConfigError(str(exc)) from exc
     else:
         grid = plan_grid(ic, params, t_max=max(times), eps_tail=eps_tail)
+    check_tail(ic, grid.half_width, eps_tail)
     method = config.get("method", "auto")
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")

@@ -23,12 +23,15 @@ from typing import Union
 
 import numpy as np
 
+from . import specfun as sf
 from .errors import (
     DomainTooNarrow,
     GridMismatch,
     NegativeRate,
     NonFinite,
     NonPositiveDiffusion,
+    NonPositiveTime,
+    WrongRegime,
 )
 
 DEFAULT_EPS_TAIL = 1e-8
@@ -225,8 +228,36 @@ def _check_weight(p: float) -> None:
         raise ValueError(f"mixture weight p must lie in (0, 1), got {p}")
 
 
+def _spread_gauss(w: float, x: np.ndarray, v: float) -> np.ndarray:
+    """w N(0, v)(x); after heat flow a Gaussian of variance sigma^2 has v = sigma^2 + 4 gamma_p t."""
+    return w * np.exp(-(x ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+
+
+def _gauss_hat(sigma: float, xis: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * (sigma * xis) ** 2)
+
+
+class _ClosedShape:
+    """Built-in initial shapes: closed heat propagation and Fourier transform.
+
+    Each shape supplies ``_heat(t, x, gamma_p, drift)`` for t > 0 and
+    ``spectrum(xis)``, the closed transforms (u_hat = integral u e^{-i xi x} dx)
+    of (rho_plus, c_i, rho_minus, c_r) at the float array ``xis``.
+    """
+
+    def heat(self, t: float, x, gamma_p: float, drift: float = 0.0):
+        """(rho11 at x - drift, rho22 at x + drift, rho12 at x) after heat flow
+        of variance 4*gamma_p*t; at t = 0 the initial data itself."""
+        if t < 0.0:
+            raise NonPositiveTime(f"heat flow needs t >= 0, got {t}")
+        x = np.asarray(x, dtype=float)
+        if t == 0.0:
+            return self.rho11(x - drift), self.rho22(x + drift), self.rho12(x)
+        return self._heat(t, x, gamma_p, drift)
+
+
 @dataclass(frozen=True)
-class GaussianMixture:
+class GaussianMixture(_ClosedShape):
     """Diagonal rho(0): p N(0, sigma1^2) in rho11, (1-p) N(0, sigma2^2) in rho22."""
 
     p: float
@@ -250,9 +281,21 @@ class GaussianMixture:
     def min_feature(self) -> float:
         return min(self.sigma1, self.sigma2)
 
+    def _heat(self, t, x, gamma_p, drift):
+        s = 4.0 * gamma_p * t
+        rho11 = _spread_gauss(self.p, x - drift, self.sigma1**2 + s)
+        rho22 = _spread_gauss(1.0 - self.p, x + drift, self.sigma2**2 + s)
+        return rho11, rho22, np.zeros_like(x, dtype=complex)
+
+    def spectrum(self, xis):
+        top = self.p * _gauss_hat(self.sigma1, xis)
+        bot = (1.0 - self.p) * _gauss_hat(self.sigma2, xis)
+        zero = np.zeros_like(xis)
+        return top + bot, zero, top - bot, zero
+
 
 @dataclass(frozen=True)
-class GaussianCoherent:
+class GaussianCoherent(_ClosedShape):
     """Gaussian envelope with a plane-wave off-diagonal coherence.
 
     rho(0, x) = N(0, sigma^2)(x) * [[p, mu*sqrt(p(1-p)) e^{ikx}], [c.c., 1-p]]
@@ -286,9 +329,26 @@ class GaussianCoherent:
             return min(self.sigma, 2.0 * math.pi / abs(self.k))
         return self.sigma
 
+    def _heat(self, t, x, gamma_p, drift):
+        v = self.sigma**2 + 4.0 * gamma_p * t
+        rho11 = _spread_gauss(self.p, x - drift, v)
+        rho22 = _spread_gauss(1.0 - self.p, x + drift, v)
+        amp = self.mu * math.sqrt(self.p * (1.0 - self.p))
+        return rho11, rho22, amp * sf.heat_modulated_gauss(t, x, gamma_p, self.k, self.sigma)
+
+    def spectrum(self, xis):
+        env = _gauss_hat(self.sigma, xis)
+        amp = self.mu * math.sqrt(self.p * (1.0 - self.p))
+        plus_k = np.exp(-0.5 * self.sigma**2 * (xis - self.k) ** 2)
+        minus_k = np.exp(-0.5 * self.sigma**2 * (xis + self.k) ** 2)
+        # FT of Im(rho12) and Re(rho12) for rho12 = amp e^{ikx} N_sigma
+        ci_hat = amp * (plus_k - minus_k) / 2j
+        cr_hat = amp * (plus_k + minus_k) / 2.0
+        return env, ci_hat, (2.0 * self.p - 1.0) * env, cr_hat
+
 
 @dataclass(frozen=True)
-class LaplaceMixture:
+class LaplaceMixture(_ClosedShape):
     """Diagonal rho(0) with Laplace profiles of scales a and b."""
 
     p: float
@@ -310,9 +370,20 @@ class LaplaceMixture:
     def min_feature(self) -> float:
         return min(self.a, self.b)
 
+    def _heat(self, t, x, gamma_p, drift):
+        rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, 1.0 / self.a)
+        rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, 1.0 / self.b)
+        return rho11, rho22, np.zeros_like(x, dtype=complex)
+
+    def spectrum(self, xis):
+        top = self.p / (1.0 + (self.a * xis) ** 2)
+        bot = (1.0 - self.p) / (1.0 + (self.b * xis) ** 2)
+        zero = np.zeros_like(xis)
+        return top + bot, zero, top - bot, zero
+
 
 @dataclass(frozen=True)
-class UniformMixture:
+class UniformMixture(_ClosedShape):
     """Diagonal rho(0) with centered plateaus of half-widths a and b."""
 
     p: float
@@ -334,9 +405,20 @@ class UniformMixture:
     def min_feature(self) -> float:
         return min(self.a, self.b)
 
+    def _heat(self, t, x, gamma_p, drift):
+        rho11 = self.p * sf.heat_uniform(t, x - drift, gamma_p, self.a)
+        rho22 = (1.0 - self.p) * sf.heat_uniform(t, x + drift, gamma_p, self.b)
+        return rho11, rho22, np.zeros_like(x, dtype=complex)
+
+    def spectrum(self, xis):
+        top = self.p * np.sinc(self.a * xis / math.pi)
+        bot = (1.0 - self.p) * np.sinc(self.b * xis / math.pi)
+        zero = np.zeros_like(xis)
+        return top + bot, zero, top - bot, zero
+
 
 @dataclass(frozen=True)
-class LaplaceCoherent:
+class LaplaceCoherent(_ClosedShape):
     """Laplace envelope with a constant complex coherence direction.
 
     rho(0, x) = f(x) * [[p, sqrt(p(1-p))(r + iq)], [sqrt(p(1-p))(r - iq), 1-p]]
@@ -380,6 +462,18 @@ class LaplaceCoherent:
     def min_feature(self) -> float:
         return self.scale
 
+    def _heat(self, t, x, gamma_p, drift):
+        c = 1.0 / self.scale
+        rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, c)
+        rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, c)
+        amp = math.sqrt(self.p * (1.0 - self.p)) * complex(self.r, self.q)
+        return rho11, rho22, amp * sf.heat_laplace(t, x, gamma_p, c)
+
+    def spectrum(self, xis):
+        env = 1.0 / (1.0 + (self.scale * xis) ** 2)
+        amp = math.sqrt(self.p * (1.0 - self.p))
+        return env, amp * self.q * env, (2.0 * self.p - 1.0) * env, amp * self.r * env
+
 
 @dataclass(frozen=True)
 class Custom:
@@ -398,6 +492,12 @@ class Custom:
     def min_feature(self) -> float:
         return 4.0 * self.field.grid.dx
 
+    def heat(self, t: float, x, gamma_p: float, drift: float = 0.0):
+        raise WrongRegime("custom initial data has no closed form; use spectral.solve")
+
+    def spectrum(self, xis):
+        return None  # no closed transform: spectral.solve transforms the samples
+
 
 InitialCondition = Union[
     GaussianMixture, GaussianCoherent, LaplaceMixture, UniformMixture, LaplaceCoherent, Custom
@@ -412,40 +512,7 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     the O(dx^2) aliasing caused by kinks or jumps in the initial profiles.
     Custom data has no closed transform (returns None).
     """
-    xis = np.asarray(xis, dtype=float)
-
-    def gauss_hat(sigma: float) -> np.ndarray:
-        return np.exp(-0.5 * (sigma * xis) ** 2)
-
-    if isinstance(ic, GaussianMixture):
-        top = ic.p * gauss_hat(ic.sigma1)
-        bot = (1.0 - ic.p) * gauss_hat(ic.sigma2)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
-    if isinstance(ic, GaussianCoherent):
-        env = gauss_hat(ic.sigma)
-        amp = ic.mu * math.sqrt(ic.p * (1.0 - ic.p))
-        plus_k = np.exp(-0.5 * ic.sigma**2 * (xis - ic.k) ** 2)
-        minus_k = np.exp(-0.5 * ic.sigma**2 * (xis + ic.k) ** 2)
-        # FT of Im(rho12) and Re(rho12) for rho12 = amp e^{ikx} N_sigma
-        ci_hat = amp * (plus_k - minus_k) / 2j
-        cr_hat = amp * (plus_k + minus_k) / 2.0
-        return env, ci_hat, (2.0 * ic.p - 1.0) * env, cr_hat
-    if isinstance(ic, LaplaceMixture):
-        top = ic.p / (1.0 + (ic.a * xis) ** 2)
-        bot = (1.0 - ic.p) / (1.0 + (ic.b * xis) ** 2)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
-    if isinstance(ic, UniformMixture):
-        top = ic.p * np.sinc(ic.a * xis / math.pi)
-        bot = (1.0 - ic.p) * np.sinc(ic.b * xis / math.pi)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
-    if isinstance(ic, LaplaceCoherent):
-        env = 1.0 / (1.0 + (ic.scale * xis) ** 2)
-        amp = math.sqrt(ic.p * (1.0 - ic.p))
-        return env, amp * ic.q * env, (2.0 * ic.p - 1.0) * env, amp * ic.r * env
-    return None
+    return ic.spectrum(np.asarray(xis, dtype=float))
 
 
 def sample_initial(
@@ -467,11 +534,7 @@ def sample_initial(
                 f"custom initial populations reach {low:.3e}, below the -{neg_tol:.0e} slack"
             )
         return ic.field
-    tail = ic.tail_mass(grid.half_width)
-    if tail > eps_tail:
-        raise DomainTooNarrow(
-            f"tail mass {tail:.3e} beyond half_width {grid.half_width} exceeds {eps_tail:.1e}"
-        )
+    check_tail(ic, grid.half_width, eps_tail)
     x = grid.nodes
     return DensityField(
         grid=grid,
@@ -480,6 +543,15 @@ def sample_initial(
         rho12=np.asarray(ic.rho12(x), dtype=complex),
         time=0.0,
     )
+
+
+def check_tail(ic: InitialCondition, half_width: float, eps_tail: float) -> None:
+    """Raise DomainTooNarrow when the analytic tail mass beyond +-half_width exceeds eps_tail."""
+    tail = ic.tail_mass(half_width)
+    if tail > eps_tail:
+        raise DomainTooNarrow(
+            f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {eps_tail:.1e}"
+        )
 
 
 def initial_mass(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL,

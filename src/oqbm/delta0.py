@@ -20,21 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import omega0
 from . import specfun as sf
 from .core import (
     BlochField,
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     InitialCondition,
-    LaplaceCoherent,
-    LaplaceMixture,
     Params,
     SpatialGrid,
-    UniformMixture,
-    sample_initial,
-    to_bloch,
     validate_params,
 )
 from .errors import NonPositiveTime, OqbmError, WrongRegime
@@ -107,46 +100,13 @@ def green_delta0(p: Params, t: float, x):
 
 def _heat_components(ic: InitialCondition, t: float, x, gamma_p: float):
     """Pure heat convolution of (psi11+psi22, psi11-psi22, Im psi12, Re psi12)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(ic, GaussianMixture):
-        v1, v2 = ic.sigma1**2 + 4.0 * gamma_p * t, ic.sigma2**2 + 4.0 * gamma_p * t
-        g1 = ic.p * np.exp(-x * x / (2.0 * v1)) / math.sqrt(2.0 * math.pi * v1)
-        g2 = (1.0 - ic.p) * np.exp(-x * x / (2.0 * v2)) / math.sqrt(2.0 * math.pi * v2)
-        zero = np.zeros_like(x)
-        return g1 + g2, g1 - g2, zero, zero
-    if isinstance(ic, GaussianCoherent):
-        v = ic.sigma**2 + 4.0 * gamma_p * t
-        g = np.exp(-x * x / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
-        amp = ic.mu * math.sqrt(ic.p * (1.0 - ic.p))
-        mod = amp * sf.heat_modulated_gauss(t, x, gamma_p, ic.k, ic.sigma)
-        return g, (2.0 * ic.p - 1.0) * g, np.imag(mod), np.real(mod)
-    if isinstance(ic, LaplaceMixture):
-        l1 = ic.p * sf.heat_laplace(t, x, gamma_p, 1.0 / ic.a)
-        l2 = (1.0 - ic.p) * sf.heat_laplace(t, x, gamma_p, 1.0 / ic.b)
-        zero = np.zeros_like(x)
-        return l1 + l2, l1 - l2, zero, zero
-    if isinstance(ic, UniformMixture):
-        u1 = ic.p * sf.heat_uniform(t, x, gamma_p, ic.a)
-        u2 = (1.0 - ic.p) * sf.heat_uniform(t, x, gamma_p, ic.b)
-        zero = np.zeros_like(x)
-        return u1 + u2, u1 - u2, zero, zero
-    if isinstance(ic, LaplaceCoherent):
-        lap = sf.heat_laplace(t, x, gamma_p, 1.0 / ic.scale)
-        amp = math.sqrt(ic.p * (1.0 - ic.p))
-        return lap, (2.0 * ic.p - 1.0) * lap, amp * ic.q * lap, amp * ic.r * lap
-    raise TypeError(
-        f"no closed heat convolution for {type(ic).__name__}; use spectral.solve"
-    )
+    rho11, rho22, rho12 = ic.heat(t, x, gamma_p)
+    return rho11 + rho22, rho11 - rho22, np.imag(rho12), np.real(rho12)
 
 
 def density_delta0(p: Params, ic: InitialCondition, t: float, x):
     """P(t, x): the initial probability density smoothed by the heat kernel."""
     _require_regime(validate_params(p))
-    x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        if isinstance(ic, Custom):
-            raise TypeError("sample Custom data through its own grid")
-        return np.asarray(ic.rho11(x) + ic.rho22(x), dtype=float)
     plus, _, _, _ = _heat_components(ic, t, x, p.gamma_p)
     return plus
 
@@ -159,20 +119,16 @@ def imbalance_general(p: Params, ic: InitialCondition, t: float, x):
 
         Q = -(4 om / w) e^{-gz t} sin(w t) * (heat * Im psi12)
             + e^{-gz t} (cos(w t) + (gz / w) sin(w t)) * (heat * (psi11 - psi22))
+
+    The two coefficients are the last row of :func:`internal_matrix`.
     """
     _require_regime(validate_params(p))
-    reg = classify(p)
-    if reg.kind is not DampingKind.UNDER:
-        raise WrongRegime(f"imbalance closed form needs gamma_z < 2*omega, got {reg.kind.value}")
-    x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        return np.asarray(ic.rho11(x) - ic.rho22(x), dtype=float)
+    kind = classify(p).kind
+    if kind is not DampingKind.UNDER:
+        raise WrongRegime(f"imbalance closed form needs gamma_z < 2*omega, got {kind.value}")
     _, minus, ci, _ = _heat_components(ic, t, x, p.gamma_p)
-    w = reg.omega_pm
-    damp = math.exp(-p.gamma_z * t)
-    term_ci = -(4.0 * p.omega / w) * damp * math.sin(w * t) * ci
-    term_minus = damp * (math.cos(w * t) + (p.gamma_z / w) * math.sin(w * t)) * minus
-    return term_ci + term_minus
+    m = internal_matrix(p, t)
+    return m[2, 1] * ci + m[2, 2] * minus
 
 
 def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
@@ -186,13 +142,9 @@ def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
     reg = classify(p)
     if reg.kind is not DampingKind.UNDER:
         raise WrongRegime("factored imbalance needs the underdamped regime")
-    x = np.asarray(x, dtype=float)
     w = reg.omega_pm
     amp = math.exp(-p.gamma_z * t) * (p.gamma_z * math.sin(w * t) + w * math.cos(w * t)) / w
-    if t == 0.0:
-        profile = np.asarray(ic.rho11(x) - ic.rho22(x), dtype=float)
-    else:
-        _, profile, _, _ = _heat_components(ic, t, x, p.gamma_p)
+    _, profile, _, _ = _heat_components(ic, t, x, p.gamma_p)
     return amp, profile
 
 
@@ -258,22 +210,17 @@ def imbalance_zeros(p: Params, n_max: int) -> np.ndarray:
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
     """Full closed-form field for delta = 0 (any damping regime).
 
-    The heat-propagated components are rotated by the internal matrix; c_r is
-    the universal decoupled kernel.  Custom data needs the spectral solver.
+    The heat-propagated components are rotated by the internal matrix; c_r
+    only decays, at rate 2*gamma_z.  Custom data needs the spectral solver.
     """
     _require_regime(validate_params(p))
-    if isinstance(ic, Custom):
-        raise WrongRegime("custom initial data has no closed form; use spectral.solve")
-    if t == 0.0:
-        return to_bloch(sample_initial(ic, grid))
-    x = grid.nodes
-    plus, minus, ci, _ = _heat_components(ic, t, x, p.gamma_p)
+    plus, minus, ci, cr = _heat_components(ic, t, grid.nodes, p.gamma_p)
     m = internal_matrix(p, t)
     return BlochField(
         grid=grid,
         rho_plus=plus,
         c_i=m[1, 1] * ci + m[1, 2] * minus,
         rho_minus=m[2, 1] * ci + m[2, 2] * minus,
-        c_r=omega0.solve_cr(ic, t, grid, p),
+        c_r=math.exp(-2.0 * p.gamma_z * t) * cr,
         time=t,
     )

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.special
 from scipy.special import erf, erfcx  # re-exported unchanged
 
-from .core import Params
 from .errors import DegenerateParams, NegativeArgument, NonPositiveTime
+
+if TYPE_CHECKING:  # core imports this module for its heat kernels
+    from .core import Params
 
 _ERFC_ZERO = 30.0  # exp(-x^2) is exactly 0.0 in double precision beyond x ~ 27.3
 

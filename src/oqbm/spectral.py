@@ -28,10 +28,10 @@ import numpy as np
 from . import omega0
 from .core import (
     BlochField,
+    DensityField,
     InitialCondition,
     Params,
     SpatialGrid,
-    initial_spectrum,
     sample_initial,
     to_bloch,
     validate_params,
@@ -334,25 +334,21 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
 
     Equivalent to convolving with the Green's matrix (one transform less).
     Built-in initial shapes enter through their closed Fourier transforms
-    (no kink-sampling error); Custom fields are transformed by FFT.  The
-    decoupled c_r component comes from the exact kernel in
-    :mod:`oqbm.omega0`, which holds for every parameter choice.
+    (no kink-sampling error) and are not sampled on the grid; Custom fields
+    are transformed by FFT.  The decoupled c_r component comes from the
+    exact kernel in :mod:`oqbm.omega0`, which holds for every parameter choice.
     """
     validate_params(p)
-    u0 = to_bloch(sample_initial(ic, grid))
-    if t == 0.0:
-        return u0
+    hat = ic.spectrum(grid.fourier_nodes)
+    if hat is None:  # Custom data
+        u0 = to_bloch(sample_initial(ic, grid))
+        if t == 0.0:
+            return u0
+        hat = [grid.forward_transform(c) for c in (u0.rho_plus, u0.c_i, u0.rho_minus)]
+    elif t == 0.0:
+        return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
     spectra = exp_symbols(grid.fourier_nodes, p, t)
-    closed_hat = initial_spectrum(ic, grid.fourier_nodes)
-    if closed_hat is not None:
-        hat = np.stack(closed_hat[:3], axis=1).astype(complex)
-    else:
-        hat = np.stack([
-            grid.forward_transform(u0.rho_plus),
-            grid.forward_transform(u0.c_i),
-            grid.forward_transform(u0.rho_minus),
-        ], axis=1)
-    evolved = np.einsum("mij,mj->mi", spectra, hat)
+    evolved = np.einsum("mij,mj->mi", spectra, np.stack(hat[:3], axis=1).astype(complex))
     comps = []
     for i in range(3):
         values = grid.inverse_transform(evolved[:, i])

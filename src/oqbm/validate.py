@@ -341,16 +341,11 @@ def three_way_agreement_case(case: str, times=(50.0, 200.0)) -> dict:
     """
     ic, (half_width, n) = THREE_WAY_CASES[case]
     grid = SpatialGrid(half_width, n)
-    solver = {
-        "gaussian": omega0.gaussian_solution,
-        "laplace": omega0.laplace_solution,
-        "uniform": omega0.uniform_solution,
-    }[case]
     fd = oracle.fd_integrate(FIG1, ic, max(times), grid,
                              snapshot_times=list(times), richardson=True)
     out = {"richardson": fd.richardson_error, "dx": grid.dx}
     for t in times:
-        P, Q = solver(FIG1, ic, t, grid.nodes)
+        P, Q = omega0.populations(FIG1, ic, t, grid.nodes)
         u = spectral.solve(FIG1, ic, t, grid)
         f = fd.snapshots[t]
         out[t] = {

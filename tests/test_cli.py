@@ -211,6 +211,21 @@ class TestMain:
         rows = np.loadtxt(out / "snapshot_t50.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(rows[:, 2] - closed.rho_plus)) < 1e-12
 
+    @pytest.mark.parametrize("omega", [1e-2, 0.0], ids=["spectral", "closed"])
+    def test_tail_rule_uses_the_scenario_eps_tail(self, tmp_path, omega):
+        # the Gaussian tail beyond +-5 is 5.7e-7: inside eps_tail 1e-3, not 1e-8
+        config = {
+            "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": omega,
+            "ic": "gaussian_mixture", "p": 0.75, "sigma1": 1.0, "sigma2": 1.0,
+            "half_width": 5.0, "n_points": 1024, "times": [0.0, 1.0],
+        }
+        for eps_tail, code in ((1e-3, 0), (1e-8, 2)):
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps(dict(config, eps_tail=eps_tail)))
+            out = tmp_path / f"out{eps_tail:g}"
+            assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == code
+            assert len(list(out.glob("*.csv"))) == (2 if code == 0 else 0)
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oqbm import delta0, oracle, spectral
+from oqbm import delta0, omega0, oracle, spectral
 from oqbm.core import (
+    Custom,
     GaussianCoherent,
     GaussianMixture,
     LaplaceMixture,
     Params,
     SpatialGrid,
     UniformMixture,
+    sample_initial,
 )
 from oqbm.errors import WrongRegime
 
@@ -189,3 +191,17 @@ class TestDensityAndSolve:
             assert np.max(np.abs(getattr(u, name) - getattr(us, name))) < 1e-8
         q = delta0.imbalance_general(UNDER, ic, 80.0, grid.nodes)
         assert np.max(np.abs(q - u.rho_minus)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0])
+@pytest.mark.parametrize("helper,rates", [
+    (delta0.density_delta0, UNDER),
+    (delta0.imbalance_general, UNDER),
+    (delta0.imbalance_gaussian_factored, UNDER),
+    (omega0.populations, Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)),
+], ids=["density_delta0", "imbalance_general", "imbalance_gaussian_factored", "populations"])
+def test_custom_data_has_no_closed_helper(helper, rates, t):
+    grid = SpatialGrid(32.0, 512)
+    ic = Custom(sample_initial(FIG6_LEFT, grid))
+    with pytest.raises(WrongRegime):
+        helper(rates, ic, t, grid.nodes)

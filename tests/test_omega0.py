@@ -80,18 +80,29 @@ class TestSolveCr:
 class TestClosedSolutions:
     def test_gaussian_initial_recovery(self):
         x = np.linspace(-10, 10, 101)
-        P, Q = omega0.gaussian_solution(RATES, GAUSS, 0.0, x)
+        P, Q = omega0.populations(RATES, GAUSS, 0.0, x)
         assert np.max(np.abs(P - (GAUSS.rho11(x) + GAUSS.rho22(x)))) < 1e-15
+
+    @pytest.mark.parametrize("ic", [
+        GAUSS, LAPL, UNIF,
+        GaussianCoherent(p=0.6, mu=0.5, k=0.7, sigma=1.2),
+        LaplaceCoherent(p=0.3, r=0.4, q=0.2, scale=2.0),
+    ], ids=["gaussian", "laplace", "uniform", "gaussian_coherent", "laplace_coherent"])
+    def test_zero_time_is_initial_data_for_every_shape(self, ic):
+        x = np.linspace(-10, 10, 101)
+        P, Q = omega0.populations(RATES, ic, 0.0, x)
+        assert np.array_equal(P, ic.rho11(x) + ic.rho22(x))
+        assert np.array_equal(Q, ic.rho11(x) - ic.rho22(x))
 
     def test_balanced_mixture_has_zero_center_imbalance(self):
         ic = GaussianMixture(p=0.5, sigma1=1.3, sigma2=1.3)
         for t in (0.0, 40.0, 160.0):
-            _, Q = omega0.gaussian_solution(RATES, ic, t, np.array([0.0]))
+            _, Q = omega0.populations(RATES, ic, t, np.array([0.0]))
             assert abs(Q[0]) < 1e-18
 
     def test_gaussian_peaks_near_drift_positions(self):
         grid = SpatialGrid(24.0, 4096)
-        P, _ = omega0.gaussian_solution(RATES, GAUSS, 200.0, grid.nodes)
+        P, _ = omega0.populations(RATES, GAUSS, 200.0, grid.nodes)
         peaks = grid.nodes[1:-1][(P[1:-1] > P[:-2]) & (P[1:-1] > P[2:])]
         assert len(peaks) == 2
         assert np.max(np.abs(np.sort(peaks) - [-4.0, 4.0])) <= 2 * grid.dx
@@ -99,45 +110,37 @@ class TestClosedSolutions:
     def test_laplace_pointwise_limit(self):
         # short times approach the initial density away from the kinks
         x = np.array([-3.0, -0.7, 0.9, 2.5])
-        P, _ = omega0.laplace_solution(RATES, LAPL, 1e-4, x)
+        P, _ = omega0.populations(RATES, LAPL, 1e-4, x)
         ref = LAPL.rho11(x) + LAPL.rho22(x)
         assert np.max(np.abs(P - ref)) < 1e-6
 
     def test_uniform_interior_limit(self):
         x = np.array([-1.5, 0.0, 1.2])
-        P, _ = omega0.uniform_solution(RATES, UNIF, 1e-6, x)
+        P, _ = omega0.populations(RATES, UNIF, 1e-6, x)
         ref = 0.75 / 6.0 + 0.25 / 4.0
         assert np.max(np.abs(P - ref)) < 1e-12
-        far = omega0.uniform_solution(RATES, UNIF, 1e-6, np.array([100.0]))[0]
+        far = omega0.populations(RATES, UNIF, 1e-6, np.array([100.0]))[0]
         assert abs(far[0]) < 1e-300
 
-    @pytest.mark.parametrize("ic,solver", [
-        (GAUSS, omega0.gaussian_solution),
-        (LAPL, omega0.laplace_solution),
-        (UNIF, omega0.uniform_solution),
-    ], ids=["gaussian", "laplace", "uniform"])
-    def test_mass_and_positivity(self, ic, solver):
+    @pytest.mark.parametrize("ic", [GAUSS, LAPL, UNIF], ids=["gaussian", "laplace", "uniform"])
+    def test_mass_and_positivity(self, ic):
         # near t=0 the smoothed kinks are narrow (width ~ sqrt(4 gp t)), so
         # the trapezoid needs a grid fine enough to resolve them
         fine = SpatialGrid(64.0, 1 << 18)
         coarse = SpatialGrid(64.0, 8192)
         for t, grid in [(1e-2, fine), (50.0, coarse), (100.0, coarse),
                         (150.0, coarse), (200.0, coarse)]:
-            P, Q = solver(RATES, ic, t, grid.nodes)
+            P, Q = omega0.populations(RATES, ic, t, grid.nodes)
             assert abs(grid.trapezoid(P) - 1.0) < 1e-8
             rho11 = 0.5 * (P + Q)
             rho22 = 0.5 * (P - Q)
             assert min(rho11.min(), rho22.min()) >= -1e-12
 
-    @pytest.mark.parametrize("ic,solver", [
-        (GAUSS, omega0.gaussian_solution),
-        (LAPL, omega0.laplace_solution),
-        (UNIF, omega0.uniform_solution),
-    ], ids=["gaussian", "laplace", "uniform"])
-    def test_matches_spectral_route(self, ic, solver):
+    @pytest.mark.parametrize("ic", [GAUSS, LAPL, UNIF], ids=["gaussian", "laplace", "uniform"])
+    def test_matches_spectral_route(self, ic):
         grid = SpatialGrid(64.0, 4096)
         for t in (50.0, 200.0):
-            P, Q = solver(RATES, ic, t, grid.nodes)
+            P, Q = omega0.populations(RATES, ic, t, grid.nodes)
             u = spectral.solve(RATES, ic, t, grid)
             assert np.max(np.abs(u.rho_plus - P)) < 1e-7
             assert np.max(np.abs(u.rho_minus - Q)) < 1e-7
@@ -148,7 +151,7 @@ class TestClosedSolutions:
         grid = SpatialGrid(48.0, 8192)
         t = 50.0
         fd = oracle.fd_integrate(RATES, LAPL, t, grid, richardson=False)
-        P, Q = omega0.laplace_solution(RATES, LAPL, t, grid.nodes)
+        P, Q = omega0.populations(RATES, LAPL, t, grid.nodes)
         assert np.max(np.abs(fd.field.rho_plus - P)) < 1e-5
 
     def test_long_time_two_gaussian_profile(self):
@@ -159,11 +162,11 @@ class TestClosedSolutions:
         drift = 2 * RATES.delta * t
         spread = 4 * RATES.gamma_p * t
         cases = (
-            (LAPL, omega0.laplace_solution, 2 * LAPL.a**2, 2 * LAPL.b**2),
-            (UNIF, omega0.uniform_solution, UNIF.a**2 / 3, UNIF.b**2 / 3),
+            (LAPL, 2 * LAPL.a**2, 2 * LAPL.b**2),
+            (UNIF, UNIF.a**2 / 3, UNIF.b**2 / 3),
         )
-        for ic, solver, var1, var2 in cases:
-            P, _ = solver(RATES, ic, t, grid.nodes)
+        for ic, var1, var2 in cases:
+            P, _ = omega0.populations(RATES, ic, t, grid.nodes)
             v1, v2 = var1 + spread, var2 + spread
             fit = (ic.p * np.exp(-(grid.nodes - drift) ** 2 / (2 * v1)) / math.sqrt(2 * math.pi * v1)
                    + (1 - ic.p) * np.exp(-(grid.nodes + drift) ** 2 / (2 * v2)) / math.sqrt(2 * math.pi * v2))
@@ -194,6 +197,6 @@ class TestFullSolve:
 
     def test_time_validation(self):
         with pytest.raises(NonPositiveTime):
-            omega0.laplace_solution(RATES, LAPL, 0.0, np.zeros(3))
+            omega0.populations(RATES, LAPL, -1.0, np.zeros(3))
         with pytest.raises(NonPositiveTime):
             omega0.solve(RATES, GAUSS, -1.0, SpatialGrid(24.0, 1024))

@@ -390,7 +390,7 @@ class TestSolve:
         grid = SpatialGrid(24.0, 2048)
         for t in (50.0, 200.0):
             u = spectral.solve(p, IC, t, grid)
-            P, Q = omega0.gaussian_solution(p, IC, t, grid.nodes)
+            P, Q = omega0.populations(p, IC, t, grid.nodes)
             assert np.max(np.abs(u.rho_plus - P)) < 1e-8
             assert np.max(np.abs(u.rho_minus - Q)) < 1e-8
 
