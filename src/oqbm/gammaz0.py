@@ -35,10 +35,10 @@ import scipy.integrate
 from . import specfun as sf
 from .core import (
     BlochField,
+    DensityField,
     LaplaceCoherent,
     Params,
     SpatialGrid,
-    sample_initial,
     to_bloch,
     validate_params,
 )
@@ -46,7 +46,6 @@ from .errors import (
     NonPositiveTime,
     QuadratureNotConverged,
     ScaleMismatch,
-    TailNotDecayed,
     WrongRegime,
 )
 from .spectral import GreenMatrix
@@ -56,27 +55,15 @@ QUAD_START_ORDER = 64
 QUAD_MAX_ORDER = 4096
 
 
-@dataclass(frozen=True)
-class ThetaQuadrature:
-    """Gauss-Legendre nodes/weights mapped onto [0, pi]."""
-
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def build(cls, order: int) -> "ThetaQuadrature":
-        return _theta_rule(order)
-
-
 @lru_cache(maxsize=16)
-def _theta_rule(order: int) -> ThetaQuadrature:
+def theta_rule(order: int) -> tuple:
+    """Gauss-Legendre (nodes, weights) mapped onto [0, pi]; cached, so read-only."""
     raw_nodes, raw_weights = np.polynomial.legendre.leggauss(order)
     nodes = 0.5 * math.pi * (raw_nodes + 1.0)
     weights = 0.5 * math.pi * raw_weights
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return ThetaQuadrature(order=order, nodes=nodes, weights=weights)
+    return nodes, weights
 
 
 def _require_regime(p: Params) -> None:
@@ -99,17 +86,17 @@ def _adaptive_theta(
     prev = None
     order = QUAD_START_ORDER
     while order <= QUAD_MAX_ORDER:
-        rule = _theta_rule(order)
+        nodes, rule_weights = theta_rule(order)
         if oscillation == "j1":
-            factor = sf.bessel_j1(2.0 * t * p.omega * np.sin(rule.nodes))
+            factor = sf.bessel_j1(2.0 * t * p.omega * np.sin(nodes))
         else:
-            factor = sf.bessel_j0(2.0 * t * p.omega * np.sin(rule.nodes)) * np.sin(rule.nodes)
-        weights = rule.weights * factor
+            factor = sf.bessel_j0(2.0 * t * p.omega * np.sin(nodes)) * np.sin(nodes)
+        weights = rule_weights * factor
         result = np.empty_like(x)
         chunk = max(1, (1 << 22) // order)
         for lo in range(0, x.size, chunk):
             hi = min(lo + chunk, x.size)
-            samples = f(x[lo:hi, None] - reach * np.cos(rule.nodes)[None, :])
+            samples = f(x[lo:hi, None] - reach * np.cos(nodes)[None, :])
             result[lo:hi] = samples @ weights
         if prev is not None and np.max(np.abs(result - prev)) < tol:
             return result
@@ -179,7 +166,7 @@ def green_gammaz0(
     """Assemble the Green's matrix from the kernel convolutions on the grid.
 
     The Dirac parts of k1 turn into exact half-weight translates, so the
-    returned entries are ordinary functions with no pending delta shifts.
+    returned entries are ordinary functions.
 
     Each entry of exp(tQ) is of exponential type 2 delta t in xi times a
     Gaussian, so (Paley-Wiener) the assembled entries are confined to the
@@ -216,14 +203,7 @@ def green_gammaz0(
     entries[2, 0] = entries[0, 2]
     entries[2, 1] = -4.0 * p.omega * k0_g
     entries[2, 2] = k1_g
-
-    peak = np.max(np.abs(entries))
-    boundary = max(np.max(np.abs(entries[:, :, 0])), np.max(np.abs(entries[:, :, -1])))
-    if boundary > eps_tail * peak:
-        raise TailNotDecayed(
-            f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
-        )
-    return GreenMatrix(grid=grid, time=t, entries=entries, delta_shifts={})
+    return GreenMatrix.checked(grid, t, entries, eps_tail)
 
 
 def _check_initial(p: Params, ic: LaplaceCoherent) -> float:
@@ -246,7 +226,7 @@ def solve_laplace_coherent(
     _require_regime(validate_params(p))
     amp = _check_initial(p, ic)
     if t == 0.0:
-        return to_bloch(sample_initial(ic, grid))
+        return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
     x = grid.nodes
     coh = 2.0 * ic.q * amp        # coefficient of the Im(rho12) channel
     pop = 2.0 * ic.p - 1.0        # coefficient of the rho_minus channel
@@ -328,27 +308,6 @@ def population_imbalance(
     out -= 2.0 * t * ic.q * p.omega * amp * int_hp_j0
     out -= pop * t * p.omega * int_hp_j1
     return out
-
-
-def far_cone_solution(p: Params, ic: LaplaceCoherent, t: float, x):
-    """Large-|x| approximation of (u1, u2, u3) beyond the light cone.
-
-    Obtained by replacing the cone convolutions of the Laplace envelope with
-    their pointwise x > 2*t*delta values; that replacement ignores the
-    Gaussian smoothing across the cone edge, so this is an approximation with
-    O(1) relative error near the cone, not an exact tail formula.  Kept for
-    reference and for rough asymptotics.
-    """
-    _require_regime(validate_params(p))
-    amp = _check_initial(p, ic)
-    x = np.asarray(x, dtype=float)
-    hp = sf.h_plus(t, x, p)
-    hm = sf.h_minus(t, x, p)
-    pop = 2.0 * ic.p - 1.0
-    u1 = hp + 2.0 * t * p.omega * pop * hm
-    u2 = (ic.q * amp + t * p.omega * pop) * hp
-    u3 = 2.0 * t * p.omega * hm + (-4.0 * p.omega * ic.q * amp + pop) * hp
-    return u1, u2, u3
 
 
 @dataclass(frozen=True)

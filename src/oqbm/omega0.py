@@ -7,13 +7,6 @@ coherence block.  Every built-in initial shape (Gaussian, Laplace, uniform,
 and the two coherent variants) then has an explicit solution: its own heat
 flow (:meth:`oqbm.core.GaussianMixture.heat` and the like) with rho11 and
 rho22 drifted apart by +-2*delta*t.
-
-This module also owns :func:`solve_cr`, the decoupled Re(rho12) propagator
-
-    c_r(t, x) = exp(-2 gamma_z t) * (heat kernel * c_r(0, .))(x),
-
-which is valid for any parameter values; :func:`oqbm.spectral.solve` takes
-its c_r from it.
 """
 
 from __future__ import annotations
@@ -25,12 +18,10 @@ import numpy as np
 from . import specfun as sf
 from .core import (
     BlochField,
-    Custom,
     DensityField,
     InitialCondition,
     Params,
     SpatialGrid,
-    sample_initial,
     to_bloch,
     validate_params,
 )
@@ -61,21 +52,6 @@ def green_omega0(p: Params, t: float, x):
     out[..., 0, 2] = out[..., 2, 0] = 0.5 * (g_right - g_left)
     out[..., 1, 1] = math.exp(-2.0 * p.gamma_z * t) * sf.heat_kernel(t, x, p.gamma_p)
     return out
-
-
-def solve_cr(ic: InitialCondition, t: float, grid: SpatialGrid, p: Params) -> np.ndarray:
-    """Re(rho12) at time t; exact for every built-in shape, FFT for Custom."""
-    validate_params(p)
-    damp = math.exp(-2.0 * p.gamma_z * t)
-    if not isinstance(ic, Custom):
-        return damp * np.real(ic.heat(t, grid.nodes, p.gamma_p)[2])
-    cr0 = np.real(sample_initial(ic, grid).rho12)
-    if t == 0.0:
-        return cr0
-    # decoupled heat + decay in Fourier space
-    spectrum = grid.forward_transform(cr0)
-    spectrum *= np.exp(-2.0 * p.gamma_p * t * grid.fourier_nodes**2)
-    return damp * np.real(grid.inverse_transform(spectrum))
 
 
 def populations(p: Params, ic: InitialCondition, t: float, x):

@@ -15,6 +15,9 @@ of exp at those eigenvalues (Putzer's formula), which needs no eigenvectors
 and holds unchanged where eigenvalues coalesce (xi = 0, the critical point
 gamma_z = 2 omega, zeros of the cubic's discriminant); only the divided
 differences of exp switch to series forms there.
+
+c_r = Re(rho12) decouples into a damped heat equation: its transform is
+multiplied by exp(-(2 gp xi^2 + 2 gz) t) and inverted alongside the others.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import omega0
 from .core import (
     BlochField,
     DensityField,
@@ -55,17 +57,24 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class GreenMatrix:
-    """Matrix kernel sampled on a grid; entries[i, j] is a real array over x.
-
-    ``delta_shifts[(i, j)]`` lists (location, weight) Dirac contributions that
-    are carried analytically by closed-form producers; the spectral route
-    never populates it.
-    """
+    """Matrix kernel sampled on a grid; entries[i, j] is a real array over x."""
 
     grid: SpatialGrid
     time: float
     entries: np.ndarray  # (3, 3, n)
-    delta_shifts: dict
+
+    @classmethod
+    def checked(cls, grid: SpatialGrid, time: float, entries: np.ndarray,
+                eps_tail: float) -> "GreenMatrix":
+        """The Green's matrix of ``entries``, or TailNotDecayed when any entry
+        at either grid boundary exceeds ``eps_tail`` times the peak entry."""
+        peak = np.max(np.abs(entries))
+        boundary = max(np.max(np.abs(entries[:, :, 0])), np.max(np.abs(entries[:, :, -1])))
+        if boundary > eps_tail * peak:
+            raise TailNotDecayed(
+                f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
+            )
+        return cls(grid=grid, time=time, entries=entries)
 
 
 def symbol_matrices(xis: np.ndarray, p: Params) -> np.ndarray:
@@ -280,6 +289,25 @@ def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
             + e123[:, None, None] * (b1 @ b2))
 
 
+def _real_inverse(grid: SpatialGrid, spectra: np.ndarray) -> np.ndarray:
+    """Real parts of the inverse transforms of stacked spectra (last axis over xi).
+
+    Every row is the transform of a real field, so its imaginary part is FFT
+    round-off; a row whose max |imag| exceeds _FFT_IMAG_TOL times
+    max(max |real|, 1) means the spectrum lost conjugate symmetry.
+    """
+    values = grid.inverse_transform(spectra)
+    residue = np.max(np.abs(values.imag), axis=-1)
+    allowed = _FFT_IMAG_TOL * np.maximum(np.max(np.abs(values.real), axis=-1), 1.0)
+    bad = residue > allowed
+    if np.any(bad):
+        raise ValueError(
+            f"rows {np.argwhere(bad).tolist()} have an imaginary residue beyond tolerance; "
+            "the spectrum lost conjugate symmetry"
+        )
+    return values.real
+
+
 def green_function(
     p: Params,
     t: float,
@@ -309,24 +337,8 @@ def green_function(
             f"= {2.0 * p.delta * t + 6.0 * sigma:.3g}"
         )
     spectra = exp_symbols(grid.fourier_nodes, p, t)
-    entries = np.empty((3, 3, grid.n_points))
-    for i in range(3):
-        for j in range(3):
-            kernel = grid.inverse_transform(spectra[:, i, j])
-            peak = np.max(np.abs(kernel.real)) + 1e-300
-            if np.max(np.abs(kernel.imag)) > _FFT_IMAG_TOL * max(peak, 1.0):
-                raise ValueError(
-                    f"entry ({i},{j}) has imaginary residue beyond tolerance; "
-                    "the symbol lost conjugate symmetry"
-                )
-            entries[i, j] = kernel.real
-    peak = np.max(np.abs(entries))
-    boundary = max(np.max(np.abs(entries[:, :, 0])), np.max(np.abs(entries[:, :, -1])))
-    if boundary > eps_tail * peak:
-        raise TailNotDecayed(
-            f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
-        )
-    return GreenMatrix(grid=grid, time=t, entries=entries, delta_shifts={})
+    entries = _real_inverse(grid, np.moveaxis(spectra, 0, -1))
+    return GreenMatrix.checked(grid, t, entries, eps_tail)
 
 
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
@@ -335,32 +347,23 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     Equivalent to convolving with the Green's matrix (one transform less).
     Built-in initial shapes enter through their closed Fourier transforms
     (no kink-sampling error) and are not sampled on the grid; Custom fields
-    are transformed by FFT.  The decoupled c_r component comes from the
-    exact kernel in :mod:`oqbm.omega0`, which holds for every parameter choice.
+    are transformed by FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q);
+    the decoupled c_r by the damped heat factor exp(-(2 gp xi^2 + 2 gz) t).
+    All four components come back in one inverse transform.
     """
     validate_params(p)
-    hat = ic.spectrum(grid.fourier_nodes)
+    xis = grid.fourier_nodes
+    hat = ic.spectrum(xis)
     if hat is None:  # Custom data
         u0 = to_bloch(sample_initial(ic, grid))
         if t == 0.0:
             return u0
-        hat = [grid.forward_transform(c) for c in (u0.rho_plus, u0.c_i, u0.rho_minus)]
+        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))
     elif t == 0.0:
         return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
-    spectra = exp_symbols(grid.fourier_nodes, p, t)
-    evolved = np.einsum("mij,mj->mi", spectra, np.stack(hat[:3], axis=1).astype(complex))
-    comps = []
-    for i in range(3):
-        values = grid.inverse_transform(evolved[:, i])
-        peak = max(np.max(np.abs(values.real)), 1.0)
-        if np.max(np.abs(values.imag)) > _FFT_IMAG_TOL * peak:
-            raise ValueError(f"component {i} acquired an imaginary part beyond tolerance")
-        comps.append(values.real)
-    return BlochField(
-        grid=grid,
-        rho_plus=comps[0],
-        c_i=comps[1],
-        rho_minus=comps[2],
-        c_r=omega0.solve_cr(ic, t, grid, p),
-        time=t,
-    )
+    spectra = exp_symbols(xis, p, t)
+    evolved = np.empty((4, grid.n_points), dtype=complex)
+    evolved[:3] = np.einsum("mij,mj->mi", spectra, np.stack(hat[:3], axis=1).astype(complex)).T
+    evolved[3] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
+    rho_plus, c_i, rho_minus, c_r = _real_inverse(grid, evolved)
+    return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)

@@ -8,10 +8,12 @@ import scipy.linalg
 from scipy.optimize import brentq
 from hypothesis import example, given, settings, strategies as st
 
-from oqbm import omega0, oracle, spectral
+from oqbm import gammaz0, omega0, oracle, spectral
 from oqbm.core import (
     Custom,
+    GaussianCoherent,
     GaussianMixture,
+    LaplaceCoherent,
     Params,
     SpatialGrid,
     from_bloch,
@@ -355,7 +357,6 @@ class TestGreenFunction:
         err = max(np.max(np.abs(G.entries[i, j] - ref[:, i, j]))
                   for i in range(3) for j in range(3))
         assert err < 1e-8
-        assert G.delta_shifts == {}
 
     def test_first_column_mass(self):
         # integral over x of (G11 + G31) equals the (1,1)+(3,1) entries of
@@ -416,9 +417,22 @@ class TestSolve:
             assert abs(u.mass() - 1.0) < 1e-8
 
     def test_semigroup_through_custom_restart(self):
+        # the coherent input gives the Custom route's c_r transform non-zero data
         grid = SpatialGrid(28.0, 2048)
-        direct = spectral.solve(GENERAL, IC, 50.0, grid)
-        leg = spectral.solve(GENERAL, IC, 30.0, grid)
-        two = spectral.solve(GENERAL, Custom(from_bloch(leg)), 20.0, grid)
-        assert np.max(np.abs(two.rho_plus - direct.rho_plus)) < 1e-8
-        assert np.max(np.abs(two.c_r - direct.c_r)) < 1e-8
+        for ic in (IC, GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)):
+            direct = spectral.solve(GENERAL, ic, 50.0, grid)
+            leg = spectral.solve(GENERAL, ic, 30.0, grid)
+            two = spectral.solve(GENERAL, Custom(from_bloch(leg)), 20.0, grid)
+            assert np.max(np.abs(two.rho_plus - direct.rho_plus)) < 1e-8
+            assert np.max(np.abs(two.c_r - direct.c_r)) < 1e-8
+
+    def test_matches_closed_driven_laplace_coherent(self):
+        # every component, c_r included, against the gamma_z = 0 closed route
+        p = Params(gamma_p=1e-2, gamma_z=0.0, delta=1e-1, omega=1e-2)
+        ic = LaplaceCoherent.for_params(p=0.25, r=0.8, q=0.1, params=p)
+        grid = SpatialGrid(224.0, 4096)
+        for t in (25.0, 100.0):
+            u = spectral.solve(p, ic, t, grid)
+            ref = gammaz0.solve_laplace_coherent(p, ic, t, grid)
+            for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+                assert np.max(np.abs(getattr(u, name) - getattr(ref, name))) < 1e-10, name
