@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -97,10 +98,13 @@ def build_scenario(config: dict) -> Scenario:
     except OqbmError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     ic = build_initial(config, params)
+    # json reads NaN and Infinity, which every comparison below would let through
     times = tuple(float(t) for t in _need(config, "times"))
-    if not times or any(t < 0.0 for t in times):
-        raise ConfigError("times must be a non-empty list of t >= 0")
+    if not times or not all(0.0 <= t < math.inf for t in times):
+        raise ConfigError(f"times must be a non-empty list of finite t >= 0, got {list(times)}")
     eps_tail = float(config.get("eps_tail", 1e-8))
+    if not 0.0 < eps_tail < math.inf:
+        raise ConfigError(f"eps_tail must be finite and > 0, got {eps_tail}")
     if "half_width" in config or "n_points" in config:
         try:
             grid = SpatialGrid(float(_need(config, "half_width")), int(_need(config, "n_points")))

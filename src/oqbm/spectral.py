@@ -9,9 +9,9 @@ into u_hat' = Q(xi) u_hat with the 3x3 symbol
 
 The solution is exp(t Q(xi)) applied to the transformed initial data, pulled
 back by the inverse transform; the Green's matrix is the inverse transform of
-exp(t Q) itself.  Eigenvalues come from the cubic in closed (Cardano) form
-with principal complex branches.  The exponential is the Newton interpolant
-of exp at those eigenvalues (Putzer's formula), which needs no eigenvectors
+exp(t Q) itself.  The eigenvalues are a bracketed Newton root of the cubic
+and a Vieta pair, each with its exact sign.  The exponential is the Newton
+interpolant of exp at them (Putzer's formula), which needs no eigenvectors
 and holds unchanged where eigenvalues coalesce (xi = 0, the critical point
 gamma_z = 2 omega, zeros of the cubic's discriminant); only the divided
 differences of exp switch to series forms there.
@@ -38,14 +38,13 @@ from .core import (
     to_bloch,
     validate_params,
 )
-from .errors import GridUnderResolved, StabilityViolation, TailNotDecayed
+from .errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
 
 _NEAR = 1.0                # points this close use series forms of the divided differences
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
 _FFT_IMAG_TOL = 1e-10      # relative imaginary residue allowed in real kernels
-_TINY = np.finfo(float).tiny  # least positive normal double
 _EPS = np.finfo(float).eps
-_RE_ULPS = 8.0             # round-off allowed in Re lambda, in ulp of max |lambda|
+_NEWTON_STEPS = 60         # cap on the real root's Newton steps; 1-8 is typical
 
 
 @dataclass(frozen=True)
@@ -106,105 +105,96 @@ def char_coeffs(xi, p: Params):
     return a1, a2, a3
 
 
-def cardano_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
-    """Closed-form eigenvalues of Q(xi), shape (m, 3), in no fixed order.
+def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
+    """Eigenvalues of Q(xi), shape (m, 3): a real root, then the other two.
 
-    The radicals are taken with principal complex branches (the square root
-    argument goes negative for some parameter ranges, where the cubic has
-    three real roots and the complex arithmetic recombines them).  Two forms
-    keep round-off from cancelling: the square root is added to qc with
-    qc's sign, and the root of least modulus (the zero mode near xi = 0) is
-    taken from Vieta's relation lambda_k = -a3 / (lambda_i lambda_j), so it
-    has the right sign however small it is.  Below |xi| ~ 1e-152 it is
-    smaller than the least normal double and comes out as zero.
+    lambda = mu - 2 gp xi^2, where mu solves f(mu) = (mu + b)(mu^2 + e) + w mu
+    with b = 2 gz, e = 4 dl^2 xi^2 and w = 4 om^2.  As f(-b) = -w b <= 0 <=
+    b e = f(0), a real root r lies in [-b, 0]; Newton's method finds it, kept
+    inside that bracket.  The other two solve mu^2 + s mu + P = 0 with
+    s = b + r >= 0 and P = e + w + r s >= 0 (Vieta).  Each quantity is formed
+    so that its sign holds in floating point: every real part is at most
+    -2 gp xi^2, exactly, and simple roots are accurate relative to themselves.
     """
     xis = np.asarray(xis, dtype=float)
-    gp, gz, dl, om = p.gamma_p, p.gamma_z, p.delta, p.omega
-    x2 = xis * xis
-    pc = (12.0 * dl**6 * x2**3
-          + 12.0 * dl**4 * (3.0 * om**2 + 2.0 * gz**2) * x2**2
-          + 12.0 * dl**2 * (3.0 * om**4 - 5.0 * om**2 * gz**2 + gz**4) * x2
-          + 3.0 * om**4 * (4.0 * om**2 - gz**2))
-    qc = 4.0 * gz * (-18.0 * dl**2 * x2 + 9.0 * om**2 - 2.0 * gz**2)
-    rc = 4.0 * dl**2 * x2 + 4.0 * om**2 - (4.0 / 3.0) * gz**2
-    # either sign of the root gives the same three roots (s s' = -27 rc^3);
-    # the one that adds to |qc| avoids cancellation where qc^2 ~ 144 pc
-    root = 12.0 * np.sqrt(pc.astype(complex))
-    s = np.where(qc < 0.0, qc - root, qc + root)
-    w = s ** (1.0 / 3.0)
-    base = -2.0 * gp * x2 - (2.0 / 3.0) * gz
-    # s == 0 is a triple root of the depressed cubic: all three roots are base
-    ok = s != 0.0
-    out = np.empty((xis.size, 3), dtype=complex)
-    out[~ok, :] = base[~ok, None]
-    w, base = w[ok], base[ok]
-    ratio = rc[ok] / w
-    out[ok, 0] = base + w / 3.0 - ratio
-    re = base - w / 6.0 + 0.5 * ratio
-    im = 0.5 * math.sqrt(3.0) * (w / 3.0 + ratio)
-    out[ok, 1] = re + 1j * im
-    out[ok, 2] = re - 1j * im
-    # the small root is a difference of large terms (|xi| < 1e-8 gives
-    # +3e-16 for the zero mode); the product of the other two does not cancel
-    _, _, a3 = char_coeffs(xis, p)
-    rows = np.arange(xis.size)
-    k = np.argmin(np.abs(out), axis=1)
-    pair = out[rows, (k + 1) % 3] * out[rows, (k + 2) % 3]
-    usable = (pair != 0.0) & ok
-    out[rows[usable], k[usable]] = -a3[usable] / pair[usable]
-    return out
+    b = 2.0 * p.gamma_z
+    e = 4.0 * p.delta**2 * (xis * xis)
+    w = 4.0 * p.omega**2
+    lo, hi = np.full_like(e, -b), np.zeros_like(e)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # start at Newton's step from 0, clipped (at omega = 0 rounding puts it
+        # below -b; 0/0 at e = w = 0 gives the root 0); a later step that leaves
+        # the bracket or is NaN (f' = 0 at a triple root) bisects instead
+        r = np.clip(np.nan_to_num(-b * e / (e + w)), lo, hi)
+        for _ in range(_NEWTON_STEPS):
+            f = (r + b) * (r * r + e) + w * r
+            # f(lo) <= 0 <= f(hi); f == 0 closes the bracket on r, which keeps
+            # the exact roots r = 0 at xi = 0 and r = -b at omega = 0
+            hi = np.where(f >= 0.0, r, hi)
+            lo = np.where(f <= 0.0, r, lo)
+            new = r - f / (r * (3.0 * r + 2.0 * b) + e + w)
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            # Newton can cycle between adjacent doubles, so stop at 4 ulp
+            done = np.all(np.abs(new - r) <= 4.0 * _EPS * np.abs(new))
+            r = new
+            if done:
+                break
+        # s = b + r cancels where r is near -b (omega << gamma_z); there
+        # f(r) = 0 gives s = w |r| / (r^2 + e), which does not
+        s = np.where(r < -0.5 * b, w * -r / (r * r + e), b + r)
+        # P = p1 p2 >= 0; the form b e / |r| loses all precision at subnormal xi
+        prod = np.maximum(e + w + r * s, 0.0)
+        disc = s * s - 4.0 * prod
+        # s^2 - 4P cancels where the pair meets; (p1 - p2)^2 is also the cubic's
+        # discriminant over f'(r)^2, whose rate form keeps gz - 2 om as a factor.
+        # f'(r) -> 0 where r is itself a double root, so that form serves only
+        # where |s^2 - 4P| < |f'(r)|; e, which may be subnormal, multiplies last.
+        fprime = r * (3.0 * r + 2.0 * b) + e + w
+        meet = np.abs(disc) < np.abs(fprime)
+        em, fm = e[meet], fprime[meet]
+        e_term = em * em + em * (2.0 * b**2 + 3.0 * w) + b**4 - 5.0 * b**2 * w + 3.0 * w**2
+        crit = 4.0 * (p.gamma_z - 2.0 * p.omega) * (p.gamma_z + 2.0 * p.omega)  # b^2 - 4 w
+        disc[meet] = w**2 * crit / fm / fm - 4.0 * em * (e_term / fm / fm)
+        # disc <= 0 is a complex pair, also where disc underflows at subnormal xi
+        root = np.sqrt(np.abs(disc))
+        real = disc > 0.0
+        big = -0.5 * (s + root)
+        pair = (np.where(real, big, -0.5 * s + 0.5j * root),
+                np.where(real, prod / big, -0.5 * s - 0.5j * root))
+    return np.stack([r, *pair], axis=1) - (2.0 * p.gamma_p * (xis * xis))[:, None]
 
 
 def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     """Assert the dissipativity structure of the eigenvalues on samples.
 
-    At xi = 0 the spectrum is exactly {0, -gz +- sqrt(gz^2 - 4 om^2)}: one
-    zero mode when omega > 0, two when omega = 0 < gamma_z, three when both
-    vanish.  Those must lie within 1e-10 * scale of zero, and so must the
-    real parts of the others when gamma_z = 0 (+-2i omega); otherwise the
-    others need Re < 0.
-
-    At xi != 0 every exact real part is negative.  The Cardano form leaves
-    round-off of a few ulp of max |lambda| in each root (up to 3.6 seen), and
-    at gamma_z = 0 and small xi the exact real part of the +-2i omega pair,
-    about -2 gp xi^2, is smaller than that.  So a complex mode, one whose
-    imaginary part exceeds _RE_ULPS ulp of max |lambda|, needs a real part
-    below that many ulp; a real mode needs Re < 0.  One exception: the mode
-    of least modulus is about -a3/a2, and where a3/a2 lies below the least
-    normal double that mode cannot be told from zero in double precision
-    (|xi| below ~1e-152 for rates of order one); there only a positive real
-    part raises StabilityViolation.
+    Where 2 gp xi^2 is 0.0 (xi = 0, or |xi| below ~1e-162), Q(xi) is Q(0),
+    with spectrum {0, -gz +- sqrt(gz^2 - 4 om^2)}: the zero modes (one when
+    omega > 0, two when omega = 0 < gamma_z, else three) must lie within
+    1e-10 * scale of zero with Re <= 0; the others need Re < 0, or real parts
+    within 1e-10 * scale when gamma_z = 0 (+-2i omega).  Every other xi needs
+    Re < 0 of every mode, which symbol_eigenvalues guarantees by construction.
     """
     validate_params(p)
     max_re = -math.inf
     zero_res = 0.0
     n_zero = 1 if p.omega > 0.0 else (2 if p.gamma_z > 0.0 else 3)
-    for xi in xi_samples:
-        lam = cardano_eigenvalues(np.array([float(xi)]), p)[0]
-        scale = max(abs(p.gamma_z), p.omega, p.gamma_p * xi * xi, abs(p.delta * xi), 1.0)
-        if xi == 0.0:
+    for xi in map(float, xi_samples):
+        lam = modes = symbol_eigenvalues(np.array([xi]), p)[0]
+        # the routine's own arithmetic: (2 gp xi) xi gives 5e-324 where xi xi is 0
+        if 2.0 * p.gamma_p * (xi * xi) == 0.0:
+            scale = max(p.gamma_z, p.omega, abs(p.delta * xi), 1.0)
             order = np.argsort(np.abs(lam))
-            zero, rest = lam[order[:n_zero]], lam[order[n_zero:]]
+            zero, modes = lam[order[:n_zero]], lam[order[n_zero:]]
             zero_res = max(zero_res, float(np.max(np.abs(zero))))
-            if np.any(np.abs(zero) > 1e-10 * scale):
-                raise StabilityViolation(f"expected {n_zero} zero modes at xi=0: eigenvalues {lam}")
+            if np.any(np.abs(zero) > 1e-10 * scale) or np.any(zero.real > 0.0):
+                raise StabilityViolation(f"expected {n_zero} zero modes at xi={xi}: eigenvalues {lam}")
             if p.gamma_z == 0.0:
-                if np.any(np.abs(rest.real) > 1e-10 * scale):
-                    raise StabilityViolation(f"+-2i omega pair off the imaginary axis at xi=0: {lam}")
-            elif np.any(rest.real >= 0.0):
-                raise StabilityViolation(f"non-negative real part at xi=0: {lam}")
-            else:
-                max_re = max(max_re, float(np.max(rest.real)))
-        else:
-            slack = _RE_ULPS * _EPS * np.max(np.abs(lam))
-            not_negative = lam.real >= np.where(np.abs(lam.imag) > slack, slack, 0.0)
-            _, a2, a3 = char_coeffs(float(xi), p)
-            if a2 > 0.0 and a3 / a2 < _TINY:
-                k = int(np.argmin(np.abs(lam)))
-                not_negative[k] = lam[k].real > 0.0
-            if np.any(not_negative):
-                raise StabilityViolation(f"Re lambda >= 0 at xi={xi}: {lam}")
-            max_re = max(max_re, float(np.max(lam.real)))
+                if np.any(np.abs(modes.real) > 1e-10 * scale):
+                    raise StabilityViolation(f"+-2i omega pair off the imaginary axis at xi={xi}: {lam}")
+                continue
+        if np.any(modes.real >= 0.0):
+            raise StabilityViolation(f"Re lambda >= 0 at xi={xi}: {lam}")
+        max_re = max(max_re, float(np.max(modes.real)))
     return StabilityReport(max_real_part=max_re, zero_mode_residual=zero_res, n_samples=len(xi_samples))
 
 
@@ -264,12 +254,17 @@ def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
     is at least half the spread of the three points.  e[z1, z2, z3] is a
     series about the centroid where all three lie within _NEAR of it, and
     (e[z1, z2] - e[z2, z3]) / (z1 - z3) elsewhere.
+
+    The error grows as about eps * t * max |lambda|: a root known to
+    relative eps gives exp a phase error of eps |t lambda|.  On 300 draws
+    with rates up to 100 and t up to 1e4 it stayed below
+    1.5 eps max(1, t max |lambda|) against 40-digit mpmath.
     """
     if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise NonPositiveTime(f"exp_symbols needs t >= 0, got {t}")
     xis = np.asarray(xis, dtype=float)
     a = t * symbol_matrices(xis, p)
-    z = t * cardano_eigenvalues(xis, p)
+    z = t * symbol_eigenvalues(xis, p)
     gap = np.abs(z - np.roll(z, -1, axis=1))  # gap[:, j] = |z_j - z_(j+1)|
     first = (np.argmin(gap, axis=1) + 2) % 3
     z = np.take_along_axis(z, (first[:, None] + np.arange(3)) % 3, axis=1)
@@ -324,7 +319,7 @@ def green_function(
     """
     validate_params(p)
     if t <= 0.0:
-        raise ValueError(f"green_function needs t > 0, got {t}")
+        raise NonPositiveTime(f"green_function needs t > 0, got {t}")
     sigma = math.sqrt(4.0 * p.gamma_p * t)
     if grid.dx > sigma / points_per_sigma:
         raise GridUnderResolved(

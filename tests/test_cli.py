@@ -14,6 +14,7 @@ TINY_CONFIG = {
     "times": [0.0, 50.0],
     "half_width": 24.0, "n_points": 1024,
 }
+GRIDLESS_CONFIG = {k: v for k, v in TINY_CONFIG.items() if k not in ("half_width", "n_points")}
 
 
 class TestConfig:
@@ -225,6 +226,18 @@ class TestMain:
             out = tmp_path / f"out{eps_tail:g}"
             assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == code
             assert len(list(out.glob("*.csv"))) == (2 if code == 0 else 0)
+
+    @pytest.mark.parametrize("config", [
+        dict(TINY_CONFIG, half_width=4.0, eps_tail=math.nan),  # tail rule off: mass 0.988, exit 0
+        dict(TINY_CONFIG, times=[0.0, math.nan]),              # wrote snapshot_tnan.csv, all NaN
+        dict(GRIDLESS_CONFIG, times=[0.0, math.inf]),          # OverflowError in plan_grid
+    ], ids=["eps_tail-nan", "time-nan", "time-inf"])
+    def test_non_finite_config_rejected(self, tmp_path, config):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))  # json writes NaN and Infinity
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not list(out.glob("*.csv"))
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

@@ -19,7 +19,7 @@ from oqbm.core import (
     from_bloch,
     sample_initial,
 )
-from oqbm.errors import GridUnderResolved, StabilityViolation, TailNotDecayed
+from oqbm.errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
@@ -41,6 +41,17 @@ def discriminant_zeros(p):
     d = np.array([disc(x) for x in xs])
     return [brentq(disc, xs[i], xs[i + 1], xtol=1e-300)
             for i in np.nonzero(np.sign(d[:-1]) != np.sign(d[1:]))[0]]
+
+
+def mpmath_eigenvalues(xi, p):
+    """Eigenvalues of Q(xi) at 60 digits, from the exact double rates and xi."""
+    with mpmath.workdps(60):
+        gp, gz, dl, om, x = (mpmath.mpf(v) for v in (p.gamma_p, p.gamma_z, p.delta, p.omega, xi))
+        lap = -2 * gp * x * x
+        q = mpmath.matrix([[lap, 0, -2j * x * dl],
+                           [0, lap - 2 * gz, om],
+                           [-2j * x * dl, -4 * om, lap]])
+        return mpmath.eig(q, left=False, right=False)
 
 
 def mpmath_expm(q, t):
@@ -109,12 +120,12 @@ class TestCharacteristicCubic:
 
 
 class TestEigenvalues:
-    def test_cardano_matches_dense_solver(self, rng):
+    def test_symbol_eigenvalues_match_dense_solver(self, rng):
         worst = 0.0
         for _ in range(1000):
             p = Params(*np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 4)))
             xi = float(rng.uniform(-30, 30))
-            lam = spectral.cardano_eigenvalues(np.array([xi]), p)[0]
+            lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
             ref = np.linalg.eigvals(symbol(xi, p))
             scale = max(1.0, np.max(np.abs(ref)))
             for lv in lam:
@@ -126,33 +137,58 @@ class TestEigenvalues:
         xi=st.floats(-50.0, 50.0),
     )
     @settings(max_examples=60, deadline=None)
-    # zero mode (about -a3/a2) below the least normal double: a zero is right
+    # 2 gp xi^2 underflows to 0 here: Q(xi) is Q(0), with an exact zero mode
     @example(rates=(1.0, 2.0, 1.0, 0.5), xi=1.0527533645051122e-212)
     # zero mode -5.2e-205 is representable and must come out negative
     @example(rates=(1.0, 2.0, 1.0, 0.5), xi=1.7e-103)
-    # qc + 12 sqrt(pc) cancels to 1e-8 of its terms here unless the root takes qc's sign
+    # Cardano's radicals cancelled to 1e-8 of their terms here
     @example(rates=(1.0, 0.421875, 3.25, 0.0625), xi=0.072265625)
-    def test_cardano_property(self, rates, xi):
+    # subnormal e = 4 dl^2 xi^2: the form P = b e / |r| left a residual of 4e-7
+    @example(rates=(1.0, 1.0, 1.0, 1.5), xi=1.2234265033506086e-159)
+    # the discriminant underflows at this xi; a real branch returned +e
+    @example(rates=(0.001479669037313537, 0.006094542339445628, 1.6578503398546838, 0.0),
+             xi=2.8516054689412795e-160)
+    def test_symbol_eigenvalues_property(self, rates, xi):
         p = Params(*rates)
-        lam = spectral.cardano_eigenvalues(np.array([xi]), p)[0]
+        lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
         a1, a2, a3 = spectral.char_coeffs(xi, p)
         scale = max(1.0, float(np.max(np.abs(lam)))) ** 3
         residual = np.abs(lam**3 + a1 * lam**2 + a2 * lam + a3) / scale
         assert float(np.max(residual)) < 1e-10
-        if xi != 0.0:
-            # no double can hold a negative zero mode whose exact value lies
-            # below the least normal double, so there only Re <= 0 is asked
-            order = np.argsort(np.abs(lam))
-            assert np.all(lam[order[1:]].real < 0.0)
-            if a3 / a2 >= np.finfo(float).tiny:
-                assert lam[order[0]].real < 0.0
-            else:
-                assert lam[order[0]].real <= 0.0
+        # every real part is at most -2 gp xi^2, in the routine's own arithmetic
+        if 2.0 * p.gamma_p * (xi * xi) != 0.0:
+            assert np.all(lam.real < 0.0)
+        else:
+            assert np.all(lam.real <= 0.0)
+
+    def test_each_root_matches_mpmath(self, rng):
+        # relative to the root itself, where the roots are well apart; the
+        # draws avoid double roots, where any double-precision input moves
+        # the roots by sqrt(eps)
+        points = [(Params(1.0, 0.3, 0.7, 0.0), xi) for xi in (2.3e-12, 1e-8, 1e-3)]  # omega = 0
+        points += [(CRITICAL, xi) for xi in (1e-12, 1e-8, 1e-4, 0.3)]
+        points += [(Params(1.0, 0.0, 0.7, 0.5), xi) for xi in (1e-12, 1e-6, 0.7)]     # gamma_z = 0
+        points += [(Params(1.0, 0.5, 0.0, 0.1), xi) for xi in (1e-9, 0.2, 3.0)]       # delta = 0
+        points += [(Params(1.0, 0.5, 0.7, 0.0), 1e-16), (Params(1.0, 0.5, 0.0, 0.0), 1e-10)]
+        for _ in range(40):
+            p = Params(*np.exp(rng.uniform(math.log(1e-4), math.log(5.0), 4)))
+            points.append((p, float(10.0 ** rng.uniform(-12.0, 1.5))))
+        worst_rel = worst_abs = 0.0
+        for p, xi in points:
+            lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
+            ref = mpmath_eigenvalues(xi, p)
+            scale = max(abs(r) for r in ref)
+            for r in ref:
+                err = min(abs(mpmath.mpc(v.real, v.imag) - r) for v in lam)
+                worst_rel = max(worst_rel, float(err / abs(r)))
+                worst_abs = max(worst_abs, float(err / scale))
+        assert worst_rel <= 1e-13
+        assert worst_abs <= 1e-15
 
     def test_undriven_closed_eigenvalues(self):
         p = Params(gamma_p=0.4, gamma_z=0.3, delta=0.7, omega=0.0)
         xi = 1.3
-        lam = sorted(spectral.cardano_eigenvalues(np.array([xi]), p)[0], key=lambda z: z.imag)
+        lam = sorted(spectral.symbol_eigenvalues(np.array([xi]), p)[0], key=lambda z: z.imag)
         base = -2 * p.gamma_p * xi**2
         expected = sorted([base - 2 * p.gamma_z, base + 2j * p.delta * xi,
                            base - 2j * p.delta * xi], key=lambda z: z.imag)
@@ -161,7 +197,7 @@ class TestEigenvalues:
     def test_uncoupled_closed_eigenvalues(self):
         p = Params(gamma_p=0.4, gamma_z=0.5, delta=0.0, omega=0.1)
         xi = 0.9
-        lam = spectral.cardano_eigenvalues(np.array([xi]), p)[0]
+        lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
         base = -2 * p.gamma_p * xi**2
         root = math.sqrt(p.gamma_z**2 - 4 * p.omega**2)
         expected = np.array([base, base - p.gamma_z + root, base - p.gamma_z - root])
@@ -171,7 +207,7 @@ class TestEigenvalues:
     def test_undamped_closed_eigenvalues(self):
         p = Params(gamma_p=0.4, gamma_z=0.0, delta=0.6, omega=0.2)
         xi = 1.1
-        lam = spectral.cardano_eigenvalues(np.array([xi]), p)[0]
+        lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
         base = -2 * p.gamma_p * xi**2
         w = 2 * math.sqrt(p.delta**2 * xi**2 + p.omega**2)
         for e in (base, base + 1j * w, base - 1j * w):
@@ -181,7 +217,7 @@ class TestEigenvalues:
 class TestStability:
     def test_zero_frequency_pair(self):
         p = Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.1)
-        lam = spectral.cardano_eigenvalues(np.array([0.0]), p)[0]
+        lam = spectral.symbol_eigenvalues(np.array([0.0]), p)[0]
         root = math.sqrt(p.gamma_z**2 - 4 * p.omega**2)
         targets = [0.0, -p.gamma_z + root, -p.gamma_z - root]
         for tv in targets:
@@ -196,27 +232,36 @@ class TestStability:
             assert report.zero_mode_residual < 1e-12
 
     def test_underflowed_zero_mode_accepted(self):
-        # the zero mode at these xi is below the least normal double
+        # 2 gp xi^2 underflows to 0 at these xi, so Q(xi) is Q(0) and the
+        # zero mode is held to the xi = 0 rule
         p = Params(gamma_p=1.0, gamma_z=2.0, delta=1.0, omega=0.5)
         report = spectral.stability_check(p, [0.0, 1e-170, 1.0527533645051122e-212])
-        assert report.max_real_part <= 0.0
+        assert report.max_real_part < 0.0
+
+    @pytest.mark.parametrize("p, xi", [
+        (Params(1.0, 0.5, 0.7, 0.0), 1e-16),  # the pair +-2i dl xi has real part -2e-32
+        (Params(1.0, 0.5, 0.0, 0.0), 1e-10),  # a double root at -2e-20
+    ])
+    def test_undriven_modes_at_tiny_frequency(self, p, xi):
+        report = spectral.stability_check(p, [0.0, xi])
+        assert report.max_real_part < 0.0
 
     @pytest.mark.parametrize("xi, mode, value", [
-        (1.7e-103, 0, 0.0),      # representable zero mode with zero real part
-        (1e-170, 0, 1e-300),     # positive real part, even below the least normal
-        (1e-170, 1, 0.0),        # zero real part on a mode that is not the least
+        (1.7e-103, 0, 0.0),      # zero real part where 2 gp xi^2 > 0
+        (1e-170, 0, 1e-300),     # positive real part on the zero mode of Q(0)
+        (1e-170, 1, 0.0),        # zero real part on a damped mode of Q(0)
     ])
     def test_violations_still_raise(self, monkeypatch, xi, mode, value):
         p = Params(gamma_p=1.0, gamma_z=2.0, delta=1.0, omega=0.5)
-        cardano = spectral.cardano_eigenvalues
+        eigenvalues = spectral.symbol_eigenvalues
 
         def tampered(xis, p):
-            lam = cardano(xis, p)
+            lam = eigenvalues(xis, p)
             order = np.argsort(np.abs(lam[0]))
             lam[0, order[mode]] = complex(value, lam[0, order[mode]].imag)
             return lam
 
-        monkeypatch.setattr(spectral, "cardano_eigenvalues", tampered)
+        monkeypatch.setattr(spectral, "symbol_eigenvalues", tampered)
         with pytest.raises(StabilityViolation):
             spectral.stability_check(p, [xi])
 
@@ -226,7 +271,7 @@ class TestStability:
         Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5),  # 0, +-2i omega
     ])
     def test_zero_modes_counted_from_rates(self, p):
-        # the exact zeros at xi = 0 come out as +-6e-17; that must not matter
+        # the zero modes at xi = 0 come out exactly zero
         report = spectral.stability_check(p, [0.0, 0.3])
         assert report.max_real_part < 0.0
         assert report.zero_mode_residual < 1e-12
@@ -237,37 +282,37 @@ class TestStability:
         (Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5), 1),  # one of +-2i omega
     ])
     def test_zero_frequency_violations_raise(self, monkeypatch, p, mode):
-        cardano = spectral.cardano_eigenvalues
+        eigenvalues = spectral.symbol_eigenvalues
 
         def tampered(xis, p):
-            lam = cardano(xis, p)
+            lam = eigenvalues(xis, p)
             order = np.argsort(np.abs(lam[0]))
             lam[0, order[mode]] = complex(1e-3, lam[0, order[mode]].imag)
             return lam
 
-        monkeypatch.setattr(spectral, "cardano_eigenvalues", tampered)
+        monkeypatch.setattr(spectral, "symbol_eigenvalues", tampered)
         with pytest.raises(StabilityViolation):
             spectral.stability_check(p, [0.0])
 
     def test_triple_root_is_warning_free(self):
-        # the depressed cubic has a triple root here; its rows must not form inf * 0
+        # the shifted cubic is mu^3 here; Newton's first step is 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = spectral.stability_check(Params(1.0, 0.0, 0.0, 0.0), [1e-100])
-            lam = spectral.cardano_eigenvalues(np.array([0.0, 1e-100]), Params(1.0, 0.0, 0.0, 0.0))
+            lam = spectral.symbol_eigenvalues(np.array([0.0, 1e-100]), Params(1.0, 0.0, 0.0, 0.0))
         assert report.max_real_part < 0.0
         assert np.all(lam == np.array([[0.0], [-2e-200]]))
 
     @pytest.mark.parametrize("xi", [1e-12, 1e-10, 1e-9])
     def test_undamped_pair_at_small_frequency(self, xi):
-        # the exact real part of the +-2i omega pair, -2 gp xi^2, lies below
-        # the round-off of |lambda| = 1; the computed one is +5.6e-17
+        # the real part of the +-2i omega pair, -2 gp xi^2, lies far below
+        # the round-off of |lambda| = 1 and must still come out negative
         report = spectral.stability_check(Params(1.0, 0.0, 0.7, 0.5), [xi])
-        assert report.max_real_part < 8 * np.finfo(float).eps
+        assert report.max_real_part < 0.0
 
     def test_large_frequency_dominated_by_diffusion(self):
         p = Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.1)
-        lam = spectral.cardano_eigenvalues(np.array([100.0]), p)[0]
+        lam = spectral.symbol_eigenvalues(np.array([100.0]), p)[0]
         assert np.max(lam.real) < -1.9e4
 
 
@@ -346,6 +391,17 @@ class TestExpSymbol:
                 ref = mpmath_expm(symbol(xi, p), t)
                 worst = max(worst, np.max(np.abs(mine - ref)) / max(1.0, np.max(np.abs(ref))))
         assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectral.green_function(GENERAL, 0.0, SpatialGrid(24.0, 512)),
+    lambda: spectral.green_function(GENERAL, -1.0, SpatialGrid(24.0, 512)),
+    lambda: spectral.exp_symbols(np.array([0.3]), GENERAL, -1.0),
+    lambda: spectral.solve(GENERAL, IC, -1.0, SpatialGrid(24.0, 512)),
+], ids=["green-zero", "green-negative", "exp-negative", "solve-negative"])
+def test_nonpositive_time_is_typed(call):
+    with pytest.raises(NonPositiveTime):
+        call()
 
 
 class TestGreenFunction:
