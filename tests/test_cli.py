@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oqbm import cli
-from oqbm.core import LaplaceCoherent, Params
+from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid, from_bloch
 from oqbm.errors import ConfigError, UnknownFigure
 
 TINY_CONFIG = {
@@ -15,6 +15,7 @@ TINY_CONFIG = {
     "half_width": 24.0, "n_points": 1024,
 }
 GRIDLESS_CONFIG = {k: v for k, v in TINY_CONFIG.items() if k not in ("half_width", "n_points")}
+DRIVEN_CONFIG = dict(cli.FIGURES["fig4"]["configs"]["left"], times=[0.0, 100.0], n_points=1024)
 
 
 class TestConfig:
@@ -46,6 +47,13 @@ class TestConfig:
         # wide enough for the initial tails plus drift and diffusion to t=50
         assert scenario.grid.half_width > 15.0
         assert scenario.ic.tail_mass(scenario.grid.half_width) < 1e-8
+
+    @pytest.mark.parametrize("times", [[0.0, 50.0, 50.0000001], [0.0, 50.0, 50.0]],
+                             ids=["near-equal", "duplicate"])
+    def test_times_sharing_a_file_tag_rejected(self, times):
+        # both would write snapshot_t50.csv; the manifest would list a lost snapshot
+        with pytest.raises(ConfigError, match=r"times \[50\.0, 50\.0(000001)?\].*_t50\.csv"):
+            cli.build_scenario(dict(TINY_CONFIG, times=times))
 
     def test_laplace_coherent_scale_comes_from_rates(self):
         config = {
@@ -80,6 +88,15 @@ class TestDispatch:
         forced = cli.build_scenario(dict(TINY_CONFIG, method="spectral"))
         name, _ = cli.solve_snapshot(forced, 50.0)
         assert name == "spectral"
+
+    def test_gamma_z_zero_is_closed_only_on_request(self):
+        auto_name, auto = cli.solve_snapshot(cli.build_scenario(DRIVEN_CONFIG), 100.0)
+        forced = cli.build_scenario(dict(DRIVEN_CONFIG, method="closed"))
+        closed_name, closed = cli.solve_snapshot(forced, 100.0)
+        assert (auto_name, closed_name) == ("spectral", "closed[gamma_z]")
+        for a, b in ((auto.rho_plus, closed.rho_plus), (auto.rho_minus, closed.rho_minus),
+                     (auto.c_r, closed.c_r), (auto.c_i, closed.c_i)):
+            assert np.max(np.abs(a - b)) < 1e-8
 
     def test_closed_method_requires_closed_solver(self):
         config = dict(TINY_CONFIG, omega=5e-3, method="closed")
@@ -117,6 +134,22 @@ class TestOutputs:
         assert len(lines) == 1 + 1024
         row = lines[1].split(",")
         assert row[0] == "50" and float(row[1]) == -24.0
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        grid = SpatialGrid(1.0, 8)
+        values = np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0 / 3.0, 0.1, -7.5, 1e-300, 123456789.0])
+        field = BlochField(grid=grid, rho_plus=values, c_i=np.where(values < 0, -1e308, 1e308),
+                           rho_minus=values[::-1].copy(), c_r=values / 3.0, time=1e-05)
+        cli.write_snapshot_csv(tmp_path / "s.csv", field)
+        d = from_bloch(field)
+        cols = (grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
+                np.real(d.rho11), np.real(d.rho22))
+        rows = [",".join([format(1e-05, ".17g")] + [format(float(c[i]), ".17g") for c in cols])
+                for i in range(8)]
+        expected = "t,x,P,Q,C_R,C_I,rho11,rho22\n" + "".join(r + "\n" for r in rows)
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+        assert rows[0].startswith("1.0000000000000001e-05,-1,-0,")
+        assert ",4.9406564584124654e-324," in rows[1] and ",-1e+308," in rows[5]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
