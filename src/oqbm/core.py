@@ -556,20 +556,24 @@ def check_tail(ic: InitialCondition, half_width: float, eps_tail: float) -> None
 
 def initial_mass(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL,
                  n_points: int = 1 << 18) -> float:
-    """Trapezoid mass of the raw initial density on a dedicated fine grid.
+    """Richardson-extrapolated trapezoid mass of the raw initial density.
 
     The grid half-width is the next power of two above the tail width, so the
     spacing is dyadic and the integer-valued plateau edges of uniform data
     fall exactly on nodes (where the half-plateau sampling makes the
-    trapezoid exact); the spacing is fine enough that the kink error of
-    Laplace shapes stays below eps_tail.
+    trapezoid exact).  The O(h^2) trapezoid error at the kink of Laplace
+    shapes is removed by m_h + (m_h - m_2h)/3, with m_2h taken from every
+    other sample of the same grid.
     """
     if isinstance(ic, Custom):
         return ic.field.mass()
     width = tail_half_width(ic, eps_tail) + 1.0
     half_width = 2.0 ** math.ceil(math.log2(width))
     grid = SpatialGrid(half_width, n_points)
-    return sample_initial(ic, grid, eps_tail=eps_tail).mass()
+    density = sample_initial(ic, grid, eps_tail=eps_tail).probability_density
+    fine = grid.trapezoid(density)
+    coarse = float(np.trapezoid(density[::2], dx=2.0 * grid.dx))
+    return fine + (fine - coarse) / 3.0
 
 
 def tail_half_width(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL) -> float:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oqbm import specfun as sf
-from oqbm.core import GaussianMixture, Params, SpatialGrid
-from oqbm.errors import DomainTooNarrow, QuadratureNotConverged, UnstableStep
+from oqbm import oracle, specfun as sf, spectral
+from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid
+from oqbm.errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 from oqbm.oracle import auto_time_step, fd_integrate, quad_inverse_fourier
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
+GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
 
 
 class TestFdIntegrate:
@@ -80,6 +81,47 @@ class TestFdIntegrate:
         p = Params(gamma_p=1e-3)
         with pytest.raises(DomainTooNarrow):
             fd_integrate(p, IC, 10.0, SpatialGrid(6.0, 256), richardson=False)
+
+    def test_nonpositive_time_is_typed(self):
+        grid = SpatialGrid(20.0, 512)
+        with pytest.raises(NonPositiveTime):
+            fd_integrate(GENERAL, IC, 0.0, grid, richardson=False)
+        with pytest.raises(NonPositiveTime):
+            fd_integrate(GENERAL, IC, 10.0, grid, snapshot_times=[0.0, 5.0], richardson=False)
+        with pytest.raises(ValueError):
+            fd_integrate(GENERAL, IC, 10.0, grid, snapshot_times=[12.0], richardson=False)
+
+    def test_assembled_step_is_one_rk4_step(self):
+        grid = SpatialGrid(20.0, 512)
+        A = oracle._difference_operator(GENERAL, grid)
+        h = auto_time_step(GENERAL, grid)
+        y = np.random.default_rng(3).normal(size=A.shape[0])
+        k1 = A @ y
+        k2 = A @ (y + 0.5 * h * k1)
+        k3 = A @ (y + 0.5 * h * k2)
+        k4 = A @ (y + h * k3)
+        rk4 = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        (assembled,) = oracle._rk4_run(A, y, [h], h, norm_cap=math.inf)
+        assert np.max(np.abs(assembled - rk4)) < 1e-14 * np.max(np.abs(y))
+
+    def test_coherent_data_matches_spectral(self):
+        # non-zero c_r and c_i at t = 0, so all four blocks are integrated
+        ic = GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)
+        grid = SpatialGrid(16.0, 2048)
+        fd = fd_integrate(GENERAL, ic, 50.0, grid, richardson=False)
+        u = spectral.solve(GENERAL, ic, 50.0, grid)
+        for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+            assert np.max(np.abs(getattr(fd.field, name) - getattr(u, name))) < 3e-5, name
+
+    def test_unfed_components_stay_exactly_zero(self):
+        grid = SpatialGrid(20.0, 512)
+        still = fd_integrate(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0),
+                             IC, 10.0, grid, richardson=False).field
+        assert np.all(still.c_i == 0.0) and np.all(still.c_r == 0.0)
+        # omega > 0 feeds c_i from rho_minus; c_r stays unfed
+        fed = fd_integrate(GENERAL, IC, 10.0, grid, richardson=False).field
+        assert np.max(np.abs(fed.c_i)) > 1e-3
+        assert np.all(fed.c_r == 0.0)
 
 
 class TestQuadInverseFourier:

@@ -1,6 +1,6 @@
 import pytest
 
-from oqbm import spectral, validate
+from oqbm import core, spectral, validate
 from oqbm.errors import StabilityViolation
 
 
@@ -31,3 +31,23 @@ class TestCheckStability:
         assert len(calls) == 5
         assert not row.passed
         assert row.max_err == 1.0
+
+
+class TestCheckInitialMasses:
+    def test_extrapolated_masses_pass_with_margin(self):
+        assert validate.check_initial_masses().max_err < 1e-10
+
+    def test_excess_mass_gives_failed_row(self, monkeypatch):
+        # the extrapolation removes the trapezoid's kink error, not a real excess
+        sample = core.sample_initial
+
+        def heavier(ic, grid, eps_tail=core.DEFAULT_EPS_TAIL):
+            d = sample(ic, grid, eps_tail=eps_tail)
+            s = 1.0 + 2e-8
+            return core.DensityField(grid=grid, rho11=s * d.rho11, rho22=s * d.rho22,
+                                     rho12=s * d.rho12)
+
+        monkeypatch.setattr(core, "sample_initial", heavier)
+        row = validate.check_initial_masses()
+        assert not row.passed
+        assert row.max_err > 1.9e-8
