@@ -138,7 +138,7 @@ def _closed_solver(regime: str, scenario: Scenario):
     """The closed-form route for the regime and method, or None for the spectral route.
 
     The gamma_z = 0 closed form gives the spectral field to about 4e-11 at
-    about 100 times its cost, so only ``method: "closed"`` takes it.
+    about 12 times its cost, so only ``method: "closed"`` takes it.
     """
     p, ic, method = scenario.params, scenario.ic, scenario.method
     if method == "spectral":

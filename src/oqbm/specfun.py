@@ -8,6 +8,7 @@ Vectorized over the position argument:
     h_plus / h_minus        heat kernel convolved with (sign-weighted) Laplace
     kg_kernel_0 / kg_kernel_1   light-cone kernels of u_tt = 4 D^2 u_xx - 4 W^2 u
     phi_plus / phi_minus    h_plus/h_minus convolved once more with the Laplace
+    DrivenKernels           all four of h+/-, phi+/- at one set of points
 
 The driven-regime kernels are parametrized by the rates (gamma_p, delta,
 omega); the Laplace shape involved always has inverse scale c = omega/delta.
@@ -153,74 +154,82 @@ def heat_uniform(t: float, x, gamma_p: float, a: float):
     return (erf((x + a) / s) - erf((x - a) / s)) / (4.0 * a)
 
 
+def _erfc_pair(t: float, x, gamma_p: float, c: float):
+    """The heat kernel against the Laplace density (c/2) exp(-c|y|), split at y = 0.
+
+    Returns (x, neg, minus, plus): x as an array, neg = -x^2/(2 v) and the two
+    halves (y > 0 and y < 0), each over c/4, as the scaled erfc products
+    exp(neg) erfcx((c v -/+ x)/s), with v = 4 gamma_p t and s = sqrt(2 v).
+    Every Laplace-smoothed kernel below is a fixed combination of the two.
+    """
+    _require_positive_time(t)
+    x = np.asarray(x, dtype=float)
+    v = 4.0 * gamma_p * t
+    s = math.sqrt(2.0 * v)
+    neg = -x * x / (2.0 * v)
+    minus = scaled_erfc_product(neg, (c * v - x) / s)
+    return x, neg, minus, scaled_erfc_product(neg, (c * v + x) / s)
+
+
 def heat_laplace(t: float, x, gamma_p: float, c: float):
     """(heat kernel * Laplace density)(x) for the density (c/2) exp(-c|y|)."""
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
-    v = 4.0 * gamma_p * t
-    s = math.sqrt(2.0 * v)
-    neg = -x * x / (2.0 * v)
-    bm = (c * v - x) / s
-    bp = (c * v + x) / s
-    return 0.25 * c * (scaled_erfc_product(neg, bm) + scaled_erfc_product(neg, bp))
+    _, _, tm, tp = _erfc_pair(t, x, gamma_p, c)
+    return 0.25 * c * (tm + tp)
 
 
-def heat_sgn_laplace(t: float, x, gamma_p: float, c: float):
-    """(heat kernel * sgn(y) (c/2) exp(-c|y|))(x); odd in x."""
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
-    v = 4.0 * gamma_p * t
-    s = math.sqrt(2.0 * v)
-    neg = -x * x / (2.0 * v)
-    bm = (c * v - x) / s
-    bp = (c * v + x) / s
-    return 0.25 * c * (scaled_erfc_product(neg, bm) - scaled_erfc_product(neg, bp))
+class DrivenKernels:
+    """h+/h- and phi+/phi- at the points x, from one pair of scaled erfc products.
+
+    The Laplace shape has inverse scale c = omega/delta.  A caller that needs
+    several of the four kernels at the same points builds one instance, so the
+    erfc products behind them are formed once; the module functions
+    :func:`h_plus` ... :func:`phi_minus` build one per call.
+    """
+
+    def __init__(self, t: float, x, p: Params):
+        _require_driven(p)
+        self.t, self.p, self.c = t, p, p.omega / p.delta
+        self.x, self.neg, self.tm, self.tp = _erfc_pair(t, x, p.gamma_p, self.c)
+
+    def h_plus(self):
+        return 0.25 * self.c * (self.tm + self.tp)
+
+    def h_minus(self):
+        return 0.25 * self.c * (self.tm - self.tp)
+
+    def phi_plus(self):
+        gp, dl, om = self.p.gamma_p, self.p.delta, self.p.omega
+        t, x = self.t, self.x
+        bracket = (4.0 * om**2 * gp * t - dl**2 - om * dl * x) * self.tm \
+            + (4.0 * om**2 * gp * t - dl**2 + om * dl * x) * self.tp
+        gauss = (om**2 / dl**2) * math.sqrt(gp * t / (2.0 * math.pi)) * np.exp(self.neg)
+        return -(om / (8.0 * dl**3)) * bracket + gauss
+
+    def phi_minus(self):
+        gp, dl, om = self.p.gamma_p, self.p.delta, self.p.omega
+        t, x = self.t, self.x
+        return (om**2 / (8.0 * dl**3)) * ((4.0 * om * gp * t + dl * x) * self.tp
+                                          - (4.0 * om * gp * t - dl * x) * self.tm)
 
 
 def h_plus(t: float, x, p: Params):
     """Even driven kernel: heat kernel smoothed over the coin's Laplace shape."""
-    _require_driven(p)
-    return heat_laplace(t, x, p.gamma_p, p.omega / p.delta)
+    return DrivenKernels(t, x, p).h_plus()
 
 
 def h_minus(t: float, x, p: Params):
     """Odd partner of :func:`h_plus` (heat kernel against sgn * Laplace)."""
-    _require_driven(p)
-    return heat_sgn_laplace(t, x, p.gamma_p, p.omega / p.delta)
+    return DrivenKernels(t, x, p).h_minus()
 
 
 def phi_plus(t: float, x, p: Params):
     """h_plus convolved once more with the Laplace density; even in x."""
-    _require_driven(p)
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
-    gp, dl, om = p.gamma_p, p.delta, p.omega
-    v = 4.0 * gp * t
-    s = math.sqrt(2.0 * v)
-    c = om / dl
-    neg = -x * x / (2.0 * v)
-    tm = scaled_erfc_product(neg, (c * v - x) / s)
-    tp = scaled_erfc_product(neg, (c * v + x) / s)
-    bracket = (4.0 * om**2 * gp * t - dl**2 - om * dl * x) * tm \
-        + (4.0 * om**2 * gp * t - dl**2 + om * dl * x) * tp
-    gauss = (om**2 / dl**2) * math.sqrt(gp * t / (2.0 * math.pi)) * np.exp(neg)
-    return -(om / (8.0 * dl**3)) * bracket + gauss
+    return DrivenKernels(t, x, p).phi_plus()
 
 
 def phi_minus(t: float, x, p: Params):
     """h_minus convolved once more with the Laplace density; odd in x."""
-    _require_driven(p)
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
-    gp, dl, om = p.gamma_p, p.delta, p.omega
-    v = 4.0 * gp * t
-    s = math.sqrt(2.0 * v)
-    c = om / dl
-    neg = -x * x / (2.0 * v)
-    tm = scaled_erfc_product(neg, (c * v - x) / s)
-    tp = scaled_erfc_product(neg, (c * v + x) / s)
-    return (om**2 / (8.0 * dl**3)) * ((4.0 * om * gp * t + dl * x) * tp
-                                      - (4.0 * om * gp * t - dl * x) * tm)
+    return DrivenKernels(t, x, p).phi_minus()
 
 
 @dataclass(frozen=True)

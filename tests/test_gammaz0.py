@@ -57,6 +57,69 @@ class TestKernelConvolutions:
         with pytest.raises(QuadratureNotConverged):
             gammaz0.convolve_kappa0(noisy, 25.0, np.array([0.0]), RATES, tol=1e-14)
 
+    def test_non_finite_integrand_stops_at_first_order(self):
+        orders = set()
+
+        def broken(y):
+            orders.add(y.shape[-1])
+            return np.full_like(y, np.nan)
+
+        with pytest.raises(QuadratureNotConverged, match="not finite"):
+            gammaz0.convolve_kappa1(broken, 25.0, np.linspace(-5.0, 5.0, 11), RATES)
+        # the edge translates are one column, the quadrature samples one order
+        assert orders == {11, gammaz0.QUAD_START_ORDER}
+
+    def test_empty_points_give_empty_results(self):
+        t = 5.0
+
+        def g(y):
+            return sf.heat_kernel(t, y, RATES.gamma_p)
+
+        empty = np.array([])
+        for result in (
+            gammaz0.convolve_kappa1(g, t, empty, RATES),
+            gammaz0.convolve_kappa0(g, t, empty, RATES),
+            gammaz0.probability_density(RATES, IC, t, empty),
+            gammaz0.population_imbalance(RATES, IC, t, empty),
+        ):
+            assert result.shape == (0,)
+
+
+class TestKernelStack:
+    T = 25.0
+
+    def single_fields(self):
+        t = self.T
+        return [
+            lambda y: sf.heat_kernel(t, y, RATES.gamma_p),
+            lambda y: y * sf.heat_kernel(t, y, RATES.gamma_p),
+            lambda y: sf.h_plus(t, y, RATES),
+            lambda y: sf.phi_minus(t, y, RATES),
+        ]
+
+    def stack(self, y):
+        return np.stack([f(y) for f in self.single_fields()])
+
+    def test_stack_matches_one_field_at_a_time(self):
+        x = np.linspace(-60.0, 60.0, 301)
+        at, k1, k0 = gammaz0._cone_convolutions(self.stack, self.T, x, RATES, gammaz0.QUAD_TOL)
+        for i, f in enumerate(self.single_fields()):
+            assert np.array_equal(at[i], f(x))
+            assert np.max(np.abs(k1[i] - gammaz0.convolve_kappa1(f, self.T, x, RATES))) <= 1e-15
+            assert np.max(np.abs(k0[i] - gammaz0.convolve_kappa0(f, self.T, x, RATES))) <= 1e-15
+
+    def test_blocks_do_not_change_results(self):
+        # at the start order a block holds _BLOCK_SAMPLES / 64 points: this x
+        # fills two blocks and part of a third
+        rows = gammaz0._BLOCK_SAMPLES // gammaz0.QUAD_START_ORDER
+        x = np.linspace(-60.0, 60.0, 2 * rows + 37)
+        j1, j0sin = gammaz0._theta_integrals(self.stack, self.T, x, RATES, gammaz0.QUAD_TOL)
+        for lo in range(0, x.size, 97):
+            part = x[lo:lo + 97]
+            p1, p0 = gammaz0._theta_integrals(self.stack, self.T, part, RATES, gammaz0.QUAD_TOL)
+            assert np.max(np.abs(j1[:, lo:lo + 97] - p1)) <= 1e-15
+            assert np.max(np.abs(j0sin[:, lo:lo + 97] - p0)) <= 1e-15
+
 
 class TestIdentities:
     def test_all_printed_identities(self):

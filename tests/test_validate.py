@@ -51,3 +51,13 @@ class TestCheckInitialMasses:
         row = validate.check_initial_masses()
         assert not row.passed
         assert row.max_err > 1.9e-8
+
+
+class TestGammaZ0Rows:
+    @pytest.mark.parametrize("check", [validate.check_greez_vs_quadrature,
+                                       validate.check_driven_solution_vs_symbol])
+    def test_closed_forms_match_transform_oracle(self, check):
+        # both rows read about 5e-6 and 6e-7 of their gates
+        row = check()
+        assert row.passed
+        assert row.max_err / row.tol < 1e-4
