@@ -19,7 +19,6 @@ from .core import (
     plan_grid,
     sample_initial,
     to_bloch,
-    validate_params,
 )
 
 __all__ = [
@@ -38,6 +37,5 @@ __all__ = [
     "plan_grid",
     "sample_initial",
     "to_bloch",
-    "validate_params",
     "__version__",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__, delta0, gammaz0, omega0, spectral, validate as validate_mod
 from .core import (
+    DEFAULT_EPS_TAIL,
     BlochField,
     Custom,
     GaussianCoherent,
@@ -45,7 +46,6 @@ from .core import (
     plan_grid,
     sample_initial,
     to_bloch,
-    validate_params,
 )
 from .errors import ConfigError, OqbmError, UnknownFigure
 
@@ -66,6 +66,14 @@ def _need(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
     return config[key]
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float, or a ConfigError that names ``key``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def build_initial(config: dict, params: Params) -> InitialCondition:
@@ -91,29 +99,35 @@ def build_initial(config: dict, params: Params) -> InitialCondition:
 
 def build_scenario(config: dict) -> Scenario:
     try:
-        params = validate_params(Params(
-            gamma_p=float(_need(config, "gamma_p")),
-            gamma_z=float(config.get("gamma_z", 0.0)),
-            delta=float(config.get("delta", 0.0)),
-            omega=float(config.get("omega", 0.0)),
-        ))
+        params = Params(
+            gamma_p=_number("gamma_p", _need(config, "gamma_p")),
+            gamma_z=_number("gamma_z", config.get("gamma_z", 0.0)),
+            delta=_number("delta", config.get("delta", 0.0)),
+            omega=_number("omega", config.get("omega", 0.0)),
+        )
     except OqbmError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     ic = build_initial(config, params)
+    times = _need(config, "times")
+    if not isinstance(times, (list, tuple)):
+        raise ConfigError(f"times must be a list of numbers, got {times!r}")
     # json reads NaN and Infinity, which every comparison below would let through
-    times = tuple(float(t) for t in _need(config, "times"))
+    times = tuple(_number(f"times[{i}]", t) for i, t in enumerate(times))
     if not times or not all(0.0 <= t < math.inf for t in times):
         raise ConfigError(f"times must be a non-empty list of finite t >= 0, got {list(times)}")
     tags = [_time_tag(t) for t in times]
     clash = [t for t, tag in zip(times, tags) if tags.count(tag) > 1]
     if clash:
         raise ConfigError(f"times {clash} share snapshot file names, e.g. *_t{_time_tag(clash[0])}.csv")
-    eps_tail = float(config.get("eps_tail", 1e-8))
+    eps_tail = _number("eps_tail", config.get("eps_tail", DEFAULT_EPS_TAIL))
     if not 0.0 < eps_tail < math.inf:
         raise ConfigError(f"eps_tail must be finite and > 0, got {eps_tail}")
     if "half_width" in config or "n_points" in config:
+        n_points = _number("n_points", _need(config, "n_points"))
+        if not n_points.is_integer():
+            raise ConfigError(f"n_points must be a whole number, got {n_points!r}")
         try:
-            grid = SpatialGrid(float(_need(config, "half_width")), int(_need(config, "n_points")))
+            grid = SpatialGrid(_number("half_width", _need(config, "half_width")), int(n_points))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     else:

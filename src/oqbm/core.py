@@ -34,17 +34,25 @@ from .errors import (
     WrongRegime,
 )
 
-DEFAULT_EPS_TAIL = 1e-8
+DEFAULT_EPS_TAIL = 1e-8    # tail mass (or boundary/peak ratio) a grid may leave outside
+NEG_TOL = 1e-9             # slack below zero allowed in Custom initial populations
+MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
+POINTS_PER_FEATURE = 8.0   # plan_grid: nodes per smallest relevant length
+MIN_POINTS = 256           # plan_grid: bounds on the node count
+MAX_POINTS = 1 << 21
 
 
 @dataclass(frozen=True)
 class Params:
-    """The four rates of the master equation.
+    """The four rates of the master equation, checked when built.
 
     gamma_p  diffusion rate (must be > 0, it multiplies d^2/dx^2)
     gamma_z  dephasing rate (>= 0)
     delta    coin-position coupling / drift rate (>= 0)
     omega    driving amplitude (>= 0)
+
+    Raises NonFinite, NonPositiveDiffusion or NegativeRate, so every Params
+    in existence is a valid rate set.
     """
 
     gamma_p: float
@@ -52,17 +60,14 @@ class Params:
     delta: float = 0.0
     omega: float = 0.0
 
-
-def validate_params(p: Params) -> Params:
-    """Return ``p`` unchanged if it satisfies all constraints, else raise."""
-    values = (p.gamma_p, p.gamma_z, p.delta, p.omega)
-    if not all(math.isfinite(v) for v in values):
-        raise NonFinite(f"rates must be finite, got {values}")
-    if p.gamma_p <= 0.0:
-        raise NonPositiveDiffusion(f"gamma_p must be > 0, got {p.gamma_p}")
-    if p.gamma_z < 0.0 or p.delta < 0.0 or p.omega < 0.0:
-        raise NegativeRate(f"gamma_z, delta, omega must be >= 0, got {values[1:]}")
-    return p
+    def __post_init__(self):
+        values = (self.gamma_p, self.gamma_z, self.delta, self.omega)
+        if not all(math.isfinite(v) for v in values):
+            raise NonFinite(f"rates must be finite, got {values}")
+        if self.gamma_p <= 0.0:
+            raise NonPositiveDiffusion(f"gamma_p must be > 0, got {self.gamma_p}")
+        if self.gamma_z < 0.0 or self.delta < 0.0 or self.omega < 0.0:
+            raise NegativeRate(f"gamma_z, delta, omega must be >= 0, got {values[1:]}")
 
 
 class SpatialGrid:
@@ -516,22 +521,21 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
 
 
 def sample_initial(
-    ic: InitialCondition, grid: SpatialGrid, eps_tail: float = DEFAULT_EPS_TAIL,
-    neg_tol: float = 1e-9
+    ic: InitialCondition, grid: SpatialGrid, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> DensityField:
     """Sample the closed-form initial density matrix on ``grid``.
 
     Raises DomainTooNarrow when the analytic tail mass beyond +-L exceeds
     ``eps_tail``.  Custom data must live on the same grid and its populations
-    may dip below zero only by the numerical slack ``neg_tol``.
+    may dip below zero only by the numerical slack NEG_TOL.
     """
     if isinstance(ic, Custom):
         if ic.field.grid != grid:
             raise GridMismatch("custom initial data lives on a different grid")
         low = min(float(np.min(ic.field.rho11)), float(np.min(ic.field.rho22)))
-        if low < -neg_tol:
+        if low < -NEG_TOL:
             raise ValueError(
-                f"custom initial populations reach {low:.3e}, below the -{neg_tol:.0e} slack"
+                f"custom initial populations reach {low:.3e}, below the -{NEG_TOL:.0e} slack"
             )
         return ic.field
     check_tail(ic, grid.half_width, eps_tail)
@@ -554,23 +558,22 @@ def check_tail(ic: InitialCondition, half_width: float, eps_tail: float) -> None
         )
 
 
-def initial_mass(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL,
-                 n_points: int = 1 << 18) -> float:
+def initial_mass(ic: InitialCondition) -> float:
     """Richardson-extrapolated trapezoid mass of the raw initial density.
 
-    The grid half-width is the next power of two above the tail width, so the
-    spacing is dyadic and the integer-valued plateau edges of uniform data
-    fall exactly on nodes (where the half-plateau sampling makes the
-    trapezoid exact).  The O(h^2) trapezoid error at the kink of Laplace
-    shapes is removed by m_h + (m_h - m_2h)/3, with m_2h taken from every
-    other sample of the same grid.
+    The grid has MASS_POINTS nodes and its half-width is the next power of
+    two above the tail width, so the spacing is dyadic and the integer-valued
+    plateau edges of uniform data fall exactly on nodes (where the
+    half-plateau sampling makes the trapezoid exact).  The O(h^2) trapezoid
+    error at the kink of Laplace shapes is removed by m_h + (m_h - m_2h)/3,
+    with m_2h taken from every other sample of the same grid.
     """
     if isinstance(ic, Custom):
         return ic.field.mass()
-    width = tail_half_width(ic, eps_tail) + 1.0
+    width = tail_half_width(ic) + 1.0
     half_width = 2.0 ** math.ceil(math.log2(width))
-    grid = SpatialGrid(half_width, n_points)
-    density = sample_initial(ic, grid, eps_tail=eps_tail).probability_density
+    grid = SpatialGrid(half_width, MASS_POINTS)
+    density = sample_initial(ic, grid).probability_density
     fine = grid.trapezoid(density)
     coarse = float(np.trapezoid(density[::2], dx=2.0 * grid.dx))
     return fine + (fine - coarse) / 3.0
@@ -597,23 +600,20 @@ def plan_grid(
     params: Params,
     t_max: float,
     eps_tail: float = DEFAULT_EPS_TAIL,
-    points_per_feature: float = 8.0,
-    min_points: int = 256,
-    max_points: int = 1 << 21,
 ) -> SpatialGrid:
     """Pick a grid wide enough for drift, diffusion and the initial tails.
 
     Half-width rule: initial tail width (to eps_tail) + drift excursion
     2*delta*t_max + six diffusion standard deviations sqrt(4*gamma_p*t_max).
-    Resolution rule: at least ``points_per_feature`` nodes per smallest
-    relevant length (initial feature or early diffusion width).
+    Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
+    relevant length (initial feature or early diffusion width), with the
+    node count held to [MIN_POINTS, MAX_POINTS].
     """
-    validate_params(params)
     width = tail_half_width(ic, eps_tail)
     width += 2.0 * params.delta * t_max + 6.0 * math.sqrt(4.0 * params.gamma_p * t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
     feature = min(ic.min_feature(), math.sqrt(4.0 * params.gamma_p * max(t_max, 1e-12)))
-    dx_target = feature / points_per_feature
+    dx_target = feature / POINTS_PER_FEATURE
     n = 1 << max(1, math.ceil(math.log2(2.0 * half_width / dx_target)))
-    n = min(max(n, min_points), max_points)
+    n = min(max(n, MIN_POINTS), MAX_POINTS)
     return SpatialGrid(half_width=half_width, n_points=n)

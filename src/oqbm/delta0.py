@@ -28,7 +28,6 @@ from .core import (
     InitialCondition,
     Params,
     SpatialGrid,
-    validate_params,
 )
 from .errors import NonPositiveTime, OqbmError, WrongRegime
 
@@ -47,10 +46,10 @@ class DampingRegime:
     omega_pm: float  # sqrt(|gamma_z^2 - 4 omega^2|); zero in the critical window
 
 
-def classify(p: Params, tol_crit: float = TOL_CRITICAL) -> DampingRegime:
+def classify(p: Params) -> DampingRegime:
     split = p.gamma_z - 2.0 * p.omega
     total = p.gamma_z + 2.0 * p.omega
-    if abs(split) <= tol_crit * total or total == 0.0:
+    if abs(split) <= TOL_CRITICAL * total or total == 0.0:
         return DampingRegime(DampingKind.CRITICAL, 0.0)
     if split > 0.0:
         return DampingRegime(DampingKind.OVER, math.sqrt(p.gamma_z**2 - 4.0 * p.omega**2))
@@ -64,7 +63,7 @@ def _require_regime(p: Params) -> None:
 
 def internal_matrix(p: Params, t: float) -> np.ndarray:
     """The x-independent 3x3 internal factor of the Green's matrix."""
-    _require_regime(validate_params(p))
+    _require_regime(p)
     gz, om = p.gamma_z, p.omega
     reg = classify(p)
     m = np.eye(3)
@@ -106,7 +105,7 @@ def _heat_components(ic: InitialCondition, t: float, x, gamma_p: float):
 
 def density_delta0(p: Params, ic: InitialCondition, t: float, x):
     """P(t, x): the initial probability density smoothed by the heat kernel."""
-    _require_regime(validate_params(p))
+    _require_regime(p)
     plus, _, _, _ = _heat_components(ic, t, x, p.gamma_p)
     return plus
 
@@ -122,7 +121,7 @@ def imbalance_general(p: Params, ic: InitialCondition, t: float, x):
 
     The two coefficients are the last row of :func:`internal_matrix`.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     kind = classify(p).kind
     if kind is not DampingKind.UNDER:
         raise WrongRegime(f"imbalance closed form needs gamma_z < 2*omega, got {kind.value}")
@@ -138,7 +137,7 @@ def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
     A = e^{-gz t} (gz sin(w t) + w cos(w t)) / w and D the difference of the
     two heat-spread Gaussians; A vanishes exactly at the times tau_n.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     reg = classify(p)
     if reg.kind is not DampingKind.UNDER:
         raise WrongRegime("factored imbalance needs the underdamped regime")
@@ -160,7 +159,7 @@ def imbalance_gaussian_coherent(p: Params, ic: GaussianCoherent, t: float, x):
 
     with s = 4*gamma_p*t.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     reg = classify(p)
     if reg.kind is not DampingKind.UNDER:
         raise WrongRegime("closed coherent imbalance needs the underdamped regime")
@@ -192,7 +191,6 @@ def imbalance_zeros(p: Params, n_max: int) -> np.ndarray:
     Roots of gamma_z sin(w t) + w cos(w t) = 0 in the underdamped regime:
     tau_n = (n pi - arctan(w / gamma_z)) / w, n = 1..n_max.
     """
-    validate_params(p)
     reg = classify(p)
     if reg.kind is not DampingKind.UNDER:
         raise WrongRegime("imbalance zeros exist only in the underdamped regime")
@@ -213,7 +211,7 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     The heat-propagated components are rotated by the internal matrix; c_r
     only decays, at rate 2*gamma_z.  Custom data needs the spectral solver.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     plus, minus, ci, cr = _heat_components(ic, t, grid.nodes, p.gamma_p)
     m = internal_matrix(p, t)
     return BlochField(

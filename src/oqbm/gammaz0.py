@@ -37,7 +37,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from . import specfun as sf
 from .core import (
@@ -47,7 +46,6 @@ from .core import (
     Params,
     SpatialGrid,
     to_bloch,
-    validate_params,
 )
 from .errors import (
     NonPositiveTime,
@@ -83,7 +81,7 @@ def _require_regime(p: Params) -> None:
         raise WrongRegime("this module needs delta > 0 and omega > 0")
 
 
-def _theta_integrals(fields, t: float, x: np.ndarray, p: Params, tol: float) -> tuple:
+def _theta_integrals(fields, t: float, x: np.ndarray, p: Params) -> tuple:
     """Both theta integrals of every kernel in the stack ``fields``.
 
     ``fields(y)`` returns k kernels at the points y, stacked on a new leading
@@ -93,7 +91,7 @@ def _theta_integrals(fields, t: float, x: np.ndarray, p: Params, tol: float) -> 
         j0sin[i] = int_0^pi F_i(x - 2 t d cos th) J0(2 t om sin th) sin th dth
 
     Gauss-Legendre rules double in order from QUAD_START_ORDER until no
-    integral changes by ``tol``; per order the stack is evaluated once on each
+    integral changes by QUAD_TOL; per order the stack is evaluated once on each
     block of samples and both weightings are applied in one matrix product.
     """
     reach = 2.0 * t * p.delta
@@ -115,16 +113,16 @@ def _theta_integrals(fields, t: float, x: np.ndarray, p: Params, tol: float) -> 
         sums = np.concatenate(blocks, axis=1)
         if not np.all(np.isfinite(sums)):
             raise QuadratureNotConverged(f"theta integrand is not finite (order {order})")
-        if prev is not None and np.max(np.abs(sums - prev), initial=0.0) < tol:
+        if prev is not None and np.max(np.abs(sums - prev), initial=0.0) < QUAD_TOL:
             return sums[..., 0], sums[..., 1]
         prev = sums
         order *= 2
     raise QuadratureNotConverged(
-        f"theta quadrature still changing beyond tol={tol:.1e} at order {QUAD_MAX_ORDER}"
+        f"theta quadrature still changing beyond tol={QUAD_TOL:.1e} at order {QUAD_MAX_ORDER}"
     )
 
 
-def _cone_convolutions(fields, t: float, x, p: Params, tol: float) -> tuple:
+def _cone_convolutions(fields, t: float, x, p: Params) -> tuple:
     """(F_i(x), (F_i * k1)(x), (F_i * k0)(x)) for every kernel F_i of ``fields``.
 
     Each of the three is a (k, x.size) array.  The Dirac parts of k1 are the
@@ -136,22 +134,18 @@ def _cone_convolutions(fields, t: float, x, p: Params, tol: float) -> tuple:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     reach = 2.0 * t * p.delta
     at, back, ahead = np.moveaxis(fields(np.stack((x, x - reach, x + reach))), 1, 0)
-    j1, j0sin = _theta_integrals(fields, t, x, p, tol)
+    j1, j0sin = _theta_integrals(fields, t, x, p)
     return at, 0.5 * (back + ahead) - t * p.omega * j1, 0.5 * t * j0sin
 
 
-def convolve_kappa1(
-    f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params, tol: float = QUAD_TOL
-) -> np.ndarray:
+def convolve_kappa1(f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params) -> np.ndarray:
     """(f * k1)(x): half-weight translates to the cone edges plus the smooth part."""
-    return _cone_convolutions(lambda y: f(y)[None], t, x, p, tol)[1][0]
+    return _cone_convolutions(lambda y: f(y)[None], t, x, p)[1][0]
 
 
-def convolve_kappa0(
-    f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params, tol: float = QUAD_TOL
-) -> np.ndarray:
+def convolve_kappa0(f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params) -> np.ndarray:
     """(f * k0)(x) over the light cone |y| < 2*t*delta."""
-    return _cone_convolutions(lambda y: f(y)[None], t, x, p, tol)[2][0]
+    return _cone_convolutions(lambda y: f(y)[None], t, x, p)[2][0]
 
 
 def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -161,7 +155,7 @@ def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]
     combination of cos(t w), sin(t w)/w and the Gaussian decay factor.
     Returned as a vectorized symbol suitable for the quadrature oracle.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
 
     def symbol(xis: np.ndarray) -> np.ndarray:
         xis = np.asarray(xis, dtype=float)
@@ -185,9 +179,7 @@ def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]
     return symbol
 
 
-def green_gammaz0(
-    p: Params, t: float, grid: SpatialGrid, tol: float = QUAD_TOL, eps_tail: float = 1e-8
-) -> GreenMatrix:
+def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
     """Assemble the Green's matrix from the kernel convolutions on the grid.
 
     The Dirac parts of k1 turn into exact half-weight translates, so the
@@ -196,13 +188,13 @@ def green_gammaz0(
     Each entry of exp(tQ) is of exponential type 2 delta t in xi times a
     Gaussian, so (Paley-Wiener) the assembled entries are confined to the
     light cone |x| <= 2 delta t widened by the diffusion width sigma =
-    sqrt(4 gamma_p t).  TailNotDecayed (boundary above ``eps_tail`` times
-    the peak) is therefore raised when 2 delta t plus a few sigma reaches
+    sqrt(4 gamma_p t).  TailNotDecayed (boundary above core.DEFAULT_EPS_TAIL
+    times the peak) is therefore raised when 2 delta t plus a few sigma reaches
     the grid's half-width, not before.  Outside the cone the entries are
     cancellations between Laplace-tailed pieces (h+-, their k1
     convolutions), so their boundary values there are round-off.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
 
     def fields(y):
         g = sf.heat_kernel(t, y, p.gamma_p)
@@ -210,7 +202,7 @@ def green_gammaz0(
         return np.stack((g, y * g, driven.h_plus(), driven.h_minus()))
 
     (g, _, hp, hm), (k1_g, _, k1_hp, k1_hm), (k0_g, k0_xg, _, _) = _cone_convolutions(
-        fields, t, grid.nodes, p, tol
+        fields, t, grid.nodes, p
     )
 
     entries = np.empty((3, 3, grid.n_points))
@@ -223,7 +215,7 @@ def green_gammaz0(
     entries[2, 0] = entries[0, 2]
     entries[2, 1] = -4.0 * p.omega * k0_g
     entries[2, 2] = k1_g
-    return GreenMatrix.checked(grid, t, entries, eps_tail)
+    return GreenMatrix.checked(grid, t, entries)
 
 
 def _check_initial(p: Params, ic: LaplaceCoherent) -> float:
@@ -235,15 +227,13 @@ def _check_initial(p: Params, ic: LaplaceCoherent) -> float:
     return math.sqrt(ic.p * (1.0 - ic.p))
 
 
-def solve_laplace_coherent(
-    p: Params, ic: LaplaceCoherent, t: float, grid: SpatialGrid, tol: float = QUAD_TOL
-) -> BlochField:
+def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: SpatialGrid) -> BlochField:
     """Exact field for the Laplace-coherent initial state.
 
     All Laplace-against-Laplace convolutions are closed (phi+/-); only the
     light-cone convolutions remain as one-dimensional theta integrals.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     amp = _check_initial(p, ic)
     if t == 0.0:
         return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
@@ -257,7 +247,7 @@ def solve_laplace_coherent(
         return np.stack((hp - php, driven.phi_minus(), php, driven.h_minus(), hp))
 
     (_, phm, php, _, hp), (k1_dphi, k1_phm, k1_php, _, _), (_, _, _, k0_hm, k0_hp) = \
-        _cone_convolutions(fields, t, x, p, tol)
+        _cone_convolutions(fields, t, x, p)
 
     u1 = php + k1_dphi - coh * (phm - k1_phm) + 2.0 * p.omega * pop * k0_hm
     u2 = 0.5 * (phm - k1_phm) + 0.5 * coh * (hp - php + k1_php) + p.omega * pop * k0_hp
@@ -266,15 +256,13 @@ def solve_laplace_coherent(
     return BlochField(grid=grid, rho_plus=u1, c_i=u2, rho_minus=u3, c_r=c_r, time=t)
 
 
-def probability_density(
-    p: Params, ic: LaplaceCoherent, t: float, x, tol: float = QUAD_TOL
-) -> np.ndarray:
+def probability_density(p: Params, ic: LaplaceCoherent, t: float, x) -> np.ndarray:
     """P(t, x) written out as boundary terms plus three theta integrals.
 
     Same quantity as the rho_plus component of :func:`solve_laplace_coherent`
     but grouped independently (useful as a cross-check of the assembly).
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     amp = _check_initial(p, ic)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
@@ -290,7 +278,7 @@ def probability_density(
         driven = sf.DrivenKernels(t, y, p)
         return np.stack((driven.h_plus() - driven.phi_plus(), driven.phi_minus(), driven.h_minus()))
 
-    (int_dphi_j1, int_phm_j1, _), (_, _, int_hm_j0) = _theta_integrals(fields, t, x, p, tol)
+    (int_dphi_j1, int_phm_j1, _), (_, _, int_hm_j0) = _theta_integrals(fields, t, x, p)
 
     out = php(x) + 0.5 * (dphi(x - reach) + dphi(x + reach)) - t * p.omega * int_dphi_j1
     out -= 2.0 * ic.q * amp * (
@@ -300,11 +288,9 @@ def probability_density(
     return out
 
 
-def population_imbalance(
-    p: Params, ic: LaplaceCoherent, t: float, x, tol: float = QUAD_TOL
-) -> np.ndarray:
+def population_imbalance(p: Params, ic: LaplaceCoherent, t: float, x) -> np.ndarray:
     """Q(t, x) = rho11 - rho22, grouped as boundary terms plus theta integrals."""
-    _require_regime(validate_params(p))
+    _require_regime(p)
     amp = _check_initial(p, ic)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
@@ -318,7 +304,7 @@ def population_imbalance(
         driven = sf.DrivenKernels(t, y, p)
         return np.stack((driven.h_minus(), driven.h_plus()))
 
-    (_, int_hp_j1), (int_hm_j0, int_hp_j0) = _theta_integrals(fields, t, x, p, tol)
+    (_, int_hp_j1), (int_hm_j0, int_hp_j0) = _theta_integrals(fields, t, x, p)
 
     out = 0.5 * pop * (hp(x - reach) + hp(x + reach))
     out += t * p.omega * int_hm_j0
@@ -355,7 +341,9 @@ def convolution_identities_check(
     heat products) and the theta rule (for the cone kernels); the right-hand
     sides are the closed forms from :mod:`oqbm.specfun`.
     """
-    _require_regime(validate_params(p))
+    import scipy.integrate  # here, not at module level: it doubles the package's import time
+
+    _require_regime(p)
     if t <= 0.0:
         raise NonPositiveTime(f"identities need t > 0, got {t}")
     x_points = np.asarray(sorted(x_points), dtype=float)

@@ -23,7 +23,6 @@ from .core import (
     Params,
     SpatialGrid,
     to_bloch,
-    validate_params,
 )
 from .errors import NonPositiveTime, WrongRegime
 
@@ -40,7 +39,7 @@ def green_omega0(p: Params, t: float, x):
     +-2*delta*t (mathematically cosh/sinh times a central Gaussian, but the
     shifted form cannot overflow for large x*delta/gamma_p).
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     if t <= 0.0:
         raise NonPositiveTime(f"green_omega0 needs t > 0, got {t}")
     x = np.asarray(x, dtype=float)
@@ -61,7 +60,7 @@ def populations(p: Params, ic: InitialCondition, t: float, x):
     4*gamma_p*t) and drifted to +2*delta*t and -2*delta*t; at t = 0 this is
     the initial data.  Custom data has no closed form (WrongRegime).
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     rho11, rho22, _ = ic.heat(t, x, p.gamma_p, drift=2.0 * p.delta * t)
     return rho11 + rho22, rho11 - rho22
 
@@ -71,7 +70,7 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
 
     Custom initial data has no closed form here; use the spectral solver.
     """
-    _require_regime(validate_params(p))
+    _require_regime(p)
     rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p, drift=2.0 * p.delta * t)
     rho12 = math.exp(-2.0 * p.gamma_z * t) * rho12
     return to_bloch(DensityField(grid=grid, rho11=rho11, rho22=rho22, rho12=rho12, time=t))

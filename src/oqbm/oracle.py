@@ -24,16 +24,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import (
+    DEFAULT_EPS_TAIL,
     BlochField,
     InitialCondition,
     Params,
     SpatialGrid,
     sample_initial,
     to_bloch,
-    validate_params,
-    DEFAULT_EPS_TAIL,
 )
 from .errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
+
+QUAD_START_NODES = 2049    # quad_inverse_fourier's first node count; odd, so xi = 0 is a node
+QUAD_TOL = 1e-10           # max-norm change between two refinements that ends the doubling
+QUAD_MAX_NODES = 1 << 21   # node count beyond which QuadratureNotConverged is raised
 
 
 @dataclass
@@ -153,7 +156,6 @@ def fd_integrate(
     dt: Optional[float] = None,
     snapshot_times: Optional[Sequence[float]] = None,
     richardson: bool = True,
-    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> FdResult:
     """March the coupled system to ``t_end`` with central differences + RK4.
 
@@ -162,9 +164,8 @@ def fd_integrate(
     max-norm difference against a half-step re-run scaled by 16/15 (the
     step-halving bound for a fourth-order method); it covers the time
     integration error only, the O(dx^2) spatial error is assessed by grid
-    refinement in the tests.
+    refinement in the tests.  The tail and boundary checks use DEFAULT_EPS_TAIL.
     """
-    validate_params(p)
     if t_end <= 0.0:
         raise NonPositiveTime(f"t_end must be > 0, got {t_end}")
     times = sorted(set(float(t) for t in (snapshot_times or [])) | {float(t_end)})
@@ -172,7 +173,7 @@ def fd_integrate(
         raise NonPositiveTime(f"snapshot times must be > 0, got {times[0]}")
     if times[-1] > t_end:
         raise ValueError(f"snapshot times must be <= t_end={t_end}, got {times[-1]}")
-    u0 = to_bloch(sample_initial(ic, grid, eps_tail=eps_tail))
+    u0 = to_bloch(sample_initial(ic, grid))
     y0 = np.concatenate([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r])
     n = grid.n_points
     A = _difference_operator(p, grid)
@@ -199,9 +200,9 @@ def fd_integrate(
     snaps = {t: unpack(y, t) for t, y in zip(times, states)}
     final = snaps[times[-1]]
     boundary = max(abs(final.rho_plus[0]), abs(final.rho_plus[n - 1]))
-    if boundary > eps_tail:
+    if boundary > DEFAULT_EPS_TAIL:
         raise DomainTooNarrow(
-            f"density at the boundary is {boundary:.3e} > eps_tail={eps_tail:.1e}; widen the grid"
+            f"density at the boundary is {boundary:.3e} > {DEFAULT_EPS_TAIL:.1e}; widen the grid"
         )
 
     rich = None
@@ -213,26 +214,21 @@ def fd_integrate(
 
 
 def quad_inverse_fourier(
-    symbol: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    x_points: np.ndarray,
-    xi_max: float,
-    n_xi: int = 2049,
-    tol: float = 1e-10,
-    max_nodes: int = 1 << 21,
+    symbol: Callable[[np.ndarray], np.ndarray], x_points: np.ndarray, xi_max: float
 ) -> np.ndarray:
     """Evaluate (1/2pi) * integral_{-xi_max}^{xi_max} S(xi) e^{i xi x} dxi.
 
     ``symbol`` maps an array of frequencies (m,) to stacked matrices
-    (m, 3, 3); ``t`` is carried only for the caller's bookkeeping (the symbol
-    is expected to already include its time dependence).  The node count is
-    doubled until two successive trapezoid results differ by less than
-    ``tol`` in max norm.  Returns the real part, shape (len(x), 3, 3).
+    (m, 3, 3), its time dependence included.  The node count starts at
+    QUAD_START_NODES and is doubled (less one) until two successive
+    trapezoid results differ by less than QUAD_TOL in max norm, or raises
+    QuadratureNotConverged beyond QUAD_MAX_NODES.  Returns the real part,
+    shape (len(x), 3, 3).
     """
     x = np.atleast_1d(np.asarray(x_points, dtype=float))
     prev = None
-    n = max(129, int(n_xi) | 1)  # odd so xi = 0 is a node
-    while n <= max_nodes:
+    n = QUAD_START_NODES
+    while n <= QUAD_MAX_NODES:
         xi = np.linspace(-xi_max, xi_max, n)
         dxi = xi[1] - xi[0]
         weights = np.full(n, dxi)
@@ -246,10 +242,10 @@ def quad_inverse_fourier(
             phase = np.exp(1j * np.outer(x, xi[lo:hi]))
             total += phase @ sym
         result = (total / (2.0 * math.pi)).reshape(x.size, 3, 3)
-        if prev is not None and np.max(np.abs(result - prev)) < tol:
+        if prev is not None and np.max(np.abs(result - prev)) < QUAD_TOL:
             return np.real(result)
         prev = result
         n = 2 * n - 1
     raise QuadratureNotConverged(
-        f"inverse Fourier quadrature did not reach tol={tol:.1e} within {max_nodes} nodes"
+        f"inverse Fourier quadrature did not reach tol={QUAD_TOL:.1e} within {QUAD_MAX_NODES} nodes"
     )

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_EPS_TAIL,
     BlochField,
     DensityField,
     InitialCondition,
@@ -36,7 +37,6 @@ from .core import (
     SpatialGrid,
     sample_initial,
     to_bloch,
-    validate_params,
 )
 from .errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
 
@@ -45,6 +45,7 @@ _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 
 _FFT_IMAG_TOL = 1e-10      # relative imaginary residue allowed in real kernels
 _EPS = np.finfo(float).eps
 _NEWTON_STEPS = 60         # cap on the real root's Newton steps; 1-8 is typical
+POINTS_PER_SIGMA = 8.0     # green_function: grid nodes per diffusion width, at least
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,12 @@ class GreenMatrix:
     entries: np.ndarray  # (3, 3, n)
 
     @classmethod
-    def checked(cls, grid: SpatialGrid, time: float, entries: np.ndarray,
-                eps_tail: float) -> "GreenMatrix":
+    def checked(cls, grid: SpatialGrid, time: float, entries: np.ndarray) -> "GreenMatrix":
         """The Green's matrix of ``entries``, or TailNotDecayed when any entry
-        at either grid boundary exceeds ``eps_tail`` times the peak entry."""
+        at either grid boundary exceeds DEFAULT_EPS_TAIL times the peak entry."""
         peak = np.max(np.abs(entries))
         boundary = max(np.max(np.abs(entries[:, :, 0])), np.max(np.abs(entries[:, :, -1])))
-        if boundary > eps_tail * peak:
+        if boundary > DEFAULT_EPS_TAIL * peak:
             raise TailNotDecayed(
                 f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
             )
@@ -174,7 +174,6 @@ def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     within 1e-10 * scale when gamma_z = 0 (+-2i omega).  Every other xi needs
     Re < 0 of every mode, which symbol_eigenvalues guarantees by construction.
     """
-    validate_params(p)
     max_re = -math.inf
     zero_res = 0.0
     n_zero = 1 if p.omega > 0.0 else (2 if p.gamma_z > 0.0 else 3)
@@ -303,28 +302,22 @@ def _real_inverse(grid: SpatialGrid, spectra: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def green_function(
-    p: Params,
-    t: float,
-    grid: SpatialGrid,
-    eps_tail: float = 1e-8,
-    points_per_sigma: float = 8.0,
-) -> GreenMatrix:
+def green_function(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
     """Matrix Green's function on the grid by inverse FFT of exp(t Q).
 
-    Rejects grids that cannot resolve the diffusion width (GridUnderResolved)
-    and results whose entries have not decayed at the boundary
-    (TailNotDecayed).  Entries are real up to FFT round-off; the imaginary
-    residue is checked against _FFT_IMAG_TOL.
+    Rejects grids with fewer than POINTS_PER_SIGMA nodes per diffusion width
+    or narrower than drift + 6 sigma (GridUnderResolved), and results whose
+    entries have not decayed at the boundary (TailNotDecayed).  Entries are
+    real up to FFT round-off; the imaginary residue is checked against
+    _FFT_IMAG_TOL.
     """
-    validate_params(p)
     if t <= 0.0:
         raise NonPositiveTime(f"green_function needs t > 0, got {t}")
     sigma = math.sqrt(4.0 * p.gamma_p * t)
-    if grid.dx > sigma / points_per_sigma:
+    if grid.dx > sigma / POINTS_PER_SIGMA:
         raise GridUnderResolved(
             f"dx={grid.dx:.3g} too coarse for diffusion width {sigma:.3g} "
-            f"(need >= {points_per_sigma} points per standard deviation)"
+            f"(need >= {POINTS_PER_SIGMA} points per standard deviation)"
         )
     if grid.half_width < 2.0 * p.delta * t + 6.0 * sigma:
         raise GridUnderResolved(
@@ -333,7 +326,7 @@ def green_function(
         )
     spectra = exp_symbols(grid.fourier_nodes, p, t)
     entries = _real_inverse(grid, np.moveaxis(spectra, 0, -1))
-    return GreenMatrix.checked(grid, t, entries, eps_tail)
+    return GreenMatrix.checked(grid, t, entries)
 
 
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
@@ -346,7 +339,6 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     the decoupled c_r by the damped heat factor exp(-(2 gp xi^2 + 2 gz) t).
     All four components come back in one inverse transform.
     """
-    validate_params(p)
     xis = grid.fourier_nodes
     hat = ic.spectrum(xis)
     if hat is None:  # Custom data

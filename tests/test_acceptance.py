@@ -100,8 +100,7 @@ def test_criterion_4_driven_kernel_identities():
         G = gammaz0.green_gammaz0(p, t, grid)
         xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * p.gamma_p * t))
         sel = np.linspace(0, grid.n_points - 1, 201).astype(int)
-        K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(p, t), t,
-                                        grid.nodes[sel], xi_max)
+        K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(p, t), grid.nodes[sel], xi_max)
         worst = max(worst, max(np.max(np.abs(G.entries[i, j][sel] - K[:, i, j]))
                                for i in range(3) for j in range(3)))
     ok_green = _report(4, "kernel Green assembly vs quadrature oracle, t in {1,25,100}",

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,17 +264,27 @@ class TestMain:
             assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == code
             assert len(list(out.glob("*.csv"))) == (2 if code == 0 else 0)
 
-    @pytest.mark.parametrize("config", [
-        dict(TINY_CONFIG, half_width=4.0, eps_tail=math.nan),  # tail rule off: mass 0.988, exit 0
-        dict(TINY_CONFIG, times=[0.0, math.nan]),              # wrote snapshot_tnan.csv, all NaN
-        dict(GRIDLESS_CONFIG, times=[0.0, math.inf]),          # OverflowError in plan_grid
-    ], ids=["eps_tail-nan", "time-nan", "time-inf"])
-    def test_non_finite_config_rejected(self, tmp_path, config):
+    @pytest.mark.parametrize("config, key", [
+        (dict(TINY_CONFIG, half_width=4.0, eps_tail=math.nan), "eps_tail"),  # tail rule off: mass 0.988
+        (dict(TINY_CONFIG, times=[0.0, math.nan]), "times"),      # wrote snapshot_tnan.csv, all NaN
+        (dict(GRIDLESS_CONFIG, times=[0.0, math.inf]), "times"),  # OverflowError in plan_grid
+        # values that are not numbers: each escaped main as ValueError or TypeError
+        (dict(TINY_CONFIG, gamma_p="fast"), "gamma_p"),
+        (dict(TINY_CONFIG, gamma_p=None), "gamma_p"),
+        (dict(TINY_CONFIG, times=5), "times"),
+        (dict(TINY_CONFIG, times=[0, "x"]), "times[1]"),
+        (dict(TINY_CONFIG, eps_tail="x"), "eps_tail"),
+        (dict(TINY_CONFIG, n_points=None), "n_points"),
+        (dict(TINY_CONFIG, n_points=2.5), "n_points"),            # was truncated to 2
+    ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
+            "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction"])
+    def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
         assert not list(out.glob("*.csv"))
+        assert key in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
@@ -291,3 +305,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert out.count("PASS") >= 10
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_integrate_out(self):
+        # scipy.integrate is about half of a cold `import oqbm.cli`; only
+        # gammaz0.convolution_identities_check needs it, and imports it itself
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, oqbm.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        assert done.stdout.strip() == "False"

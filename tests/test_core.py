@@ -22,26 +22,31 @@ from oqbm.core import (
     sample_initial,
     tail_half_width,
     to_bloch,
-    validate_params,
 )
+
+RATE_NAMES = ("gamma_p", "gamma_z", "delta", "omega")
 
 
 class TestParams:
     def test_figure_rates_are_valid(self):
         p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)
-        assert validate_params(p) is p
+        assert (p.gamma_p, p.gamma_z, p.delta, p.omega) == (1e-3, 1e-3, 1e-2, 0.0)
 
-    def test_zero_diffusion_rejected(self):
-        with pytest.raises(errors.NonPositiveDiffusion):
-            validate_params(Params(gamma_p=0.0))
-
-    def test_nan_rejected(self):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    def test_non_finite_rejected(self, name, value):
         with pytest.raises(errors.NonFinite):
-            validate_params(Params(gamma_p=float("nan")))
+            Params(**dict(dict.fromkeys(RATE_NAMES, 1.0), **{name: value}))
 
-    def test_negative_rate_rejected(self):
+    @pytest.mark.parametrize("gamma_p", [0.0, -1e-3], ids=["zero", "negative"])
+    def test_non_positive_diffusion_rejected(self, gamma_p):
+        with pytest.raises(errors.NonPositiveDiffusion):
+            Params(gamma_p=gamma_p)
+
+    @pytest.mark.parametrize("name", RATE_NAMES[1:])
+    def test_negative_rate_rejected(self, name):
         with pytest.raises(errors.NegativeRate):
-            validate_params(Params(gamma_p=1.0, delta=-0.1))
+            Params(gamma_p=1.0, **{name: -0.1})
 
 
 class TestGrid:

@@ -50,12 +50,13 @@ class TestKernelConvolutions:
         got = gammaz0.convolve_kappa0(f_l, t, x, RATES)
         assert np.max(np.abs(got - t * f_l(x))) < 1e-10
 
-    def test_quadrature_cap_raises(self):
+    def test_quadrature_cap_raises(self, monkeypatch):
         def noisy(y):
             return np.random.default_rng(0).normal(size=y.shape)
 
+        monkeypatch.setattr(gammaz0, "QUAD_TOL", 1e-14)
         with pytest.raises(QuadratureNotConverged):
-            gammaz0.convolve_kappa0(noisy, 25.0, np.array([0.0]), RATES, tol=1e-14)
+            gammaz0.convolve_kappa0(noisy, 25.0, np.array([0.0]), RATES)
 
     def test_non_finite_integrand_stops_at_first_order(self):
         orders = set()
@@ -102,7 +103,7 @@ class TestKernelStack:
 
     def test_stack_matches_one_field_at_a_time(self):
         x = np.linspace(-60.0, 60.0, 301)
-        at, k1, k0 = gammaz0._cone_convolutions(self.stack, self.T, x, RATES, gammaz0.QUAD_TOL)
+        at, k1, k0 = gammaz0._cone_convolutions(self.stack, self.T, x, RATES)
         for i, f in enumerate(self.single_fields()):
             assert np.array_equal(at[i], f(x))
             assert np.max(np.abs(k1[i] - gammaz0.convolve_kappa1(f, self.T, x, RATES))) <= 1e-15
@@ -113,10 +114,10 @@ class TestKernelStack:
         # fills two blocks and part of a third
         rows = gammaz0._BLOCK_SAMPLES // gammaz0.QUAD_START_ORDER
         x = np.linspace(-60.0, 60.0, 2 * rows + 37)
-        j1, j0sin = gammaz0._theta_integrals(self.stack, self.T, x, RATES, gammaz0.QUAD_TOL)
+        j1, j0sin = gammaz0._theta_integrals(self.stack, self.T, x, RATES)
         for lo in range(0, x.size, 97):
             part = x[lo:lo + 97]
-            p1, p0 = gammaz0._theta_integrals(self.stack, self.T, part, RATES, gammaz0.QUAD_TOL)
+            p1, p0 = gammaz0._theta_integrals(self.stack, self.T, part, RATES)
             assert np.max(np.abs(j1[:, lo:lo + 97] - p1)) <= 1e-15
             assert np.max(np.abs(j0sin[:, lo:lo + 97] - p0)) <= 1e-15
 
@@ -142,8 +143,7 @@ class TestGreen:
         G = gammaz0.green_gammaz0(RATES, t, grid)
         xi_max = math.sqrt(18 * math.log(10) / (2 * RATES.gamma_p * t))
         sel = np.linspace(0, grid.n_points - 1, 201).astype(int)
-        K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(RATES, t), t,
-                                        grid.nodes[sel], xi_max)
+        K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(RATES, t), grid.nodes[sel], xi_max)
         err = max(np.max(np.abs(G.entries[i, j][sel] - K[:, i, j]))
                   for i in range(3) for j in range(3))
         assert err < 1e-7
@@ -216,7 +216,7 @@ class TestLaplaceCoherentSolve:
 
         xi_max = math.sqrt(18 * math.log(10) / (2 * RATES.gamma_p * t))
         sel = np.linspace(0, GRID.n_points - 1, 151).astype(int)
-        K = oracle.quad_inverse_fourier(symbol, t, GRID.nodes[sel], xi_max)
+        K = oracle.quad_inverse_fourier(symbol, GRID.nodes[sel], xi_max)
         assert np.max(np.abs(K[:, 0, 0] - u.rho_plus[sel])) < 1e-9
         assert np.max(np.abs(K[:, 1, 0] - u.c_i[sel])) < 1e-9
         assert np.max(np.abs(K[:, 2, 0] - u.rho_minus[sel])) < 1e-9

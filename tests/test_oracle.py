@@ -137,7 +137,7 @@ class TestQuadInverseFourier:
 
         x = np.linspace(-5, 5, 21)
         xi_max = math.sqrt(16 * math.log(10) / (2 * gp * t))
-        K = quad_inverse_fourier(symbol, t, x, xi_max)
+        K = quad_inverse_fourier(symbol, x, xi_max)
         assert np.max(np.abs(K[:, 0, 0] - sf.heat_kernel(t, x, gp))) < 1e-10
 
     def test_laplace_smoothed_symbol_gives_h_plus(self):
@@ -151,16 +151,22 @@ class TestQuadInverseFourier:
 
         x = np.linspace(-20, 20, 17)
         xi_max = math.sqrt(16 * math.log(10) / (2 * p.gamma_p * t))
-        K = quad_inverse_fourier(symbol, t, x, xi_max)
+        K = quad_inverse_fourier(symbol, x, xi_max)
         assert np.max(np.abs(K[:, 0, 0] - sf.h_plus(t, x, p))) < 1e-10
 
-    def test_not_converged_raises(self):
+    def test_not_converged_raises(self, monkeypatch):
         # an oscillatory symbol cannot settle to 1e-14 within two refinements
+        calls = []
+
         def symbol(xi):
+            calls.append(xi.size)
             out = np.zeros((xi.size, 3, 3), dtype=complex)
             out[:, 0, 0] = np.cos(37.0 * xi)
             return out
 
+        monkeypatch.setattr(oracle, "QUAD_START_NODES", 129)
+        monkeypatch.setattr(oracle, "QUAD_TOL", 1e-14)
+        monkeypatch.setattr(oracle, "QUAD_MAX_NODES", 513)
         with pytest.raises(QuadratureNotConverged):
-            quad_inverse_fourier(symbol, 1.0, np.array([0.0]), xi_max=10.0,
-                                 tol=1e-14, max_nodes=513)
+            quad_inverse_fourier(symbol, np.array([0.0]), xi_max=10.0)
+        assert calls == [129, 257, 513]

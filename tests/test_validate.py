@@ -12,7 +12,8 @@ class TestCheckStability:
                                             n_samples=len(xis))
 
         monkeypatch.setattr(spectral, "stability_check", accepting)
-        row = validate.check_stability(n_draws=5)
+        monkeypatch.setattr(validate, "STABILITY_DRAWS", 5)
+        row = validate.check_stability()
         assert row.passed
         assert row.max_err == 0.0
 
@@ -27,7 +28,8 @@ class TestCheckStability:
                                             n_samples=len(xis))
 
         monkeypatch.setattr(spectral, "stability_check", raising)
-        row = validate.check_stability(n_draws=5)
+        monkeypatch.setattr(validate, "STABILITY_DRAWS", 5)
+        row = validate.check_stability()
         assert len(calls) == 5
         assert not row.passed
         assert row.max_err == 1.0
