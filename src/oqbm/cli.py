@@ -8,10 +8,11 @@ figure datasets, or run the cross-validation suite.
 Configs are flat JSON.  Outputs are one CSV per snapshot (columns t, x, P, Q,
 C_R, C_I, rho11, rho22; 17 significant digits, LF line endings) plus a
 run_manifest.json capturing every number needed to re-run; no two snapshot
-times may share a file name.  The default output directory comes from
-$OQBM_OUT_DIR, falling back to the current directory.  Under ``method: "auto"``
-gamma_z = 0 takes the spectral route; its closed form runs only under
-``method: "closed"``.
+times may share a file name.  An explicit half_width must cover the initial
+tails plus the drift and diffusion reach (core.reach) at the last time.  The
+default output directory comes from $OQBM_OUT_DIR, falling back to the
+current directory.  Under ``method: "auto"`` gamma_z = 0 takes the spectral
+route; its closed form runs only under ``method: "closed"``.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    check_tail,
     from_bloch,
     plan_grid,
+    reach,
     sample_initial,
+    tail_half_width,
     to_bloch,
 )
-from .errors import ConfigError, OqbmError, UnknownFigure
+from .errors import ConfigError, DomainTooNarrow, NonFinite, OqbmError, UnknownFigure
 
 CSV_HEADER = "t,x,P,Q,C_R,C_I,rho11,rho22"
 
@@ -92,7 +94,7 @@ def build_initial(config: dict, params: Params) -> InitialCondition:
         if kind == "laplace_coherent":
             return LaplaceCoherent.for_params(p=_need(config, "p"), r=_need(config, "r"),
                                               q=_need(config, "q"), params=params)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, NonFinite) as exc:
         raise ConfigError(f"invalid initial condition parameters: {exc}") from exc
     raise ConfigError(f"unknown initial condition kind {kind!r}")
 
@@ -130,9 +132,14 @@ def build_scenario(config: dict) -> Scenario:
             grid = SpatialGrid(_number("half_width", _need(config, "half_width")), int(n_points))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        need = tail_half_width(ic, eps_tail) + reach(params, max(times))
+        if grid.half_width < need:
+            raise DomainTooNarrow(
+                f"half_width {grid.half_width:g} is narrower than the initial tails plus "
+                f"drift and diffusion reach by t = {max(times):g}; it needs half_width >= {need:.6g}"
+            )
     else:
         grid = plan_grid(ic, params, t_max=max(times), eps_tail=eps_tail)
-    check_tail(ic, grid.half_width, eps_tail)
     method = config.get("method", "auto")
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")
@@ -148,35 +155,27 @@ def classify_regime(p: Params) -> str:
     return "general"
 
 
-def _closed_solver(regime: str, scenario: Scenario):
-    """The closed-form route for the regime and method, or None for the spectral route.
+def solve_snapshot(scenario: Scenario, t: float) -> tuple:
+    """(solver name, BlochField) for one snapshot time.
 
     The gamma_z = 0 closed form gives the spectral field to about 4e-11 at
     about 12 times its cost, so only ``method: "closed"`` takes it.
     """
-    p, ic, method = scenario.params, scenario.ic, scenario.method
-    if method == "spectral":
-        return None
-    if regime == "omega" and not isinstance(ic, Custom):
-        return lambda t: omega0.solve(p, ic, t, scenario.grid)
-    if regime == "delta" and not isinstance(ic, Custom):
-        return lambda t: delta0.solve(p, ic, t, scenario.grid)
-    if regime == "gamma_z" and method == "closed" and isinstance(ic, LaplaceCoherent):
-        return lambda t: gammaz0.solve_laplace_coherent(p, ic, t, scenario.grid)
-    return None
-
-
-def solve_snapshot(scenario: Scenario, t: float) -> tuple:
-    """(solver name, BlochField) for one snapshot time."""
-    regime = classify_regime(scenario.params)
+    p, ic, grid, method = scenario.params, scenario.ic, scenario.grid, scenario.method
+    regime = classify_regime(p)
     if t == 0.0:
-        return "initial", to_bloch(sample_initial(scenario.ic, scenario.grid, scenario.eps_tail))
-    closed = _closed_solver(regime, scenario)
-    if scenario.method == "closed" and closed is None:
-        raise ConfigError(f"no closed-form solver for regime {regime!r} with this initial condition")
-    if closed is not None:
-        return f"closed[{regime}]", closed(t)
-    return "spectral", spectral.solve(scenario.params, scenario.ic, t, scenario.grid)
+        return "initial", to_bloch(sample_initial(ic, grid, scenario.eps_tail))
+    if method != "spectral":
+        closed = f"closed[{regime}]"
+        if regime == "omega" and not isinstance(ic, Custom):
+            return closed, omega0.solve(p, ic, t, grid)
+        if regime == "delta" and not isinstance(ic, Custom):
+            return closed, delta0.solve(p, ic, t, grid)
+        if regime == "gamma_z" and method == "closed" and isinstance(ic, LaplaceCoherent):
+            return closed, gammaz0.solve_laplace_coherent(p, ic, t, grid)
+        if method == "closed":
+            raise ConfigError(f"no closed-form solver for regime {regime!r} with this initial condition")
+    return "spectral", spectral.solve(p, ic, t, grid)
 
 
 def _format(v: float) -> str:
@@ -261,6 +260,13 @@ _DRIVEN_RATES = {"gamma_p": 1e-2, "gamma_z": 0.0, "delta": 1e-1, "omega": 1e-2}
 _DAMPED_RATES = {"gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 0.0, "omega": 1e-2}
 _MIXTURE_TIMES = [0.0, 50.0, 100.0, 150.0, 200.0]
 _DRIVEN_TIMES = [0.0, 25.0, 50.0, 75.0, 100.0]
+# fig4 shows P and fig5 shows Q of the same two driven runs
+_DRIVEN_CONFIGS = {
+    "left": {**_DRIVEN_RATES, "ic": "laplace_coherent", "p": 0.25, "r": 0.0, "q": 0.0,
+             "times": _DRIVEN_TIMES, "half_width": 224.0, "n_points": 8192},
+    "right": {**_DRIVEN_RATES, "ic": "laplace_coherent", "p": 0.25, "r": 0.0, "q": -0.5,
+              "times": _DRIVEN_TIMES, "half_width": 224.0, "n_points": 8192},
+}
 
 FIGURES = {
     "fig1": {
@@ -282,28 +288,8 @@ FIGURES = {
                          "p": 0.75, "a": 3.0, "b": 2.0, "times": _MIXTURE_TIMES,
                          "half_width": 16.0, "n_points": 2048}},
     },
-    "fig4": {
-        "panels": {"left": "P", "right": "P"},
-        "configs": {
-            "left": {**_DRIVEN_RATES, "ic": "laplace_coherent",
-                     "p": 0.25, "r": 0.0, "q": 0.0, "times": _DRIVEN_TIMES,
-                     "half_width": 224.0, "n_points": 8192},
-            "right": {**_DRIVEN_RATES, "ic": "laplace_coherent",
-                      "p": 0.25, "r": 0.0, "q": -0.5, "times": _DRIVEN_TIMES,
-                      "half_width": 224.0, "n_points": 8192},
-        },
-    },
-    "fig5": {
-        "panels": {"left": "Q", "right": "Q"},
-        "configs": {
-            "left": {**_DRIVEN_RATES, "ic": "laplace_coherent",
-                     "p": 0.25, "r": 0.0, "q": 0.0, "times": _DRIVEN_TIMES,
-                     "half_width": 224.0, "n_points": 8192},
-            "right": {**_DRIVEN_RATES, "ic": "laplace_coherent",
-                      "p": 0.25, "r": 0.0, "q": -0.5, "times": _DRIVEN_TIMES,
-                      "half_width": 224.0, "n_points": 8192},
-        },
-    },
+    "fig4": {"panels": {"left": "P", "right": "P"}, "configs": _DRIVEN_CONFIGS},
+    "fig5": {"panels": {"left": "Q", "right": "Q"}, "configs": _DRIVEN_CONFIGS},
     "fig6": {
         "panels": {"left": "Q", "right": "Q"},
         "configs": {

@@ -18,7 +18,7 @@ dual uses frequencies xi_k = pi*k/L and the transform convention
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -228,9 +228,14 @@ def _box(x: np.ndarray, a: float) -> np.ndarray:
     return inside / (2.0 * a)
 
 
-def _check_weight(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"mixture weight p must lie in (0, 1), got {p}")
+def _check_shape(shape) -> None:
+    """NonFinite for a NaN or infinite field; the mixture weight p must lie in (0, 1)."""
+    for f in fields(shape):
+        value = getattr(shape, f.name)
+        if not math.isfinite(value):
+            raise NonFinite(f"{f.name} must be finite, got {value}")
+    if not 0.0 < shape.p < 1.0:
+        raise ValueError(f"mixture weight p must lie in (0, 1), got {shape.p}")
 
 
 def _spread_gauss(w: float, x: np.ndarray, v: float) -> np.ndarray:
@@ -270,7 +275,7 @@ class GaussianMixture(_ClosedShape):
     sigma2: float
 
     def __post_init__(self):
-        _check_weight(self.p)
+        _check_shape(self)
         if self.sigma1 <= 0 or self.sigma2 <= 0:
             raise ValueError("sigma1, sigma2 must be > 0")
 
@@ -312,7 +317,7 @@ class GaussianCoherent(_ClosedShape):
     sigma: float
 
     def __post_init__(self):
-        _check_weight(self.p)
+        _check_shape(self)
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         if self.sigma <= 0:
@@ -361,7 +366,7 @@ class LaplaceMixture(_ClosedShape):
     b: float
 
     def __post_init__(self):
-        _check_weight(self.p)
+        _check_shape(self)
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a, b must be > 0")
 
@@ -396,7 +401,7 @@ class UniformMixture(_ClosedShape):
     b: float
 
     def __post_init__(self):
-        _check_weight(self.p)
+        _check_shape(self)
         if self.a <= 0 or self.b <= 0:
             raise ValueError("a, b must be > 0")
 
@@ -439,7 +444,7 @@ class LaplaceCoherent(_ClosedShape):
     scale: float
 
     def __post_init__(self):
-        _check_weight(self.p)
+        _check_shape(self)
         if self.scale <= 0:
             raise ValueError("scale must be > 0")
         if self.r * self.r + self.q * self.q > 1.0 + 1e-12:
@@ -595,6 +600,12 @@ def tail_half_width(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL) ->
     return hi
 
 
+def reach(params: Params, t: float) -> float:
+    """How far a point mass spreads by time t: the drift excursion 2*delta*t
+    plus six diffusion standard deviations sqrt(4*gamma_p*t)."""
+    return 2.0 * params.delta * t + 6.0 * math.sqrt(4.0 * params.gamma_p * t)
+
+
 def plan_grid(
     ic: InitialCondition,
     params: Params,
@@ -603,14 +614,12 @@ def plan_grid(
 ) -> SpatialGrid:
     """Pick a grid wide enough for drift, diffusion and the initial tails.
 
-    Half-width rule: initial tail width (to eps_tail) + drift excursion
-    2*delta*t_max + six diffusion standard deviations sqrt(4*gamma_p*t_max).
+    Half-width rule: initial tail width (to eps_tail) + reach(params, t_max).
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature or early diffusion width), with the
     node count held to [MIN_POINTS, MAX_POINTS].
     """
-    width = tail_half_width(ic, eps_tail)
-    width += 2.0 * params.delta * t_max + 6.0 * math.sqrt(4.0 * params.gamma_p * t_max)
+    width = tail_half_width(ic, eps_tail) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
     feature = min(ic.min_feature(), math.sqrt(4.0 * params.gamma_p * max(t_max, 1e-12)))
     dx_target = feature / POINTS_PER_FEATURE

@@ -53,7 +53,7 @@ from .errors import (
     ScaleMismatch,
     WrongRegime,
 )
-from .spectral import GreenMatrix
+from .spectral import checked_green
 
 QUAD_TOL = 1e-9
 QUAD_START_ORDER = 64
@@ -179,8 +179,8 @@ def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]
     return symbol
 
 
-def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
-    """Assemble the Green's matrix from the kernel convolutions on the grid.
+def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
+    """Assemble the Green's matrix, shape (n, 3, 3), from the kernel convolutions on the grid.
 
     The Dirac parts of k1 turn into exact half-weight translates, so the
     returned entries are ordinary functions.
@@ -205,17 +205,17 @@ def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
         fields, t, grid.nodes, p
     )
 
-    entries = np.empty((3, 3, grid.n_points))
-    entries[0, 0] = hp + k1_g - k1_hp
-    entries[0, 1] = -2.0 * hm + 2.0 * k1_hm
-    entries[0, 2] = (p.delta / (2.0 * p.gamma_p * t)) * k0_xg
-    entries[1, 0] = 0.5 * hm - 0.5 * k1_hm
-    entries[1, 1] = g - hp + k1_hp
-    entries[1, 2] = p.omega * k0_g
-    entries[2, 0] = entries[0, 2]
-    entries[2, 1] = -4.0 * p.omega * k0_g
-    entries[2, 2] = k1_g
-    return GreenMatrix.checked(grid, t, entries)
+    entries = np.empty((grid.n_points, 3, 3))
+    entries[:, 0, 0] = hp + k1_g - k1_hp
+    entries[:, 0, 1] = -2.0 * hm + 2.0 * k1_hm
+    entries[:, 0, 2] = (p.delta / (2.0 * p.gamma_p * t)) * k0_xg
+    entries[:, 1, 0] = 0.5 * hm - 0.5 * k1_hm
+    entries[:, 1, 1] = g - hp + k1_hp
+    entries[:, 1, 2] = p.omega * k0_g
+    entries[:, 2, 0] = entries[:, 0, 2]
+    entries[:, 2, 1] = -4.0 * p.omega * k0_g
+    entries[:, 2, 2] = k1_g
+    return checked_green(entries)
 
 
 def _check_initial(p: Params, ic: LaplaceCoherent) -> float:

@@ -35,6 +35,7 @@ from .core import (
     InitialCondition,
     Params,
     SpatialGrid,
+    reach,
     sample_initial,
     to_bloch,
 )
@@ -55,25 +56,17 @@ class StabilityReport:
     n_samples: int
 
 
-@dataclass(frozen=True)
-class GreenMatrix:
-    """Matrix kernel sampled on a grid; entries[i, j] is a real array over x."""
-
-    grid: SpatialGrid
-    time: float
-    entries: np.ndarray  # (3, 3, n)
-
-    @classmethod
-    def checked(cls, grid: SpatialGrid, time: float, entries: np.ndarray) -> "GreenMatrix":
-        """The Green's matrix of ``entries``, or TailNotDecayed when any entry
-        at either grid boundary exceeds DEFAULT_EPS_TAIL times the peak entry."""
-        peak = np.max(np.abs(entries))
-        boundary = max(np.max(np.abs(entries[:, :, 0])), np.max(np.abs(entries[:, :, -1])))
-        if boundary > DEFAULT_EPS_TAIL * peak:
-            raise TailNotDecayed(
-                f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
-            )
-        return cls(grid=grid, time=time, entries=entries)
+def checked_green(entries: np.ndarray) -> np.ndarray:
+    """``entries``, an (n, 3, 3) Green's matrix over the grid, or TailNotDecayed
+    when any entry at either grid boundary exceeds DEFAULT_EPS_TAIL times the
+    peak entry."""
+    peak = np.max(np.abs(entries))
+    boundary = max(np.max(np.abs(entries[0])), np.max(np.abs(entries[-1])))
+    if boundary > DEFAULT_EPS_TAIL * peak:
+        raise TailNotDecayed(
+            f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
+        )
+    return entries
 
 
 def symbol_matrices(xis: np.ndarray, p: Params) -> np.ndarray:
@@ -302,11 +295,11 @@ def _real_inverse(grid: SpatialGrid, spectra: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def green_function(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
-    """Matrix Green's function on the grid by inverse FFT of exp(t Q).
+def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
+    """Matrix Green's function on the grid by inverse FFT of exp(t Q), shape (n, 3, 3).
 
     Rejects grids with fewer than POINTS_PER_SIGMA nodes per diffusion width
-    or narrower than drift + 6 sigma (GridUnderResolved), and results whose
+    or narrower than reach(p, t) (GridUnderResolved), and results whose
     entries have not decayed at the boundary (TailNotDecayed).  Entries are
     real up to FFT round-off; the imaginary residue is checked against
     _FFT_IMAG_TOL.
@@ -319,14 +312,12 @@ def green_function(p: Params, t: float, grid: SpatialGrid) -> GreenMatrix:
             f"dx={grid.dx:.3g} too coarse for diffusion width {sigma:.3g} "
             f"(need >= {POINTS_PER_SIGMA} points per standard deviation)"
         )
-    if grid.half_width < 2.0 * p.delta * t + 6.0 * sigma:
+    if grid.half_width < reach(p, t):
         raise GridUnderResolved(
-            f"half_width={grid.half_width:.3g} smaller than drift + 6 sigma "
-            f"= {2.0 * p.delta * t + 6.0 * sigma:.3g}"
+            f"half_width={grid.half_width:.3g} smaller than drift + 6 sigma = {reach(p, t):.3g}"
         )
     spectra = exp_symbols(grid.fourier_nodes, p, t)
-    entries = _real_inverse(grid, np.moveaxis(spectra, 0, -1))
-    return GreenMatrix.checked(grid, t, entries)
+    return checked_green(np.moveaxis(_real_inverse(grid, np.moveaxis(spectra, 0, -1)), -1, 0))
 
 
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:

@@ -1,12 +1,13 @@
 """Cross-validation matrix: closed forms vs spectral vs the two oracles.
 
-Each check returns a :class:`CheckResult`; :func:`run_checks` collects the
-fast or the full suite.  The CLI prints them as a table and exits nonzero if
+Each check computes its worst error and ``_row`` turns that into a timed
+:class:`CheckResult`; :func:`run_checks` collects the fast or the full suite.  The CLI prints them as a table and exits nonzero if
 any check fails; the test suite asserts them individually.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 from . import delta0, gammaz0, omega0, oracle, specfun, spectral
 from .core import (
     Custom,
+    DensityField,
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
@@ -52,41 +54,41 @@ class CheckResult:
     passed: bool
     seconds: float
 
-    @classmethod
-    def from_error(cls, name: str, err: float, tol: float, seconds: float) -> "CheckResult":
-        return cls(name=name, max_err=float(err), tol=tol, passed=bool(err < tol), seconds=seconds)
+
+def _row(name: str, tol: float) -> Callable:
+    """Turn a function that returns its worst error into a timed check that
+    passes when that error is below ``tol``; the check keeps the function's name."""
+
+    def wrap(fn: Callable[[], float]) -> Callable[[], CheckResult]:
+        @functools.wraps(fn)
+        def check() -> CheckResult:
+            start = time.perf_counter()
+            err = float(fn())
+            return CheckResult(name, err, tol, err < tol, time.perf_counter() - start)
+
+        return check
+
+    return wrap
 
 
-def _timed(fn: Callable[[], tuple]) -> tuple:
-    start = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - start
-
-
-def check_bloch_roundtrip() -> CheckResult:
+@_row("bloch round-trip identity", 1e-14)
+def check_bloch_roundtrip() -> float:
     rng = np.random.default_rng(0)
     grid = SpatialGrid(10.0, 256)
-
-    def run():
-        worst = 0.0
-        for _ in range(25):
-            d = _random_density(rng, grid)
-            back = from_bloch(to_bloch(d))
-            worst = max(
-                worst,
-                np.max(np.abs(back.rho11 - d.rho11)),
-                np.max(np.abs(back.rho22 - d.rho22)),
-                np.max(np.abs(back.rho12 - d.rho12)),
-            )
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("bloch round-trip identity", err, 1e-14, secs)
+    worst = 0.0
+    for _ in range(25):
+        d = _random_density(rng, grid)
+        back = from_bloch(to_bloch(d))
+        worst = max(
+            worst,
+            np.max(np.abs(back.rho11 - d.rho11)),
+            np.max(np.abs(back.rho22 - d.rho22)),
+            np.max(np.abs(back.rho12 - d.rho12)),
+        )
+    return worst
 
 
 def _random_density(rng, grid):
-    from .core import DensityField
-
     n = grid.n_points
     return DensityField(
         grid=grid,
@@ -97,231 +99,176 @@ def _random_density(rng, grid):
     )
 
 
-def check_initial_masses() -> CheckResult:
+@_row("initial conditions integrate to 1", 1e-8)
+def check_initial_masses() -> float:
     ics = [
         FIG1_IC, FIG2_IC, FIG3_IC, FIG6_RIGHT_IC,
         LaplaceCoherent.for_params(p=0.25, r=0.5, q=-0.5, params=FIG4),
     ]
-
-    def run():
-        return max(abs(initial_mass(ic) - 1.0) for ic in ics)
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("initial conditions integrate to 1", err, 1e-8, secs)
+    return max(abs(initial_mass(ic) - 1.0) for ic in ics)
 
 
-def check_special_values() -> CheckResult:
-    def run():
-        worst = abs(specfun.erfc(0.0) - 1.0)
-        for v in (0.3, 1.7, 4.0):
-            worst = max(worst, abs(specfun.erfc(v) + specfun.erfc(-v) - 2.0))
-        worst = max(worst, abs(specfun.erfc(1.0) - 0.15729920705028513))
-        worst = max(worst, abs(specfun.bessel_j0(0.0) - 1.0))
-        worst = max(worst, abs(specfun.bessel_j1(0.0)))
-        worst = max(worst, abs(specfun.bessel_j0(2.404825557695773)))
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("special function pinned values", err, 1e-12, secs)
+@_row("special function pinned values", 1e-12)
+def check_special_values() -> float:
+    worst = abs(specfun.erfc(0.0) - 1.0)
+    for v in (0.3, 1.7, 4.0):
+        worst = max(worst, abs(specfun.erfc(v) + specfun.erfc(-v) - 2.0))
+    worst = max(worst, abs(specfun.erfc(1.0) - 0.15729920705028513))
+    worst = max(worst, abs(specfun.bessel_j0(0.0) - 1.0))
+    worst = max(worst, abs(specfun.bessel_j1(0.0)))
+    worst = max(worst, abs(specfun.bessel_j0(2.404825557695773)))
+    return worst
 
 
-def check_kernel_parity() -> CheckResult:
+@_row("kernel parity (even/odd)", 1e-12)
+def check_kernel_parity() -> float:
     rng = np.random.default_rng(1)
-
-    def run():
-        worst = 0.0
-        for _ in range(20):
-            p = Params(*rng.uniform(1e-3, 1.0, 4))
-            t = float(rng.uniform(0.1, 80.0))
-            x = rng.uniform(0.0, 40.0, 64)
-            worst = max(worst, np.max(np.abs(specfun.h_plus(t, x, p) - specfun.h_plus(t, -x, p))))
-            worst = max(worst, np.max(np.abs(specfun.h_minus(t, x, p) + specfun.h_minus(t, -x, p))))
-            worst = max(worst, np.max(np.abs(specfun.phi_plus(t, x, p) - specfun.phi_plus(t, -x, p))))
-            worst = max(worst, np.max(np.abs(specfun.phi_minus(t, x, p) + specfun.phi_minus(t, -x, p))))
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("kernel parity (even/odd)", err, 1e-12, secs)
+    worst = 0.0
+    for _ in range(20):
+        p = Params(*rng.uniform(1e-3, 1.0, 4))
+        t = float(rng.uniform(0.1, 80.0))
+        x = rng.uniform(0.0, 40.0, 64)
+        worst = max(worst, np.max(np.abs(specfun.h_plus(t, x, p) - specfun.h_plus(t, -x, p))))
+        worst = max(worst, np.max(np.abs(specfun.h_minus(t, x, p) + specfun.h_minus(t, -x, p))))
+        worst = max(worst, np.max(np.abs(specfun.phi_plus(t, x, p) - specfun.phi_plus(t, -x, p))))
+        worst = max(worst, np.max(np.abs(specfun.phi_minus(t, x, p) + specfun.phi_minus(t, -x, p))))
+    return worst
 
 
-def check_cone_kernel_masses() -> CheckResult:
+@_row("cone kernel masses", 1e-9)
+def check_cone_kernel_masses() -> float:
     p = FIG4
-
-    def run():
-        worst = 0.0
-        for t in (5.0, 25.0, 60.0):
-            nodes, weights = gammaz0.theta_rule(512)
-            reach = 2.0 * t * p.delta
-            y = reach * np.cos(nodes)
-            jac = reach * np.sin(nodes)
-            k0 = specfun.kg_kernel_0(t, y, p)
-            mass0 = float(np.sum(weights * jac * k0))
-            worst = max(worst, abs(mass0 - math.sin(2.0 * p.omega * t) / (2.0 * p.omega)))
-            k1 = specfun.kg_kernel_1(t, y, p)
-            mass1 = float(np.sum(weights * jac * k1.values))
-            mass1 += sum(w for _, w in k1.delta_shifts)
-            worst = max(worst, abs(mass1 - math.cos(2.0 * p.omega * t)))
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("cone kernel masses", err, 1e-9, secs)
+    worst = 0.0
+    for t in (5.0, 25.0, 60.0):
+        nodes, weights = gammaz0.theta_rule(512)
+        reach = 2.0 * t * p.delta
+        y = reach * np.cos(nodes)
+        jac = reach * np.sin(nodes)
+        k0 = specfun.kg_kernel_0(t, y, p)
+        mass0 = float(np.sum(weights * jac * k0))
+        worst = max(worst, abs(mass0 - math.sin(2.0 * p.omega * t) / (2.0 * p.omega)))
+        k1 = specfun.kg_kernel_1(t, y, p)
+        mass1 = float(np.sum(weights * jac * k1.values))
+        mass1 += sum(w for _, w in k1.delta_shifts)
+        worst = max(worst, abs(mass1 - math.cos(2.0 * p.omega * t)))
+    return worst
 
 
-def check_tau1() -> CheckResult:
-    def run():
-        taus = delta0.imbalance_zeros(FIG6, 1)
-        rel = abs(taus[0] - TAU1_REFERENCE) / TAU1_REFERENCE
-        grid = SpatialGrid(32.0, 1024)
-        x = grid.nodes
-        q_tau = np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, float(taus[0]), x)))
-        q_max = max(
-            np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, t, x)))
-            for t in (50.0, 100.0, 150.0, 200.0)
-        )
-        # both sub-criteria rescaled to the 1e-8 gate:
-        # tau_1 relative error < 1e-8 and Q(tau_1) < 1e-10 * max Q
-        return max(rel, (q_tau / q_max) * 1e2)
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("first imbalance zero time", err, 1e-8, secs)
+@_row("first imbalance zero time", 1e-8)
+def check_tau1() -> float:
+    taus = delta0.imbalance_zeros(FIG6, 1)
+    rel = abs(taus[0] - TAU1_REFERENCE) / TAU1_REFERENCE
+    grid = SpatialGrid(32.0, 1024)
+    x = grid.nodes
+    q_tau = np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, float(taus[0]), x)))
+    q_max = max(
+        np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, t, x)))
+        for t in (50.0, 100.0, 150.0, 200.0)
+    )
+    # both sub-criteria rescaled to the 1e-8 gate:
+    # tau_1 relative error < 1e-8 and Q(tau_1) < 1e-10 * max Q
+    return max(rel, (q_tau / q_max) * 1e2)
 
 
-def check_green_omega0() -> CheckResult:
-    def run():
-        grid = SpatialGrid(24.0, 2048)
-        t = 50.0
-        G = spectral.green_function(FIG1, t, grid)
-        Gc = omega0.green_omega0(FIG1, t, grid.nodes)
-        return max(
-            np.max(np.abs(G.entries[i, j] - Gc[:, i, j])) for i in range(3) for j in range(3)
-        )
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("green: closed omega=0 vs spectral", err, 1e-8, secs)
+@_row("green: closed omega=0 vs spectral", 1e-8)
+def check_green_omega0() -> float:
+    grid = SpatialGrid(24.0, 2048)
+    t = 50.0
+    G = spectral.green_function(FIG1, t, grid)
+    return np.max(np.abs(G - omega0.green_omega0(FIG1, t, grid.nodes)))
 
 
-def check_green_delta0() -> CheckResult:
-    def run():
-        worst = 0.0
-        t = 25.0
-        for gz in (1e-2, 2e-2, 4e-2):
-            p = Params(gamma_p=1e-3, gamma_z=gz, delta=0.0, omega=1e-2)
-            grid = SpatialGrid(8.0, 2048)
-            G = spectral.green_function(p, t, grid)
-            Gc = delta0.green_delta0(p, t, grid.nodes)
-            worst = max(
-                worst,
-                max(np.max(np.abs(G.entries[i, j] - Gc[:, i, j])) for i in range(3) for j in range(3)),
-            )
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("green: closed delta=0 vs spectral (3 regimes)", err, 1e-8, secs)
+@_row("green: closed delta=0 vs spectral (3 regimes)", 1e-8)
+def check_green_delta0() -> float:
+    worst = 0.0
+    t = 25.0
+    for gz in (1e-2, 2e-2, 4e-2):
+        p = Params(gamma_p=1e-3, gamma_z=gz, delta=0.0, omega=1e-2)
+        grid = SpatialGrid(8.0, 2048)
+        G = spectral.green_function(p, t, grid)
+        worst = max(worst, np.max(np.abs(G - delta0.green_delta0(p, t, grid.nodes))))
+    return worst
 
 
-def check_stability() -> CheckResult:
+@_row(f"dissipativity on {STABILITY_DRAWS} random draws", 0.5)
+def check_stability() -> float:
+    # the error is the number of draws on which stability_check raises
     rng = np.random.default_rng(5)
-
-    def run():
-        # the error is the number of draws on which stability_check raises
-        failed = 0
-        for _ in range(STABILITY_DRAWS):
-            p = Params(*np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 4)))
-            xis = rng.uniform(-100.0, 100.0, 8)
-            xis = xis[xis != 0.0]
-            try:
-                spectral.stability_check(p, [0.0, *xis])
-            except StabilityViolation:
-                failed += 1
-        return float(failed)
-
-    err, secs = _timed(run)
-    return CheckResult.from_error(f"dissipativity on {STABILITY_DRAWS} random draws", err, 0.5, secs)
+    failed = 0
+    for _ in range(STABILITY_DRAWS):
+        p = Params(*np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 4)))
+        xis = rng.uniform(-100.0, 100.0, 8)
+        xis = xis[xis != 0.0]
+        try:
+            spectral.stability_check(p, [0.0, *xis])
+        except StabilityViolation:
+            failed += 1
+    return failed
 
 
-def check_mass_conservation() -> CheckResult:
+@_row("mass conservation (spectral, general rates)", 1e-8)
+def check_mass_conservation() -> float:
     p = Params(gamma_p=1e-3, gamma_z=2e-3, delta=1e-2, omega=5e-3)
-
-    def run():
-        grid = SpatialGrid(28.0, 2048)
-        worst = 0.0
-        for t in (10.0, 60.0, 120.0):
-            u = spectral.solve(p, FIG1_IC, t, grid)
-            worst = max(worst, abs(u.mass() - 1.0))
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("mass conservation (spectral, general rates)", err, 1e-8, secs)
+    grid = SpatialGrid(28.0, 2048)
+    worst = 0.0
+    for t in (10.0, 60.0, 120.0):
+        u = spectral.solve(p, FIG1_IC, t, grid)
+        worst = max(worst, abs(u.mass() - 1.0))
+    return worst
 
 
-def check_identities() -> CheckResult:
-    def run():
-        rep = gammaz0.convolution_identities_check(
-            FIG4, 25.0, [-7.0, -2.0, 0.0, 1.5, 4.0, 5.5, 8.0, 12.0]
+@_row("driven-regime convolution identities", 1e-8)
+def check_identities() -> float:
+    rep = gammaz0.convolution_identities_check(
+        FIG4, 25.0, [-7.0, -2.0, 0.0, 1.5, 4.0, 5.5, 8.0, 12.0]
+    )
+    return rep.max_error()
+
+
+@_row("green: kernel assembly vs quadrature oracle", 1e-7)
+def check_greez_vs_quadrature() -> float:
+    worst = 0.0
+    for t, n in ((1.0, 32768), (25.0, 8192)):
+        grid = SpatialGrid(260.0, n)
+        G = gammaz0.green_gammaz0(FIG4, t, grid)
+        xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
+        sel = np.linspace(0, grid.n_points - 1, 301).astype(int)
+        K = oracle.quad_inverse_fourier(
+            gammaz0.exp_symbol_closed(FIG4, t), grid.nodes[sel], xi_max
         )
-        return rep.max_error()
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("driven-regime convolution identities", err, 1e-8, secs)
+        worst = max(worst, np.max(np.abs(G[sel] - K)))
+    return worst
 
 
-def check_greez_vs_quadrature() -> CheckResult:
-    def run():
-        worst = 0.0
-        for t, n in ((1.0, 32768), (25.0, 8192)):
-            grid = SpatialGrid(260.0, n)
-            G = gammaz0.green_gammaz0(FIG4, t, grid)
-            xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
-            sel = np.linspace(0, grid.n_points - 1, 301).astype(int)
-            K = oracle.quad_inverse_fourier(
-                gammaz0.exp_symbol_closed(FIG4, t), grid.nodes[sel], xi_max
-            )
-            worst = max(
-                worst,
-                max(np.max(np.abs(G.entries[i, j][sel] - K[:, i, j])) for i in range(3) for j in range(3)),
-            )
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("green: kernel assembly vs quadrature oracle", err, 1e-7, secs)
-
-
-def check_semigroup() -> CheckResult:
+@_row("semigroup property", 1e-8)
+def check_semigroup() -> float:
     p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
-
-    def run():
-        grid = SpatialGrid(28.0, 2048)
-        u_direct = spectral.solve(p, FIG1_IC, 50.0, grid)
-        u_step = spectral.solve(p, FIG1_IC, 30.0, grid)
-        u_two = spectral.solve(p, Custom(from_bloch(u_step)), 20.0, grid)
-        return max(
-            np.max(np.abs(u_two.rho_plus - u_direct.rho_plus)),
-            np.max(np.abs(u_two.c_i - u_direct.c_i)),
-            np.max(np.abs(u_two.rho_minus - u_direct.rho_minus)),
-            np.max(np.abs(u_two.c_r - u_direct.c_r)),
-        )
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("semigroup property", err, 1e-8, secs)
+    grid = SpatialGrid(28.0, 2048)
+    u_direct = spectral.solve(p, FIG1_IC, 50.0, grid)
+    u_step = spectral.solve(p, FIG1_IC, 30.0, grid)
+    u_two = spectral.solve(p, Custom(from_bloch(u_step)), 20.0, grid)
+    return max(
+        np.max(np.abs(u_two.rho_plus - u_direct.rho_plus)),
+        np.max(np.abs(u_two.c_i - u_direct.c_i)),
+        np.max(np.abs(u_two.rho_minus - u_direct.rho_minus)),
+        np.max(np.abs(u_two.c_r - u_direct.c_r)),
+    )
 
 
-def check_fd_cross() -> CheckResult:
+@_row("finite-difference oracle vs spectral (t=50)", 3e-5)
+def check_fd_cross() -> float:
     # uses the same aligned windows as the three-way acceptance helper (the
     # uniform plateau edges must land on nodes or the sampled initial data
     # differs from the analytic one at O(dx))
-    def run():
-        worst = 0.0
-        t = 50.0
-        for ic, (half_width, n) in THREE_WAY_CASES.values():
-            grid = SpatialGrid(half_width, n)
-            fd = oracle.fd_integrate(FIG1, ic, t, grid, richardson=False)
-            u = spectral.solve(FIG1, ic, t, grid)
-            worst = max(worst, np.max(np.abs(fd.field.rho_plus - u.rho_plus)))
-            worst = max(worst, np.max(np.abs(fd.field.rho_minus - u.rho_minus)))
-        return worst
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("finite-difference oracle vs spectral (t=50)", err, 3e-5, secs)
+    worst = 0.0
+    t = 50.0
+    for ic, (half_width, n) in THREE_WAY_CASES.values():
+        grid = SpatialGrid(half_width, n)
+        fd = oracle.fd_integrate(FIG1, ic, t, grid, richardson=False)
+        u = spectral.solve(FIG1, ic, t, grid)
+        worst = max(worst, np.max(np.abs(fd.field.rho_plus - u.rho_plus)))
+        worst = max(worst, np.max(np.abs(fd.field.rho_minus - u.rho_minus)))
+    return worst
 
 
 THREE_WAY_CASES = {
@@ -364,38 +311,33 @@ def three_way_agreement_case(case: str) -> dict:
     return out
 
 
-def check_driven_solution_vs_symbol() -> CheckResult:
+@_row("driven solution vs transform oracle", 1e-8)
+def check_driven_solution_vs_symbol() -> float:
     """Exact-transform cross-check of the Laplace-coherent solution."""
-
     p = FIG4
     ic = LaplaceCoherent.for_params(p=0.25, r=0.0, q=-0.5, params=p)
+    t = 25.0
+    grid = SpatialGrid(260.0, 8192)
+    u = gammaz0.solve_laplace_coherent(p, ic, t, grid)
+    amp = math.sqrt(ic.p * (1.0 - ic.p))
+    weights = np.array([1.0, ic.q * amp, 2.0 * ic.p - 1.0])
+    closed = gammaz0.exp_symbol_closed(p, t)
 
-    def run():
-        t = 25.0
-        grid = SpatialGrid(260.0, 8192)
-        u = gammaz0.solve_laplace_coherent(p, ic, t, grid)
-        amp = math.sqrt(ic.p * (1.0 - ic.p))
-        weights = np.array([1.0, ic.q * amp, 2.0 * ic.p - 1.0])
-        closed = gammaz0.exp_symbol_closed(p, t)
+    def symbol(xis):
+        f_hat = 4.0 * p.omega**2 / (4.0 * (p.delta**2 * xis**2 + p.omega**2))
+        e = closed(xis)
+        out = np.zeros_like(e)
+        out[:, :, 0] = np.einsum("mij,j->mi", e, weights) * f_hat[:, None]
+        return out
 
-        def symbol(xis):
-            f_hat = 4.0 * p.omega**2 / (4.0 * (p.delta**2 * xis**2 + p.omega**2))
-            e = closed(xis)
-            out = np.zeros_like(e)
-            out[:, :, 0] = np.einsum("mij,j->mi", e, weights) * f_hat[:, None]
-            return out
-
-        xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * p.gamma_p * t))
-        sel = np.linspace(0, grid.n_points - 1, 301).astype(int)
-        K = oracle.quad_inverse_fourier(symbol, grid.nodes[sel], xi_max)
-        return max(
-            np.max(np.abs(K[:, 0, 0] - u.rho_plus[sel])),
-            np.max(np.abs(K[:, 1, 0] - u.c_i[sel])),
-            np.max(np.abs(K[:, 2, 0] - u.rho_minus[sel])),
-        )
-
-    err, secs = _timed(run)
-    return CheckResult.from_error("driven solution vs transform oracle", err, 1e-8, secs)
+    xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * p.gamma_p * t))
+    sel = np.linspace(0, grid.n_points - 1, 301).astype(int)
+    K = oracle.quad_inverse_fourier(symbol, grid.nodes[sel], xi_max)
+    return max(
+        np.max(np.abs(K[:, 0, 0] - u.rho_plus[sel])),
+        np.max(np.abs(K[:, 1, 0] - u.c_i[sel])),
+        np.max(np.abs(K[:, 2, 0] - u.rho_minus[sel])),
+    )
 
 
 FAST_CHECKS = (

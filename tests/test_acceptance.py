@@ -79,8 +79,7 @@ def test_criterion_3_green_cross_check_uncoupled():
         grid = SpatialGrid(8.0, 2048)
         G = spectral.green_function(p, t, grid)
         Gc = delta0.green_delta0(p, t, grid.nodes)
-        worst = max(worst, max(np.max(np.abs(G.entries[i, j] - Gc[:, i, j]))
-                               for i in range(3) for j in range(3)))
+        worst = max(worst, np.max(np.abs(G - Gc)))
     assert _report(3, "delta=0 Green matrix vs spectral FFT (3 regimes, t=25)",
                    worst, 1e-8, time.perf_counter() - start)
 
@@ -101,8 +100,7 @@ def test_criterion_4_driven_kernel_identities():
         xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * p.gamma_p * t))
         sel = np.linspace(0, grid.n_points - 1, 201).astype(int)
         K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(p, t), grid.nodes[sel], xi_max)
-        worst = max(worst, max(np.max(np.abs(G.entries[i, j][sel] - K[:, i, j]))
-                               for i in range(3) for j in range(3)))
+        worst = max(worst, np.max(np.abs(G[sel] - K)))
     ok_green = _report(4, "kernel Green assembly vs quadrature oracle, t in {1,25,100}",
                        worst, 1e-7, time.perf_counter() - start)
     assert ok_ids and ok_green

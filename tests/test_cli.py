@@ -276,8 +276,22 @@ class TestMain:
         (dict(TINY_CONFIG, eps_tail="x"), "eps_tail"),
         (dict(TINY_CONFIG, n_points=None), "n_points"),
         (dict(TINY_CONFIG, n_points=2.5), "n_points"),            # was truncated to 2
+        # non-finite shape fields: tracebacks, or NaN CSVs written with exit 0
+        (dict(TINY_CONFIG, sigma1=math.nan), "sigma1 must be finite"),
+        (dict(TINY_CONFIG, ic="laplace_mixture", a=math.nan, b=2.0), "a must be finite"),
+        (dict(TINY_CONFIG, ic="gaussian_coherent", mu=0.8, k=math.inf, sigma=1.0), "k must be finite"),
+        (dict(TINY_CONFIG, ic="uniform_mixture", a=3.0, b=math.nan), "b must be finite"),
+        (dict(TINY_CONFIG, ic="gaussian_coherent", mu=0.8, k=math.nan, sigma=1.0), "k must be finite"),
+        (dict(DRIVEN_CONFIG, r=math.nan), "r must be finite"),
+        (dict(DRIVEN_CONFIG, q=math.nan), "q must be finite"),
+        # explicit grids narrower than the initial tails plus the reach at t_max
+        (dict(TINY_CONFIG, times=[5000.0]), "needs half_width >="),              # CSV of mass 3.5e-55
+        (dict(TINY_CONFIG, omega=1e-2, times=[5000.0]), "needs half_width >="),  # wrapped around the grid
+        (dict(TINY_CONFIG, times=[1e300]), "needs half_width >="),               # all-NaN CSV
     ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
-            "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction"])
+            "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction",
+            "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
+            "reach-closed", "reach-spectral", "reach-huge-time"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity

@@ -144,9 +144,8 @@ class TestGreen:
         xi_max = math.sqrt(18 * math.log(10) / (2 * RATES.gamma_p * t))
         sel = np.linspace(0, grid.n_points - 1, 201).astype(int)
         K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(RATES, t), grid.nodes[sel], xi_max)
-        err = max(np.max(np.abs(G.entries[i, j][sel] - K[:, i, j]))
-                  for i in range(3) for j in range(3))
-        assert err < 1e-7
+        assert G.shape == (grid.n_points, 3, 3)
+        assert np.max(np.abs(G[sel] - K)) < 1e-7
 
     def test_matches_spectral_symbol(self):
         # the closed matrix exponential equals the generic one entrywise
@@ -170,7 +169,7 @@ class TestGreen:
         t = 10.0
         grid = SpatialGrid(224.0, 4096)
         G = gammaz0.green_gammaz0(RATES, t, grid)
-        assert np.array_equal(G.entries[0, 2], G.entries[2, 0])
+        assert np.array_equal(G[:, 0, 2], G[:, 2, 0])
 
 
 class TestLaplaceCoherentSolve:
@@ -275,7 +274,7 @@ class TestLaplaceCoherentSolve:
         reach = 2 * t * p.delta
         ref = 0.5 * (sf.heat_kernel(t, x - reach, p.gamma_p)
                      + sf.heat_kernel(t, x + reach, p.gamma_p))
-        assert np.max(np.abs(G.entries[2, 2] - ref)) < 1e-10
+        assert np.max(np.abs(G[:, 2, 2] - ref)) < 1e-10
         # driving entries scale linearly in omega: (2,3) ~ om * t, (3,2) ~ 4x
-        assert np.max(np.abs(G.entries[1, 2])) < 5.0 * t * p.omega
-        assert np.max(np.abs(G.entries[2, 1])) < 20.0 * t * p.omega
+        assert np.max(np.abs(G[:, 1, 2])) < 5.0 * t * p.omega
+        assert np.max(np.abs(G[:, 2, 1])) < 20.0 * t * p.omega

@@ -410,9 +410,8 @@ class TestGreenFunction:
         grid = SpatialGrid(24.0, 4096)
         G = spectral.green_function(p, 50.0, grid)
         ref = omega0.green_omega0(p, 50.0, grid.nodes)
-        err = max(np.max(np.abs(G.entries[i, j] - ref[:, i, j]))
-                  for i in range(3) for j in range(3))
-        assert err < 1e-8
+        assert G.shape == ref.shape == (grid.n_points, 3, 3)
+        assert np.max(np.abs(G - ref)) < 1e-8
 
     def test_first_column_mass(self):
         # integral over x of (G11 + G31) equals the (1,1)+(3,1) entries of
@@ -420,7 +419,7 @@ class TestGreenFunction:
         grid = SpatialGrid(24.0, 2048)
         t = 30.0
         G = spectral.green_function(GENERAL, t, grid)
-        total = grid.trapezoid(G.entries[0, 0] + G.entries[2, 0])
+        total = grid.trapezoid(G[:, 0, 0] + G[:, 2, 0])
         e0 = spectral.exp_symbols(np.array([0.0]), GENERAL, t)[0]
         assert math.isclose(total, float((e0[0, 0] + e0[2, 0]).real), abs_tol=1e-9)
         assert math.isclose(total, 1.0, abs_tol=1e-9)
