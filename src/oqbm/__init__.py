@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .core import (
     BlochField,
     Custom,
-    DensityField,
     GaussianCoherent,
     GaussianMixture,
     InitialCondition,
@@ -15,16 +14,13 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    from_bloch,
     plan_grid,
     sample_initial,
-    to_bloch,
 )
 
 __all__ = [
     "BlochField",
     "Custom",
-    "DensityField",
     "GaussianCoherent",
     "GaussianMixture",
     "InitialCondition",
@@ -33,9 +29,7 @@ __all__ = [
     "Params",
     "SpatialGrid",
     "UniformMixture",
-    "from_bloch",
     "plan_grid",
     "sample_initial",
-    "to_bloch",
     "__version__",
 ]

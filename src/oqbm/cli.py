@@ -9,7 +9,9 @@ Configs are flat JSON.  Outputs are one CSV per snapshot (columns t, x, P, Q,
 C_R, C_I, rho11, rho22; 17 significant digits, LF line endings) plus a
 run_manifest.json capturing every number needed to re-run; no two snapshot
 times may share a file name.  An explicit half_width must cover the initial
-tails plus the drift and diffusion reach (core.reach) at the last time.  The
+tails plus the drift and diffusion reach (core.reach) at the last time; a
+planned grid (no half_width) that cannot resolve the last time is refused.
+Config values must be JSON numbers, not booleans or strings.  The
 default output directory comes from $OQBM_OUT_DIR, falling back to the
 current directory.  Under ``method: "auto"`` gamma_z = 0 takes the spectral
 route; its closed form runs only under ``method: "closed"``.
@@ -21,6 +23,7 @@ import argparse
 import concurrent.futures
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -42,12 +45,10 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    from_bloch,
     plan_grid,
     reach,
     sample_initial,
     tail_half_width,
-    to_bloch,
 )
 from .errors import ConfigError, DomainTooNarrow, NonFinite, OqbmError, UnknownFigure
 
@@ -71,30 +72,31 @@ def _need(config: dict, key: str):
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float, or a ConfigError that names ``key``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    """``value`` as a float if it is a JSON number (not a boolean, not a
+    string), or a ConfigError that names ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def build_initial(config: dict, params: Params) -> InitialCondition:
     kind = _need(config, "ic")
+
+    def get(key: str) -> float:
+        return _number(key, _need(config, key))
+
     try:
         if kind == "gaussian_mixture":
-            return GaussianMixture(p=_need(config, "p"), sigma1=_need(config, "sigma1"),
-                                   sigma2=_need(config, "sigma2"))
+            return GaussianMixture(p=get("p"), sigma1=get("sigma1"), sigma2=get("sigma2"))
         if kind == "gaussian_coherent":
-            return GaussianCoherent(p=_need(config, "p"), mu=_need(config, "mu"),
-                                    k=_need(config, "k"), sigma=_need(config, "sigma"))
+            return GaussianCoherent(p=get("p"), mu=get("mu"), k=get("k"), sigma=get("sigma"))
         if kind == "laplace_mixture":
-            return LaplaceMixture(p=_need(config, "p"), a=_need(config, "a"), b=_need(config, "b"))
+            return LaplaceMixture(p=get("p"), a=get("a"), b=get("b"))
         if kind == "uniform_mixture":
-            return UniformMixture(p=_need(config, "p"), a=_need(config, "a"), b=_need(config, "b"))
+            return UniformMixture(p=get("p"), a=get("a"), b=get("b"))
         if kind == "laplace_coherent":
-            return LaplaceCoherent.for_params(p=_need(config, "p"), r=_need(config, "r"),
-                                              q=_need(config, "q"), params=params)
-    except (ValueError, TypeError, NonFinite) as exc:
+            return LaplaceCoherent.for_params(p=get("p"), r=get("r"), q=get("q"), params=params)
+    except (ValueError, NonFinite) as exc:
         raise ConfigError(f"invalid initial condition parameters: {exc}") from exc
     raise ConfigError(f"unknown initial condition kind {kind!r}")
 
@@ -164,7 +166,7 @@ def solve_snapshot(scenario: Scenario, t: float) -> tuple:
     p, ic, grid, method = scenario.params, scenario.ic, scenario.grid, scenario.method
     regime = classify_regime(p)
     if t == 0.0:
-        return "initial", to_bloch(sample_initial(ic, grid, scenario.eps_tail))
+        return "initial", sample_initial(ic, grid, scenario.eps_tail)
     if method != "spectral":
         closed = f"closed[{regime}]"
         if regime == "omega" and not isinstance(ic, Custom):
@@ -183,10 +185,9 @@ def _format(v: float) -> str:
 
 
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
-    d = from_bloch(field)
     cols = (
         field.grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
-        np.real(d.rho11), np.real(d.rho22),
+        field.rho11, field.rho22,
     )
     # "%.17g" % v and format(v, ".17g") give the same bytes; one template per
     # row formats the whole table in one pass
@@ -197,9 +198,7 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
 
 
 def _ic_manifest(ic: InitialCondition) -> dict:
-    out = {"kind": type(ic).__name__}
-    out.update({k: v for k, v in asdict(ic).items() if not isinstance(v, dict)})
-    return out
+    return {"kind": type(ic).__name__, **asdict(ic)}
 
 
 def _grid_manifest(grid: SpatialGrid) -> dict:

@@ -1,14 +1,14 @@
-"""Domain types: physical rates, spatial grids, density/Bloch fields, initial data.
+"""Domain types: physical rates, spatial grids, the density-matrix field, initial data.
 
 The model evolves a 2x2 Hermitian density matrix field rho(t, x) on the real
-line.  Everything downstream works either with the matrix entries
-(rho11, rho22, rho12) or with the real Bloch-style coordinates
+line.  :class:`BlochField` stores it in the real Bloch-style coordinates
 
     rho_plus  = rho11 + rho22      (position probability density)
     rho_minus = rho11 - rho22      (population imbalance, <sigma_z>)
     c_r       = Re rho12
     c_i       = Im rho12
 
+and builds from, and reads back, the matrix entries (rho11, rho22, rho12).
 The line is truncated to [-L, L) with n uniform nodes; the discrete Fourier
 dual uses frequencies xi_k = pi*k/L and the transform convention
 
@@ -27,6 +27,7 @@ from . import specfun as sf
 from .errors import (
     DomainTooNarrow,
     GridMismatch,
+    GridUnderResolved,
     NegativeRate,
     NonFinite,
     NonPositiveDiffusion,
@@ -130,40 +131,9 @@ def _check_grid_arrays(grid: SpatialGrid, arrays: dict) -> None:
 
 
 @dataclass(frozen=True)
-class DensityField:
-    """2x2 density-matrix field sampled on a grid.
-
-    rho21 is never stored; Hermiticity is structural (rho21 = conj(rho12)).
-    """
-
-    grid: SpatialGrid
-    rho11: np.ndarray
-    rho22: np.ndarray
-    rho12: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
-        _check_grid_arrays(self.grid, {"rho11": self.rho11, "rho22": self.rho22, "rho12": self.rho12})
-        for arr in (self.rho11, self.rho22, self.rho12):
-            arr.setflags(write=False)
-
-    @property
-    def probability_density(self) -> np.ndarray:
-        return self.rho11 + self.rho22
-
-    @property
-    def imbalance(self) -> np.ndarray:
-        return self.rho11 - self.rho22
-
-    def mass(self) -> float:
-        return self.grid.trapezoid(self.probability_density)
-
-
-@dataclass(frozen=True)
 class BlochField:
-    """The real coordinates (rho_plus, c_i, rho_minus) plus the decoupled c_r."""
+    """The density-matrix field in the real coordinates (rho_plus, c_i, rho_minus)
+    plus the decoupled c_r; rho21 = conj(rho12) is never stored."""
 
     grid: SpatialGrid
     rho_plus: np.ndarray
@@ -182,31 +152,28 @@ class BlochField:
         for arr in (self.rho_plus, self.c_i, self.rho_minus, self.c_r):
             arr.setflags(write=False)
 
+    @classmethod
+    def from_density(cls, grid: SpatialGrid, rho11, rho22, rho12, time: float = 0.0) -> "BlochField":
+        """The field with matrix entries rho11, rho22, rho12 on ``grid``:
+        rho_pm = rho11 +- rho22, c_r + i c_i = rho12."""
+        _check_grid_arrays(grid, {"rho11": rho11, "rho22": rho22, "rho12": rho12})
+        return cls(grid=grid, rho_plus=rho11 + rho22, c_i=np.imag(rho12).copy(),
+                   rho_minus=rho11 - rho22, c_r=np.real(rho12).copy(), time=time)
+
+    @property
+    def rho11(self) -> np.ndarray:
+        return 0.5 * (self.rho_plus + self.rho_minus)
+
+    @property
+    def rho22(self) -> np.ndarray:
+        return 0.5 * (self.rho_plus - self.rho_minus)
+
+    @property
+    def rho12(self) -> np.ndarray:
+        return self.c_r + 1j * self.c_i
+
     def mass(self) -> float:
         return self.grid.trapezoid(self.rho_plus)
-
-
-def to_bloch(d: DensityField) -> BlochField:
-    """Componentwise change of variables rho_pm = rho11 +- rho22, c = rho12."""
-    return BlochField(
-        grid=d.grid,
-        rho_plus=d.rho11 + d.rho22,
-        c_i=np.imag(d.rho12).copy(),
-        rho_minus=d.rho11 - d.rho22,
-        c_r=np.real(d.rho12).copy(),
-        time=d.time,
-    )
-
-
-def from_bloch(b: BlochField) -> DensityField:
-    """Inverse of :func:`to_bloch`."""
-    return DensityField(
-        grid=b.grid,
-        rho11=0.5 * (b.rho_plus + b.rho_minus),
-        rho22=0.5 * (b.rho_plus - b.rho_minus),
-        rho12=b.c_r + 1j * b.c_i,
-        time=b.time,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +454,14 @@ class LaplaceCoherent(_ClosedShape):
 
 @dataclass(frozen=True)
 class Custom:
-    """A user-supplied sampled density field used verbatim as initial data."""
+    """A user-supplied sampled field used verbatim as initial data; build it
+    from matrix entries with :meth:`BlochField.from_density`."""
 
-    field: DensityField
+    field: BlochField
 
     def tail_mass(self, half_width: float) -> float:
         d = self.field
-        edge = max(
-            abs(float(d.probability_density[0])),
-            abs(float(d.probability_density[-1])),
-        )
+        edge = max(abs(float(d.rho_plus[0])), abs(float(d.rho_plus[-1])))
         return edge * d.grid.dx  # crude boundary estimate
 
     def min_feature(self) -> float:
@@ -527,7 +492,7 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
 
 def sample_initial(
     ic: InitialCondition, grid: SpatialGrid, eps_tail: float = DEFAULT_EPS_TAIL
-) -> DensityField:
+) -> BlochField:
     """Sample the closed-form initial density matrix on ``grid``.
 
     Raises DomainTooNarrow when the analytic tail mass beyond +-L exceeds
@@ -545,12 +510,11 @@ def sample_initial(
         return ic.field
     check_tail(ic, grid.half_width, eps_tail)
     x = grid.nodes
-    return DensityField(
-        grid=grid,
-        rho11=np.asarray(ic.rho11(x), dtype=float),
-        rho22=np.asarray(ic.rho22(x), dtype=float),
-        rho12=np.asarray(ic.rho12(x), dtype=complex),
-        time=0.0,
+    return BlochField.from_density(
+        grid,
+        np.asarray(ic.rho11(x), dtype=float),
+        np.asarray(ic.rho22(x), dtype=float),
+        np.asarray(ic.rho12(x), dtype=complex),
     )
 
 
@@ -578,7 +542,7 @@ def initial_mass(ic: InitialCondition) -> float:
     width = tail_half_width(ic) + 1.0
     half_width = 2.0 ** math.ceil(math.log2(width))
     grid = SpatialGrid(half_width, MASS_POINTS)
-    density = sample_initial(ic, grid).probability_density
+    density = sample_initial(ic, grid).rho_plus
     fine = grid.trapezoid(density)
     coarse = float(np.trapezoid(density[::2], dx=2.0 * grid.dx))
     return fine + (fine - coarse) / 3.0
@@ -616,13 +580,24 @@ def plan_grid(
 
     Half-width rule: initial tail width (to eps_tail) + reach(params, t_max).
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
-    relevant length (initial feature or early diffusion width), with the
-    node count held to [MIN_POINTS, MAX_POINTS].
+    relevant length (initial feature, or the diffusion width at t_max if
+    t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].  When
+    the MAX_POINTS cap leaves fewer than POINTS_PER_FEATURE nodes per width
+    of the solution at t_max, sqrt(min_feature^2 + 4 gamma_p t_max), the
+    grid cannot resolve it (GridUnderResolved).
     """
     width = tail_half_width(ic, eps_tail) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
-    feature = min(ic.min_feature(), math.sqrt(4.0 * params.gamma_p * max(t_max, 1e-12)))
+    feature = ic.min_feature()
+    spread = math.sqrt(feature ** 2 + 4.0 * params.gamma_p * t_max)
+    if t_max > 0.0:
+        feature = min(feature, math.sqrt(4.0 * params.gamma_p * t_max))
     dx_target = feature / POINTS_PER_FEATURE
     n = 1 << max(1, math.ceil(math.log2(2.0 * half_width / dx_target)))
-    n = min(max(n, MIN_POINTS), MAX_POINTS)
-    return SpatialGrid(half_width=half_width, n_points=n)
+    grid = SpatialGrid(half_width=half_width, n_points=min(max(n, MIN_POINTS), MAX_POINTS))
+    if grid.dx > spread / POINTS_PER_FEATURE:
+        raise GridUnderResolved(
+            f"{MAX_POINTS} nodes over half_width {half_width:.3g} give dx = {grid.dx:.3g}, "
+            f"fewer than {POINTS_PER_FEATURE:g} nodes per solution width {spread:.3g} at t = {t_max:g}"
+        )
+    return grid

@@ -39,14 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import specfun as sf
-from .core import (
-    BlochField,
-    DensityField,
-    LaplaceCoherent,
-    Params,
-    SpatialGrid,
-    to_bloch,
-)
+from .core import BlochField, LaplaceCoherent, Params, SpatialGrid
 from .errors import (
     NonPositiveTime,
     QuadratureNotConverged,
@@ -236,7 +229,7 @@ def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: Spati
     _require_regime(p)
     amp = _check_initial(p, ic)
     if t == 0.0:
-        return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
+        return BlochField.from_density(grid, *ic.heat(0.0, grid.nodes, p.gamma_p))
     x = grid.nodes
     coh = 2.0 * ic.q * amp        # coefficient of the Im(rho12) channel
     pop = 2.0 * ic.p - 1.0        # coefficient of the rho_minus channel

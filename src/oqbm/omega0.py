@@ -16,14 +16,7 @@ import math
 import numpy as np
 
 from . import specfun as sf
-from .core import (
-    BlochField,
-    DensityField,
-    InitialCondition,
-    Params,
-    SpatialGrid,
-    to_bloch,
-)
+from .core import BlochField, InitialCondition, Params, SpatialGrid
 from .errors import NonPositiveTime, WrongRegime
 
 
@@ -73,4 +66,4 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     _require_regime(p)
     rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p, drift=2.0 * p.delta * t)
     rho12 = math.exp(-2.0 * p.gamma_z * t) * rho12
-    return to_bloch(DensityField(grid=grid, rho11=rho11, rho22=rho22, rho12=rho12, time=t))
+    return BlochField.from_density(grid, rho11, rho22, rho12, time=t)

@@ -30,7 +30,6 @@ from .core import (
     Params,
     SpatialGrid,
     sample_initial,
-    to_bloch,
 )
 from .errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 
@@ -173,7 +172,7 @@ def fd_integrate(
         raise NonPositiveTime(f"snapshot times must be > 0, got {times[0]}")
     if times[-1] > t_end:
         raise ValueError(f"snapshot times must be <= t_end={t_end}, got {times[-1]}")
-    u0 = to_bloch(sample_initial(ic, grid))
+    u0 = sample_initial(ic, grid)
     y0 = np.concatenate([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r])
     n = grid.n_points
     A = _difference_operator(p, grid)

@@ -64,21 +64,20 @@ def scaled_erfc_product(gauss_exponent, b):
     """exp(gauss_exponent) * erfcx(b), safe for any sign of b.
 
     Callers arrange ``gauss_exponent`` to be the completed-square exponent
-    (always <= 0 here), so for b >= 0 both factors are bounded.  For b < 0 the
-    mathematically equal form exp(gauss_exponent + b^2) * erfc(b) is used; in
-    every kernel in this module that combined exponent is bounded above by 0
-    as well, so neither branch can overflow.
+    (always <= 0 here), so exp(gauss_exponent) * erfcx(|b|) is bounded.  For
+    b < 0, erfcx(b) = 2 exp(b^2) - erfcx(|b|) gives the value as
+    2 exp(gauss_exponent + b^2) minus that bounded term, which is at most half
+    of the first, so nothing cancels; in every kernel in this module the
+    combined exponent is bounded above by 0 as well, so nothing overflows.
     """
     g = np.asarray(gauss_exponent, dtype=float)
     barr = np.asarray(b, dtype=float)
     g, barr = np.broadcast_arrays(g, barr)
-    out = np.empty_like(g)
-    pos = barr >= 0.0
-    if pos.any():
-        out[pos] = np.exp(g[pos]) * erfcx(barr[pos])
-    if (~pos).any():
-        bn = barr[~pos]
-        out[~pos] = np.exp(g[~pos] + bn * bn) * erfc(bn)
+    out = np.asarray(np.exp(g) * erfcx(np.abs(barr)))  # a 0-d product comes back as a scalar
+    neg = barr < 0.0
+    if neg.any():
+        bn = barr[neg]
+        out[neg] = 2.0 * np.exp(g[neg] + bn * bn) - out[neg]
     return out if out.ndim else float(out)
 
 

@@ -31,13 +31,11 @@ import numpy as np
 from .core import (
     DEFAULT_EPS_TAIL,
     BlochField,
-    DensityField,
     InitialCondition,
     Params,
     SpatialGrid,
     reach,
     sample_initial,
-    to_bloch,
 )
 from .errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
 
@@ -333,12 +331,12 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     xis = grid.fourier_nodes
     hat = ic.spectrum(xis)
     if hat is None:  # Custom data
-        u0 = to_bloch(sample_initial(ic, grid))
+        u0 = sample_initial(ic, grid)
         if t == 0.0:
             return u0
         hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))
     elif t == 0.0:
-        return to_bloch(DensityField(grid, *ic.heat(0.0, grid.nodes, p.gamma_p)))
+        return BlochField.from_density(grid, *ic.heat(0.0, grid.nodes, p.gamma_p))
     spectra = exp_symbols(xis, p, t)
     evolved = np.empty((4, grid.n_points), dtype=complex)
     evolved[:3] = np.einsum("mij,mj->mi", spectra, np.stack(hat[:3], axis=1).astype(complex)).T

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import delta0, gammaz0, omega0, oracle, specfun, spectral
 from .core import (
+    BlochField,
     Custom,
-    DensityField,
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
@@ -26,9 +26,7 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    from_bloch,
     initial_mass,
-    to_bloch,
 )
 from .errors import StabilityViolation
 
@@ -75,28 +73,19 @@ def _row(name: str, tol: float) -> Callable:
 def check_bloch_roundtrip() -> float:
     rng = np.random.default_rng(0)
     grid = SpatialGrid(10.0, 256)
+    n = grid.n_points
     worst = 0.0
     for _ in range(25):
-        d = _random_density(rng, grid)
-        back = from_bloch(to_bloch(d))
+        rho11, rho22 = rng.normal(size=n), rng.normal(size=n)
+        rho12 = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = BlochField.from_density(grid, rho11, rho22, rho12, time=float(rng.uniform(0.0, 5.0)))
         worst = max(
             worst,
-            np.max(np.abs(back.rho11 - d.rho11)),
-            np.max(np.abs(back.rho22 - d.rho22)),
-            np.max(np.abs(back.rho12 - d.rho12)),
+            np.max(np.abs(b.rho11 - rho11)),
+            np.max(np.abs(b.rho22 - rho22)),
+            np.max(np.abs(b.rho12 - rho12)),
         )
     return worst
-
-
-def _random_density(rng, grid):
-    n = grid.n_points
-    return DensityField(
-        grid=grid,
-        rho11=rng.normal(size=n),
-        rho22=rng.normal(size=n),
-        rho12=rng.normal(size=n) + 1j * rng.normal(size=n),
-        time=float(rng.uniform(0.0, 5.0)),
-    )
 
 
 @_row("initial conditions integrate to 1", 1e-8)
@@ -246,7 +235,7 @@ def check_semigroup() -> float:
     grid = SpatialGrid(28.0, 2048)
     u_direct = spectral.solve(p, FIG1_IC, 50.0, grid)
     u_step = spectral.solve(p, FIG1_IC, 30.0, grid)
-    u_two = spectral.solve(p, Custom(from_bloch(u_step)), 20.0, grid)
+    u_two = spectral.solve(p, Custom(u_step), 20.0, grid)
     return max(
         np.max(np.abs(u_two.rho_plus - u_direct.rho_plus)),
         np.max(np.abs(u_two.c_i - u_direct.c_i)),

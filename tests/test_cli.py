@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oqbm import cli
-from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid, from_bloch
+from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
 from oqbm.errors import ConfigError, UnknownFigure
 
 TINY_CONFIG = {
@@ -145,9 +145,8 @@ class TestOutputs:
         field = BlochField(grid=grid, rho_plus=values, c_i=np.where(values < 0, -1e308, 1e308),
                            rho_minus=values[::-1].copy(), c_r=values / 3.0, time=1e-05)
         cli.write_snapshot_csv(tmp_path / "s.csv", field)
-        d = from_bloch(field)
         cols = (grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
-                np.real(d.rho11), np.real(d.rho22))
+                field.rho11, field.rho22)
         rows = [",".join([format(1e-05, ".17g")] + [format(float(c[i]), ".17g") for c in cols])
                 for i in range(8)]
         expected = "t,x,P,Q,C_R,C_I,rho11,rho22\n" + "".join(r + "\n" for r in rows)
@@ -288,10 +287,18 @@ class TestMain:
         (dict(TINY_CONFIG, times=[5000.0]), "needs half_width >="),              # CSV of mass 3.5e-55
         (dict(TINY_CONFIG, omega=1e-2, times=[5000.0]), "needs half_width >="),  # wrapped around the grid
         (dict(TINY_CONFIG, times=[1e300]), "needs half_width >="),               # all-NaN CSV
+        # JSON booleans and numeric strings are not numbers: each was read as a value
+        (dict(TINY_CONFIG, gamma_p=True), "gamma_p"),     # solved with gamma_p = 1.0
+        (dict(TINY_CONFIG, times=[True]), "times[0]"),    # wrote snapshot_t1.csv
+        (dict(TINY_CONFIG, sigma1=True), "sigma1"),       # manifest recorded "sigma1": true
+        (dict(TINY_CONFIG, p="0.5"), "p must be a number"),
+        # a gridless run whose planned grid cannot resolve the solution under MAX_POINTS
+        (dict(GRIDLESS_CONFIG, times=[1e300]), "nodes per solution width"),  # mass-0 CSV, dx 2.4e292
     ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
             "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction",
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
-            "reach-closed", "reach-spectral", "reach-huge-time"])
+            "reach-closed", "reach-spectral", "reach-huge-time",
+            "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from oqbm import errors
 from oqbm.core import (
+    BlochField,
     Custom,
-    DensityField,
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
@@ -15,13 +15,11 @@ from oqbm.core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    from_bloch,
     initial_mass,
     initial_spectrum,
     plan_grid,
     sample_initial,
     tail_half_width,
-    to_bloch,
 )
 
 RATE_NAMES = ("gamma_p", "gamma_z", "delta", "omega")
@@ -78,16 +76,14 @@ class TestBlochConversion:
     def test_symmetric_bump_maps_to_plus_channel(self):
         g = SpatialGrid(8.0, 256)
         bump = np.exp(-g.nodes**2)
-        d = DensityField(g, rho11=0.5 * bump, rho22=0.5 * bump,
-                         rho12=np.zeros(g.n_points, dtype=complex))
-        b = to_bloch(d)
+        b = BlochField.from_density(g, 0.5 * bump, 0.5 * bump, np.zeros(g.n_points, dtype=complex))
         assert np.allclose(b.rho_plus, bump)
         assert np.all(b.rho_minus == 0) and np.all(b.c_r == 0) and np.all(b.c_i == 0)
 
     def test_mixture_imbalance_profile(self):
         ic = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
         g = SpatialGrid(24.0, 1024)
-        b = to_bloch(sample_initial(ic, g))
+        b = sample_initial(ic, g)
         x = g.nodes
         expected = (0.75 * np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
                     - 0.25 * np.exp(-x**2 / 8) / (2 * math.sqrt(2 * math.pi)))
@@ -97,7 +93,7 @@ class TestBlochConversion:
         p = Params(gamma_p=1e-2, delta=1e-1, omega=1e-2)
         ic = LaplaceCoherent.for_params(p=0.25, r=0.0, q=-0.5, params=p)
         g = SpatialGrid(256.0, 4096)
-        b = to_bloch(sample_initial(ic, g))
+        b = sample_initial(ic, g)
         f_l = (p.omega / (2 * p.delta)) * np.exp(-(p.omega / p.delta) * np.abs(g.nodes))
         expected = -0.5 * math.sqrt(0.25 * 0.75) * f_l
         assert np.max(np.abs(b.c_i - expected)) < 1e-16
@@ -107,26 +103,27 @@ class TestBlochConversion:
     def test_roundtrip_is_identity(self, seed):
         rng = np.random.default_rng(seed)
         g = SpatialGrid(4.0, 128)
-        d = DensityField(
-            g,
-            rho11=rng.normal(size=g.n_points),
-            rho22=rng.normal(size=g.n_points),
-            rho12=rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points),
-            time=float(rng.uniform(0, 10)),
-        )
-        back = from_bloch(to_bloch(d))
-        assert np.max(np.abs(back.rho11 - d.rho11)) < 1e-14
-        assert np.max(np.abs(back.rho22 - d.rho22)) < 1e-14
-        assert np.max(np.abs(back.rho12 - d.rho12)) < 1e-14
-        again = to_bloch(back)
-        first = to_bloch(d)
+        rho11, rho22 = rng.normal(size=g.n_points), rng.normal(size=g.n_points)
+        rho12 = rng.normal(size=g.n_points) + 1j * rng.normal(size=g.n_points)
+        first = BlochField.from_density(g, rho11, rho22, rho12, time=float(rng.uniform(0, 10)))
+        assert np.max(np.abs(first.rho11 - rho11)) < 1e-14
+        assert np.max(np.abs(first.rho22 - rho22)) < 1e-14
+        assert np.max(np.abs(first.rho12 - rho12)) < 1e-14
+        again = BlochField.from_density(g, first.rho11, first.rho22, first.rho12, first.time)
         assert np.max(np.abs(again.rho_plus - first.rho_plus)) < 1e-14
+
+    def test_entries_are_the_inverse_arithmetic(self, rng):
+        g = SpatialGrid(4.0, 128)
+        b = BlochField(g, rho_plus=rng.normal(size=128), c_i=rng.normal(size=128),
+                       rho_minus=rng.normal(size=128), c_r=rng.normal(size=128))
+        assert np.array_equal(b.rho11, 0.5 * (b.rho_plus + b.rho_minus))
+        assert np.array_equal(b.rho22, 0.5 * (b.rho_plus - b.rho_minus))
+        assert np.array_equal(b.rho12, b.c_r + 1j * b.c_i)
 
     def test_grid_mismatch_detected(self):
         g = SpatialGrid(8.0, 256)
         with pytest.raises(errors.GridMismatch):
-            DensityField(g, rho11=np.zeros(100), rho22=np.zeros(256),
-                         rho12=np.zeros(256, dtype=complex))
+            BlochField.from_density(g, np.zeros(100), np.zeros(256), np.zeros(256, dtype=complex))
 
 
 class TestSampling:
@@ -184,15 +181,15 @@ class TestSampling:
         g = SpatialGrid(16.0, 512)
         rho11 = np.full(g.n_points, 1e-3)
         rho11[10] = -1e-3  # far below the numerical slack
-        bad = DensityField(g, rho11=rho11, rho22=np.full(g.n_points, 1e-3),
-                           rho12=np.zeros(g.n_points, dtype=complex))
+        bad = BlochField.from_density(g, rho11, np.full(g.n_points, 1e-3),
+                                      np.zeros(g.n_points, dtype=complex))
         with pytest.raises(ValueError):
             sample_initial(Custom(bad), g)
         # round-off level negatives pass
         rho11 = np.full(g.n_points, 1e-3)
         rho11[10] = -1e-15
-        ok = DensityField(g, rho11=rho11, rho22=np.full(g.n_points, 1e-3),
-                          rho12=np.zeros(g.n_points, dtype=complex))
+        ok = BlochField.from_density(g, rho11, np.full(g.n_points, 1e-3),
+                                     np.zeros(g.n_points, dtype=complex))
         assert sample_initial(Custom(ok), g) is ok
 
 
@@ -205,6 +202,20 @@ class TestGridPlanning:
         need = tail_half_width(ic) + 2 * p.delta * t_max + 6 * math.sqrt(4 * p.gamma_p * t_max)
         assert g.half_width >= need
         assert ic.tail_mass(g.half_width) < 1e-8
+
+    def test_zero_t_max_resolves_the_initial_feature(self):
+        # at t_max = 0 there is no diffusion width; the initial feature alone sets dx
+        ic = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
+        g = plan_grid(ic, Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2), 0.0)
+        assert g.n_points == 256
+        assert g.dx <= ic.min_feature() / 8.0
+
+    def test_capped_grid_that_cannot_resolve_raises(self):
+        ic = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
+        p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2)
+        assert plan_grid(ic, p, 1e11).n_points == 1 << 21  # capped, still 8 nodes per width
+        with pytest.raises(errors.GridUnderResolved):
+            plan_grid(ic, p, 1e300)
 
     def test_tail_half_width_bisection(self):
         ic = LaplaceMixture(p=0.25, a=1.0, b=2.0)
@@ -222,7 +233,7 @@ class TestInitialSpectrum:
     ], ids=lambda ic: type(ic).__name__)
     def test_matches_fft_of_samples(self, ic):
         g = SpatialGrid(256.0, 1 << 16)
-        b = to_bloch(sample_initial(ic, g))
+        b = sample_initial(ic, g)
         hat = initial_spectrum(ic, g.fourier_nodes)
         sampled = [
             g.forward_transform(b.rho_plus),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oqbm import gammaz0, oracle, specfun as sf, spectral
-from oqbm.core import LaplaceCoherent, Params, SpatialGrid, sample_initial, to_bloch
+from oqbm.core import LaplaceCoherent, Params, SpatialGrid, sample_initial
 from oqbm.errors import QuadratureNotConverged, ScaleMismatch, WrongRegime
 
 RATES = Params(gamma_p=1e-2, gamma_z=0.0, delta=1e-1, omega=1e-2)
@@ -180,7 +180,7 @@ class TestLaplaceCoherentSolve:
 
     def test_zero_time_recovers_initial_data(self):
         u = gammaz0.solve_laplace_coherent(RATES, IC_FULL, 0.0, GRID)
-        ref = to_bloch(sample_initial(IC_FULL, GRID))
+        ref = sample_initial(IC_FULL, GRID)
         assert np.max(np.abs(u.rho_plus - ref.rho_plus)) == 0.0
 
     def test_zero_time_applies_no_tail_rule(self):
@@ -195,7 +195,7 @@ class TestLaplaceCoherentSolve:
     def test_short_time_approaches_initial_data(self):
         x = GRID.nodes
         u = gammaz0.solve_laplace_coherent(RATES, IC_FULL, 1e-3, GRID)
-        ref = to_bloch(sample_initial(IC_FULL, GRID))
+        ref = sample_initial(IC_FULL, GRID)
         away = np.abs(x) > 1.0  # the kink at 0 smooths instantly
         assert np.max(np.abs(u.rho_plus[away] - ref.rho_plus[away])) < 1e-5
         assert np.max(np.abs(u.rho_minus[away] - ref.rho_minus[away])) < 1e-5

@@ -16,7 +16,6 @@ from oqbm.core import (
     LaplaceCoherent,
     Params,
     SpatialGrid,
-    from_bloch,
     sample_initial,
 )
 from oqbm.errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
@@ -439,7 +438,7 @@ class TestSolve:
         grid = SpatialGrid(24.0, 1024)
         u = spectral.solve(GENERAL, IC, 0.0, grid)
         d = sample_initial(IC, grid)
-        assert np.max(np.abs(u.rho_plus - d.probability_density)) == 0.0
+        assert np.max(np.abs(u.rho_plus - d.rho_plus)) == 0.0
 
     def test_matches_closed_undriven_solution(self):
         p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)
@@ -477,7 +476,7 @@ class TestSolve:
         for ic in (IC, GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)):
             direct = spectral.solve(GENERAL, ic, 50.0, grid)
             leg = spectral.solve(GENERAL, ic, 30.0, grid)
-            two = spectral.solve(GENERAL, Custom(from_bloch(leg)), 20.0, grid)
+            two = spectral.solve(GENERAL, Custom(leg), 20.0, grid)
             assert np.max(np.abs(two.rho_plus - direct.rho_plus)) < 1e-8
             assert np.max(np.abs(two.c_r - direct.c_r)) < 1e-8
 

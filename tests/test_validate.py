@@ -46,8 +46,7 @@ class TestCheckInitialMasses:
         def heavier(ic, grid, eps_tail=core.DEFAULT_EPS_TAIL):
             d = sample(ic, grid, eps_tail=eps_tail)
             s = 1.0 + 2e-8
-            return core.DensityField(grid=grid, rho11=s * d.rho11, rho22=s * d.rho22,
-                                     rho12=s * d.rho12)
+            return core.BlochField.from_density(grid, s * d.rho11, s * d.rho22, s * d.rho12)
 
         monkeypatch.setattr(core, "sample_initial", heavier)
         row = validate.check_initial_masses()
