@@ -11,7 +11,9 @@ run_manifest.json capturing every number needed to re-run; no two snapshot
 times may share a file name.  An explicit half_width must cover the initial
 tails plus the drift and diffusion reach (core.reach) at the last time; a
 planned grid (no half_width) that cannot resolve the last time is refused.
-Config values must be JSON numbers, not booleans or strings.  The
+Config values must be JSON numbers, not booleans or strings; a key that is
+neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
+explicit n_points may not exceed core.MAX_POINTS.  The
 default output directory comes from $OQBM_OUT_DIR, falling back to the
 current directory.  Under ``method: "auto"`` gamma_z = 0 takes the spectral
 route; its closed form runs only under ``method: "closed"``.
@@ -26,7 +28,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import __version__, delta0, gammaz0, omega0, spectral, validate as validate_mod
 from .core import (
-    DEFAULT_EPS_TAIL,
+    MAX_POINTS,
     BlochField,
     Custom,
     GaussianCoherent,
@@ -54,6 +56,17 @@ from .errors import ConfigError, DomainTooNarrow, NonFinite, OqbmError, UnknownF
 
 CSV_HEADER = "t,x,P,Q,C_R,C_I,rho11,rho22"
 
+# config "ic" kind -> initial shape; the shape's fields are its config keys
+SHAPES = {
+    "gaussian_mixture": GaussianMixture,
+    "gaussian_coherent": GaussianCoherent,
+    "laplace_mixture": LaplaceMixture,
+    "uniform_mixture": UniformMixture,
+    "laplace_coherent": LaplaceCoherent,
+}
+# the keys every config may set besides its shape's
+RUN_KEYS = ("gamma_p", "gamma_z", "delta", "omega", "ic", "times", "half_width", "n_points", "method")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -61,7 +74,6 @@ class Scenario:
     ic: InitialCondition
     times: tuple
     grid: SpatialGrid
-    eps_tail: float
     method: str  # "auto" | "closed" | "spectral"
 
 
@@ -79,29 +91,29 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
+def _shape_keys(shape: type) -> list:
+    """A shape's config keys: its dataclass fields, less the Laplace-coherent
+    scale, which ``for_params`` sets to delta/omega."""
+    return [f.name for f in fields(shape) if (shape, f.name) != (LaplaceCoherent, "scale")]
+
+
 def build_initial(config: dict, params: Params) -> InitialCondition:
     kind = _need(config, "ic")
-
-    def get(key: str) -> float:
-        return _number(key, _need(config, key))
-
+    if not isinstance(kind, str) or kind not in SHAPES:
+        raise ConfigError(f"unknown initial condition kind {kind!r}; choose from {sorted(SHAPES)}")
+    shape = SHAPES[kind]
+    values = {key: _number(key, _need(config, key)) for key in _shape_keys(shape)}
     try:
-        if kind == "gaussian_mixture":
-            return GaussianMixture(p=get("p"), sigma1=get("sigma1"), sigma2=get("sigma2"))
-        if kind == "gaussian_coherent":
-            return GaussianCoherent(p=get("p"), mu=get("mu"), k=get("k"), sigma=get("sigma"))
-        if kind == "laplace_mixture":
-            return LaplaceMixture(p=get("p"), a=get("a"), b=get("b"))
-        if kind == "uniform_mixture":
-            return UniformMixture(p=get("p"), a=get("a"), b=get("b"))
-        if kind == "laplace_coherent":
-            return LaplaceCoherent.for_params(p=get("p"), r=get("r"), q=get("q"), params=params)
+        if shape is LaplaceCoherent:
+            return LaplaceCoherent.for_params(params=params, **values)
+        return shape(**values)
     except (ValueError, NonFinite) as exc:
         raise ConfigError(f"invalid initial condition parameters: {exc}") from exc
-    raise ConfigError(f"unknown initial condition kind {kind!r}")
 
 
 def build_scenario(config: dict) -> Scenario:
+    if not isinstance(config, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(config).__name__}")
     try:
         params = Params(
             gamma_p=_number("gamma_p", _need(config, "gamma_p")),
@@ -112,6 +124,9 @@ def build_scenario(config: dict) -> Scenario:
     except OqbmError as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     ic = build_initial(config, params)
+    unknown = sorted(set(config) - set(RUN_KEYS) - set(_shape_keys(type(ic))))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown} for ic {config['ic']!r}")
     times = _need(config, "times")
     if not isinstance(times, (list, tuple)):
         raise ConfigError(f"times must be a list of numbers, got {times!r}")
@@ -123,29 +138,27 @@ def build_scenario(config: dict) -> Scenario:
     clash = [t for t, tag in zip(times, tags) if tags.count(tag) > 1]
     if clash:
         raise ConfigError(f"times {clash} share snapshot file names, e.g. *_t{_time_tag(clash[0])}.csv")
-    eps_tail = _number("eps_tail", config.get("eps_tail", DEFAULT_EPS_TAIL))
-    if not 0.0 < eps_tail < math.inf:
-        raise ConfigError(f"eps_tail must be finite and > 0, got {eps_tail}")
     if "half_width" in config or "n_points" in config:
         n_points = _number("n_points", _need(config, "n_points"))
-        if not n_points.is_integer():
-            raise ConfigError(f"n_points must be a whole number, got {n_points!r}")
+        # checked before SpatialGrid allocates its node arrays
+        if not (n_points.is_integer() and n_points <= MAX_POINTS):
+            raise ConfigError(f"n_points must be a whole number <= {MAX_POINTS}, got {n_points!r}")
         try:
             grid = SpatialGrid(_number("half_width", _need(config, "half_width")), int(n_points))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        need = tail_half_width(ic, eps_tail) + reach(params, max(times))
+        need = tail_half_width(ic) + reach(params, max(times))
         if grid.half_width < need:
             raise DomainTooNarrow(
                 f"half_width {grid.half_width:g} is narrower than the initial tails plus "
                 f"drift and diffusion reach by t = {max(times):g}; it needs half_width >= {need:.6g}"
             )
     else:
-        grid = plan_grid(ic, params, t_max=max(times), eps_tail=eps_tail)
+        grid = plan_grid(ic, params, t_max=max(times))
     method = config.get("method", "auto")
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")
-    return Scenario(params=params, ic=ic, times=times, grid=grid, eps_tail=eps_tail, method=method)
+    return Scenario(params=params, ic=ic, times=times, grid=grid, method=method)
 
 
 def classify_regime(p: Params) -> str:
@@ -166,7 +179,7 @@ def solve_snapshot(scenario: Scenario, t: float) -> tuple:
     p, ic, grid, method = scenario.params, scenario.ic, scenario.grid, scenario.method
     regime = classify_regime(p)
     if t == 0.0:
-        return "initial", sample_initial(ic, grid, scenario.eps_tail)
+        return "initial", sample_initial(ic, grid)
     if method != "spectral":
         closed = f"closed[{regime}]"
         if regime == "omega" and not isinstance(ic, Custom):
@@ -225,7 +238,6 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
         "times": list(scenario.times),
         "regime": classify_regime(scenario.params),
         "method": scenario.method,
-        "eps_tail": scenario.eps_tail,
         "quadrature_tol": gammaz0.QUAD_TOL,
         "csv_columns": CSV_HEADER.split(","),
         "files": {_format(t): {"file": name, "solver": solver} for t, solver, name in results},

@@ -490,13 +490,11 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     return ic.spectrum(np.asarray(xis, dtype=float))
 
 
-def sample_initial(
-    ic: InitialCondition, grid: SpatialGrid, eps_tail: float = DEFAULT_EPS_TAIL
-) -> BlochField:
+def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
     """Sample the closed-form initial density matrix on ``grid``.
 
     Raises DomainTooNarrow when the analytic tail mass beyond +-L exceeds
-    ``eps_tail``.  Custom data must live on the same grid and its populations
+    DEFAULT_EPS_TAIL.  Custom data must live on the same grid and its populations
     may dip below zero only by the numerical slack NEG_TOL.
     """
     if isinstance(ic, Custom):
@@ -508,7 +506,7 @@ def sample_initial(
                 f"custom initial populations reach {low:.3e}, below the -{NEG_TOL:.0e} slack"
             )
         return ic.field
-    check_tail(ic, grid.half_width, eps_tail)
+    check_tail(ic, grid.half_width)
     x = grid.nodes
     return BlochField.from_density(
         grid,
@@ -518,12 +516,13 @@ def sample_initial(
     )
 
 
-def check_tail(ic: InitialCondition, half_width: float, eps_tail: float) -> None:
-    """Raise DomainTooNarrow when the analytic tail mass beyond +-half_width exceeds eps_tail."""
+def check_tail(ic: InitialCondition, half_width: float) -> None:
+    """Raise DomainTooNarrow when the analytic tail mass beyond +-half_width
+    exceeds DEFAULT_EPS_TAIL."""
     tail = ic.tail_mass(half_width)
-    if tail > eps_tail:
+    if tail > DEFAULT_EPS_TAIL:
         raise DomainTooNarrow(
-            f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {eps_tail:.1e}"
+            f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
         )
 
 
@@ -548,16 +547,16 @@ def initial_mass(ic: InitialCondition) -> float:
     return fine + (fine - coarse) / 3.0
 
 
-def tail_half_width(ic: InitialCondition, eps_tail: float = DEFAULT_EPS_TAIL) -> float:
-    """Smallest X with tail_mass(X) <= eps_tail, found by bisection."""
+def tail_half_width(ic: InitialCondition) -> float:
+    """Smallest X with tail_mass(X) <= DEFAULT_EPS_TAIL, found by bisection."""
     lo, hi = 0.0, 1.0
-    while ic.tail_mass(hi) > eps_tail:
+    while ic.tail_mass(hi) > DEFAULT_EPS_TAIL:
         hi *= 2.0
         if hi > 1e12:
             raise DomainTooNarrow("initial condition tail does not decay")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if ic.tail_mass(mid) > eps_tail:
+        if ic.tail_mass(mid) > DEFAULT_EPS_TAIL:
             lo = mid
         else:
             hi = mid
@@ -570,15 +569,10 @@ def reach(params: Params, t: float) -> float:
     return 2.0 * params.delta * t + 6.0 * math.sqrt(4.0 * params.gamma_p * t)
 
 
-def plan_grid(
-    ic: InitialCondition,
-    params: Params,
-    t_max: float,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> SpatialGrid:
+def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid:
     """Pick a grid wide enough for drift, diffusion and the initial tails.
 
-    Half-width rule: initial tail width (to eps_tail) + reach(params, t_max).
+    Half-width rule: initial tail width (to DEFAULT_EPS_TAIL) + reach(params, t_max).
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature, or the diffusion width at t_max if
     t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].  When
@@ -586,7 +580,7 @@ def plan_grid(
     of the solution at t_max, sqrt(min_feature^2 + 4 gamma_p t_max), the
     grid cannot resolve it (GridUnderResolved).
     """
-    width = tail_half_width(ic, eps_tail) + reach(params, t_max)
+    width = tail_half_width(ic) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
     feature = ic.min_feature()
     spread = math.sqrt(feature ** 2 + 4.0 * params.gamma_p * t_max)

@@ -97,39 +97,6 @@ def green_delta0(p: Params, t: float, x):
     return g[..., None, None] * m
 
 
-def _heat_components(ic: InitialCondition, t: float, x, gamma_p: float):
-    """Pure heat convolution of (psi11+psi22, psi11-psi22, Im psi12, Re psi12)."""
-    rho11, rho22, rho12 = ic.heat(t, x, gamma_p)
-    return rho11 + rho22, rho11 - rho22, np.imag(rho12), np.real(rho12)
-
-
-def density_delta0(p: Params, ic: InitialCondition, t: float, x):
-    """P(t, x): the initial probability density smoothed by the heat kernel."""
-    _require_regime(p)
-    plus, _, _, _ = _heat_components(ic, t, x, p.gamma_p)
-    return plus
-
-
-def imbalance_general(p: Params, ic: InitialCondition, t: float, x):
-    """Q(t, x) in the underdamped regime for any closed-form initial shape.
-
-    Sum of the two Green-matrix contributions: the driven term against
-    Im psi12 and the damped-oscillation term against psi11 - psi22:
-
-        Q = -(4 om / w) e^{-gz t} sin(w t) * (heat * Im psi12)
-            + e^{-gz t} (cos(w t) + (gz / w) sin(w t)) * (heat * (psi11 - psi22))
-
-    The two coefficients are the last row of :func:`internal_matrix`.
-    """
-    _require_regime(p)
-    kind = classify(p).kind
-    if kind is not DampingKind.UNDER:
-        raise WrongRegime(f"imbalance closed form needs gamma_z < 2*omega, got {kind.value}")
-    _, minus, ci, _ = _heat_components(ic, t, x, p.gamma_p)
-    m = internal_matrix(p, t)
-    return m[2, 1] * ci + m[2, 2] * minus
-
-
 def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
     """The mixture imbalance as (scalar oscillation A(t), spatial profile D(t, x)).
 
@@ -143,8 +110,8 @@ def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
         raise WrongRegime("factored imbalance needs the underdamped regime")
     w = reg.omega_pm
     amp = math.exp(-p.gamma_z * t) * (p.gamma_z * math.sin(w * t) + w * math.cos(w * t)) / w
-    _, profile, _, _ = _heat_components(ic, t, x, p.gamma_p)
-    return amp, profile
+    rho11, rho22, _ = ic.heat(t, x, p.gamma_p)
+    return amp, rho11 - rho22
 
 
 def imbalance_gaussian_coherent(p: Params, ic: GaussianCoherent, t: float, x):
@@ -212,13 +179,14 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     only decays, at rate 2*gamma_z.  Custom data needs the spectral solver.
     """
     _require_regime(p)
-    plus, minus, ci, cr = _heat_components(ic, t, grid.nodes, p.gamma_p)
+    rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p)
+    minus, ci = rho11 - rho22, np.imag(rho12)
     m = internal_matrix(p, t)
     return BlochField(
         grid=grid,
-        rho_plus=plus,
+        rho_plus=rho11 + rho22,
         c_i=m[1, 1] * ci + m[1, 2] * minus,
         rho_minus=m[2, 1] * ci + m[2, 2] * minus,
-        c_r=math.exp(-2.0 * p.gamma_z * t) * cr,
+        c_r=math.exp(-2.0 * p.gamma_z * t) * np.real(rho12),
         time=t,
     )

@@ -26,11 +26,8 @@ class DomainTooNarrow(OqbmError):
 
 
 class WrongRegime(OqbmError):
-    """A closed-form routine was called outside its parameter regime."""
-
-
-class DegenerateParams(OqbmError):
-    """A kernel requires delta > 0 and omega > 0 but one of them is zero."""
+    """A closed form or kernel was called outside its parameter regime, such
+    as delta = 0 or omega = 0 for a driven kernel."""
 
 
 class NonPositiveTime(OqbmError):

@@ -46,22 +46,13 @@ def green_omega0(p: Params, t: float, x):
     return out
 
 
-def populations(p: Params, ic: InitialCondition, t: float, x):
-    """(P, Q) = (rho11 + rho22, rho11 - rho22) at time t >= 0 on the points x.
+def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
+    """Full closed-form field at time t >= 0 for any built-in initial shape.
 
     rho11 and rho22 are the initial populations heat-spread (variance
     4*gamma_p*t) and drifted to +2*delta*t and -2*delta*t; at t = 0 this is
-    the initial data.  Custom data has no closed form (WrongRegime).
-    """
-    _require_regime(p)
-    rho11, rho22, _ = ic.heat(t, x, p.gamma_p, drift=2.0 * p.delta * t)
-    return rho11 + rho22, rho11 - rho22
-
-
-def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
-    """Full closed-form field at time t for any built-in initial shape.
-
-    Custom initial data has no closed form here; use the spectral solver.
+    the initial data.  Custom data has no closed form (WrongRegime); use the
+    spectral solver.
     """
     _require_regime(p)
     rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p, drift=2.0 * p.delta * t)

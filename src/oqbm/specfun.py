@@ -27,7 +27,7 @@ import numpy as np
 import scipy.special
 from scipy.special import erf, erfcx  # re-exported unchanged
 
-from .errors import DegenerateParams, NegativeArgument, NonPositiveTime
+from .errors import NegativeArgument, NonPositiveTime, WrongRegime
 
 if TYPE_CHECKING:  # core imports this module for its heat kernels
     from .core import Params
@@ -118,7 +118,7 @@ def _require_positive_time(t: float) -> None:
 
 def _require_driven(p: Params) -> None:
     if p.delta == 0.0 or p.omega == 0.0:
-        raise DegenerateParams(
+        raise WrongRegime(
             "kernel needs delta > 0 and omega > 0; use the matching special-case solver"
         )
 
@@ -252,7 +252,7 @@ def kg_kernel_0(t: float, x, p: Params):
     """
     _require_positive_time(t)
     if p.delta == 0.0:
-        raise DegenerateParams("light-cone kernels need delta > 0")
+        raise WrongRegime("light-cone kernels need delta > 0")
     x = np.asarray(x, dtype=float)
     cone = 2.0 * p.delta * t
     inside = np.abs(x) < cone
@@ -273,7 +273,7 @@ def kg_kernel_1(t: float, x, p: Params) -> KernelSample:
     """
     _require_positive_time(t)
     if p.delta == 0.0:
-        raise DegenerateParams("light-cone kernels need delta > 0")
+        raise WrongRegime("light-cone kernels need delta > 0")
     x = np.asarray(x, dtype=float)
     cone = 2.0 * p.delta * t
     inside = np.abs(x) <= cone

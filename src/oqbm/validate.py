@@ -148,10 +148,9 @@ def check_tau1() -> float:
     taus = delta0.imbalance_zeros(FIG6, 1)
     rel = abs(taus[0] - TAU1_REFERENCE) / TAU1_REFERENCE
     grid = SpatialGrid(32.0, 1024)
-    x = grid.nodes
-    q_tau = np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, float(taus[0]), x)))
+    q_tau = np.max(np.abs(delta0.solve(FIG6, FIG6_LEFT_IC, float(taus[0]), grid).rho_minus))
     q_max = max(
-        np.max(np.abs(delta0.imbalance_general(FIG6, FIG6_LEFT_IC, t, x)))
+        np.max(np.abs(delta0.solve(FIG6, FIG6_LEFT_IC, t, grid).rho_minus))
         for t in (50.0, 100.0, 150.0, 200.0)
     )
     # both sub-criteria rescaled to the 1e-8 gate:
@@ -284,17 +283,17 @@ def three_way_agreement_case(case: str) -> dict:
                              snapshot_times=list(times), richardson=True)
     out = {"richardson": fd.richardson_error, "dx": grid.dx}
     for t in times:
-        P, Q = omega0.populations(FIG1, ic, t, grid.nodes)
+        c = omega0.solve(FIG1, ic, t, grid)
         u = spectral.solve(FIG1, ic, t, grid)
         f = fd.snapshots[t]
         out[t] = {
             "closed_vs_spectral": max(
-                float(np.max(np.abs(u.rho_plus - P))),
-                float(np.max(np.abs(u.rho_minus - Q))),
+                float(np.max(np.abs(u.rho_plus - c.rho_plus))),
+                float(np.max(np.abs(u.rho_minus - c.rho_minus))),
             ),
             "closed_vs_fd": max(
-                float(np.max(np.abs(f.rho_plus - P))),
-                float(np.max(np.abs(f.rho_minus - Q))),
+                float(np.max(np.abs(f.rho_plus - c.rho_plus))),
+                float(np.max(np.abs(f.rho_minus - c.rho_minus))),
             ),
         }
     return out

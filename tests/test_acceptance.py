@@ -40,8 +40,8 @@ def test_criterion_1_first_imbalance_zero():
     rel = abs(float(taus[0]) - 81.1423506200) / 81.1423506200
 
     grid = SpatialGrid(32.0, 2048)
-    q_tau = np.max(np.abs(delta0.imbalance_general(p, ic, float(taus[0]), grid.nodes)))
-    q_max = max(np.max(np.abs(delta0.imbalance_general(p, ic, t, grid.nodes)))
+    q_tau = np.max(np.abs(delta0.solve(p, ic, float(taus[0]), grid).rho_minus))
+    q_max = max(np.max(np.abs(delta0.solve(p, ic, t, grid).rho_minus))
                 for t in (50.0, 100.0, 150.0, 200.0))
     elapsed = time.perf_counter() - start
 

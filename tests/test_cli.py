@@ -59,6 +59,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"times \[50\.0, 50\.0(000001)?\].*_t50\.csv"):
             cli.build_scenario(dict(TINY_CONFIG, times=times))
 
+    def test_n_points_above_cap_refused_before_allocation(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("SpatialGrid built for an n_points above MAX_POINTS")
+
+        monkeypatch.setattr(cli, "SpatialGrid", no_grid)
+        with pytest.raises(ConfigError, match=r"n_points must be a whole number <= 2097152"):
+            cli.build_scenario(dict(TINY_CONFIG, n_points=1 << 22))
+
     def test_laplace_coherent_scale_comes_from_rates(self):
         config = {
             "gamma_p": 1e-2, "gamma_z": 0.0, "delta": 1e-1, "omega": 1e-2,
@@ -123,7 +131,7 @@ class TestOutputs:
         assert "snapshot_manifest.json" in files
         # manifest carries everything needed to re-run
         for key in ("params", "initial_condition", "grid", "times", "regime",
-                    "method", "eps_tail", "csv_columns", "files"):
+                    "method", "csv_columns", "files"):
             assert key in manifest
         assert manifest["params"] == {"gamma_p": 1e-3, "gamma_z": 1e-3,
                                       "delta": 1e-2, "omega": 0.0}
@@ -173,7 +181,6 @@ class TestOutputs:
             "times": manifest["times"],
             "half_width": manifest["grid"]["half_width"],
             "n_points": manifest["grid"]["n_points"],
-            "eps_tail": manifest["eps_tail"],
             "method": manifest["method"],
         })
         second = tmp_path / "second"
@@ -248,23 +255,9 @@ class TestMain:
         rows = np.loadtxt(out / "snapshot_t50.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(rows[:, 2] - closed.rho_plus)) < 1e-12
 
-    @pytest.mark.parametrize("omega", [1e-2, 0.0], ids=["spectral", "closed"])
-    def test_tail_rule_uses_the_scenario_eps_tail(self, tmp_path, omega):
-        # the Gaussian tail beyond +-5 is 5.7e-7: inside eps_tail 1e-3, not 1e-8
-        config = {
-            "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": omega,
-            "ic": "gaussian_mixture", "p": 0.75, "sigma1": 1.0, "sigma2": 1.0,
-            "half_width": 5.0, "n_points": 1024, "times": [0.0, 1.0],
-        }
-        for eps_tail, code in ((1e-3, 0), (1e-8, 2)):
-            config_path = tmp_path / "run.json"
-            config_path.write_text(json.dumps(dict(config, eps_tail=eps_tail)))
-            out = tmp_path / f"out{eps_tail:g}"
-            assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == code
-            assert len(list(out.glob("*.csv"))) == (2 if code == 0 else 0)
-
     @pytest.mark.parametrize("config, key", [
-        (dict(TINY_CONFIG, half_width=4.0, eps_tail=math.nan), "eps_tail"),  # tail rule off: mass 0.988
+        # eps_tail is no setting: the tail rule reads core.DEFAULT_EPS_TAIL
+        (dict(TINY_CONFIG, half_width=4.0, eps_tail=math.nan), "eps_tail"),  # tail rule was off: mass 0.988
         (dict(TINY_CONFIG, times=[0.0, math.nan]), "times"),      # wrote snapshot_tnan.csv, all NaN
         (dict(GRIDLESS_CONFIG, times=[0.0, math.inf]), "times"),  # OverflowError in plan_grid
         # values that are not numbers: each escaped main as ValueError or TypeError
@@ -294,11 +287,21 @@ class TestMain:
         (dict(TINY_CONFIG, p="0.5"), "p must be a number"),
         # a gridless run whose planned grid cannot resolve the solution under MAX_POINTS
         (dict(GRIDLESS_CONFIG, times=[1e300]), "nodes per solution width"),  # mass-0 CSV, dx 2.4e292
+        # keys that are neither run keys nor fields of the chosen shape: each was ignored
+        (dict(TINY_CONFIG, gama_z=0.5), "'gama_z'"),                  # solved with the default rate
+        (dict(TINY_CONFIG, mu=0.8), "'mu'"),                          # a gaussian_coherent field
+        (dict(DRIVEN_CONFIG, scale=3.0), "'scale'"),                  # for_params sets delta/omega
+        # configs that are not JSON objects, and an ic that is not a string
+        (5, "must be a JSON object"),                                 # TypeError in _need
+        ([TINY_CONFIG], "must be a JSON object"),
+        (dict(TINY_CONFIG, ic=["gaussian_mixture"]), "unknown initial condition kind"),
     ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
             "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction",
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
             "reach-closed", "reach-spectral", "reach-huge-time",
-            "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time"])
+            "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time",
+            "unknown-key", "other-shape-key", "laplace-coherent-scale",
+            "json-number", "json-list", "ic-list"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity

@@ -219,7 +219,7 @@ class TestGridPlanning:
 
     def test_tail_half_width_bisection(self):
         ic = LaplaceMixture(p=0.25, a=1.0, b=2.0)
-        w = tail_half_width(ic, 1e-8)
+        w = tail_half_width(ic)
         assert ic.tail_mass(w) <= 1e-8 < ic.tail_mass(0.99 * w)
 
 

@@ -91,9 +91,9 @@ class TestImbalanceZeros:
     def test_imbalance_vanishes_at_every_zero(self):
         grid = SpatialGrid(32.0, 1024)
         taus = delta0.imbalance_zeros(UNDER, 4)
-        scale = np.max(np.abs(delta0.imbalance_general(UNDER, FIG6_LEFT, 50.0, grid.nodes)))
+        scale = np.max(np.abs(delta0.solve(UNDER, FIG6_LEFT, 50.0, grid).rho_minus))
         for tau in taus:
-            q = delta0.imbalance_general(UNDER, FIG6_LEFT, float(tau), grid.nodes)
+            q = delta0.solve(UNDER, FIG6_LEFT, float(tau), grid).rho_minus
             assert np.max(np.abs(q)) < 1e-12 * scale
 
     def test_overdamped_has_no_zeros(self):
@@ -104,29 +104,29 @@ class TestImbalanceZeros:
 class TestImbalance:
     def test_zero_for_balanced_diagonal_data(self):
         ic = GaussianMixture(p=0.5, sigma1=1.0, sigma2=1.0)
-        x = np.linspace(-8, 8, 65)
-        assert np.max(np.abs(delta0.imbalance_general(UNDER, ic, 35.0, x))) == 0.0
+        grid = SpatialGrid(8.0, 64)
+        assert np.max(np.abs(delta0.solve(UNDER, ic, 35.0, grid).rho_minus)) == 0.0
 
     def test_factorization_of_mixture_imbalance(self):
-        x = np.linspace(-20, 20, 501)
+        grid = SpatialGrid(20.0, 512)
         for t in (13.0, 50.0, 121.0):
-            amp, profile = delta0.imbalance_gaussian_factored(UNDER, FIG6_LEFT, t, x)
-            direct = delta0.imbalance_general(UNDER, FIG6_LEFT, t, x)
+            amp, profile = delta0.imbalance_gaussian_factored(UNDER, FIG6_LEFT, t, grid.nodes)
+            direct = delta0.solve(UNDER, FIG6_LEFT, t, grid).rho_minus
             assert np.max(np.abs(amp * profile - direct)) < 1e-12
 
     def test_coherent_closed_form(self):
-        x = np.linspace(-20, 20, 501)
+        grid = SpatialGrid(20.0, 512)
         for t in (25.0, 75.0):
-            closed = delta0.imbalance_gaussian_coherent(UNDER, FIG6_RIGHT, t, x)
-            general = delta0.imbalance_general(UNDER, FIG6_RIGHT, t, x)
+            closed = delta0.imbalance_gaussian_coherent(UNDER, FIG6_RIGHT, t, grid.nodes)
+            general = delta0.solve(UNDER, FIG6_RIGHT, t, grid).rho_minus
             assert np.max(np.abs(closed - general)) < 1e-14
 
     def test_coherent_reduces_to_mixture_as_k_vanishes(self):
-        x = np.linspace(-20, 20, 201)
+        grid = SpatialGrid(20.0, 256)
         tiny_k = GaussianCoherent(p=0.75, mu=0.8, k=1e-280, sigma=1.0)
         same_sigma = GaussianMixture(p=0.75, sigma1=1.0, sigma2=1.0)
-        got = delta0.imbalance_gaussian_coherent(UNDER, tiny_k, 50.0, x)
-        ref = delta0.imbalance_general(UNDER, same_sigma, 50.0, x)
+        got = delta0.imbalance_gaussian_coherent(UNDER, tiny_k, 50.0, grid.nodes)
+        ref = delta0.solve(UNDER, same_sigma, 50.0, grid).rho_minus
         assert np.max(np.abs(got - ref)) < 1e-15
 
     def test_coherent_term_breaks_the_zeros(self):
@@ -139,7 +139,7 @@ class TestImbalance:
         grid = SpatialGrid(32.0, 2048)
         t = 100.0
         fd = oracle.fd_integrate(UNDER, FIG6_RIGHT, t, grid, richardson=False)
-        q = delta0.imbalance_general(UNDER, FIG6_RIGHT, t, grid.nodes)
+        q = delta0.solve(UNDER, FIG6_RIGHT, t, grid).rho_minus
         assert np.max(np.abs(fd.field.rho_minus - q)) < 1e-5
 
 
@@ -147,7 +147,8 @@ class TestDensityAndSolve:
     def test_density_is_driftless_heat_spread(self):
         x = np.linspace(-20, 20, 201)
         t = 100.0
-        P = delta0.density_delta0(UNDER, FIG6_LEFT, t, x)
+        rho11, rho22, _ = FIG6_LEFT.heat(t, x, UNDER.gamma_p)
+        P = rho11 + rho22
         v1 = FIG6_LEFT.sigma1**2 + 4 * UNDER.gamma_p * t
         v2 = FIG6_LEFT.sigma2**2 + 4 * UNDER.gamma_p * t
         ref = (0.75 * np.exp(-x**2 / (2 * v1)) / math.sqrt(2 * math.pi * v1)
@@ -158,7 +159,7 @@ class TestDensityAndSolve:
         grid = SpatialGrid(32.0, 2048)
         t = 100.0
         fd = oracle.fd_integrate(UNDER, FIG6_LEFT, t, grid, richardson=False)
-        P = delta0.density_delta0(UNDER, FIG6_LEFT, t, grid.nodes)
+        P = delta0.solve(UNDER, FIG6_LEFT, t, grid).rho_plus
         assert np.max(np.abs(fd.field.rho_plus - P)) < 1e-5
 
     def test_density_mass(self):
@@ -166,7 +167,7 @@ class TestDensityAndSolve:
         for ic in (FIG6_LEFT, LaplaceMixture(p=0.3, a=1.0, b=0.5),
                    UniformMixture(p=0.4, a=2.0, b=1.0)):
             for t in (20.0, 150.0):
-                P = delta0.density_delta0(UNDER, ic, t, grid.nodes)
+                P = delta0.solve(UNDER, ic, t, grid).rho_plus
                 assert abs(grid.trapezoid(P) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("gz", [1e-2, 2e-2, 4e-2], ids=["under", "critical", "over"])
@@ -188,19 +189,16 @@ class TestDensityAndSolve:
         us = spectral.solve(UNDER, ic, 80.0, grid)
         for name in ("rho_plus", "c_i", "rho_minus"):
             assert np.max(np.abs(getattr(u, name) - getattr(us, name))) < 1e-8
-        q = delta0.imbalance_general(UNDER, ic, 80.0, grid.nodes)
-        assert np.max(np.abs(q - u.rho_minus)) < 1e-14
 
 
 @pytest.mark.parametrize("t", [0.0, 10.0])
-@pytest.mark.parametrize("helper,rates", [
-    (delta0.density_delta0, UNDER),
-    (delta0.imbalance_general, UNDER),
-    (delta0.imbalance_gaussian_factored, UNDER),
-    (omega0.populations, Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)),
-], ids=["density_delta0", "imbalance_general", "imbalance_gaussian_factored", "populations"])
-def test_custom_data_has_no_closed_helper(helper, rates, t):
+@pytest.mark.parametrize("closed", [
+    lambda ic, t, grid: delta0.solve(UNDER, ic, t, grid),
+    lambda ic, t, grid: delta0.imbalance_gaussian_factored(UNDER, ic, t, grid.nodes),
+    lambda ic, t, grid: omega0.solve(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2), ic, t, grid),
+], ids=["delta0_solve", "imbalance_gaussian_factored", "omega0_solve"])
+def test_custom_data_has_no_closed_helper(closed, t):
     grid = SpatialGrid(32.0, 512)
     ic = Custom(sample_initial(FIG6_LEFT, grid))
     with pytest.raises(WrongRegime):
-        helper(rates, ic, t, grid.nodes)
+        closed(ic, t, grid)

@@ -22,6 +22,13 @@ LAPL = LaplaceMixture(p=0.25, a=1.0, b=2.0)
 UNIF = UniformMixture(p=0.75, a=3.0, b=2.0)
 
 
+def pointwise(ic, t, x):
+    """(P, Q) at the points x: the shape's own heat flow, rho11 and rho22
+    drifted to +-2*delta*t (what omega0.solve returns on grid nodes)."""
+    rho11, rho22, _ = ic.heat(t, x, RATES.gamma_p, drift=2.0 * RATES.delta * t)
+    return rho11 + rho22, rho11 - rho22
+
+
 class TestGreen:
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
@@ -82,7 +89,7 @@ class TestSolveCr:
 class TestClosedSolutions:
     def test_gaussian_initial_recovery(self):
         x = np.linspace(-10, 10, 101)
-        P, Q = omega0.populations(RATES, GAUSS, 0.0, x)
+        P, Q = pointwise(GAUSS, 0.0, x)
         assert np.max(np.abs(P - (GAUSS.rho11(x) + GAUSS.rho22(x)))) < 1e-15
 
     @pytest.mark.parametrize("ic", [
@@ -92,19 +99,19 @@ class TestClosedSolutions:
     ], ids=["gaussian", "laplace", "uniform", "gaussian_coherent", "laplace_coherent"])
     def test_zero_time_is_initial_data_for_every_shape(self, ic):
         x = np.linspace(-10, 10, 101)
-        P, Q = omega0.populations(RATES, ic, 0.0, x)
+        P, Q = pointwise(ic, 0.0, x)
         assert np.array_equal(P, ic.rho11(x) + ic.rho22(x))
         assert np.array_equal(Q, ic.rho11(x) - ic.rho22(x))
 
     def test_balanced_mixture_has_zero_center_imbalance(self):
         ic = GaussianMixture(p=0.5, sigma1=1.3, sigma2=1.3)
         for t in (0.0, 40.0, 160.0):
-            _, Q = omega0.populations(RATES, ic, t, np.array([0.0]))
+            _, Q = pointwise(ic, t, np.array([0.0]))
             assert abs(Q[0]) < 1e-18
 
     def test_gaussian_peaks_near_drift_positions(self):
         grid = SpatialGrid(24.0, 4096)
-        P, _ = omega0.populations(RATES, GAUSS, 200.0, grid.nodes)
+        P = omega0.solve(RATES, GAUSS, 200.0, grid).rho_plus
         peaks = grid.nodes[1:-1][(P[1:-1] > P[:-2]) & (P[1:-1] > P[2:])]
         assert len(peaks) == 2
         assert np.max(np.abs(np.sort(peaks) - [-4.0, 4.0])) <= 2 * grid.dx
@@ -112,16 +119,16 @@ class TestClosedSolutions:
     def test_laplace_pointwise_limit(self):
         # short times approach the initial density away from the kinks
         x = np.array([-3.0, -0.7, 0.9, 2.5])
-        P, _ = omega0.populations(RATES, LAPL, 1e-4, x)
+        P, _ = pointwise(LAPL, 1e-4, x)
         ref = LAPL.rho11(x) + LAPL.rho22(x)
         assert np.max(np.abs(P - ref)) < 1e-6
 
     def test_uniform_interior_limit(self):
         x = np.array([-1.5, 0.0, 1.2])
-        P, _ = omega0.populations(RATES, UNIF, 1e-6, x)
+        P, _ = pointwise(UNIF, 1e-6, x)
         ref = 0.75 / 6.0 + 0.25 / 4.0
         assert np.max(np.abs(P - ref)) < 1e-12
-        far = omega0.populations(RATES, UNIF, 1e-6, np.array([100.0]))[0]
+        far = pointwise(UNIF, 1e-6, np.array([100.0]))[0]
         assert abs(far[0]) < 1e-300
 
     @pytest.mark.parametrize("ic", [GAUSS, LAPL, UNIF], ids=["gaussian", "laplace", "uniform"])
@@ -132,20 +139,18 @@ class TestClosedSolutions:
         coarse = SpatialGrid(64.0, 8192)
         for t, grid in [(1e-2, fine), (50.0, coarse), (100.0, coarse),
                         (150.0, coarse), (200.0, coarse)]:
-            P, Q = omega0.populations(RATES, ic, t, grid.nodes)
-            assert abs(grid.trapezoid(P) - 1.0) < 1e-8
-            rho11 = 0.5 * (P + Q)
-            rho22 = 0.5 * (P - Q)
-            assert min(rho11.min(), rho22.min()) >= -1e-12
+            c = omega0.solve(RATES, ic, t, grid)
+            assert abs(grid.trapezoid(c.rho_plus) - 1.0) < 1e-8
+            assert min(c.rho11.min(), c.rho22.min()) >= -1e-12
 
     @pytest.mark.parametrize("ic", [GAUSS, LAPL, UNIF], ids=["gaussian", "laplace", "uniform"])
     def test_matches_spectral_route(self, ic):
         grid = SpatialGrid(64.0, 4096)
         for t in (50.0, 200.0):
-            P, Q = omega0.populations(RATES, ic, t, grid.nodes)
+            c = omega0.solve(RATES, ic, t, grid)
             u = spectral.solve(RATES, ic, t, grid)
-            assert np.max(np.abs(u.rho_plus - P)) < 1e-7
-            assert np.max(np.abs(u.rho_minus - Q)) < 1e-7
+            assert np.max(np.abs(u.rho_plus - c.rho_plus)) < 1e-7
+            assert np.max(np.abs(u.rho_minus - c.rho_minus)) < 1e-7
 
     def test_laplace_matches_fd_oracle(self):
         # the initial kink makes the FD error constant ~4x the smooth case,
@@ -153,7 +158,7 @@ class TestClosedSolutions:
         grid = SpatialGrid(48.0, 8192)
         t = 50.0
         fd = oracle.fd_integrate(RATES, LAPL, t, grid, richardson=False)
-        P, Q = omega0.populations(RATES, LAPL, t, grid.nodes)
+        P = omega0.solve(RATES, LAPL, t, grid).rho_plus
         assert np.max(np.abs(fd.field.rho_plus - P)) < 1e-5
 
     def test_long_time_two_gaussian_profile(self):
@@ -168,7 +173,7 @@ class TestClosedSolutions:
             (UNIF, UNIF.a**2 / 3, UNIF.b**2 / 3),
         )
         for ic, var1, var2 in cases:
-            P, _ = omega0.populations(RATES, ic, t, grid.nodes)
+            P = omega0.solve(RATES, ic, t, grid).rho_plus
             v1, v2 = var1 + spread, var2 + spread
             fit = (ic.p * np.exp(-(grid.nodes - drift) ** 2 / (2 * v1)) / math.sqrt(2 * math.pi * v1)
                    + (1 - ic.p) * np.exp(-(grid.nodes + drift) ** 2 / (2 * v2)) / math.sqrt(2 * math.pi * v2))
@@ -198,7 +203,5 @@ class TestFullSolve:
         assert np.max(np.abs(u.rho_plus - ref.rho_plus)) == 0.0
 
     def test_time_validation(self):
-        with pytest.raises(NonPositiveTime):
-            omega0.populations(RATES, LAPL, -1.0, np.zeros(3))
         with pytest.raises(NonPositiveTime):
             omega0.solve(RATES, GAUSS, -1.0, SpatialGrid(24.0, 1024))

@@ -31,9 +31,9 @@ class TestFdIntegrate:
         p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)
         grid = SpatialGrid(24.0, 8192)
         res = fd_integrate(p, IC, 50.0, grid, richardson=False)
-        P, Q = omega0.populations(p, IC, 50.0, grid.nodes)
-        assert np.max(np.abs(res.field.rho_plus - P)) < 5e-6
-        assert np.max(np.abs(res.field.rho_minus - Q)) < 5e-6
+        c = omega0.solve(p, IC, 50.0, grid)
+        assert np.max(np.abs(res.field.rho_plus - c.rho_plus)) < 5e-6
+        assert np.max(np.abs(res.field.rho_minus - c.rho_minus)) < 5e-6
 
     def test_mass_drift_negligible(self):
         p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)

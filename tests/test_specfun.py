@@ -6,7 +6,7 @@ from mpmath import mp
 
 from oqbm import specfun as sf
 from oqbm.core import Params
-from oqbm.errors import DegenerateParams, NegativeArgument, NonPositiveTime
+from oqbm.errors import NegativeArgument, NonPositiveTime, WrongRegime
 
 mp.dps = 30
 
@@ -165,9 +165,9 @@ class TestDrivenKernels:
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0)
 
     def test_degenerate_params_rejected(self):
-        with pytest.raises(DegenerateParams):
+        with pytest.raises(WrongRegime):
             sf.h_plus(1.0, 0.0, Params(gamma_p=1.0, delta=0.0, omega=1.0))
-        with pytest.raises(DegenerateParams):
+        with pytest.raises(WrongRegime):
             sf.phi_minus(1.0, 0.0, Params(gamma_p=1.0, delta=1.0, omega=0.0))
 
     def test_phi_matches_grid_convolution(self):

@@ -445,9 +445,9 @@ class TestSolve:
         grid = SpatialGrid(24.0, 2048)
         for t in (50.0, 200.0):
             u = spectral.solve(p, IC, t, grid)
-            P, Q = omega0.populations(p, IC, t, grid.nodes)
-            assert np.max(np.abs(u.rho_plus - P)) < 1e-8
-            assert np.max(np.abs(u.rho_minus - Q)) < 1e-8
+            c = omega0.solve(p, IC, t, grid)
+            assert np.max(np.abs(u.rho_plus - c.rho_plus)) < 1e-8
+            assert np.max(np.abs(u.rho_minus - c.rho_minus)) < 1e-8
 
     def test_matches_fd_oracle_general_params(self):
         grid = SpatialGrid(24.0, 2048)

@@ -43,8 +43,8 @@ class TestCheckInitialMasses:
         # the extrapolation removes the trapezoid's kink error, not a real excess
         sample = core.sample_initial
 
-        def heavier(ic, grid, eps_tail=core.DEFAULT_EPS_TAIL):
-            d = sample(ic, grid, eps_tail=eps_tail)
+        def heavier(ic, grid):
+            d = sample(ic, grid)
             s = 1.0 + 2e-8
             return core.BlochField.from_density(grid, s * d.rho11, s * d.rho22, s * d.rho12)
 
