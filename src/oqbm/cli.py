@@ -10,7 +10,8 @@ C_R, C_I, rho11, rho22; 17 significant digits, LF line endings) plus a
 run_manifest.json capturing every number needed to re-run; no two snapshot
 times may share a file name.  An explicit half_width must cover the initial
 tails plus the drift and diffusion reach (core.reach) at the last time; a
-planned grid (no half_width) that cannot resolve the last time is refused.
+grid, explicit or planned, that cannot resolve the solution at the earliest
+time (core.check_resolution) is refused.
 Config values must be JSON numbers, not booleans or strings; a key that is
 neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
 explicit n_points may not exceed core.MAX_POINTS.  The
@@ -47,6 +48,7 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
+    check_resolution,
     plan_grid,
     reach,
     sample_initial,
@@ -155,6 +157,7 @@ def build_scenario(config: dict) -> Scenario:
             )
     else:
         grid = plan_grid(ic, params, t_max=max(times))
+    check_resolution(ic, params, grid, min(times))
     method = config.get("method", "auto")
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")

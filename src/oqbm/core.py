@@ -576,22 +576,31 @@ def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature, or the diffusion width at t_max if
     t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].  When
-    the MAX_POINTS cap leaves fewer than POINTS_PER_FEATURE nodes per width
-    of the solution at t_max, sqrt(min_feature^2 + 4 gamma_p t_max), the
-    grid cannot resolve it (GridUnderResolved).
+    the MAX_POINTS cap leaves the solution at t_max unresolved (see
+    :func:`check_resolution`), raises GridUnderResolved.
     """
     width = tail_half_width(ic) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
     feature = ic.min_feature()
-    spread = math.sqrt(feature ** 2 + 4.0 * params.gamma_p * t_max)
     if t_max > 0.0:
         feature = min(feature, math.sqrt(4.0 * params.gamma_p * t_max))
     dx_target = feature / POINTS_PER_FEATURE
     n = 1 << max(1, math.ceil(math.log2(2.0 * half_width / dx_target)))
     grid = SpatialGrid(half_width=half_width, n_points=min(max(n, MIN_POINTS), MAX_POINTS))
+    check_resolution(ic, params, grid, t_max)
+    return grid
+
+
+def check_resolution(ic: InitialCondition, params: Params, grid: SpatialGrid, t: float) -> None:
+    """Raise GridUnderResolved unless the solution width at time t,
+    sqrt(min_feature^2 + 4 gamma_p t), spans POINTS_PER_FEATURE nodes.
+
+    The width grows with t, so a grid that passes at the earliest snapshot
+    resolves every later one.
+    """
+    spread = math.hypot(ic.min_feature(), math.sqrt(4.0 * params.gamma_p * t))
     if grid.dx > spread / POINTS_PER_FEATURE:
         raise GridUnderResolved(
-            f"{MAX_POINTS} nodes over half_width {half_width:.3g} give dx = {grid.dx:.3g}, "
-            f"fewer than {POINTS_PER_FEATURE:g} nodes per solution width {spread:.3g} at t = {t_max:g}"
+            f"{grid.n_points} nodes over half_width {grid.half_width:.3g} give dx = {grid.dx:.3g}, "
+            f"fewer than {POINTS_PER_FEATURE:g} nodes per solution width {spread:.3g} at t = {t:g}"
         )
-    return grid

@@ -12,16 +12,18 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
 * :func:`quad_inverse_fourier` -- plain trapezoid quadrature of
   (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a matrix symbol S,
   with interval doubling until successive results agree.  No FFT involved.
+
+scipy.sparse is imported by the functions that assemble and step the
+operator, on first use, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     DEFAULT_EPS_TAIL,
@@ -32,6 +34,9 @@ from .core import (
     sample_initial,
 )
 from .errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 QUAD_START_NODES = 2049    # quad_inverse_fourier's first node count; odd, so xi = 0 is a node
 QUAD_TOL = 1e-10           # max-norm change between two refinements that ends the doubling
@@ -49,6 +54,7 @@ class FdResult:
 
 
 def _difference_operator(p: Params, grid: SpatialGrid) -> sp.csr_matrix:
+    import scipy.sparse as sp
     n = grid.n_points
     dx = grid.dx
     ones = np.ones(n - 1)
@@ -129,6 +135,7 @@ def _rk4_run(
     changes by round-off only; a single assembled increment hA P would have
     rounded column sums and drift with the step count.
     """
+    import scipy.sparse as sp
     eye = sp.identity(A.shape[0], format="csr")
     assembled = {}
     out = []

@@ -15,6 +15,11 @@ omega); the Laplace shape involved always has inverse scale c = omega/delta.
 Exponential prefactors like exp(2 omega^2 gamma_p t / delta^2) overflow well
 inside the useful (t, x) range, so every erfc product is evaluated in the
 fused form exp(gauss) * erfcx(b) via :func:`scaled_erfc_product`.
+
+scipy.special is imported by the functions that call it, on first use, so
+importing this module (and the package) loads no scipy.  ``erf`` and
+``erfcx`` are scipy's own ufuncs, looked up through the module
+``__getattr__`` (PEP 562).
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.special
-from scipy.special import erf, erfcx  # re-exported unchanged
 
 from .errors import NegativeArgument, NonPositiveTime, WrongRegime
 
@@ -33,6 +36,14 @@ if TYPE_CHECKING:  # core imports this module for its heat kernels
     from .core import Params
 
 _ERFC_ZERO = 30.0  # exp(-x^2) is exactly 0.0 in double precision beyond x ~ 27.3
+
+
+def __getattr__(name: str):
+    """``erf`` and ``erfcx``: scipy.special's ufuncs, re-exported unchanged."""
+    if name in ("erf", "erfcx"):
+        import scipy.special
+        return getattr(scipy.special, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exp_nsq(y: np.ndarray) -> np.ndarray:
@@ -54,9 +65,10 @@ def erfc(x):
     tail 6 < x < 27.  |x| is capped at _ERFC_ZERO, beyond which exp(-x^2)
     underflows to zero anyway, so +-inf give 0 and 2 rather than inf - inf.
     """
+    import scipy.special
     v = np.asarray(x, dtype=float)
     y = np.minimum(np.abs(v), _ERFC_ZERO)
-    out = erfcx(y) * _exp_nsq(y)
+    out = scipy.special.erfcx(y) * _exp_nsq(y)
     return _scalar_or_array(np.where(v < 0.0, 2.0 - out, out))
 
 
@@ -70,10 +82,11 @@ def scaled_erfc_product(gauss_exponent, b):
     of the first, so nothing cancels; in every kernel in this module the
     combined exponent is bounded above by 0 as well, so nothing overflows.
     """
+    import scipy.special
     g = np.asarray(gauss_exponent, dtype=float)
     barr = np.asarray(b, dtype=float)
     g, barr = np.broadcast_arrays(g, barr)
-    out = np.asarray(np.exp(g) * erfcx(np.abs(barr)))  # a 0-d product comes back as a scalar
+    out = np.asarray(np.exp(g) * scipy.special.erfcx(np.abs(barr)))  # a 0-d product comes back as a scalar
     neg = barr < 0.0
     if neg.any():
         bn = barr[neg]
@@ -90,16 +103,19 @@ def _nonnegative(z, name: str) -> np.ndarray:
 
 def bessel_j0(z):
     """Bessel J0 on z >= 0, absolute error below 1e-14 up to z = 1e4."""
+    import scipy.special
     return _scalar_or_array(scipy.special.j0(_nonnegative(z, "bessel_j0")))
 
 
 def bessel_j1(z):
     """Bessel J1 on z >= 0, absolute error below 1e-14 up to z = 1e4."""
+    import scipy.special
     return _scalar_or_array(scipy.special.j1(_nonnegative(z, "bessel_j1")))
 
 
 def bessel_j1_over_z(z):
     """J1(z)/z, with the removable singularity filled by the series value 1/2."""
+    import scipy.special
     y = _nonnegative(z, "bessel_j1_over_z")
     tiny = y < 1e-4
     q = 0.25 * y * y
@@ -147,10 +163,11 @@ def heat_modulated_gauss(t: float, x, gamma_p: float, k: float, sigma: float):
 
 def heat_uniform(t: float, x, gamma_p: float, a: float):
     """Heat kernel convolved with the plateau density on [-a, a] (mass 1)."""
+    import scipy.special
     _require_positive_time(t)
     x = np.asarray(x, dtype=float)
     s = 2.0 * math.sqrt(2.0 * gamma_p * t)
-    return (erf((x + a) / s) - erf((x - a) / s)) / (4.0 * a)
+    return (scipy.special.erf((x + a) / s) - scipy.special.erf((x - a) / s)) / (4.0 * a)
 
 
 def _erfc_pair(t: float, x, gamma_p: float, c: float):

@@ -128,8 +128,8 @@ def check_kernel_parity() -> float:
 def check_cone_kernel_masses() -> float:
     p = FIG4
     worst = 0.0
+    nodes, weights = gammaz0.theta_rule(512)
     for t in (5.0, 25.0, 60.0):
-        nodes, weights = gammaz0.theta_rule(512)
         reach = 2.0 * t * p.delta
         y = reach * np.cos(nodes)
         jac = reach * np.sin(nodes)

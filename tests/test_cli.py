@@ -287,6 +287,9 @@ class TestMain:
         (dict(TINY_CONFIG, p="0.5"), "p must be a number"),
         # a gridless run whose planned grid cannot resolve the solution under MAX_POINTS
         (dict(GRIDLESS_CONFIG, times=[1e300]), "nodes per solution width"),  # mass-0 CSV, dx 2.4e292
+        # grids, planned or explicit, too coarse for the earliest snapshot
+        (dict(GRIDLESS_CONFIG, sigma1=1e-300), "nodes per solution width"),  # NaN at x = 0 at t = 0
+        (dict(TINY_CONFIG, half_width=1e300), "nodes per solution width"),   # grid mass 6.8e296 at t = 0
         # keys that are neither run keys nor fields of the chosen shape: each was ignored
         (dict(TINY_CONFIG, gama_z=0.5), "'gama_z'"),                  # solved with the default rate
         (dict(TINY_CONFIG, mu=0.8), "'mu'"),                          # a gaussian_coherent field
@@ -300,6 +303,7 @@ class TestMain:
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
             "reach-closed", "reach-spectral", "reach-huge-time",
             "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time",
+            "planned-grid-coarse-at-t0", "explicit-grid-coarse-at-t0",
             "unknown-key", "other-shape-key", "laplace-coherent-scale",
             "json-number", "json-list", "ic-list"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
@@ -331,12 +335,48 @@ class TestMain:
         assert out.count("PASS") >= 10
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+    return done.stdout.strip()
+
+
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
 class TestColdStart:
     def test_import_leaves_scipy_integrate_out(self):
         # scipy.integrate is about half of a cold `import oqbm.cli`; only
         # gammaz0.convolution_identities_check needs it, and imports it itself
-        src = str(Path(cli.__file__).resolve().parents[1])
         code = "import sys, oqbm.cli; print('scipy.integrate' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
-        assert done.stdout.strip() == "False"
+        assert _fresh_python(code) == "False"
+
+    def test_import_leaves_scipy_out(self):
+        # scipy.special and scipy.sparse are imported by the functions that use them
+        assert _fresh_python(f"import sys, oqbm.cli; print({SCIPY_LOADED})") == "False"
+
+    @pytest.mark.parametrize("job", [
+        "cli.run_figure('fig1', out, threads=1)",
+        "cli.run_figure('fig4', out, threads=1)",  # gamma_z = 0 on the spectral route under auto
+        f"cli.run_solve(dict({DRIVEN_CONFIG!r}, method='spectral'), out, threads=1)",
+    ], ids=["fig1", "fig4", "solve-spectral"])
+    def test_runs_without_scipy_functions_leave_scipy_out(self, tmp_path, job):
+        code = f"import sys, pathlib; from oqbm import cli; out = pathlib.Path({str(tmp_path)!r}); {job}; " \
+               f"print({SCIPY_LOADED})"
+        assert _fresh_python(code) == "False"
+
+    def test_first_scipy_import_from_snapshot_threads(self, tmp_path):
+        # fig2's closed omega = 0 route is the first caller of scipy.special, from
+        # two snapshot threads at once; the CSVs match a run with scipy preloaded
+        run = "import sys, pathlib; from oqbm import cli; " \
+              "cli.run_figure('fig2', pathlib.Path({out!r}), threads=2); print('scipy.special' in sys.modules)"
+        lazy, eager = tmp_path / "lazy", tmp_path / "eager"
+        assert _fresh_python(run.format(out=str(lazy))) == "True"
+        assert _fresh_python("import scipy.special; " + run.format(out=str(eager))) == "True"
+        names = sorted(f.name for f in lazy.iterdir())
+        assert len([n for n in names if n.endswith(".csv")]) == 5
+        assert names == sorted(f.name for f in eager.iterdir())
+        for name in names:
+            assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name

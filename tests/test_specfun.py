@@ -46,6 +46,14 @@ class TestErf:
             ref = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x)))
             assert abs(sf.erfcx(x) - ref) <= 1e-13 * ref
 
+    def test_reexports_are_scipy_ufuncs(self):
+        import scipy.special
+
+        assert sf.erf is scipy.special.erf
+        assert sf.erfcx is scipy.special.erfcx
+        with pytest.raises(AttributeError):
+            getattr(sf, "nope")
+
     def test_scaled_product_no_overflow(self):
         # b^2 = 900 would overflow exp on its own; the fused form must not,
         # given the kernel-side guarantee gauss_exponent + b^2 <= 0
