@@ -11,13 +11,13 @@ run_manifest.json capturing every number needed to re-run; no two snapshot
 times may share a file name.  An explicit half_width must cover the initial
 tails plus the drift and diffusion reach (core.reach) at the last time; a
 grid, explicit or planned, that cannot resolve the solution at the earliest
-time (core.check_resolution) is refused.
-Config values must be JSON numbers, not booleans or strings; a key that is
-neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
-explicit n_points may not exceed core.MAX_POINTS.  The
-default output directory comes from $OQBM_OUT_DIR, falling back to the
-current directory.  Under ``method: "auto"`` gamma_z = 0 takes the spectral
-route; its closed form runs only under ``method: "closed"``.
+time (core.check_resolution) is refused before it is allocated.  Config
+values must be JSON numbers, not booleans or strings; a key that is neither
+a RUN_KEYS entry nor a field of the chosen shape is refused, and an explicit
+n_points may not exceed core.MAX_POINTS.  The default output directory comes
+from $OQBM_OUT_DIR, falling back to the current directory.  choose_route
+fixes each scenario's t > 0 route before any CSV: gamma_z = 0 takes its closed
+form only under ``method: "closed"``, and that method with no closed form is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from .core import (
     SpatialGrid,
     UniformMixture,
     check_resolution,
-    plan_grid,
+    grid_spacing,
+    plan_size,
     reach,
     sample_initial,
     tail_half_width,
@@ -77,6 +78,7 @@ class Scenario:
     times: tuple
     grid: SpatialGrid
     method: str  # "auto" | "closed" | "spectral"
+    route: str   # choose_route: the solver of every t > 0 snapshot
 
 
 def _need(config: dict, key: str):
@@ -140,60 +142,65 @@ def build_scenario(config: dict) -> Scenario:
     clash = [t for t, tag in zip(times, tags) if tags.count(tag) > 1]
     if clash:
         raise ConfigError(f"times {clash} share snapshot file names, e.g. *_t{_time_tag(clash[0])}.csv")
-    if "half_width" in config or "n_points" in config:
-        n_points = _number("n_points", _need(config, "n_points"))
-        # checked before SpatialGrid allocates its node arrays
-        if not (n_points.is_integer() and n_points <= MAX_POINTS):
-            raise ConfigError(f"n_points must be a whole number <= {MAX_POINTS}, got {n_points!r}")
-        try:
-            grid = SpatialGrid(_number("half_width", _need(config, "half_width")), int(n_points))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        need = tail_half_width(ic) + reach(params, max(times))
-        if grid.half_width < need:
-            raise DomainTooNarrow(
-                f"half_width {grid.half_width:g} is narrower than the initial tails plus "
-                f"drift and diffusion reach by t = {max(times):g}; it needs half_width >= {need:.6g}"
-            )
-    else:
-        grid = plan_grid(ic, params, t_max=max(times))
-    check_resolution(ic, params, grid, min(times))
     method = config.get("method", "auto")
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")
-    return Scenario(params=params, ic=ic, times=times, grid=grid, method=method)
+    route = choose_route(params, ic, method)
+    if "half_width" in config or "n_points" in config:
+        n_points = _number("n_points", _need(config, "n_points"))
+        if not (n_points.is_integer() and n_points <= MAX_POINTS):
+            raise ConfigError(f"n_points must be a whole number <= {MAX_POINTS}, got {n_points!r}")
+        half_width, n_points = _number("half_width", _need(config, "half_width")), int(n_points)
+        try:
+            dx = grid_spacing(half_width, n_points)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        need = tail_half_width(ic) + reach(params, max(times))
+        if half_width < need:
+            raise DomainTooNarrow(
+                f"half_width {half_width:g} is narrower than the initial tails plus "
+                f"drift and diffusion reach by t = {max(times):g}; it needs half_width >= {need:.6g}"
+            )
+    else:
+        half_width, n_points = plan_size(ic, params, t_max=max(times))
+        dx = grid_spacing(half_width, n_points)
+    # every grid rule is checked before SpatialGrid allocates its node arrays
+    check_resolution(dx, ic.min_feature(), params, min(times))
+    return Scenario(params=params, ic=ic, times=times, grid=SpatialGrid(half_width, n_points),
+                    method=method, route=route)
 
 
 def classify_regime(p: Params) -> str:
     """The one rate that is exactly 0.0 (the closed forms' own rule), else "general"."""
     zeros = [name for name, v in (("omega", p.omega), ("delta", p.delta), ("gamma_z", p.gamma_z))
              if v == 0.0]
-    if len(zeros) == 1:
-        return zeros[0]
-    return "general"
+    return zeros[0] if len(zeros) == 1 else "general"
+
+
+def choose_route(p: Params, ic: InitialCondition, method: str) -> str:
+    """The solver of every t > 0 snapshot: "closed[<regime>]" or "spectral".
+
+    The gamma_z = 0 closed form gives the spectral field to about 4e-11 at
+    about 12 times its cost, so only ``method: "closed"`` takes it; that
+    method with no closed form for the regime and shape is a ConfigError.
+    """
+    regime = classify_regime(p)
+    if method != "spectral" and not isinstance(ic, Custom):
+        if regime in ("omega", "delta") or (
+                regime == "gamma_z" and method == "closed" and isinstance(ic, LaplaceCoherent)):
+            return f"closed[{regime}]"
+    if method == "closed":
+        raise ConfigError(f"no closed-form solver for regime {regime!r} with this initial condition")
+    return "spectral"
 
 
 def solve_snapshot(scenario: Scenario, t: float) -> tuple:
-    """(solver name, BlochField) for one snapshot time.
-
-    The gamma_z = 0 closed form gives the spectral field to about 4e-11 at
-    about 12 times its cost, so only ``method: "closed"`` takes it.
-    """
-    p, ic, grid, method = scenario.params, scenario.ic, scenario.grid, scenario.method
-    regime = classify_regime(p)
+    """(solver name, BlochField) for one snapshot time, on the scenario's route."""
     if t == 0.0:
-        return "initial", sample_initial(ic, grid)
-    if method != "spectral":
-        closed = f"closed[{regime}]"
-        if regime == "omega" and not isinstance(ic, Custom):
-            return closed, omega0.solve(p, ic, t, grid)
-        if regime == "delta" and not isinstance(ic, Custom):
-            return closed, delta0.solve(p, ic, t, grid)
-        if regime == "gamma_z" and method == "closed" and isinstance(ic, LaplaceCoherent):
-            return closed, gammaz0.solve_laplace_coherent(p, ic, t, grid)
-        if method == "closed":
-            raise ConfigError(f"no closed-form solver for regime {regime!r} with this initial condition")
-    return "spectral", spectral.solve(p, ic, t, grid)
+        return "initial", sample_initial(scenario.ic, scenario.grid)
+    solver = {"closed[omega]": omega0.solve, "closed[delta]": delta0.solve,
+              "closed[gamma_z]": gammaz0.solve_laplace_coherent, "spectral": spectral.solve}
+    return scenario.route, solver[scenario.route](scenario.params, scenario.ic, t, scenario.grid)
 
 
 def _format(v: float) -> str:

@@ -38,7 +38,7 @@ from .errors import (
 DEFAULT_EPS_TAIL = 1e-8    # tail mass (or boundary/peak ratio) a grid may leave outside
 NEG_TOL = 1e-9             # slack below zero allowed in Custom initial populations
 MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
-POINTS_PER_FEATURE = 8.0   # plan_grid: nodes per smallest relevant length
+POINTS_PER_FEATURE = 8.0   # check_resolution: nodes per solution width, at least
 MIN_POINTS = 256           # plan_grid: bounds on the node count
 MAX_POINTS = 1 << 21
 
@@ -71,30 +71,39 @@ class Params:
             raise NegativeRate(f"gamma_z, delta, omega must be >= 0, got {values[1:]}")
 
 
+def grid_spacing(half_width: float, n_points: int) -> float:
+    """dx of ``SpatialGrid(half_width, n_points)``, or the ValueError its
+    constructor raises; allocates nothing."""
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
+    if n_points < 2 or (n_points & (n_points - 1)) != 0:
+        raise ValueError(f"n_points must be a power of two >= 2, got {n_points}")
+    return 2.0 * float(half_width) / int(n_points)
+
+
 class SpatialGrid:
     """Uniform grid on [-L, L) together with its discrete Fourier dual.
 
     Nodes are x_j = -L + j*dx with dx = 2L/n (the right endpoint is excluded;
     the grid is periodic).  ``n_points`` must be a power of two so the FFT
-    stays fast.  Fourier nodes are xi_k = pi*k/L in numpy fft ordering.
+    stays fast.  Fourier nodes are xi_k = pi*k/L in numpy fft ordering; the
+    n/2 + 1 ``half_nodes`` k = 0 .. n/2 carry all of a real field's spectrum
+    (u_hat(-xi) = conj u_hat(xi)), which :meth:`real_inverse` pulls back.
     """
 
     def __init__(self, half_width: float, n_points: int):
-        if not (math.isfinite(half_width) and half_width > 0):
-            raise ValueError(f"half_width must be positive and finite, got {half_width}")
-        if n_points < 2 or (n_points & (n_points - 1)) != 0:
-            raise ValueError(f"n_points must be a power of two >= 2, got {n_points}")
+        self.dx = grid_spacing(half_width, n_points)
         self.half_width = float(half_width)
         self.n_points = int(n_points)
-        self.dx = 2.0 * self.half_width / self.n_points
         self.nodes = -self.half_width + self.dx * np.arange(self.n_points)
         k = np.fft.fftfreq(self.n_points, d=1.0 / self.n_points)  # integer k
         self.fourier_nodes = (np.pi / self.half_width) * k
-        # exp(+- i xi_k L) = (-1)^k, exact in integer arithmetic
+        # k = -n/2 is the last half node, as +n/2: its xi flips sign exactly
+        self.half_nodes = np.abs(self.fourier_nodes[: self.n_points // 2 + 1])
+        # exp(+- i xi_k L) = (-1)^k, exact in integer arithmetic; -n/2 and n/2 share it
         self._signs = np.where(np.asarray(np.rint(k), dtype=np.int64) % 2 == 0, 1.0, -1.0)
-        self.nodes.setflags(write=False)
-        self.fourier_nodes.setflags(write=False)
-        self._signs.setflags(write=False)
+        for arr in (self.nodes, self.fourier_nodes, self.half_nodes, self._signs):
+            arr.setflags(write=False)
 
     def __eq__(self, other) -> bool:
         return (
@@ -116,6 +125,11 @@ class SpatialGrid:
     def inverse_transform(self, spectrum: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward_transform` (returns a complex array)."""
         return np.fft.ifft(self._signs * spectrum) / self.dx
+
+    def real_inverse(self, half_spectrum: np.ndarray) -> np.ndarray:
+        """The real field whose transform is ``half_spectrum`` on the half nodes (last
+        axis); the Nyquist entry's imaginary part is dropped, as a real field has none."""
+        return np.fft.irfft(self._signs[: self.half_nodes.size] * half_spectrum, n=self.n_points) / self.dx
 
     def trapezoid(self, values: np.ndarray) -> float:
         """Trapezoid integral over [-L, L - dx]; fine for tail-decayed data."""
@@ -569,15 +583,13 @@ def reach(params: Params, t: float) -> float:
     return 2.0 * params.delta * t + 6.0 * math.sqrt(4.0 * params.gamma_p * t)
 
 
-def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid:
-    """Pick a grid wide enough for drift, diffusion and the initial tails.
+def plan_size(ic: InitialCondition, params: Params, t_max: float) -> tuple:
+    """(half_width, n_points) of the planned grid, without allocating it.
 
     Half-width rule: initial tail width (to DEFAULT_EPS_TAIL) + reach(params, t_max).
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature, or the diffusion width at t_max if
-    t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].  When
-    the MAX_POINTS cap leaves the solution at t_max unresolved (see
-    :func:`check_resolution`), raises GridUnderResolved.
+    t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].
     """
     width = tail_half_width(ic) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
@@ -586,21 +598,27 @@ def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid
         feature = min(feature, math.sqrt(4.0 * params.gamma_p * t_max))
     dx_target = feature / POINTS_PER_FEATURE
     n = 1 << max(1, math.ceil(math.log2(2.0 * half_width / dx_target)))
-    grid = SpatialGrid(half_width=half_width, n_points=min(max(n, MIN_POINTS), MAX_POINTS))
-    check_resolution(ic, params, grid, t_max)
-    return grid
+    return half_width, min(max(n, MIN_POINTS), MAX_POINTS)
 
 
-def check_resolution(ic: InitialCondition, params: Params, grid: SpatialGrid, t: float) -> None:
+def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid:
+    """The grid of :func:`plan_size`, or GridUnderResolved, before any node array
+    exists, when the MAX_POINTS cap leaves the solution at t_max unresolved."""
+    half_width, n_points = plan_size(ic, params, t_max)
+    check_resolution(grid_spacing(half_width, n_points), ic.min_feature(), params, t_max)
+    return SpatialGrid(half_width, n_points)
+
+
+def check_resolution(dx: float, feature: float, params: Params, t: float) -> None:
     """Raise GridUnderResolved unless the solution width at time t,
-    sqrt(min_feature^2 + 4 gamma_p t), spans POINTS_PER_FEATURE nodes.
+    sqrt(feature^2 + 4 gamma_p t), spans POINTS_PER_FEATURE nodes of spacing dx.
 
-    The width grows with t, so a grid that passes at the earliest snapshot
-    resolves every later one.
+    ``feature`` is the initial min_feature(), 0.0 for a point source.  The width
+    grows with t, so a grid that passes at the earliest snapshot resolves every later one.
     """
-    spread = math.hypot(ic.min_feature(), math.sqrt(4.0 * params.gamma_p * t))
-    if grid.dx > spread / POINTS_PER_FEATURE:
+    spread = math.hypot(feature, math.sqrt(4.0 * params.gamma_p * t))
+    if dx > spread / POINTS_PER_FEATURE:
         raise GridUnderResolved(
-            f"{grid.n_points} nodes over half_width {grid.half_width:.3g} give dx = {grid.dx:.3g}, "
-            f"fewer than {POINTS_PER_FEATURE:g} nodes per solution width {spread:.3g} at t = {t:g}"
+            f"dx = {dx:.3g} gives fewer than {POINTS_PER_FEATURE:g} nodes per solution width "
+            f"{spread:.3g} at t = {t:g}"
         )

@@ -7,14 +7,15 @@ into u_hat' = Q(xi) u_hat with the 3x3 symbol
   Q  =  [     0        -2 gp xi^2 - 2 gz           omega     ]
         [ -2 i xi delta       -4 omega          -2 gp xi^2   ]
 
-The solution is exp(t Q(xi)) applied to the transformed initial data, pulled
-back by the inverse transform; the Green's matrix is the inverse transform of
-exp(t Q) itself.  The eigenvalues are a bracketed Newton root of the cubic
-and a Vieta pair, each with its exact sign.  The exponential is the Newton
-interpolant of exp at them (Putzer's formula), which needs no eigenvectors
-and holds unchanged where eigenvalues coalesce (xi = 0, the critical point
-gamma_z = 2 omega, zeros of the cubic's discriminant); only the divided
-differences of exp switch to series forms there.
+Every field here is real, so exp(t Q(-xi)) = conj exp(t Q(xi)) and only the
+half nodes xi >= 0 are evolved: the solution is exp(t Q(xi)) applied to the
+transformed initial data, pulled back by the grid's real inverse transform;
+the Green's matrix is that inverse of exp(t Q) itself.  The eigenvalues are
+a bracketed Newton root of the cubic and a Vieta pair, each with its exact
+sign.  The exponential is the Newton interpolant of exp at them (Putzer's
+formula), which needs no eigenvectors and holds unchanged where eigenvalues
+coalesce (xi = 0, the critical point gamma_z = 2 omega, zeros of the cubic's
+discriminant); only the divided differences of exp switch to series forms.
 
 c_r = Re(rho12) decouples into a damped heat equation: its transform is
 multiplied by exp(-(2 gp xi^2 + 2 gz) t) and inverted alongside the others.
@@ -34,6 +35,7 @@ from .core import (
     InitialCondition,
     Params,
     SpatialGrid,
+    check_resolution,
     reach,
     sample_initial,
 )
@@ -41,10 +43,8 @@ from .errors import GridUnderResolved, NonPositiveTime, StabilityViolation, Tail
 
 _NEAR = 1.0                # points this close use series forms of the divided differences
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
-_FFT_IMAG_TOL = 1e-10      # relative imaginary residue allowed in real kernels
 _EPS = np.finfo(float).eps
 _NEWTON_STEPS = 60         # cap on the real root's Newton steps; 1-8 is typical
-POINTS_PER_SIGMA = 8.0     # green_function: grid nodes per diffusion width, at least
 
 
 @dataclass(frozen=True)
@@ -274,72 +274,45 @@ def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
             + e123[:, None, None] * (b1 @ b2))
 
 
-def _real_inverse(grid: SpatialGrid, spectra: np.ndarray) -> np.ndarray:
-    """Real parts of the inverse transforms of stacked spectra (last axis over xi).
-
-    Every row is the transform of a real field, so its imaginary part is FFT
-    round-off; a row whose max |imag| exceeds _FFT_IMAG_TOL times
-    max(max |real|, 1) means the spectrum lost conjugate symmetry.
-    """
-    values = grid.inverse_transform(spectra)
-    residue = np.max(np.abs(values.imag), axis=-1)
-    allowed = _FFT_IMAG_TOL * np.maximum(np.max(np.abs(values.real), axis=-1), 1.0)
-    bad = residue > allowed
-    if np.any(bad):
-        raise ValueError(
-            f"rows {np.argwhere(bad).tolist()} have an imaginary residue beyond tolerance; "
-            "the spectrum lost conjugate symmetry"
-        )
-    return values.real
-
-
 def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
-    """Matrix Green's function on the grid by inverse FFT of exp(t Q), shape (n, 3, 3).
+    """Matrix Green's function on the grid, the real inverse transform of
+    exp(t Q) on the half nodes, shape (n, 3, 3).
 
-    Rejects grids with fewer than POINTS_PER_SIGMA nodes per diffusion width
-    or narrower than reach(p, t) (GridUnderResolved), and results whose
-    entries have not decayed at the boundary (TailNotDecayed).  Entries are
-    real up to FFT round-off; the imaginary residue is checked against
-    _FFT_IMAG_TOL.
+    Rejects grids too coarse for the diffusion width (core.check_resolution
+    for a point source) or narrower than reach(p, t) (GridUnderResolved),
+    and results whose entries have not decayed at the boundary (TailNotDecayed).
     """
     if t <= 0.0:
         raise NonPositiveTime(f"green_function needs t > 0, got {t}")
-    sigma = math.sqrt(4.0 * p.gamma_p * t)
-    if grid.dx > sigma / POINTS_PER_SIGMA:
-        raise GridUnderResolved(
-            f"dx={grid.dx:.3g} too coarse for diffusion width {sigma:.3g} "
-            f"(need >= {POINTS_PER_SIGMA} points per standard deviation)"
-        )
+    check_resolution(grid.dx, 0.0, p, t)
     if grid.half_width < reach(p, t):
         raise GridUnderResolved(
             f"half_width={grid.half_width:.3g} smaller than drift + 6 sigma = {reach(p, t):.3g}"
         )
-    spectra = exp_symbols(grid.fourier_nodes, p, t)
-    return checked_green(np.moveaxis(_real_inverse(grid, np.moveaxis(spectra, 0, -1)), -1, 0))
+    spectra = exp_symbols(grid.half_nodes, p, t)
+    return checked_green(np.moveaxis(grid.real_inverse(np.moveaxis(spectra, 0, -1)), -1, 0))
 
 
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
-    """Propagate the initial data to time t in Fourier space.
+    """Propagate the initial data to time t in Fourier space, on the half nodes.
 
     Equivalent to convolving with the Green's matrix (one transform less).
     Built-in initial shapes enter through their closed Fourier transforms
-    (no kink-sampling error) and are not sampled on the grid; Custom fields
-    are transformed by FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q);
-    the decoupled c_r by the damped heat factor exp(-(2 gp xi^2 + 2 gz) t).
-    All four components come back in one inverse transform.
+    (no kink-sampling error); Custom fields through the xi >= 0 half of their
+    FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r by
+    the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back in
+    one real inverse transform.  At t = 0 the sampled initial data returns.
     """
-    xis = grid.fourier_nodes
+    if t == 0.0:
+        return sample_initial(ic, grid)
+    xis = grid.half_nodes
     hat = ic.spectrum(xis)
     if hat is None:  # Custom data
         u0 = sample_initial(ic, grid)
-        if t == 0.0:
-            return u0
-        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))
-    elif t == 0.0:
-        return BlochField.from_density(grid, *ic.heat(0.0, grid.nodes, p.gamma_p))
+        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
     spectra = exp_symbols(xis, p, t)
-    evolved = np.empty((4, grid.n_points), dtype=complex)
+    evolved = np.empty((4, xis.size), dtype=complex)
     evolved[:3] = np.einsum("mij,mj->mi", spectra, np.stack(hat[:3], axis=1).astype(complex)).T
     evolved[3] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
-    rho_plus, c_i, rho_minus, c_r = _real_inverse(grid, evolved)
+    rho_plus, c_i, rho_minus, c_r = grid.real_inverse(evolved)
     return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)

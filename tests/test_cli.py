@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oqbm import cli
+from oqbm import cli, core
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
-from oqbm.errors import ConfigError, UnknownFigure
+from oqbm.errors import ConfigError, GridUnderResolved, UnknownFigure
 
 TINY_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": 0.0,
@@ -67,6 +67,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"n_points must be a whole number <= 2097152"):
             cli.build_scenario(dict(TINY_CONFIG, n_points=1 << 22))
 
+    @pytest.mark.parametrize("config", [
+        dict(GRIDLESS_CONFIG, sigma1=1e-300),  # the planned grid had 2^21 nodes
+        dict(TINY_CONFIG, half_width=1e300),
+    ], ids=["planned", "explicit"])
+    def test_coarse_grid_refused_before_allocation(self, monkeypatch, config):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("SpatialGrid built for a grid too coarse for the earliest snapshot")
+
+        monkeypatch.setattr(cli, "SpatialGrid", no_grid)
+        monkeypatch.setattr(core, "SpatialGrid", no_grid)
+        with pytest.raises(GridUnderResolved, match="nodes per solution width"):
+            cli.build_scenario(config)
+
     def test_laplace_coherent_scale_comes_from_rates(self):
         config = {
             "gamma_p": 1e-2, "gamma_z": 0.0, "delta": 1e-1, "omega": 1e-2,
@@ -111,9 +124,16 @@ class TestDispatch:
             assert np.max(np.abs(a - b)) < 1e-8
 
     def test_closed_method_requires_closed_solver(self):
+        # the route is chosen once, when the scenario is built
         config = dict(TINY_CONFIG, omega=5e-3, method="closed")
-        with pytest.raises(ConfigError):
-            cli.solve_snapshot(cli.build_scenario(config), 50.0)
+        with pytest.raises(ConfigError, match="no closed-form solver for regime 'general'"):
+            cli.build_scenario(config)
+
+    def test_route_is_stored_on_the_scenario(self):
+        assert cli.build_scenario(TINY_CONFIG).route == "closed[omega]"
+        assert cli.build_scenario(DRIVEN_CONFIG).route == "spectral"
+        assert cli.build_scenario(dict(DRIVEN_CONFIG, method="closed")).route == "closed[gamma_z]"
+        assert cli.build_scenario(dict(TINY_CONFIG, method="spectral")).route == "spectral"
 
     def test_closed_and_spectral_agree(self):
         scenario = cli.build_scenario(TINY_CONFIG)
@@ -298,6 +318,9 @@ class TestMain:
         (5, "must be a JSON object"),                                 # TypeError in _need
         ([TINY_CONFIG], "must be a JSON object"),
         (dict(TINY_CONFIG, ic=["gaussian_mixture"]), "unknown initial condition kind"),
+        # method "closed" with no closed form: each wrote snapshot_t0.csv before the refusal
+        (dict(TINY_CONFIG, omega=5e-3, method="closed"), "regime 'general'"),
+        (dict(TINY_CONFIG, gamma_z=0.0, omega=5e-3, method="closed"), "regime 'gamma_z'"),
     ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
             "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction",
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
@@ -305,7 +328,7 @@ class TestMain:
             "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time",
             "planned-grid-coarse-at-t0", "explicit-grid-coarse-at-t0",
             "unknown-key", "other-shape-key", "laplace-coherent-scale",
-            "json-number", "json-list", "ic-list"])
+            "json-number", "json-list", "ic-list", "closed-general", "closed-gamma_z-gaussian"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity

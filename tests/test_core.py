@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqbm import errors
+from oqbm import core, errors
 from oqbm.core import (
     BlochField,
     Custom,
@@ -70,6 +70,26 @@ class TestGrid:
         u = rng.normal(size=g.n_points)
         back = g.inverse_transform(g.forward_transform(u))
         assert np.max(np.abs(back - u)) < 1e-13
+
+    @pytest.mark.parametrize("n_points", [2, 4, 512])
+    def test_half_nodes_are_the_nonnegative_fourier_nodes(self, n_points):
+        g = SpatialGrid(5.0, n_points)
+        m = n_points // 2
+        assert g.half_nodes.size == m + 1
+        assert np.array_equal(g.half_nodes[:m], g.fourier_nodes[:m])
+        # the Nyquist node is k = +n/2, the mirror of the full grid's k = -n/2
+        assert g.half_nodes[m] == -g.fourier_nodes[m] > 0.0
+
+    def test_real_inverse_of_the_half_transform(self, rng):
+        # the half of the complex forward transform, Nyquist bin included, gives
+        # back the real samples, as the full complex inverse does
+        g = SpatialGrid(5.0, 512)
+        u = rng.normal(size=(2, g.n_points))
+        half = g.forward_transform(u)[:, : g.half_nodes.size]
+        back = g.real_inverse(half)
+        assert back.dtype == float and back.shape == u.shape
+        assert np.max(np.abs(back - u)) < 1e-13
+        assert np.max(np.abs(back - g.inverse_transform(g.forward_transform(u)).real)) < 1e-14
 
 
 class TestBlochConversion:
@@ -210,10 +230,15 @@ class TestGridPlanning:
         assert g.n_points == 256
         assert g.dx <= ic.min_feature() / 8.0
 
-    def test_capped_grid_that_cannot_resolve_raises(self):
+    def test_capped_grid_that_cannot_resolve_raises(self, monkeypatch):
         ic = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
         p = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2)
         assert plan_grid(ic, p, 1e11).n_points == 1 << 21  # capped, still 8 nodes per width
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("SpatialGrid built for a grid plan_grid refuses")
+
+        monkeypatch.setattr(core, "SpatialGrid", no_grid)  # refused before any allocation
         with pytest.raises(errors.GridUnderResolved):
             plan_grid(ic, p, 1e300)
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oqbm import gammaz0, omega0, oracle, spectral
 from oqbm.core import (
+    BlochField,
     Custom,
     GaussianCoherent,
     GaussianMixture,
@@ -18,7 +19,13 @@ from oqbm.core import (
     SpatialGrid,
     sample_initial,
 )
-from oqbm.errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
+from oqbm.errors import (
+    DomainTooNarrow,
+    GridUnderResolved,
+    NonPositiveTime,
+    StabilityViolation,
+    TailNotDecayed,
+)
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
@@ -363,6 +370,24 @@ class TestExpSymbol:
             worst = max(worst, np.max(np.abs(mine - ref)))
         assert worst < 1e-10
 
+    def test_conjugate_symmetry_at_round_off(self, rng):
+        # exp(t Q(-xi)) = conj exp(t Q(xi)): the property that lets solve and
+        # green_function evolve only xi >= 0 and invert with a real transform.
+        # Each side is accurate to about 1.5 eps max(1, t max|lambda|) (see
+        # exp_symbols); on these 300 draws (19200 frequencies) the two sides
+        # differed by at most 4.0 eps times that scale (1.8e-15 absolute).
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for _ in range(300):
+            p = Params(*np.exp(rng.uniform(math.log(1e-3), math.log(100.0), 4)))
+            t = float(np.exp(rng.uniform(math.log(1e-2), math.log(1e4))))
+            xi = rng.uniform(0.0, 50.0, 64) * np.exp(rng.uniform(-8.0, 0.0, 64))
+            diff = spectral.exp_symbols(-xi, p, t) - np.conj(spectral.exp_symbols(xi, p, t))
+            lam = np.max(np.abs(spectral.symbol_eigenvalues(xi, p)), axis=1)
+            scale = eps * np.maximum(1.0, t * lam)
+            worst = max(worst, float(np.max(np.max(np.abs(diff), axis=(1, 2)) / scale)))
+        assert worst <= 6.0
+
     def test_critical_point_matches_expm(self):
         # gamma_z = 2 omega makes the internal block a Jordan cell at xi = 0
         direct = spectral.exp_symbols(np.array([0.0]), CRITICAL, 3.0)[0]
@@ -490,3 +515,54 @@ class TestSolve:
             ref = gammaz0.solve_laplace_coherent(p, ic, t, grid)
             for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
                 assert np.max(np.abs(getattr(u, name) - getattr(ref, name))) < 1e-10, name
+
+    def test_zero_time_checks_closed_tails(self):
+        # t = 0 returns the sampled initial data, tail check included
+        with pytest.raises(DomainTooNarrow):
+            spectral.solve(GENERAL, IC, 0.0, SpatialGrid(2.0, 256))
+
+
+def _full_spectrum_solve(p, ic, t, grid):
+    """(rho_plus, c_i, rho_minus, c_r) by exp(t Q) on all n Fourier nodes and
+    the complex inverse transform, real part; the reference for the half
+    spectrum, built from the public pieces as the benchmark's gate builds it."""
+    xis = grid.fourier_nodes
+    hat = ic.spectrum(xis)
+    if hat is None:
+        u0 = ic.field
+        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))
+    evolved = np.empty((4, xis.size), dtype=complex)
+    evolved[:3] = np.einsum("mij,mj->mi", spectral.exp_symbols(xis, p, t),
+                            np.stack(hat[:3], axis=1).astype(complex)).T
+    evolved[3] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
+    return grid.inverse_transform(evolved).real
+
+
+def _noisy_custom(grid):
+    """Coherent Gaussian data plus uniform noise, whose transform is O(1e-3)
+    up to the Nyquist bin."""
+    base = sample_initial(GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0), grid)
+    noise = 1e-3 * np.random.default_rng(1).uniform(0.0, 1.0, (3, grid.n_points))
+    return Custom(BlochField.from_density(grid, base.rho11 + noise[0], base.rho22 + noise[1],
+                                          base.rho12 + 1j * noise[2]))
+
+
+class TestHalfSpectrum:
+    GRID = SpatialGrid(28.0, 2048)
+
+    @pytest.mark.parametrize("ic", [IC, GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0),
+                                    _noisy_custom(GRID)], ids=["mixture", "coherent", "custom"])
+    def test_solve_matches_full_spectrum_inverse(self, ic):
+        # at t = 1e-6 diffusion leaves the noisy Custom data's Nyquist bin at
+        # full size, so a dropped or doubled Nyquist entry would show
+        for t in (1e-6, 1.0, 50.0):
+            u = spectral.solve(GENERAL, ic, t, self.GRID)
+            half = np.stack([u.rho_plus, u.c_i, u.rho_minus, u.c_r])
+            assert np.max(np.abs(half - _full_spectrum_solve(GENERAL, ic, t, self.GRID))) <= 1e-15
+
+    def test_green_function_matches_full_spectrum_inverse(self):
+        grid = SpatialGrid(24.0, 2048)
+        for t in (10.0, 30.0):
+            spectra = np.moveaxis(spectral.exp_symbols(grid.fourier_nodes, GENERAL, t), 0, -1)
+            full = np.moveaxis(grid.inverse_transform(spectra).real, -1, 0)
+            assert np.max(np.abs(spectral.green_function(GENERAL, t, grid) - full)) <= 1e-15
