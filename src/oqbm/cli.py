@@ -12,9 +12,10 @@ times may share a file name.  An explicit half_width must cover the initial
 tails plus the drift and diffusion reach (core.reach) at the last time; a
 grid, explicit or planned, that cannot resolve the solution at the earliest
 time (core.check_resolution) is refused before it is allocated.  Config
-values must be JSON numbers, not booleans or strings; a key that is neither
-a RUN_KEYS entry nor a field of the chosen shape is refused, and an explicit
-n_points may not exceed core.MAX_POINTS.  The default output directory comes
+files are UTF-8 JSON whose values must be JSON numbers within the float
+range, not booleans or strings; a key that is neither a RUN_KEYS entry nor a
+field of the chosen shape is refused, and an explicit n_points may not exceed
+core.MAX_POINTS.  The default output directory comes
 from $OQBM_OUT_DIR, falling back to the current directory.  choose_route
 fixes each scenario's t > 0 route before any CSV: gamma_z = 0 takes its closed
 form only under ``method: "closed"``, and that method with no closed form is refused.
@@ -92,7 +93,10 @@ def _number(key: str, value) -> float:
     string), or a ConfigError that names ``key``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{key} must be a finite number, got one beyond the float range") from None
 
 
 def _shape_keys(shape: type) -> list:
@@ -388,15 +392,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "solve":
-            with open(args.config) as fh:
-                config = json.load(fh)
+            # JSON text is UTF-8 whatever the locale; ValueError covers bytes that
+            # are not UTF-8, text that is not JSON and integers of over 4300 digits
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    config = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
             run_solve(config, _default_out_dir(args.out), threads=args.threads)
             return 0
         if args.command == "figure":
             run_figure(args.figure, _default_out_dir(args.out), threads=args.threads)
             return 0
         return run_validate(args.level)
-    except (OqbmError, OSError, json.JSONDecodeError) as exc:
+    except (OqbmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,9 +7,10 @@ omega_plus = sqrt(gamma_z^2 - 4 omega^2)), underdamped for gamma_z < 2*omega
 (trigonometric functions of omega_minus = sqrt(4 omega^2 - gamma_z^2)), and a
 polynomial-times-exponential Jordan block exactly at gamma_z = 2*omega.
 
-The population imbalance in the underdamped regime factorizes for mixture
-data into a scalar oscillation times a fixed spatial profile, so it vanishes
-identically at the times tau_n returned by :func:`imbalance_zeros`.
+For mixture data (no coherence) the imbalance that :func:`solve` returns is
+the scalar internal_matrix(p, t)[2, 2] times the heat-spread rho11 - rho22, so
+in the underdamped regime it vanishes identically at the times tau_n returned
+by :func:`imbalance_zeros`.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun as sf
-from .core import (
-    BlochField,
-    GaussianCoherent,
-    GaussianMixture,
-    InitialCondition,
-    Params,
-    SpatialGrid,
-)
+from .core import BlochField, InitialCondition, Params, SpatialGrid
 from .errors import NonPositiveTime, OqbmError, WrongRegime
 
 TOL_CRITICAL = 1e-9  # relative width of the Jordan-block window
@@ -95,61 +89,6 @@ def green_delta0(p: Params, t: float, x):
     m = internal_matrix(p, t)
     g = sf.heat_kernel(t, np.asarray(x, dtype=float), p.gamma_p)
     return g[..., None, None] * m
-
-
-def imbalance_gaussian_factored(p: Params, ic: GaussianMixture, t: float, x):
-    """The mixture imbalance as (scalar oscillation A(t), spatial profile D(t, x)).
-
-    Q(t, x) = A(t) * D(t, x) with
-    A = e^{-gz t} (gz sin(w t) + w cos(w t)) / w and D the difference of the
-    two heat-spread Gaussians; A vanishes exactly at the times tau_n.
-    """
-    _require_regime(p)
-    reg = classify(p)
-    if reg.kind is not DampingKind.UNDER:
-        raise WrongRegime("factored imbalance needs the underdamped regime")
-    w = reg.omega_pm
-    amp = math.exp(-p.gamma_z * t) * (p.gamma_z * math.sin(w * t) + w * math.cos(w * t)) / w
-    rho11, rho22, _ = ic.heat(t, x, p.gamma_p)
-    return amp, rho11 - rho22
-
-
-def imbalance_gaussian_coherent(p: Params, ic: GaussianCoherent, t: float, x):
-    """Closed imbalance for the plane-wave coherent Gaussian initial state.
-
-    The coherence contributes a sine-modulated Gaussian that never vanishes
-    for k != 0, so the zeros tau_n of the mixture case disappear:
-
-    Q = -(4 om mu sqrt(p(1-p)) / w) e^{-gz t} sin(w t) N(0, s+sig^2)(x)
-          * exp(-s sig^2 k^2 / (2(s+sig^2))) * sin(k sig^2 x / (s+sig^2))
-        + (2p-1) e^{-gz t} (gz sin(w t) + w cos(w t)) / w * N(0, s+sig^2)(x)
-
-    with s = 4*gamma_p*t.
-    """
-    _require_regime(p)
-    reg = classify(p)
-    if reg.kind is not DampingKind.UNDER:
-        raise WrongRegime("closed coherent imbalance needs the underdamped regime")
-    x = np.asarray(x, dtype=float)
-    if t == 0.0:
-        return np.asarray(ic.rho11(x) - ic.rho22(x), dtype=float)
-    w = reg.omega_pm
-    s = 4.0 * p.gamma_p * t
-    vt = s + ic.sigma**2
-    damp = math.exp(-p.gamma_z * t)
-    envelope = np.exp(-(x * x + s * ic.sigma**2 * ic.k**2) / (2.0 * vt)) / math.sqrt(2.0 * math.pi * vt)
-    term1 = (
-        -(4.0 * p.omega * ic.mu * math.sqrt(ic.p * (1.0 - ic.p)) / w)
-        * damp * math.sin(w * t)
-        * envelope * np.sin(ic.k * ic.sigma**2 * x / vt)
-    )
-    gauss = np.exp(-x * x / (2.0 * vt)) / math.sqrt(2.0 * math.pi * vt)
-    term2 = (
-        (2.0 * ic.p - 1.0) / w
-        * damp * (p.gamma_z * math.sin(w * t) + w * math.cos(w * t))
-        * gauss
-    )
-    return term1 + term2
 
 
 def imbalance_zeros(p: Params, n_max: int) -> np.ndarray:

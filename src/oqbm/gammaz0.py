@@ -131,16 +131,6 @@ def _cone_convolutions(fields, t: float, x, p: Params) -> tuple:
     return at, 0.5 * (back + ahead) - t * p.omega * j1, 0.5 * t * j0sin
 
 
-def convolve_kappa1(f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params) -> np.ndarray:
-    """(f * k1)(x): half-weight translates to the cone edges plus the smooth part."""
-    return _cone_convolutions(lambda y: f(y)[None], t, x, p)[1][0]
-
-
-def convolve_kappa0(f: Callable[[np.ndarray], np.ndarray], t: float, x, p: Params) -> np.ndarray:
-    """(f * k0)(x) over the light cone |y| < 2*t*delta."""
-    return _cone_convolutions(lambda y: f(y)[None], t, x, p)[2][0]
-
-
 def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]:
     """The closed matrix exponential exp(t Q(xi)) for gamma_z = 0.
 
@@ -249,63 +239,6 @@ def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: Spati
     return BlochField(grid=grid, rho_plus=u1, c_i=u2, rho_minus=u3, c_r=c_r, time=t)
 
 
-def probability_density(p: Params, ic: LaplaceCoherent, t: float, x) -> np.ndarray:
-    """P(t, x) written out as boundary terms plus three theta integrals.
-
-    Same quantity as the rho_plus component of :func:`solve_laplace_coherent`
-    but grouped independently (useful as a cross-check of the assembly).
-    """
-    _require_regime(p)
-    amp = _check_initial(p, ic)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0.0:
-        return np.asarray(ic.rho11(x) + ic.rho22(x), dtype=float)
-    reach = 2.0 * t * p.delta
-
-    def hp(y): return sf.h_plus(t, y, p)
-    def php(y): return sf.phi_plus(t, y, p)
-    def phm(y): return sf.phi_minus(t, y, p)
-    def dphi(y): return hp(y) - php(y)
-
-    def fields(y):
-        driven = sf.DrivenKernels(t, y, p)
-        return np.stack((driven.h_plus() - driven.phi_plus(), driven.phi_minus(), driven.h_minus()))
-
-    (int_dphi_j1, int_phm_j1, _), (_, _, int_hm_j0) = _theta_integrals(fields, t, x, p)
-
-    out = php(x) + 0.5 * (dphi(x - reach) + dphi(x + reach)) - t * p.omega * int_dphi_j1
-    out -= 2.0 * ic.q * amp * (
-        phm(x) - 0.5 * (phm(x - reach) + phm(x + reach)) + t * p.omega * int_phm_j1
-    )
-    out += (2.0 * ic.p - 1.0) * t * p.omega * int_hm_j0
-    return out
-
-
-def population_imbalance(p: Params, ic: LaplaceCoherent, t: float, x) -> np.ndarray:
-    """Q(t, x) = rho11 - rho22, grouped as boundary terms plus theta integrals."""
-    _require_regime(p)
-    amp = _check_initial(p, ic)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0.0:
-        return np.asarray(ic.rho11(x) - ic.rho22(x), dtype=float)
-    reach = 2.0 * t * p.delta
-    pop = 2.0 * ic.p - 1.0
-
-    def hp(y): return sf.h_plus(t, y, p)
-
-    def fields(y):
-        driven = sf.DrivenKernels(t, y, p)
-        return np.stack((driven.h_minus(), driven.h_plus()))
-
-    (_, int_hp_j1), (int_hm_j0, int_hp_j0) = _theta_integrals(fields, t, x, p)
-
-    out = 0.5 * pop * (hp(x - reach) + hp(x + reach))
-    out += t * p.omega * int_hm_j0
-    out -= 2.0 * t * ic.q * p.omega * amp * int_hp_j0
-    out -= pop * t * p.omega * int_hp_j1
-    return out
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Max absolute discrepancies of the kernel convolution identities."""
@@ -378,8 +311,7 @@ def convolution_identities_check(
     outside = x_points[x_points > 2.0 * t * p.delta * (1.0 + 1e-9)]
     e5 = e6 = 0.0
     if outside.size:
-        k1 = convolve_kappa1(f_l, t, outside, p)
-        k0 = convolve_kappa0(f_l, t, outside, p)
+        _, (k1,), (k0,) = _cone_convolutions(lambda y: f_l(y)[None], t, outside, p)
         e5 = float(np.max(np.abs(k1 - f_l(outside))))
         e6 = float(np.max(np.abs(k0 - t * f_l(outside))))
     return IdentityReport(

@@ -162,12 +162,21 @@ def heat_modulated_gauss(t: float, x, gamma_p: float, k: float, sigma: float):
 
 
 def heat_uniform(t: float, x, gamma_p: float, a: float):
-    """Heat kernel convolved with the plateau density on [-a, a] (mass 1)."""
+    """Heat kernel convolved with the plateau density on [-a, a] (mass 1).
+
+    Even in x, so it is taken at |x|, with lo = (|x| - a)/s, hi = (|x| + a)/s
+    and s the diffusion width: over the plateau (lo <= 0) as erf(hi) - erf(lo),
+    whose terms have opposite signs, and beyond it as erfc(lo) - erfc(hi),
+    whose second term is the smaller, so the tails keep their relative
+    accuracy rather than reading 0.0 where both erf values round to 1.
+    """
     import scipy.special
     _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
+    x = np.abs(np.asarray(x, dtype=float))
     s = 2.0 * math.sqrt(2.0 * gamma_p * t)
-    return (scipy.special.erf((x + a) / s) - scipy.special.erf((x - a) / s)) / (4.0 * a)
+    lo, hi = (x - a) / s, (x + a) / s
+    inside = scipy.special.erf(hi) - scipy.special.erf(lo)
+    return np.where(lo > 0.0, erfc(lo) - erfc(hi), inside) / (4.0 * a)
 
 
 def _erfc_pair(t: float, x, gamma_p: float, c: float):

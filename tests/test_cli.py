@@ -321,6 +321,10 @@ class TestMain:
         # method "closed" with no closed form: each wrote snapshot_t0.csv before the refusal
         (dict(TINY_CONFIG, omega=5e-3, method="closed"), "regime 'general'"),
         (dict(TINY_CONFIG, gamma_z=0.0, omega=5e-3, method="closed"), "regime 'gamma_z'"),
+        # JSON integers beyond the float range: each escaped main as OverflowError
+        (dict(TINY_CONFIG, n_points=10**400), "n_points"),
+        (dict(TINY_CONFIG, times=[0, 10**400]), "times[1]"),
+        (dict(TINY_CONFIG, sigma1=10**400), "sigma1"),
     ], ids=["eps_tail-nan", "time-nan", "time-inf", "gamma_p-string", "gamma_p-null",
             "times-number", "time-string", "eps_tail-string", "n_points-null", "n_points-fraction",
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
@@ -328,7 +332,8 @@ class TestMain:
             "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time",
             "planned-grid-coarse-at-t0", "explicit-grid-coarse-at-t0",
             "unknown-key", "other-shape-key", "laplace-coherent-scale",
-            "json-number", "json-list", "ic-list", "closed-general", "closed-gamma_z-gaussian"])
+            "json-number", "json-list", "ic-list", "closed-general", "closed-gamma_z-gaussian",
+            "n_points-huge-int", "time-huge-int", "sigma1-huge-int"])
     def test_non_finite_config_rejected(self, tmp_path, config, key, capsys):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))  # json writes NaN and Infinity
@@ -339,6 +344,18 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("raw", [
+        b'{"gamma_p": 1e-3, "sigma\xe91": 1.0}',  # a Latin-1 byte: UnicodeDecodeError escaped main
+        b'{"gamma_p": 1' + b"0" * 5000 + b"}",     # over 4300 digits: ValueError escaped main
+    ], ids=["latin-1-byte", "int-over-4300-digits"])
+    def test_unreadable_config_exit_code(self, tmp_path, raw, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_bytes(raw)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OQBM_OUT_DIR", str(tmp_path / "envout"))

@@ -107,32 +107,18 @@ class TestImbalance:
         grid = SpatialGrid(8.0, 64)
         assert np.max(np.abs(delta0.solve(UNDER, ic, 35.0, grid).rho_minus)) == 0.0
 
-    def test_factorization_of_mixture_imbalance(self):
-        grid = SpatialGrid(20.0, 512)
-        for t in (13.0, 50.0, 121.0):
-            amp, profile = delta0.imbalance_gaussian_factored(UNDER, FIG6_LEFT, t, grid.nodes)
-            direct = delta0.solve(UNDER, FIG6_LEFT, t, grid).rho_minus
-            assert np.max(np.abs(amp * profile - direct)) < 1e-12
-
-    def test_coherent_closed_form(self):
-        grid = SpatialGrid(20.0, 512)
-        for t in (25.0, 75.0):
-            closed = delta0.imbalance_gaussian_coherent(UNDER, FIG6_RIGHT, t, grid.nodes)
-            general = delta0.solve(UNDER, FIG6_RIGHT, t, grid).rho_minus
-            assert np.max(np.abs(closed - general)) < 1e-14
-
     def test_coherent_reduces_to_mixture_as_k_vanishes(self):
         grid = SpatialGrid(20.0, 256)
         tiny_k = GaussianCoherent(p=0.75, mu=0.8, k=1e-280, sigma=1.0)
         same_sigma = GaussianMixture(p=0.75, sigma1=1.0, sigma2=1.0)
-        got = delta0.imbalance_gaussian_coherent(UNDER, tiny_k, 50.0, grid.nodes)
+        got = delta0.solve(UNDER, tiny_k, 50.0, grid).rho_minus
         ref = delta0.solve(UNDER, same_sigma, 50.0, grid).rho_minus
         assert np.max(np.abs(got - ref)) < 1e-15
 
     def test_coherent_term_breaks_the_zeros(self):
         tau = float(delta0.imbalance_zeros(UNDER, 1)[0])
-        x = np.linspace(-20, 20, 501)
-        q = delta0.imbalance_gaussian_coherent(UNDER, FIG6_RIGHT, tau, x)
+        grid = SpatialGrid(20.0, 512)
+        q = delta0.solve(UNDER, FIG6_RIGHT, tau, grid).rho_minus
         assert np.max(np.abs(q)) > 1e-4
 
     def test_against_fd_oracle(self):
@@ -194,9 +180,8 @@ class TestDensityAndSolve:
 @pytest.mark.parametrize("t", [0.0, 10.0])
 @pytest.mark.parametrize("closed", [
     lambda ic, t, grid: delta0.solve(UNDER, ic, t, grid),
-    lambda ic, t, grid: delta0.imbalance_gaussian_factored(UNDER, ic, t, grid.nodes),
     lambda ic, t, grid: omega0.solve(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2), ic, t, grid),
-], ids=["delta0_solve", "imbalance_gaussian_factored", "omega0_solve"])
+], ids=["delta0_solve", "omega0_solve"])
 def test_custom_data_has_no_closed_helper(closed, t):
     grid = SpatialGrid(32.0, 512)
     ic = Custom(sample_initial(FIG6_LEFT, grid))

@@ -13,6 +13,11 @@ IC_FULL = LaplaceCoherent.for_params(p=0.25, r=0.5, q=-0.5, params=RATES)
 GRID = SpatialGrid(224.0, 4096)
 
 
+def one_kernel(f):
+    """``f`` as a stack of one kernel, the form ``_cone_convolutions`` takes."""
+    return lambda y: f(y)[None]
+
+
 class TestThetaQuadrature:
     def test_polynomial_exactness(self):
         # a rule of order n integrates monomials up to degree 2n-1 exactly
@@ -36,7 +41,7 @@ class TestKernelConvolutions:
             return 0.5 * c * np.exp(-c * np.abs(y))
 
         x = np.array([5.5, 7.0, 12.0, 30.0])
-        got = gammaz0.convolve_kappa1(f_l, t, x, RATES)
+        _, (got,), _ = gammaz0._cone_convolutions(one_kernel(f_l), t, x, RATES)
         assert np.max(np.abs(got - f_l(x))) < 1e-10
 
     def test_kappa0_of_laplace_outside_cone(self):
@@ -47,7 +52,7 @@ class TestKernelConvolutions:
             return 0.5 * c * np.exp(-c * np.abs(y))
 
         x = np.array([5.5, 7.0, 12.0, 30.0])
-        got = gammaz0.convolve_kappa0(f_l, t, x, RATES)
+        _, _, (got,) = gammaz0._cone_convolutions(one_kernel(f_l), t, x, RATES)
         assert np.max(np.abs(got - t * f_l(x))) < 1e-10
 
     def test_quadrature_cap_raises(self, monkeypatch):
@@ -56,7 +61,7 @@ class TestKernelConvolutions:
 
         monkeypatch.setattr(gammaz0, "QUAD_TOL", 1e-14)
         with pytest.raises(QuadratureNotConverged):
-            gammaz0.convolve_kappa0(noisy, 25.0, np.array([0.0]), RATES)
+            gammaz0._cone_convolutions(one_kernel(noisy), 25.0, np.array([0.0]), RATES)
 
     def test_non_finite_integrand_stops_at_first_order(self):
         orders = set()
@@ -66,7 +71,7 @@ class TestKernelConvolutions:
             return np.full_like(y, np.nan)
 
         with pytest.raises(QuadratureNotConverged, match="not finite"):
-            gammaz0.convolve_kappa1(broken, 25.0, np.linspace(-5.0, 5.0, 11), RATES)
+            gammaz0._cone_convolutions(one_kernel(broken), 25.0, np.linspace(-5.0, 5.0, 11), RATES)
         # the edge translates are one column, the quadrature samples one order
         assert orders == {11, gammaz0.QUAD_START_ORDER}
 
@@ -77,13 +82,8 @@ class TestKernelConvolutions:
             return sf.heat_kernel(t, y, RATES.gamma_p)
 
         empty = np.array([])
-        for result in (
-            gammaz0.convolve_kappa1(g, t, empty, RATES),
-            gammaz0.convolve_kappa0(g, t, empty, RATES),
-            gammaz0.probability_density(RATES, IC, t, empty),
-            gammaz0.population_imbalance(RATES, IC, t, empty),
-        ):
-            assert result.shape == (0,)
+        for result in gammaz0._cone_convolutions(one_kernel(g), t, empty, RATES):
+            assert result.shape == (1, 0)
 
 
 class TestKernelStack:
@@ -106,8 +106,9 @@ class TestKernelStack:
         at, k1, k0 = gammaz0._cone_convolutions(self.stack, self.T, x, RATES)
         for i, f in enumerate(self.single_fields()):
             assert np.array_equal(at[i], f(x))
-            assert np.max(np.abs(k1[i] - gammaz0.convolve_kappa1(f, self.T, x, RATES))) <= 1e-15
-            assert np.max(np.abs(k0[i] - gammaz0.convolve_kappa0(f, self.T, x, RATES))) <= 1e-15
+            _, (k1_one,), (k0_one,) = gammaz0._cone_convolutions(one_kernel(f), self.T, x, RATES)
+            assert np.max(np.abs(k1[i] - k1_one)) <= 1e-15
+            assert np.max(np.abs(k0[i] - k0_one)) <= 1e-15
 
     def test_blocks_do_not_change_results(self):
         # at the start order a block holds _BLOCK_SAMPLES / 64 points: this x
@@ -227,27 +228,17 @@ class TestLaplaceCoherentSolve:
         u = gammaz0.solve_laplace_coherent(RATES, ic, t, GRID)
         x = GRID.nodes
 
-        def phm(y):
-            return sf.phi_minus(t, y, RATES)
+        def fields(y):
+            return np.stack((sf.phi_minus(t, y, RATES), sf.h_minus(t, y, RATES)))
 
-        expected = 0.5 * (phm(x) - gammaz0.convolve_kappa1(phm, t, x, RATES))
-        assert np.max(np.abs(u.c_i - expected)) < 1e-12
-        assert np.max(np.abs(u.rho_minus - 2 * RATES.omega
-                             * gammaz0.convolve_kappa0(lambda y: sf.h_minus(t, y, RATES),
-                                                       t, x, RATES))) < 1e-12
+        (phm, _), (k1_phm, _), (_, k0_hm) = gammaz0._cone_convolutions(fields, t, x, RATES)
+        assert np.max(np.abs(u.c_i - 0.5 * (phm - k1_phm))) < 1e-12
+        assert np.max(np.abs(u.rho_minus - 2 * RATES.omega * k0_hm)) < 1e-12
 
     def test_mass_conserved(self):
         for t in (1.0, 25.0, 100.0):
             u = gammaz0.solve_laplace_coherent(RATES, IC_FULL, t, GRID)
             assert abs(u.mass() - 1.0) < 1e-7
-
-    def test_regrouped_density_and_imbalance_match_solution(self):
-        t = 25.0
-        u = gammaz0.solve_laplace_coherent(RATES, IC, t, GRID)
-        P = gammaz0.probability_density(RATES, IC, t, GRID.nodes)
-        Q = gammaz0.population_imbalance(RATES, IC, t, GRID.nodes)
-        assert np.max(np.abs(P - u.rho_plus)) < 1e-9
-        assert np.max(np.abs(Q - u.rho_minus)) < 1e-9
 
     def test_against_fd_oracle_over_the_figure_times(self):
         from oqbm import oracle
@@ -257,10 +248,9 @@ class TestLaplaceCoherentSolve:
         fd = oracle.fd_integrate(RATES, IC, 100.0, grid, snapshot_times=times,
                                  richardson=False)
         for t in times:
-            P = gammaz0.probability_density(RATES, IC, t, grid.nodes)
-            Q = gammaz0.population_imbalance(RATES, IC, t, grid.nodes)
-            assert np.max(np.abs(fd.snapshots[t].rho_plus - P)) < 5e-5, t
-            assert np.max(np.abs(fd.snapshots[t].rho_minus - Q)) < 5e-5, t
+            u = gammaz0.solve_laplace_coherent(RATES, IC, t, grid)
+            assert np.max(np.abs(fd.snapshots[t].rho_plus - u.rho_plus)) < 5e-5, t
+            assert np.max(np.abs(fd.snapshots[t].rho_minus - u.rho_minus)) < 5e-5, t
 
     def test_small_driving_limit_of_green_entries(self):
         # as omega -> 0 the cone kernels collapse onto the pure deltas, so the

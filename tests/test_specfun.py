@@ -111,6 +111,33 @@ class TestHeatKernel:
             sf.heat_kernel(0.0, 1.0, 1.0)
 
 
+class TestHeatUniform:
+    @pytest.mark.parametrize("t, a", [(50.0, 3.0), (200.0, 3.0), (200.0, 2.0)])
+    def test_tails_against_mpmath(self, t, a):
+        # fig3's rate and plateaus, out to 12 diffusion widths s beyond the
+        # edge; erf(hi) - erf(lo) read 0.0 at x = 12 for t = 200, a = 3, where
+        # the value is 6.8e-25
+        gp = 1e-3
+        s = 2.0 * math.sqrt(2.0 * gp * t)
+        x = np.linspace(-(a + 12.0 * s), a + 12.0 * s, 121)
+        got = sf.heat_uniform(t, x, gp, a)
+        eps = np.finfo(float).eps
+        with mp.workdps(40):
+            s_exact = 2 * mp.sqrt(2 * mp.mpf(gp) * mp.mpf(t))
+            for xv, v in zip(x, got):
+                ax = abs(mp.mpf(xv))
+                ref = (mp.erfc((ax - a) / s_exact) - mp.erfc((ax + a) / s_exact)) / (4 * a)
+                # beyond the edge erfc(lo), lo = (|x| - a)/s, has relative
+                # condition 2 lo^2 in lo, which carries the rounding of s
+                lo = max((abs(xv) - a) / s, 0.0)
+                assert abs(v - ref) <= 16 * eps * (1 + lo * lo) * ref, xv
+
+    def test_even_in_x(self):
+        x = np.linspace(0.0, 20.0, 81)
+        assert np.array_equal(sf.heat_uniform(200.0, x, 1e-3, 3.0),
+                              sf.heat_uniform(200.0, -x, 1e-3, 3.0))
+
+
 def _trapezoid_inverse_ft(symbol_fn, x, xi_max=60.0, n=400001):
     xi = np.linspace(-xi_max, xi_max, n)
     vals = symbol_fn(xi)
