@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import numbers
@@ -211,17 +212,146 @@ def _format(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# format(v, ".17g") of whole arrays.  Each value is laid out in a row of
+# _SRC_WIDTH bytes (its digits once as they are and once less trailing
+# zeros, its sign, point and exponent), and its text is gathered from that row
+# into a slot of _SLOT bytes, "," and then the text, padded with NUL bytes
+# that are dropped from the finished CSV rows.  Byte offsets in the row:
+_COMMA, _SIGN, _ZERO, _RAW = 0, 1, 2, 3  # "," sign "0" and the 17 digits at 3..19
+_POINT, _PAD, _STRIPPED, _EXP = 20, 21, 23, 40  # "." or NUL; 17 digits at 23..39; "e+XX"
+_SRC_WIDTH = 48
+_SLOT = 25
+_POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
+_TIE_GAP = 1e-6
+_ROWS_PER_CHUNK = 1024
+
+
+def _split(x: np.ndarray) -> tuple:
+    """Veltkamp's split: x = hi + lo exactly, each half with at most 26 bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _g17_tables() -> tuple:
+    """Tables of :func:`_format_g17`, built from exact integers on first use.
+
+    10^k = hi + lo to 2^-106 relative for k from _POW_MIN, with hi also
+    split; the 4-digit ASCII chunks 0000..9999 as little-endian words, and
+    each chunk's significant length (-99 for 0000); word masks that keep the
+    first j - 1 of the digits d1..d16; the suffix "e+XX" of each exponent
+    from _POW_MIN as an 8-byte word; and the row offsets of each slot's bytes,
+    for fixed X = -4..16 and then for the exponent form.
+    """
+    from fractions import Fraction  # imports decimal: a cost only CSV writing pays
+
+    exact = [Fraction(10) ** k for k in range(_POW_MIN, _POW_MAX + 1)]
+    hi = [float(x) for x in exact]
+    lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi)])
+    hi = np.array(hi)
+    text = [f"{i:04d}" for i in range(10000)]
+    chunks = np.frombuffer("".join(text).encode(), "<u4")
+    length = np.array([len(s.rstrip("0")) if i else -99 for i, s in enumerate(text)], np.int8)
+    keep = np.where(np.arange(16) < np.arange(-1, 17)[:, None], 0xFF, 0).astype(np.uint8)
+    exps = np.frombuffer(b"".join(f"e{x:+03d}".encode().ljust(8, b"\0")
+                                  for x in range(_POW_MIN, _POW_MAX + 1)), "<u8")
+    raw = range(_RAW, _RAW + 17)
+    stripped = range(_STRIPPED, _STRIPPED + 17)
+    layouts = [[_ZERO, _POINT] + [_ZERO] * (-x - 1) + list(stripped) if x < 0
+               else list(raw[:x + 1]) + [_POINT] + list(stripped[x + 1:]) for x in range(-4, 17)]
+    layouts.append([raw[0], _POINT] + list(stripped[1:]) + list(range(_EXP, _EXP + 5)))
+    slots = np.array([[_COMMA, _SIGN] + lay + [_PAD] * (_SLOT - 2 - len(lay)) for lay in layouts],
+                     np.intp)
+    return hi, lo, *_split(hi), chunks, length, keep.view("<u4"), exps, slots
+
+
+def _below_pow10(a: np.ndarray, k: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """a < 10^k exactly, for doubles a, from the double-double table."""
+    h, low = hi[k - _POW_MIN], lo[k - _POW_MIN]
+    return (a < h) | ((a == h) & (low > 0.0))
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """The bytes "," + format(v, ".17g") of each value, as (n, _SLOT) uint8
+    rows padded with NUL bytes.
+
+    For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
+    comes from comparisons with the double-double 10^X; Dekker's exact
+    two-product forms V = |v| 10^(16 - X) in [1e16, 1e17) as s + t with
+    absolute error below 5e-15 (2^-106 V from the table, two roundings of
+    terms below 32); its nearest integer N holds the 17 significant digits.
+    N is exact unless V's fraction is within _TIE_GAP of 1/2, where the
+    error could flip the rounding and true ties round half-even.  Those
+    values, and non-finite ones and |v| outside that range, are formatted
+    one at a time by ``format`` itself.
+    """
+    hi, lo, hi_hi, hi_lo, chunks, length, keep, exps, slots = _g17_tables()
+    v = np.ravel(values)
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
+    a = np.where(fast & ~zero, a, 1.0)  # no log10(0) or cast of NaN below
+    x = np.floor(np.log10(a)).astype(np.intp)
+    x -= _below_pow10(a, x, hi, lo)
+    x += ~_below_pow10(a, x + 1, hi, lo)
+    k = 16 - x - _POW_MIN
+    a_hi, a_lo = _split(a)
+    p = a * hi[k]
+    q = (((a_hi * hi_hi[k] - p) + a_hi * hi_lo[k] + a_lo * hi_hi[k]) + a_lo * hi_lo[k]) + a * lo[k]
+    s = p + q
+    t = q - (s - p)
+    whole = np.floor(t)
+    frac = t - whole
+    n = s.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = n == 10**17  # 9.99..95e(X) rounds up to 1e(X+1)
+    n = np.where(zero, 0, np.where(carry, 10**16, n))
+    x += carry
+    slow = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_GAP))
+
+    top, low8 = np.divmod(n, 10**8)
+    lead, mid8 = np.divmod(top, 10**8)
+    c1, c2 = np.divmod(mid8, 10**4)
+    c3, c4 = np.divmod(low8, 10**4)
+    n_digits = np.maximum(np.maximum(np.maximum(1 + length[c1], 5 + length[c2]),
+                                     np.maximum(9 + length[c3], 13 + length[c4])), 1)
+    fixed = (x >= -4) & (x < 17)  # format's "g" rule at precision 17
+    # the row as little-endian words: byte 3 of words 0 and 5 is the first digit
+    first = (lead.astype("<u4") + ord("0")) << 24
+    src = np.empty((v.size, _SRC_WIDTH // 4), "<u4")
+    src[:, 0] = ord(",") | np.where(np.signbit(v), ord("-") << 8, 0) | ord("0") << 16 | first
+    src[:, 1:5] = np.column_stack([chunks[c1], chunks[c2], chunks[c3], chunks[c4]])
+    src[:, 5] = np.where(n_digits > np.where(fixed, x, 0) + 1, ord("."), 0) | first
+    src[:, 6:10] = src[:, 1:5] & keep[n_digits]
+    src.view("<u8")[:, _EXP // 8] = exps[np.where(fixed, 0, x) - _POW_MIN]
+    index = slots[np.where(fixed, x + 4, -1)]  # the last layout is the exponent form
+    index += _SRC_WIDTH * np.arange(v.size)[:, None]
+    out = src.view(np.uint8).ravel()[index]
+    for i in slow:
+        text = np.frombuffer(("," + _format(v[i])).encode(), np.uint8)
+        out[i] = 0
+        out[i, :text.size] = text
+    return out
+
+
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (
         field.grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
         field.rho11, field.rho22,
     )
-    # "%.17g" % v and format(v, ".17g") give the same bytes; one template per
-    # row formats the whole table in one pass
-    row = _format(field.time) + ",%.17g" * len(cols) + "\n"
-    table = np.column_stack(cols).tolist()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n" + "".join([row % tuple(r) for r in table]))
+    table = np.column_stack(cols)
+    stamp = np.frombuffer(_format(field.time).encode(), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((CSV_HEADER + "\n").encode())
+        # a chunk of rows at a time keeps the kernel's temporaries small
+        for start in range(0, len(table), _ROWS_PER_CHUNK):
+            block = table[start:start + _ROWS_PER_CHUNK]
+            rows = np.empty((len(block), stamp.size + block.shape[1] * _SLOT + 1), np.uint8)
+            rows[:, :stamp.size] = stamp
+            rows[:, stamp.size:-1] = _format_g17(block).reshape(len(block), -1)
+            rows[:, -1] = ord("\n")
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _ic_manifest(ic: InitialCondition) -> dict:

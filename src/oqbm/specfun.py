@@ -184,16 +184,25 @@ def _erfc_pair(t: float, x, gamma_p: float, c: float):
 
     Returns (x, neg, minus, plus): x as an array, neg = -x^2/(2 v) and the two
     halves (y > 0 and y < 0), each over c/4, as the scaled erfc products
-    exp(neg) erfcx((c v -/+ x)/s), with v = 4 gamma_p t and s = sqrt(2 v).
+    exp(neg) erfcx(b), b = (c v -/+ x)/s, with v = 4 gamma_p t and s = sqrt(2 v).
     Every Laplace-smoothed kernel below is a fixed combination of the two.
+    For b < 0 a half is 2 exp(neg + b^2) - exp(neg) erfcx(-b), whose exponent
+    neg + b^2 is taken in closed form, c^2 v/2 -/+ c x (at most -c^2 v/2
+    there): formed as the sum, two terms of size x^2/(2 v) would cancel.
     """
     _require_positive_time(t)
     x = np.asarray(x, dtype=float)
     v = 4.0 * gamma_p * t
     s = math.sqrt(2.0 * v)
     neg = -x * x / (2.0 * v)
-    minus = scaled_erfc_product(neg, (c * v - x) / s)
-    return x, neg, minus, scaled_erfc_product(neg, (c * v + x) / s)
+    halves = []
+    for sign in (-1.0, 1.0):
+        b = (c * v + sign * x) / s
+        half = np.asarray(scaled_erfc_product(neg, np.abs(b)))
+        below = b < 0.0
+        half[below] = 2.0 * np.exp(0.5 * c * c * v + sign * c * x[below]) - half[below]
+        halves.append(_scalar_or_array(half))
+    return x, neg, *halves
 
 
 def heat_laplace(t: float, x, gamma_p: float, c: float):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqbm import cli, core
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
@@ -247,6 +248,69 @@ class TestOutputs:
         runs = manifest["runs"]
         assert runs["left"]["regime"] == "delta"
         assert runs["left"]["files"]["50"]["solver"] == "closed[delta]"
+
+
+def _powers_of_ten_and_neighbours():
+    values = []
+    for k in range(-323, 309):
+        for p in {10.0 ** k, float(f"1e{k}")}:
+            values += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+    return values
+
+
+class TestCsvKernel:
+    """``_format_g17`` gives exactly format(v, ".17g"), value by value."""
+
+    @staticmethod
+    def assert_matches_format(values):
+        values = np.asarray(values, dtype=float)
+        slots = cli._format_g17(values)
+        assert slots.shape == (values.size, cli._SLOT)
+        for v, slot in zip(values.tolist(), slots):
+            assert bytes(slot).replace(b"\0", b"") == ("," + format(v, ".17g")).encode(), repr(v)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(19).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        self.assert_matches_format(bits.view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_floats(self, values):
+        self.assert_matches_format(values)
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan],
+        [1e-280, np.nextafter(1e-280, 0.0), np.nextafter(1e-280, 1.0), 1e280, 1e308, -1e308],
+        # a half-even tie, the double nearest 1e-4, both ends of [1e16, 1e17)
+        [437988075602300.625, -437988075602300.625, 9.99999999999999999e-5, 1e16,
+         99999999999999999.0, 1e17, 123.0, 1200.0, 0.0001, 1e-5],
+        _powers_of_ten_and_neighbours(),
+    ], ids=["specials", "fast-path-edges", "named", "powers-of-ten"])
+    def test_edge_cases(self, values):
+        self.assert_matches_format(values)
+
+    @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+    def test_exponent_exact_whatever_log10_rounds(self, monkeypatch, shift):
+        # a log10 off either way next to 10^k moves floor(log10|v|) by one,
+        # which the comparisons with the double-double 10^k take back
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        self.assert_matches_format(_powers_of_ten_and_neighbours())
+
+    def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        # 2048 rows in chunks of 300: six whole chunks and one of 248 rows
+        monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 300)
+        grid = SpatialGrid(3.0, 2048)
+        rng = np.random.default_rng(7)
+        cols = [rng.normal(size=2048) * 10.0 ** rng.integers(-30, 30, 2048) for _ in range(4)]
+        field = BlochField(grid=grid, rho_plus=cols[0], rho_minus=cols[1], c_r=cols[2],
+                           c_i=cols[3], time=0.1)
+        cli.write_snapshot_csv(tmp_path / "s.csv", field)
+        table = (grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
+                 field.rho11, field.rho22)
+        rows = ["0.10000000000000001," + ",".join(format(float(c[i]), ".17g") for c in table) + "\n"
+                for i in range(2048)]
+        assert (tmp_path / "s.csv").read_text() == "t,x,P,Q,C_R,C_I,rho11,rho22\n" + "".join(rows)
 
 
 class TestMain:

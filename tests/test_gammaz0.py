@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,6 +30,28 @@ class TestThetaQuadrature:
 
     def test_caching_returns_same_rule(self):
         assert gammaz0.theta_rule(64) is gammaz0.theta_rule(64)
+
+    @pytest.mark.parametrize("order, weight_tol", [(64, 1e-13), (512, 1e-12), (2048, 1e-11)])
+    def test_rule_against_mpmath(self, order, weight_tol):
+        # numpy's leggauss is off by 1.3e-12 / 1.1e-10 / 6.3e-8 relative on
+        # these weights; nodes of either rule are within about one ulp of pi,
+        # the rounding of the map onto [0, pi]
+        nodes, weights = gammaz0.theta_rule(order)
+        assert np.all(np.diff(nodes) > 0.0)
+        with mpmath.workdps(32):
+            n = mpmath.mpf(order)
+            for i in sorted({0, 1, order // 7, order // 2, order - 2, order - 1}):
+                # the i-th root in ascending order, by Newton from Tricomi's estimate
+                x = -mpmath.cos(mpmath.pi * (i + mpmath.mpf(0.75)) / (n + mpmath.mpf(0.5)))
+                for _ in range(8):
+                    p, below = mpmath.legendre(order, x), mpmath.legendre(order - 1, x)
+                    step = p * (x * x - 1) / (n * (x * p - below))
+                    x -= step
+                    if abs(step) < 1e-28:
+                        break
+                assert abs(nodes[i] - mpmath.pi * (x + 1) / 2) < 5e-16, i
+                weight = mpmath.pi * (1 - x * x) / (n * below) ** 2
+                assert abs(weights[i] - weight) < weight_tol * weight, i
 
 
 class TestKernelConvolutions:

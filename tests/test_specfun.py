@@ -138,6 +138,63 @@ class TestHeatUniform:
                               sf.heat_uniform(200.0, -x, 1e-3, 3.0))
 
 
+_TAIL_X = np.array([0.3, 1.0, 3.0, 10.0, 30.0, 60.0, 100.0, 200.0, 300.0])
+_TAIL_X = np.concatenate((-_TAIL_X[::-1], _TAIL_X))
+
+
+def _laplace_halves(t, x, gp, c):
+    """exp(c^2 v/2 -/+ c x) erfc((c v -/+ x)/s), v = 4 gp t, s = sqrt(2 v), in
+    mpmath from the exact double inputs: the Laplace-smoothed halves times 4/c."""
+    v = 4 * gp * t
+    s = mp.sqrt(2 * v)
+    return tuple(mp.exp(c * c * v / 2 + sign * c * x) * mp.erfc((c * v + sign * x) / s)
+                 for sign in (-1, 1))
+
+
+class TestLaplaceTails:
+    """Laplace-smoothed kernels stay accurate relative to themselves in the
+    tails: the conditioning of exp(-c|x|) is c|x| eps.  The exponent of each
+    b < 0 half used to be the sum of two terms of size x^2/(2v), which cost
+    up to 2500 eps (1 + c|x|) at fig4's rates."""
+
+    @staticmethod
+    def assert_within_conditioning(got, ref, c, x):
+        eps = np.finfo(float).eps
+        for g, r, xv in zip(got, ref, x):
+            assert abs(g - float(r)) <= 8 * eps * (1 + c * abs(xv)) * abs(float(r)), xv
+
+    @pytest.mark.parametrize("t, gp, c", [(50.0, 1e-3, 1.0), (200.0, 1e-3, 0.5), (25.0, 1e-2, 0.1)])
+    def test_heat_laplace(self, t, gp, c):
+        with mp.workdps(50):
+            ref = [c / 4 * sum(_laplace_halves(mp.mpf(t), mp.mpf(xv), mp.mpf(gp), mp.mpf(c)))
+                   for xv in _TAIL_X]
+        self.assert_within_conditioning(sf.heat_laplace(t, _TAIL_X, gp, c), ref, c, _TAIL_X)
+
+    @pytest.mark.parametrize("t, p", [(25.0, DRIVEN), (100.0, DRIVEN),
+                                      (50.0, Params(gamma_p=1e-3, delta=1.0, omega=1.0))])
+    def test_driven_kernels(self, t, p):
+        kernels = sf.DrivenKernels(t, _TAIL_X, p)
+        c = p.omega / p.delta
+        refs = []
+        with mp.workdps(50):
+            t_, gp, dl, om = (mp.mpf(v) for v in (t, p.gamma_p, p.delta, p.omega))
+            for xv in _TAIL_X:
+                x = mp.mpf(xv)
+                tm, tp = _laplace_halves(t_, x, gp, om / dl)
+                gauss = om**2 / dl**2 * mp.sqrt(gp * t_ / (2 * mp.pi)) * mp.exp(-x * x / (8 * gp * t_))
+                refs.append((
+                    om / dl / 4 * (tm + tp),
+                    om / dl / 4 * (tm - tp),
+                    -om / (8 * dl**3) * ((4 * om**2 * gp * t_ - dl**2 - om * dl * x) * tm
+                                         + (4 * om**2 * gp * t_ - dl**2 + om * dl * x) * tp) + gauss,
+                    om**2 / (8 * dl**3) * ((4 * om * gp * t_ + dl * x) * tp
+                                           - (4 * om * gp * t_ - dl * x) * tm),
+                ))
+        for got, ref in zip((kernels.h_plus(), kernels.h_minus(), kernels.phi_plus(),
+                             kernels.phi_minus()), zip(*refs)):
+            self.assert_within_conditioning(got, ref, c, _TAIL_X)
+
+
 def _trapezoid_inverse_ft(symbol_fn, x, xi_max=60.0, n=400001):
     xi = np.linspace(-xi_max, xi_max, n)
     vals = symbol_fn(xi)
