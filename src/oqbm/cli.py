@@ -31,6 +31,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -225,6 +226,7 @@ _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
 _ROWS_PER_CHUNK = 1024
+_LINE = 8 * _SLOT + 1  # a CSV row before its NUL bytes go: t's slot, seven fields, "\n"
 
 
 def _split(x: np.ndarray) -> tuple:
@@ -273,9 +275,28 @@ def _below_pow10(a: np.ndarray, k: np.ndarray, hi: np.ndarray, lo: np.ndarray) -
     return (a < h) | ((a == h) & (low > 0.0))
 
 
-def _format_g17(values: np.ndarray) -> np.ndarray:
+class _Scratch:
+    """Working memory of :func:`_format_g17` for up to ``size`` values (the
+    source rows, the gather index at 200 bytes a value, the slots), and of
+    :func:`write_snapshot_csv` for ``rows`` rows; reused chunk after chunk."""
+
+    def __init__(self, size: int, rows: int = 0):
+        self.src = np.empty((size, _SRC_WIDTH // 4), "<u4")
+        self.index = np.empty((size, _SLOT), np.intp)
+        self.offsets = _SRC_WIDTH * np.arange(size)[:, None]  # each value's row in src
+        self.out = np.empty((size, _SLOT), np.uint8)
+        self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
+        self.lines = np.empty((rows, _LINE), np.uint8)
+        self.lines[:, -1] = ord("\n")
+
+
+_SCRATCH = threading.local()  # each thread's _Scratch, made by its first CSV write
+
+
+def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarray:
     """The bytes "," + format(v, ".17g") of each value, as (n, _SLOT) uint8
-    rows padded with NUL bytes.
+    rows padded with NUL bytes; they live in ``work`` if it is given, else
+    in fresh memory.
 
     For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
     comes from comparisons with the double-double 10^X; Dekker's exact
@@ -289,6 +310,7 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
     """
     hi, lo, hi_hi, hi_lo, chunks, length, keep, exps, slots = _g17_tables()
     v = np.ravel(values)
+    work = work if work is not None else _Scratch(v.size)
     a = np.abs(v)
     zero = a == 0.0
     fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
@@ -319,15 +341,18 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
     fixed = (x >= -4) & (x < 17)  # format's "g" rule at precision 17
     # the row as little-endian words: byte 3 of words 0 and 5 is the first digit
     first = (lead.astype("<u4") + ord("0")) << 24
-    src = np.empty((v.size, _SRC_WIDTH // 4), "<u4")
+    src = work.src[:v.size]
     src[:, 0] = ord(",") | np.where(np.signbit(v), ord("-") << 8, 0) | ord("0") << 16 | first
     src[:, 1:5] = np.column_stack([chunks[c1], chunks[c2], chunks[c3], chunks[c4]])
     src[:, 5] = np.where(n_digits > np.where(fixed, x, 0) + 1, ord("."), 0) | first
     src[:, 6:10] = src[:, 1:5] & keep[n_digits]
     src.view("<u8")[:, _EXP // 8] = exps[np.where(fixed, 0, x) - _POW_MIN]
-    index = slots[np.where(fixed, x + 4, -1)]  # the last layout is the exponent form
-    index += _SRC_WIDTH * np.arange(v.size)[:, None]
-    out = src.view(np.uint8).ravel()[index]
+    # the last layout is the exponent form; every index is in range, so "clip"
+    # only spares np.take the copy it makes of ``out`` under mode="raise"
+    index = np.take(slots, np.where(fixed, x + 4, len(slots) - 1), axis=0, mode="clip",
+                    out=work.index[:v.size])
+    index += work.offsets[:v.size]
+    out = np.take(src.view(np.uint8).ravel(), index, mode="clip", out=work.out[:v.size])
     for i in slow:
         text = np.frombuffer(("," + _format(v[i])).encode(), np.uint8)
         out[i] = 0
@@ -335,23 +360,32 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _node_slots(grid: SpatialGrid) -> np.ndarray:
+    """The x column's slots, the same in every snapshot on ``grid``: formatted
+    once per grid, read-only."""
+    slots = _format_g17(grid.nodes)
+    slots.setflags(write=False)
+    return slots
+
+
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
-    cols = (
-        field.grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
-        field.rho11, field.rho22,
-    )
-    table = np.column_stack(cols)
-    stamp = np.frombuffer(_format(field.time).encode(), np.uint8)
+    cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
+    nodes = _node_slots(field.grid)
+    stamp = np.frombuffer(_format(field.time).encode().ljust(_SLOT, b"\0"), np.uint8)
+    work = getattr(_SCRATCH, "work", None)
+    if work is None or len(work.lines) != _ROWS_PER_CHUNK:
+        work = _SCRATCH.work = _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
     with open(path, "wb") as fh:
         fh.write((CSV_HEADER + "\n").encode())
-        # a chunk of rows at a time keeps the kernel's temporaries small
-        for start in range(0, len(table), _ROWS_PER_CHUNK):
-            block = table[start:start + _ROWS_PER_CHUNK]
-            rows = np.empty((len(block), stamp.size + block.shape[1] * _SLOT + 1), np.uint8)
-            rows[:, :stamp.size] = stamp
-            rows[:, stamp.size:-1] = _format_g17(block).reshape(len(block), -1)
-            rows[:, -1] = ord("\n")
-            fh.write(rows.tobytes().translate(None, b"\0"))
+        work.lines[:, :_SLOT] = stamp
+        for start in range(0, len(nodes), _ROWS_PER_CHUNK):
+            stop = min(start + _ROWS_PER_CHUNK, len(nodes))
+            lines = work.lines[:stop - start]
+            block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
+            lines[:, _SLOT:2 * _SLOT] = nodes[start:stop]
+            lines[:, 2 * _SLOT:-1] = _format_g17(block, work).reshape(len(lines), -1)
+            fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def _ic_manifest(ic: InitialCondition) -> dict:

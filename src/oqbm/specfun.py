@@ -73,31 +73,26 @@ def erfc(x):
 
 
 def scaled_erfc_product(gauss_exponent, b):
-    """exp(gauss_exponent) * erfcx(b), safe for any sign of b.
+    """exp(gauss_exponent) * erfcx(b) for b >= 0; NegativeArgument otherwise.
 
-    Callers arrange ``gauss_exponent`` to be the completed-square exponent
-    (always <= 0 here), so exp(gauss_exponent) * erfcx(|b|) is bounded.  For
-    b < 0, erfcx(b) = 2 exp(b^2) - erfcx(|b|) gives the value as
-    2 exp(gauss_exponent + b^2) minus that bounded term, which is at most half
-    of the first, so nothing cancels; in every kernel in this module the
-    combined exponent is bounded above by 0 as well, so nothing overflows.
+    It stands for exp(gauss_exponent + b^2) erfc(b), whose factors exp(b^2)
+    and erfc(b) overflow and underflow well inside the useful parameter
+    range; callers arrange ``gauss_exponent`` to be the completed-square
+    exponent (always <= 0 here).  A kernel whose b can be negative reflects
+    itself, as :func:`_erfc_pair` does, because only it knows the reflected
+    term's exponent in closed form.
     """
     import scipy.special
-    g = np.asarray(gauss_exponent, dtype=float)
-    barr = np.asarray(b, dtype=float)
-    g, barr = np.broadcast_arrays(g, barr)
-    out = np.asarray(np.exp(g) * scipy.special.erfcx(np.abs(barr)))  # a 0-d product comes back as a scalar
-    neg = barr < 0.0
-    if neg.any():
-        bn = barr[neg]
-        out[neg] = 2.0 * np.exp(g[neg] + bn * bn) - out[neg]
+    g, barr = np.broadcast_arrays(np.asarray(gauss_exponent, dtype=float),
+                                  _nonnegative(b, "scaled_erfc_product"))
+    out = np.exp(g) * scipy.special.erfcx(barr)
     return out if out.ndim else float(out)
 
 
 def _nonnegative(z, name: str) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     if np.any(arr < 0.0):
-        raise NegativeArgument(f"{name} requires z >= 0")
+        raise NegativeArgument(f"{name} requires an argument >= 0")
     return arr
 
 

@@ -313,6 +313,59 @@ class TestCsvKernel:
         assert (tmp_path / "s.csv").read_text() == "t,x,P,Q,C_R,C_I,rho11,rho22\n" + "".join(rows)
 
 
+class TestCsvWorkingMemory:
+    """CSV writes share per-grid x text and reuse working memory across
+    chunks, files and threads; none of it may leak between writes."""
+
+    @pytest.mark.parametrize("n_points", [256, 8192])  # under one chunk, and eight chunks
+    def test_two_threads_write_the_bytes_of_one(self, tmp_path, n_points):
+        import threading
+
+        grid = SpatialGrid(4.0, n_points)
+        rng = np.random.default_rng(n_points)
+        fields = [BlochField(grid=grid, time=0.25 * k, **{
+            name: rng.normal(size=n_points) * 10.0 ** rng.integers(-20, 20, n_points)
+            for name in ("rho_plus", "c_i", "rho_minus", "c_r")}) for k in range(6)]
+        for k, field in enumerate(fields):
+            cli.write_snapshot_csv(tmp_path / f"one_{k}.csv", field)
+        barrier = threading.Barrier(2)
+
+        def write(ks):
+            barrier.wait()
+            for k in ks:
+                cli.write_snapshot_csv(tmp_path / f"two_{k}.csv", fields[k])
+
+        threads = [threading.Thread(target=write, args=(ks,)) for ks in ((0, 2, 4), (1, 3, 5))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two writers as finely as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, field in enumerate(fields):
+            data = (tmp_path / f"one_{k}.csv").read_bytes()
+            assert (tmp_path / f"two_{k}.csv").read_bytes() == data
+            cols = (np.full(n_points, field.time), grid.nodes, field.rho_plus, field.rho_minus,
+                    field.c_r, field.c_i, field.rho11, field.rho22)
+            lines = data.decode().split("\n")
+            assert lines[0] == cli.CSV_HEADER and lines[-1] == "" and len(lines) == n_points + 2
+            for i, line in enumerate(lines[1:-1]):
+                assert line.split(",") == [format(float(c[i]), ".17g") for c in cols], (k, i)
+
+    def test_node_text_is_read_only_in_a_fixed_size_cache(self):
+        grids = [SpatialGrid(1.0 + k, 16) for k in range(cli._node_slots.cache_info().maxsize + 2)]
+        for grid in grids:
+            slots = cli._node_slots(grid)
+            assert not slots.flags.writeable
+            assert cli._node_slots(SpatialGrid(grid.half_width, 16)) is slots
+        info = cli._node_slots.cache_info()
+        assert info.maxsize is not None and info.currsize == info.maxsize
+
+
 class TestMain:
     def test_solve_roundtrip(self, tmp_path):
         config_path = tmp_path / "run.json"

@@ -55,12 +55,10 @@ class TestErf:
             getattr(sf, "nope")
 
     def test_scaled_product_no_overflow(self):
-        # b^2 = 900 would overflow exp on its own; the fused form must not,
-        # given the kernel-side guarantee gauss_exponent + b^2 <= 0
+        # b < 0 is each kernel's own reflection (_erfc_pair), so it is refused
         b = -30.0
-        val = sf.scaled_erfc_product(-(b * b) - 5.0, np.array([b]))
-        assert np.isfinite(val[0])
-        assert abs(val[0] - 2.0 * math.exp(-5.0)) < 1e-15  # erfc(-30) ~ 2
+        with pytest.raises(NegativeArgument):
+            sf.scaled_erfc_product(-(b * b) - 5.0, np.array([b]))
         # large positive b: erfcx decay, no underflow surprises
         big = sf.scaled_erfc_product(0.0, np.array([1e4]))
         assert abs(big[0] - 1.0 / (1e4 * math.sqrt(math.pi))) < 1e-9

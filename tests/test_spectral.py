@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -58,6 +59,29 @@ def mpmath_eigenvalues(xi, p):
                            [0, lap - 2 * gz, om],
                            [-2j * x * dl, -4 * om, lap]])
         return mpmath.eig(q, left=False, right=False)
+
+
+@functools.cache
+def coalescing_points() -> list:
+    """(xi, p) where eigenvalues meet: at xi = 0, near it, at the critical
+    point, at omega = 0, at gamma_z = 0, under pure diffusion and at zeros of
+    the cubic's discriminant (a double root)."""
+    coalescing = [CRITICAL,
+                  Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.0),
+                  Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5),
+                  Params(gamma_p=1.0, gamma_z=0.0, delta=0.0, omega=0.0)]
+    points = [(xi, p) for p in coalescing for xi in (0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.1)]
+    for p in (CRITICAL, Params(1.0, 0.5, 0.7, 0.1), Params(1.0, 1.0, 1.0, 0.4),
+              Params(0.1, 3.0, 1.0, 0.5)):
+        zeros = discriminant_zeros(p)
+        assert zeros
+        points += [(xi, p) for xi in zeros]
+    return points
+
+
+@functools.cache
+def coalescing_reference(xi, p, t):
+    return mpmath_expm(symbol(xi, p), t)
 
 
 def mpmath_expm(q, t):
@@ -395,24 +419,23 @@ class TestExpSymbol:
         assert np.max(np.abs(direct - ref)) < 1e-13
 
     def test_matches_mpmath_where_eigenvalues_coalesce(self):
-        # eigenvalues meet at xi = 0, near it, at the critical point, at
-        # omega = 0, at gamma_z = 0, under pure diffusion and at zeros of
-        # the cubic's discriminant (a double root)
-        coalescing = [CRITICAL,
-                      Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.0),
-                      Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5),
-                      Params(gamma_p=1.0, gamma_z=0.0, delta=0.0, omega=0.0)]
-        points = [(xi, p) for p in coalescing for xi in (0.0, 1e-12, 1e-8, 1e-5, 1e-3, 0.1)]
-        for p in (CRITICAL, Params(1.0, 0.5, 0.7, 0.1), Params(1.0, 1.0, 1.0, 0.4),
-                  Params(0.1, 3.0, 1.0, 0.5)):
-            zeros = discriminant_zeros(p)
-            assert zeros
-            points += [(xi, p) for xi in zeros]
         worst = 0.0
-        for xi, p in points:
+        for xi, p in coalescing_points():
             for t in (0.5, 3.0, 40.0):
                 mine = spectral.exp_symbols(np.array([xi]), p, t)[0]
-                ref = mpmath_expm(symbol(xi, p), t)
+                ref = coalescing_reference(xi, p, t)
+                worst = max(worst, np.max(np.abs(mine - ref)) / max(1.0, np.max(np.abs(ref))))
+        assert worst <= 1e-12
+
+    def test_vector_form_matches_mpmath_where_eigenvalues_coalesce(self, rng):
+        # _apply_exp, which solve uses, on random complex vectors at the
+        # points and with the gate of the matrix test above
+        worst = 0.0
+        for xi, p in coalescing_points():
+            for t in (0.5, 3.0, 40.0):
+                v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+                mine = np.array(spectral._apply_exp(np.full(4, xi), p, t, v))
+                ref = coalescing_reference(xi, p, t) @ v
                 worst = max(worst, np.max(np.abs(mine - ref)) / max(1.0, np.max(np.abs(ref))))
         assert worst <= 1e-12
 
