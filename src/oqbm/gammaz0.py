@@ -54,6 +54,11 @@ QUAD_MAX_ORDER = 4096
 # samples (x rows times theta nodes) per block of the theta quadrature, 512 KB
 # of float64: the block and the kernel temporaries built from it stay in cache
 _BLOCK_SAMPLES = 1 << 16
+# convolution_identities_check's compound rule: its order, and its largest
+# piece in Laplace scales (delta/omega) and in heat widths (sqrt(4 gp t))
+_IDENTITY_ORDER = 32
+_LAPLACE_PIECE = 2.0
+_HEAT_PIECE = 1.0
 
 
 # theta's round-off floor in the Newton iteration of theta_rule: the last real
@@ -294,17 +299,31 @@ class IdentityReport:
         )
 
 
+def _compound_rule(lo: float, hi: float, kinks: Sequence[float], width: float) -> tuple:
+    """(nodes, weights) of theta_rule(_IDENTITY_ORDER) compounded over [lo, hi]:
+    split at the kinks inside it, then into equal pieces at most ``width`` wide."""
+    cuts = [lo, *sorted(k for k in kinks if lo < k < hi), hi]
+    ends = np.concatenate(
+        [np.linspace(a, b, math.ceil((b - a) / width) + 1)[:-1] for a, b in zip(cuts, cuts[1:])]
+        + [[hi]]
+    )
+    left, size = ends[:-1, None], np.diff(ends)[:, None]
+    nodes, weights = theta_rule(_IDENTITY_ORDER)
+    return (left + size * (nodes / math.pi)).ravel(), (size * (weights / math.pi)).ravel()
+
+
 def convolution_identities_check(
     p: Params, t: float, x_points: Sequence[float]
 ) -> IdentityReport:
     """Evaluate both sides of the printed kernel identities.
 
-    The convolution sides use adaptive scipy quadrature (for the Laplace and
-    heat products) and the theta rule (for the cone kernels); the right-hand
-    sides are the closed forms from :mod:`oqbm.specfun`.
+    The Laplace and heat convolutions are compound Gauss-Legendre sums
+    (:func:`_compound_rule`): pieces split at the integrands' kinks 0 and x,
+    at most _LAPLACE_PIECE Laplace scales wide, and for the heat products
+    also at most _HEAT_PIECE heat widths.  The cone kernels use the solver's
+    theta quadrature.  The right-hand sides are the closed forms from
+    :mod:`oqbm.specfun`.
     """
-    import scipy.integrate  # here, not at module level: it doubles the package's import time
-
     _require_regime(p)
     if t <= 0.0:
         raise NonPositiveTime(f"identities need t > 0, got {t}")
@@ -315,34 +334,25 @@ def convolution_identities_check(
     def f_l(y):
         return 0.5 * c * np.exp(-c * np.abs(y))
 
-    def quad(fn, lo, hi, pts):
-        val, _ = scipy.integrate.quad(
-            fn, lo, hi, points=[q for q in pts if lo < q < hi], limit=400,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-        return val
-
-    reach_l = 60.0 * scale
     sigma = math.sqrt(4.0 * p.gamma_p * t)
-    reach_g = 12.0 * sigma
+    width_l = _LAPLACE_PIECE * scale
+    width_g = min(_HEAT_PIECE * sigma, width_l)
 
     e1 = e1s = e2 = e3 = e4 = 0.0
     for xv in x_points:
-        lo, hi = -reach_l + min(0.0, xv), reach_l + max(0.0, xv)
-        conv = quad(lambda y: f_l(y) * f_l(xv - y), lo, hi, (0.0, xv))
-        e1 = max(e1, abs(conv - (p.omega * abs(xv) + p.delta) * f_l(xv) / (2.0 * p.delta)))
-        conv = quad(lambda y: np.sign(y) * f_l(y) * f_l(xv - y), lo, hi, (0.0, xv))
-        e1s = max(e1s, abs(conv - xv * p.omega * f_l(xv) / (2.0 * p.delta)))
-        glo, ghi = -reach_g, reach_g
-        conv = quad(lambda y: sf.heat_kernel(t, y, p.gamma_p) * f_l(xv - y), glo, ghi, (xv,))
-        e2 = max(e2, abs(conv - sf.h_plus(t, xv, p)))
-        conv = quad(
-            lambda y: sf.heat_kernel(t, y, p.gamma_p) * np.sign(xv - y) * f_l(xv - y),
-            glo, ghi, (xv,),
-        )
-        e3 = max(e3, abs(conv - sf.h_minus(t, xv, p)))
-        conv = quad(lambda y: y * sf.heat_kernel(t, y, p.gamma_p) * f_l(xv - y), glo, ghi, (xv,))
-        e4 = max(e4, abs(conv - (4.0 * p.gamma_p * t * p.omega / p.delta) * sf.h_minus(t, xv, p)))
+        # Laplace products on +-60 Laplace scales about 0 and x
+        y, w = _compound_rule(-60.0 * scale + min(0.0, xv), 60.0 * scale + max(0.0, xv),
+                              (0.0, xv), width_l)
+        prod = f_l(y) * f_l(xv - y)
+        e1 = max(e1, abs(w @ prod - (p.omega * abs(xv) + p.delta) * f_l(xv) / (2.0 * p.delta)))
+        e1s = max(e1s, abs(w @ (np.sign(y) * prod) - xv * p.omega * f_l(xv) / (2.0 * p.delta)))
+        # heat products on +-12 heat widths
+        y, w = _compound_rule(-12.0 * sigma, 12.0 * sigma, (xv,), width_g)
+        prod = sf.heat_kernel(t, y, p.gamma_p) * f_l(xv - y)
+        hm = sf.h_minus(t, xv, p)
+        e2 = max(e2, abs(w @ prod - sf.h_plus(t, xv, p)))
+        e3 = max(e3, abs(w @ (np.sign(xv - y) * prod) - hm))
+        e4 = max(e4, abs(w @ (y * prod) - (4.0 * p.gamma_p * t * p.omega / p.delta) * hm))
 
     outside = x_points[x_points > 2.0 * t * p.delta * (1.0 + 1e-9)]
     e5 = e6 = 0.0

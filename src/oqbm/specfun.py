@@ -2,7 +2,7 @@
 
 Vectorized over the position argument:
 
-    erf / erfc / erfcx      scipy.special, erfc in the scaled form erfcx * exp(-x^2)
+    erfc                    scipy.special.erfcx(|x|) * exp(-x^2), reflected for x < 0
     bessel_j0 / bessel_j1   scipy.special.j0 / j1, restricted to z >= 0
     heat_kernel             g(t,x) = exp(-x^2/(8 gp t)) / (2 sqrt(2 pi gp t))
     h_plus / h_minus        heat kernel convolved with (sign-weighted) Laplace
@@ -17,9 +17,8 @@ inside the useful (t, x) range, so every erfc product is evaluated in the
 fused form exp(gauss) * erfcx(b) via :func:`scaled_erfc_product`.
 
 scipy.special is imported by the functions that call it, on first use, so
-importing this module (and the package) loads no scipy.  ``erf`` and
-``erfcx`` are scipy's own ufuncs, looked up through the module
-``__getattr__`` (PEP 562).
+importing this module (and the package) loads no scipy.  erf and erfcx are
+taken from scipy.special directly; this module does not re-export them.
 """
 
 from __future__ import annotations
@@ -36,14 +35,6 @@ if TYPE_CHECKING:  # core imports this module for its heat kernels
     from .core import Params
 
 _ERFC_ZERO = 30.0  # exp(-x^2) is exactly 0.0 in double precision beyond x ~ 27.3
-
-
-def __getattr__(name: str):
-    """``erf`` and ``erfcx``: scipy.special's ufuncs, re-exported unchanged."""
-    if name in ("erf", "erfcx"):
-        import scipy.special
-        return getattr(scipy.special, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _exp_nsq(y: np.ndarray) -> np.ndarray:

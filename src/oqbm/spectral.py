@@ -69,35 +69,6 @@ def checked_green(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
-def symbol_matrices(xis: np.ndarray, p: Params) -> np.ndarray:
-    """Stacked Q(xi), shape (m, 3, 3)."""
-    xis = np.asarray(xis, dtype=float)
-    m = xis.size
-    q = np.zeros((m, 3, 3), dtype=complex)
-    lap = -2.0 * p.gamma_p * xis**2
-    q[:, 0, 0] = lap
-    q[:, 1, 1] = lap - 2.0 * p.gamma_z
-    q[:, 2, 2] = lap
-    q[:, 0, 2] = q[:, 2, 0] = -2j * xis * p.delta
-    q[:, 1, 2] = p.omega
-    q[:, 2, 1] = -4.0 * p.omega
-    return q
-
-
-def char_coeffs(xi, p: Params):
-    """(a1, a2, a3) of det(lambda I - Q) = lambda^3 + a1 l^2 + a2 l + a3.
-
-    ``xi`` may be a float or an array of frequencies.
-    """
-    gp, gz, dl, om = p.gamma_p, p.gamma_z, p.delta, p.omega
-    x2 = xi * xi
-    a1 = 6.0 * gp * x2 + 2.0 * gz
-    a2 = 12.0 * gp**2 * x2**2 + (4.0 * dl**2 + 8.0 * gp * gz) * x2 + 4.0 * om**2
-    a3 = x2 * (8.0 * gp**3 * x2**2 + (8.0 * dl**2 * gp + 8.0 * gp**2 * gz) * x2
-               + 8.0 * om**2 * gp + 8.0 * dl**2 * gz)
-    return a1, a2, a3
-
-
 def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     """Eigenvalues of Q(xi), shape (m, 3): a real root, then the other two.
 
@@ -119,6 +90,7 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
         # below -b; 0/0 at e = w = 0 gives the root 0); a later step that leaves
         # the bracket or is NaN (f' = 0 at a triple root) bisects instead
         r = np.clip(np.nan_to_num(-b * e / (e + w)), lo, hi)
+        active = np.ones(r.shape, dtype=bool)
         for _ in range(_NEWTON_STEPS):
             f = (r + b) * (r * r + e) + w * r
             # f(lo) <= 0 <= f(hi); f == 0 closes the bracket on r, which keeps
@@ -127,10 +99,12 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
             lo = np.where(f <= 0.0, r, lo)
             new = r - f / (r * (3.0 * r + 2.0 * b) + e + w)
             new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            # Newton can cycle between adjacent doubles, so stop at 4 ulp
-            done = np.all(np.abs(new - r) <= 4.0 * _EPS * np.abs(new))
-            r = new
-            if done:
+            # Newton can cycle between adjacent doubles, so stop at 4 ulp; each
+            # row stops on its own, so its root does not depend on the batch
+            converged = np.abs(new - r) <= 4.0 * _EPS * np.abs(new)
+            r = np.where(active, new, r)
+            active &= ~converged
+            if not active.any():
                 break
         # s = b + r cancels where r is near -b (omega << gamma_z); there
         # f(r) = 0 gives s = w |r| / (r^2 + e), which does not

@@ -505,9 +505,15 @@ SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
 
 class TestColdStart:
     def test_import_leaves_scipy_integrate_out(self):
-        # scipy.integrate is about half of a cold `import oqbm.cli`; only
-        # gammaz0.convolution_identities_check needs it, and imports it itself
+        # no oqbm code path imports scipy.integrate (about half of a cold
+        # `import oqbm.cli` when it did); the next test runs the one that did
         code = "import sys, oqbm.cli; print('scipy.integrate' in sys.modules)"
+        assert _fresh_python(code) == "False"
+
+    def test_identities_leave_scipy_integrate_out(self):
+        # the convolution identities integrate on gammaz0.theta_rule, not scipy.integrate
+        code = "import sys; from oqbm import validate; validate.check_identities(); " \
+               "print('scipy.integrate' in sys.modules)"
         assert _fresh_python(code) == "False"
 
     def test_import_leaves_scipy_out(self):

@@ -154,6 +154,16 @@ class TestIdentities:
         assert rep.max_error() < 1e-8
         assert rep.laplace_self < 1e-10
         assert rep.cone_k1 < 1e-10 and rep.cone_k0 < 1e-10
+        # the compound Gauss-Legendre sides are at round-off
+        assert max(rep.laplace_self, rep.laplace_sign_self, rep.heat_laplace,
+                   rep.heat_sign_laplace, rep.moment_laplace) <= 1e-15
+
+    def test_laplace_scale_far_below_heat_width(self):
+        # a Laplace scale 1/1300 of the heat width: the heat products' pieces are
+        # held to two Laplace scales too, so the narrow factor is resolved
+        p = Params(gamma_p=0.066, gamma_z=0.0, delta=0.002, omega=2.6)
+        rep = gammaz0.convolution_identities_check(p, 5.2, [-3.0, -0.5, 0.0, 4e-4, 0.5, 2.0])
+        assert rep.max_error() < 1e-12
 
 
 class TestGreen:

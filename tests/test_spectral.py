@@ -34,13 +34,29 @@ CRITICAL = Params(gamma_p=1.0, gamma_z=0.2, delta=0.5, omega=0.1)  # gamma_z = 2
 
 
 def symbol(xi, p):
-    return spectral.symbol_matrices(np.array([xi]), p)[0]
+    """The reference symbol Q(xi), a dense complex 3x3 matrix."""
+    lap = -2.0 * p.gamma_p * xi**2
+    return np.array([[lap, 0.0, -2j * xi * p.delta],
+                     [0.0, lap - 2.0 * p.gamma_z, p.omega],
+                     [-2j * xi * p.delta, -4.0 * p.omega, lap]], dtype=complex)
+
+
+def char_coeffs(xi, p):
+    """The reference polynomial: (a1, a2, a3) of det(lambda I - Q) =
+    lambda^3 + a1 lambda^2 + a2 lambda + a3."""
+    gp, gz, dl, om = p.gamma_p, p.gamma_z, p.delta, p.omega
+    x2 = xi * xi
+    a1 = 6.0 * gp * x2 + 2.0 * gz
+    a2 = 12.0 * gp**2 * x2**2 + (4.0 * dl**2 + 8.0 * gp * gz) * x2 + 4.0 * om**2
+    a3 = x2 * (8.0 * gp**3 * x2**2 + (8.0 * dl**2 * gp + 8.0 * gp**2 * gz) * x2
+               + 8.0 * om**2 * gp + 8.0 * dl**2 * gz)
+    return a1, a2, a3
 
 
 def discriminant_zeros(p):
     """Frequencies in (1e-3, 30) where the characteristic cubic has a double root."""
     def disc(xi):
-        a1, a2, a3 = spectral.char_coeffs(xi, p)
+        a1, a2, a3 = char_coeffs(xi, p)
         return (18 * a1 * a2 * a3 - 4 * a1**3 * a3 + a1**2 * a2**2
                 - 4 * a2**3 - 27 * a3**2)
 
@@ -119,7 +135,7 @@ class TestSymbol:
 class TestCharacteristicCubic:
     def test_zero_frequency_coefficients(self):
         p = Params(gamma_p=1.0, gamma_z=0.3, delta=0.7, omega=0.2)
-        a1, a2, a3 = spectral.char_coeffs(0.0, p)
+        a1, a2, a3 = char_coeffs(0.0, p)
         assert math.isclose(a1, 2 * p.gamma_z)
         assert math.isclose(a2, 4 * p.omega**2)
         assert a3 == 0.0
@@ -129,7 +145,7 @@ class TestCharacteristicCubic:
         for _ in range(50):
             p = Params(*rng.uniform(0.01, 2.0, 4))
             xi = float(rng.uniform(-10, 10))
-            a1, a2, a3 = spectral.char_coeffs(xi, p)
+            a1, a2, a3 = char_coeffs(xi, p)
             gp, gz, dl, om = p.gamma_p, p.gamma_z, p.delta, p.omega
             expected = (64 * gp**3 * xi**6
                         + (16 * dl**2 * gp + 64 * gp**2 * gz) * xi**4
@@ -141,7 +157,7 @@ class TestCharacteristicCubic:
         for _ in range(50):
             p = Params(*rng.uniform(0.01, 2.0, 4))
             xi = float(rng.uniform(-10, 10))
-            a1, a2, a3 = spectral.char_coeffs(xi, p)
+            a1, a2, a3 = char_coeffs(xi, p)
             q = symbol(xi, p)
             lam = complex(rng.normal(), rng.normal())
             det = np.linalg.det(lam * np.eye(3) - q)
@@ -181,7 +197,7 @@ class TestEigenvalues:
     def test_symbol_eigenvalues_property(self, rates, xi):
         p = Params(*rates)
         lam = spectral.symbol_eigenvalues(np.array([xi]), p)[0]
-        a1, a2, a3 = spectral.char_coeffs(xi, p)
+        a1, a2, a3 = char_coeffs(xi, p)
         scale = max(1.0, float(np.max(np.abs(lam)))) ** 3
         residual = np.abs(lam**3 + a1 * lam**2 + a2 * lam + a3) / scale
         assert float(np.max(residual)) < 1e-10
@@ -214,6 +230,19 @@ class TestEigenvalues:
                 worst_abs = max(worst_abs, float(err / scale))
         assert worst_rel <= 1e-13
         assert worst_abs <= 1e-15
+
+    def test_row_does_not_depend_on_its_batch(self, rng):
+        # Newton stops per row: a frequency alone gets the bits it gets in a batch
+        differ = []
+        for _ in range(200):
+            p = Params(*np.exp(rng.uniform(math.log(1e-3), math.log(3.0), 4)))
+            xis = rng.uniform(-30.0, 30.0, 64)
+            batch = spectral.symbol_eigenvalues(xis, p)
+            for i in rng.choice(xis.size, 16, replace=False):
+                alone = spectral.symbol_eigenvalues(xis[i:i + 1], p)[0]
+                if alone.tobytes() != batch[i].tobytes():
+                    differ.append((p, xis[i]))
+        assert differ == []
 
     def test_undriven_closed_eigenvalues(self):
         p = Params(gamma_p=0.4, gamma_z=0.3, delta=0.7, omega=0.0)
