@@ -21,9 +21,12 @@ For the Laplace-coherent initial state (envelope scale locked to
 delta/omega) the full solution is closed in terms of h+/-, phi+/- and those
 two convolutions.
 
-These forms are the reference for the gamma_z = 0 regime: ``oqbm validate``
-checks them against the quadrature oracle, the tests check the spectral route
-against them, and the CLI uses them under ``method: "closed"``.  Under
+Like the other regimes' Green's matrices, green_gammaz0 takes any points on
+the real line, not a grid.  These forms are the reference for the gamma_z = 0
+regime: ``oqbm validate`` checks them against the quadrature oracle, the
+tests check the spectral route against them (this module imports nothing
+from :mod:`oqbm.spectral`), and the CLI uses them under ``method:
+"closed"``.  Under
 ``method: "auto"`` the CLI takes the spectral route, which gives the same
 field to about 4e-11 at about 8% of the cost (fig4 snapshots at n = 8192: 11 ms
 against 0.13 s).
@@ -46,7 +49,6 @@ from .errors import (
     ScaleMismatch,
     WrongRegime,
 )
-from .spectral import checked_green
 
 QUAD_TOL = 1e-9
 QUAD_START_ORDER = 64
@@ -115,20 +117,28 @@ def _require_regime(p: Params) -> None:
         raise WrongRegime("this module needs delta > 0 and omega > 0")
 
 
-def _theta_integrals(fields, t: float, x: np.ndarray, p: Params) -> tuple:
-    """Both theta integrals of every kernel in the stack ``fields``.
+def _cone_convolutions(fields, t: float, x, p: Params) -> tuple:
+    """(F_i(x), (F_i * k1)(x), (F_i * k0)(x)) for every kernel F_i of ``fields``.
 
     ``fields(y)`` returns k kernels at the points y, stacked on a new leading
-    axis.  Returns (j1, j0sin), each of shape (k, x.size), with
+    axis; each of the three results is a (k, x.size) array.  The Dirac parts
+    of k1 are the half-weight translates to the cone edges x -/+ 2 t delta,
+    evaluated in the same stack as the values at x.  The rest are the theta
+    integrals
 
         j1[i]    = int_0^pi F_i(x - 2 t d cos th) J1(2 t om sin th) dth
         j0sin[i] = int_0^pi F_i(x - 2 t d cos th) J0(2 t om sin th) sin th dth
 
-    Gauss-Legendre rules double in order from QUAD_START_ORDER until no
-    integral changes by QUAD_TOL; per order the stack is evaluated once on each
-    block of samples and both weightings are applied in one matrix product.
+    by Gauss-Legendre rules that double in order from QUAD_START_ORDER until
+    no integral changes by QUAD_TOL; per order the stack is evaluated once on
+    each block of samples and both weightings are applied in one matrix
+    product.
     """
+    if t <= 0.0:
+        raise NonPositiveTime(f"light-cone convolutions need t > 0, got {t}")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     reach = 2.0 * t * p.delta
+    at, back, ahead = np.moveaxis(fields(np.stack((x, x - reach, x + reach))), 1, 0)
     prev = None
     order = QUAD_START_ORDER
     while order <= QUAD_MAX_ORDER:
@@ -148,28 +158,13 @@ def _theta_integrals(fields, t: float, x: np.ndarray, p: Params) -> tuple:
         if not np.all(np.isfinite(sums)):
             raise QuadratureNotConverged(f"theta integrand is not finite (order {order})")
         if prev is not None and np.max(np.abs(sums - prev), initial=0.0) < QUAD_TOL:
-            return sums[..., 0], sums[..., 1]
+            j1, j0sin = sums[..., 0], sums[..., 1]
+            return at, 0.5 * (back + ahead) - t * p.omega * j1, 0.5 * t * j0sin
         prev = sums
         order *= 2
     raise QuadratureNotConverged(
         f"theta quadrature still changing beyond tol={QUAD_TOL:.1e} at order {QUAD_MAX_ORDER}"
     )
-
-
-def _cone_convolutions(fields, t: float, x, p: Params) -> tuple:
-    """(F_i(x), (F_i * k1)(x), (F_i * k0)(x)) for every kernel F_i of ``fields``.
-
-    Each of the three is a (k, x.size) array.  The Dirac parts of k1 are the
-    half-weight translates to the cone edges x -/+ 2 t delta, evaluated in the
-    same stack as the on-grid values.
-    """
-    if t <= 0.0:
-        raise NonPositiveTime(f"light-cone convolutions need t > 0, got {t}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    reach = 2.0 * t * p.delta
-    at, back, ahead = np.moveaxis(fields(np.stack((x, x - reach, x + reach))), 1, 0)
-    j1, j0sin = _theta_integrals(fields, t, x, p)
-    return at, 0.5 * (back + ahead) - t * p.omega * j1, 0.5 * t * j0sin
 
 
 def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -203,20 +198,18 @@ def exp_symbol_closed(p: Params, t: float) -> Callable[[np.ndarray], np.ndarray]
     return symbol
 
 
-def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
-    """Assemble the Green's matrix, shape (n, 3, 3), from the kernel convolutions on the grid.
+def green_gammaz0(p: Params, t: float, x) -> np.ndarray:
+    """Green's matrix at the points x, shape (x.size, 3, 3), assembled from the
+    kernel convolutions.
 
     The Dirac parts of k1 turn into exact half-weight translates, so the
-    returned entries are ordinary functions.
-
-    Each entry of exp(tQ) is of exponential type 2 delta t in xi times a
-    Gaussian, so (Paley-Wiener) the assembled entries are confined to the
-    light cone |x| <= 2 delta t widened by the diffusion width sigma =
-    sqrt(4 gamma_p t).  TailNotDecayed (boundary above core.DEFAULT_EPS_TAIL
-    times the peak) is therefore raised when 2 delta t plus a few sigma reaches
-    the grid's half-width, not before.  Outside the cone the entries are
+    returned entries are ordinary functions.  The form holds on the whole
+    real line, so there is no boundary to check: each entry of exp(tQ) is of
+    exponential type 2 delta t in xi times a Gaussian, so (Paley-Wiener) the
+    entries are confined to the light cone |x| <= 2 delta t widened by the
+    diffusion width sqrt(4 gamma_p t).  Outside the cone they are
     cancellations between Laplace-tailed pieces (h+-, their k1
-    convolutions), so their boundary values there are round-off.
+    convolutions), so their values there are round-off.
     """
     _require_regime(p)
 
@@ -226,10 +219,10 @@ def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
         return np.stack((g, y * g, driven.h_plus(), driven.h_minus()))
 
     (g, _, hp, hm), (k1_g, _, k1_hp, k1_hm), (k0_g, k0_xg, _, _) = _cone_convolutions(
-        fields, t, grid.nodes, p
+        fields, t, x, p
     )
 
-    entries = np.empty((grid.n_points, 3, 3))
+    entries = np.empty((g.size, 3, 3))
     entries[:, 0, 0] = hp + k1_g - k1_hp
     entries[:, 0, 1] = -2.0 * hm + 2.0 * k1_hm
     entries[:, 0, 2] = (p.delta / (2.0 * p.gamma_p * t)) * k0_xg
@@ -239,7 +232,7 @@ def green_gammaz0(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
     entries[:, 2, 0] = entries[:, 0, 2]
     entries[:, 2, 1] = -4.0 * p.omega * k0_g
     entries[:, 2, 2] = k1_g
-    return checked_green(entries)
+    return entries
 
 
 def _check_initial(p: Params, ic: LaplaceCoherent) -> float:

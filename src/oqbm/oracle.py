@@ -10,8 +10,10 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   modules, so agreement with them is meaningful evidence.
 
 * :func:`quad_inverse_fourier` -- plain trapezoid quadrature of
-  (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a matrix symbol S,
-  with interval doubling until successive results agree.  No FFT involved.
+  (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a matrix symbol S at the
+  given points, with nested interval halving (each rule adds the midpoints
+  of the last, so no node is evaluated twice) until successive results
+  agree.  No FFT involved.
 
 scipy.sparse is imported by the functions that assemble and step the
 operator, on first use, so importing this module loads no scipy.
@@ -239,30 +241,35 @@ def quad_inverse_fourier(
     (m, 3, 3), its time dependence included.  The node count starts at
     QUAD_START_NODES and is doubled (less one) until two successive
     trapezoid results differ by less than QUAD_TOL in max norm, or raises
-    QuadratureNotConverged beyond QUAD_MAX_NODES.  Returns the real part,
+    QuadratureNotConverged beyond QUAD_MAX_NODES.  The rules nest: the
+    (2n - 1)-node sum is the n-node sum plus the n - 1 new midpoints, so
+    each node's symbol and phases are evaluated once.  Returns the real part,
     shape (len(x), 3, 3).
     """
     x = np.atleast_1d(np.asarray(x_points, dtype=float))
-    prev = None
     n = QUAD_START_NODES
-    while n <= QUAD_MAX_NODES:
-        xi = np.linspace(-xi_max, xi_max, n)
-        dxi = xi[1] - xi[0]
-        weights = np.full(n, dxi)
-        weights[0] = weights[-1] = 0.5 * dxi
-        total = np.zeros((x.size, 9), dtype=complex)
-        chunk = 8192
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            sym = np.asarray(symbol(xi[lo:hi]), dtype=complex).reshape(hi - lo, 9)
+    xi = new = np.linspace(-xi_max, xi_max, n)
+    weights = np.ones(n)
+    weights[0] = weights[-1] = 0.5
+    total = np.zeros((x.size, 9), dtype=complex)  # the trapezoid sum over its step
+    prev = None
+    chunk = 8192
+    while True:
+        for lo in range(0, new.size, chunk):
+            hi = min(lo + chunk, new.size)
+            sym = np.asarray(symbol(new[lo:hi]), dtype=complex).reshape(hi - lo, 9)
             sym = sym * weights[lo:hi, None]
-            phase = np.exp(1j * np.outer(x, xi[lo:hi]))
+            phase = np.exp(1j * np.outer(x, new[lo:hi]))
             total += phase @ sym
-        result = (total / (2.0 * math.pi)).reshape(x.size, 3, 3)
+        result = (total * ((xi[1] - xi[0]) / (2.0 * math.pi))).reshape(x.size, 3, 3)
         if prev is not None and np.max(np.abs(result - prev)) < QUAD_TOL:
             return np.real(result)
         prev = result
         n = 2 * n - 1
-    raise QuadratureNotConverged(
-        f"inverse Fourier quadrature did not reach tol={QUAD_TOL:.1e} within {QUAD_MAX_NODES} nodes"
-    )
+        if n > QUAD_MAX_NODES:
+            raise QuadratureNotConverged(
+                f"inverse Fourier quadrature did not reach tol={QUAD_TOL:.1e} within {QUAD_MAX_NODES} nodes"
+            )
+        xi = np.linspace(-xi_max, xi_max, n)
+        new = xi[1::2]
+        weights = np.ones(new.size)

@@ -56,19 +56,6 @@ class StabilityReport:
     n_samples: int
 
 
-def checked_green(entries: np.ndarray) -> np.ndarray:
-    """``entries``, an (n, 3, 3) Green's matrix over the grid, or TailNotDecayed
-    when any entry at either grid boundary exceeds DEFAULT_EPS_TAIL times the
-    peak entry."""
-    peak = np.max(np.abs(entries))
-    boundary = max(np.max(np.abs(entries[0])), np.max(np.abs(entries[-1])))
-    if boundary > DEFAULT_EPS_TAIL * peak:
-        raise TailNotDecayed(
-            f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
-        )
-    return entries
-
-
 def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     """Eigenvalues of Q(xi), shape (m, 3): a real root, then the other two.
 
@@ -293,7 +280,8 @@ def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
 
     Rejects grids too coarse for the diffusion width (core.check_resolution
     for a point source) or narrower than reach(p, t) (GridUnderResolved),
-    and results whose entries have not decayed at the boundary (TailNotDecayed).
+    and results with an entry at either grid boundary above DEFAULT_EPS_TAIL
+    times the peak entry (TailNotDecayed).
     """
     if t <= 0.0:
         raise NonPositiveTime(f"green_function needs t > 0, got {t}")
@@ -303,7 +291,14 @@ def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
             f"half_width={grid.half_width:.3g} smaller than drift + 6 sigma = {reach(p, t):.3g}"
         )
     spectra = exp_symbols(grid.half_nodes, p, t)
-    return checked_green(np.moveaxis(grid.real_inverse(np.moveaxis(spectra, 0, -1)), -1, 0))
+    entries = np.moveaxis(grid.real_inverse(np.moveaxis(spectra, 0, -1)), -1, 0)
+    peak = np.max(np.abs(entries))
+    boundary = max(np.max(np.abs(entries[0])), np.max(np.abs(entries[-1])))
+    if boundary > DEFAULT_EPS_TAIL * peak:
+        raise TailNotDecayed(
+            f"Green entries at the boundary are {boundary:.3e} (peak {peak:.3e}); widen the grid"
+        )
+    return entries
 
 
 def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:

@@ -543,3 +543,11 @@ class TestColdStart:
         assert names == sorted(f.name for f in eager.iterdir())
         for name in names:
             assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name
+
+
+class TestReferenceIndependence:
+    def test_closed_driven_forms_load_no_spectral_solver(self):
+        # gammaz0 is the reference the spectral route is checked against at
+        # gamma_z = 0, so it must not run any of the spectral module's code
+        code = "import sys, oqbm.gammaz0; print('oqbm.spectral' in sys.modules)"
+        assert _fresh_python(code) == "False"

@@ -182,8 +182,30 @@ class TestQuadInverseFourier:
         K = quad_inverse_fourier(symbol, x, xi_max)
         assert np.max(np.abs(K[:, 0, 0] - sf.h_plus(t, x, p))) < 1e-10
 
+    def test_nested_sum_equals_plain_trapezoid(self):
+        gp, t = 1e-2, 25.0
+        calls = []
+
+        def symbol(xi):
+            calls.append(xi.size)
+            out = np.zeros((xi.size, 3, 3), dtype=complex)
+            out[:, 0, 0] = np.exp(-2 * gp * t * xi**2)
+            return out
+
+        x = np.linspace(-5, 5, 21)
+        xi_max = math.sqrt(16 * math.log(10) / (2 * gp * t))
+        K = quad_inverse_fourier(symbol, x, xi_max)
+        assert len(calls) > 1  # at least one refinement was nested
+        xi = np.linspace(-xi_max, xi_max, sum(calls))
+        w = np.full(xi.size, xi[1] - xi[0])
+        w[0] = w[-1] = 0.5 * w[0]
+        plain = np.real(np.exp(1j * np.outer(x, xi)) @ (w * symbol(xi)[:, 0, 0])) / (2 * math.pi)
+        assert np.max(np.abs(K[:, 0, 0] - plain)) <= 1e-15 * np.max(np.abs(plain))
+
     def test_not_converged_raises(self, monkeypatch):
-        # an oscillatory symbol cannot settle to 1e-14 within two refinements
+        # an oscillatory symbol cannot settle to 1e-14 within two refinements;
+        # each refinement evaluates only its new midpoints, and none is made
+        # past QUAD_MAX_NODES
         calls = []
 
         def symbol(xi):
@@ -197,4 +219,4 @@ class TestQuadInverseFourier:
         monkeypatch.setattr(oracle, "QUAD_MAX_NODES", 513)
         with pytest.raises(QuadratureNotConverged):
             quad_inverse_fourier(symbol, np.array([0.0]), xi_max=10.0)
-        assert calls == [129, 257, 513]
+        assert calls == [129, 128, 256]
