@@ -23,7 +23,6 @@ from typing import Union
 
 import numpy as np
 
-from . import specfun as sf
 from .errors import (
     DomainTooNarrow,
     GridMismatch,
@@ -321,6 +320,7 @@ class GaussianCoherent(_ClosedShape):
         return self.sigma
 
     def _heat(self, t, x, gamma_p, drift):
+        from . import specfun as sf
         v = self.sigma**2 + 4.0 * gamma_p * t
         rho11 = _spread_gauss(self.p, x - drift, v)
         rho22 = _spread_gauss(1.0 - self.p, x + drift, v)
@@ -362,6 +362,7 @@ class LaplaceMixture(_ClosedShape):
         return min(self.a, self.b)
 
     def _heat(self, t, x, gamma_p, drift):
+        from . import specfun as sf
         rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, 1.0 / self.a)
         rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, 1.0 / self.b)
         return rho11, rho22, np.zeros_like(x, dtype=complex)
@@ -397,6 +398,7 @@ class UniformMixture(_ClosedShape):
         return min(self.a, self.b)
 
     def _heat(self, t, x, gamma_p, drift):
+        from . import specfun as sf
         rho11 = self.p * sf.heat_uniform(t, x - drift, gamma_p, self.a)
         rho22 = (1.0 - self.p) * sf.heat_uniform(t, x + drift, gamma_p, self.b)
         return rho11, rho22, np.zeros_like(x, dtype=complex)
@@ -454,6 +456,7 @@ class LaplaceCoherent(_ClosedShape):
         return self.scale
 
     def _heat(self, t, x, gamma_p, drift):
+        from . import specfun as sf
         c = 1.0 / self.scale
         rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, c)
         rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, c)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqbm import cli, core
+from oqbm import cli, core, oracle
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
 from oqbm.errors import ConfigError, GridUnderResolved, UnknownFigure
 
@@ -551,3 +552,24 @@ class TestReferenceIndependence:
         # gamma_z = 0, so it must not run any of the spectral module's code
         code = "import sys, oqbm.gammaz0; print('oqbm.spectral' in sys.modules)"
         assert _fresh_python(code) == "False"
+
+    def test_fd_oracle_runs_no_fft_and_no_closed_form(self):
+        # the FD oracle is the reference for the spectral and closed routes:
+        # criterion 2's uniform case must load none of their modules and no
+        # FFT, and the oracle's source must name no fft at all
+        code = (
+            "import sys\n"
+            "from oqbm.core import Params, SpatialGrid, UniformMixture\n"
+            "from oqbm.oracle import fd_integrate\n"
+            "fd_integrate(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0),\n"
+            "             UniformMixture(p=0.75, a=3.0, b=2.0), 200.0, SpatialGrid(16.0, 4096),\n"
+            "             snapshot_times=[50.0, 200.0])\n"
+            "banned = {'oqbm.spectral', 'oqbm.specfun', 'oqbm.omega0', 'oqbm.delta0', 'oqbm.gammaz0'}\n"
+            "print(sorted(m for m in sys.modules if m in banned or m.split('.')[:2] == ['scipy', 'fft']))"
+        )
+        assert _fresh_python(code) == "[]"
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        names = {getattr(node, f) for node in ast.walk(tree)
+                 for f in ("id", "attr", "name", "asname", "module", "arg")
+                 if isinstance(getattr(node, f, None), str)}
+        assert "fft" not in " ".join(names).lower()

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from oqbm import oracle, specfun as sf, spectral
-from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid
+from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid, sample_initial
 from oqbm.errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 from oqbm.oracle import auto_time_step, fd_integrate, quad_inverse_fourier
 from oqbm.validate import FIG1, FIG3_IC
@@ -14,16 +15,39 @@ GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
 
 
 class TestFdIntegrate:
-    def test_pure_heat_limit(self):
-        # with delta = omega = gamma_z = 0 every component just diffuses
+    def test_pure_heat_limit(self, monkeypatch):
+        # with delta = omega = gamma_z = 0 every component just diffuses: B = 0,
+        # so each interval (and the Richardson re-run) takes one RK4 step that
+        # leaves the exact lattice heat semigroup as it is
         p = Params(gamma_p=1e-3)
         grid = SpatialGrid(24.0, 4096)
-        res = fd_integrate(p, IC, 50.0, grid, richardson=False)
+        assert auto_time_step(p, grid) == math.inf
+        steps = []
+        rk4_run = oracle._rk4_run
+
+        def counted(B, y0, span, dt, norm_cap):
+            steps.append(max(1, math.ceil(span / dt)))
+            return rk4_run(B, y0, span, dt, norm_cap)
+
+        monkeypatch.setattr(oracle, "_rk4_run", counted)
+        times = [10.0, 25.0, 50.0]
+        res = fd_integrate(p, IC, 50.0, grid, snapshot_times=times)
+        assert steps == [1, 1, 1, 1]
+        # one kernel over [0, 50] against three composed ones: round-off only
+        assert res.richardson_error < 1e-14
         x = grid.nodes
-        v1, v2 = 1.0 + 4e-3 * 50, 4.0 + 4e-3 * 50
-        exact = (0.75 * np.exp(-x**2 / (2 * v1)) / math.sqrt(2 * math.pi * v1)
-                 + 0.25 * np.exp(-x**2 / (2 * v2)) / math.sqrt(2 * math.pi * v2))
-        assert np.max(np.abs(res.field.rho_plus - exact)) < 1e-6
+        # the semi-discrete solution in closed form: each Fourier mode of the
+        # sampled data decays by exp(-2 gamma_p t (2 sin(k dx/2)/dx)^2)
+        k = 2.0 * math.pi * np.fft.fftfreq(grid.n_points, grid.dx)
+        y0 = sample_initial(IC, grid).rho_plus
+        for t in times:
+            v1, v2 = 1.0 + 4e-3 * t, 4.0 + 4e-3 * t
+            exact = (0.75 * np.exp(-x**2 / (2 * v1)) / math.sqrt(2 * math.pi * v1)
+                     + 0.25 * np.exp(-x**2 / (2 * v2)) / math.sqrt(2 * math.pi * v2))
+            assert np.max(np.abs(res.snapshots[t].rho_plus - exact)) < 1e-6
+            decay = np.exp(-2e-3 * t * (2.0 * np.sin(k * grid.dx / 2.0) / grid.dx) ** 2)
+            lattice = np.real(np.fft.ifft(decay * np.fft.fft(y0)))
+            assert np.max(np.abs(res.snapshots[t].rho_plus - lattice)) < 2e-15
 
     def test_matches_closed_gaussian_solution(self):
         from oqbm import omega0
@@ -42,9 +66,8 @@ class TestFdIntegrate:
         assert abs(res.field.mass() - 1.0) < 1e-14
 
     def test_mass_kept_to_round_off_on_the_uniform_case(self):
-        # every increment is hA times a vector and the columns of A sum to zero
-        # over the rho_plus rows; a single assembled increment hA P has rounded
-        # column sums and drifts by 2.7e-13 at t = 50 and 4.1e-13 at t = 200 here
+        # the heat kernel sums to 1, every RK4 increment is hB times a vector,
+        # and the columns of B sum to zero over the rho_plus rows
         grid = SpatialGrid(16.0, 4096)
         short = fd_integrate(FIG1, FIG3_IC, 50.0, grid)
         assert abs(short.field.mass() - 1.0) < 1e-14
@@ -81,12 +104,13 @@ class TestFdIntegrate:
         assert res.snapshots[20.0] is res.field
 
     def test_unstable_step_detected(self):
-        # for pure diffusion the stiffest eigenvalue is -||A||_inf, so 1.45x
-        # the step puts it at h|lambda| = 2.9, just past RK4's real-axis limit
-        # 2.785; its round-off seed then grows by ~1.19x per step
-        p = Params(gamma_p=1e-3)
+        # diffusion is exact, so only B can go unstable: pure advection gives
+        # B the eigenvalues i (2 delta/dx) sin(k dx), reaching ||B||_inf at
+        # k dx = pi/2, and a step putting them at h|lambda| = 3, past RK4's
+        # imaginary-axis limit 2 sqrt(2), grows that mode by ~1.5x per step
+        p = Params(gamma_p=1e-3, delta=1e-2)
         grid = SpatialGrid(20.0, 512)
-        big_dt = 1.45 * auto_time_step(p, grid)
+        big_dt = (3.0 / oracle.RK4_RADIUS) * auto_time_step(p, grid)
         with pytest.raises(UnstableStep):
             fd_integrate(p, IC, 2000.0, grid, dt=big_dt, richardson=False)
 
@@ -106,28 +130,28 @@ class TestFdIntegrate:
 
     def test_assembled_step_is_one_rk4_step(self):
         grid = SpatialGrid(20.0, 512)
-        A = oracle._difference_operator(GENERAL, grid)
+        B = oracle._difference_operator(GENERAL, grid)
         h = auto_time_step(GENERAL, grid)
-        y = np.random.default_rng(3).normal(size=A.shape[0])
-        k1 = A @ y
-        k2 = A @ (y + 0.5 * h * k1)
-        k3 = A @ (y + 0.5 * h * k2)
-        k4 = A @ (y + h * k3)
+        y = np.random.default_rng(3).normal(size=B.shape[0])
+        k1 = B @ y
+        k2 = B @ (y + 0.5 * h * k1)
+        k3 = B @ (y + 0.5 * h * k2)
+        k4 = B @ (y + h * k3)
         rk4 = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        (assembled,) = oracle._rk4_run(A, y, [h], h, norm_cap=math.inf)
+        assembled = oracle._rk4_run(B, y, h, h, norm_cap=math.inf)
         assert np.max(np.abs(assembled - rk4)) < 1e-14 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auto_step_inside_rk4_region(self, seed):
-        # dense spectrum of the full operator on a small grid: h|lambda| stays
-        # within RK4_RADIUS (reached by pure diffusion, hence the round-off
-        # slack) and RK4 amplifies no eigenmode
+        # dense spectrum of the coupling operator B on a small grid: h|lambda|
+        # stays within RK4_RADIUS (reached by advection when n is a multiple
+        # of 4, hence the round-off slack) and RK4 amplifies no eigenmode
         rng = np.random.default_rng(seed)
         gamma_p, gamma_z, delta, omega = 10.0 ** rng.uniform(-4.0, 1.0, size=4)
         p = Params(gamma_p=gamma_p, gamma_z=gamma_z, delta=delta, omega=omega)
         grid = SpatialGrid(rng.uniform(2.0, 40.0), 64)
-        A = oracle._difference_operator(p, grid).toarray()
-        z = auto_time_step(p, grid) * np.linalg.eigvals(A)
+        B = oracle._difference_operator(p, grid).toarray()
+        z = auto_time_step(p, grid) * np.linalg.eigvals(B)
         assert np.max(np.abs(z)) <= oracle.RK4_RADIUS * (1.0 + 1e-12)
         amplification = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
         assert np.max(amplification) <= 1.0 + 1e-12
@@ -150,6 +174,43 @@ class TestFdIntegrate:
         fed = fd_integrate(GENERAL, IC, 10.0, grid, richardson=False).field
         assert np.max(np.abs(fed.c_i)) > 1e-3
         assert np.all(fed.c_r == 0.0)
+
+
+class TestLatticeHeat:
+    @staticmethod
+    def _reference(s, n):
+        # e^{-2s} I_|j|(2s) at 32 digits, summed over the periodic images out
+        # to |j| = 20 sqrt(2s) + 60, well past the oracle's own truncation
+        with mpmath.workdps(32):
+            reach = math.ceil(20.0 * math.sqrt(2.0 * s) + 60.0)
+            entry = [mpmath.exp(-2 * s) * mpmath.besseli(j, 2 * s) for j in range(reach + 1)]
+            ring = [mpmath.mpf(0)] * n
+            for j in range(-reach, reach + 1):
+                ring[j % n] += entry[abs(j)]
+            return np.array([float(v) for v in ring]), entry
+
+    def test_zero_time_returns_the_data(self):
+        y = np.random.default_rng(7).normal(size=3 * 64)
+        assert np.array_equal(oracle._lattice_heat(y, 0.0, 64), y)
+
+    @pytest.mark.parametrize("s, n", [(0.3, 64), (5.0, 64), (300.0, 4096), (300.0, 64)])
+    def test_kernel_against_mpmath(self, s, n):
+        # the response to a unit impulse is the periodic kernel itself
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+        kernel = oracle._lattice_heat(impulse, s, n)
+        ref, entry = self._reference(s, n)
+        assert np.max(np.abs(kernel - ref)) < 1e-15
+        assert abs(math.fsum(kernel) - 1.0) < 1e-15
+        if 2.0 * math.sqrt(2.0 * s) > n / 2:
+            # wider than the ring: the images at least double the antipode
+            assert kernel[n // 2] > 2.0 * float(entry[n // 2])
+
+    def test_mass_kept(self):
+        y = np.random.default_rng(11).uniform(size=2 * 4096)
+        out = oracle._lattice_heat(y, 2913.0, 4096)
+        for before, after in zip(y.reshape(2, -1), out.reshape(2, -1)):
+            assert abs(math.fsum(after) - math.fsum(before)) < 1e-14 * math.fsum(before)
 
 
 class TestQuadInverseFourier:
