@@ -397,7 +397,13 @@ def _grid_manifest(grid: SpatialGrid) -> dict:
 
 
 def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snapshot") -> dict:
-    """Solve all snapshots of a configured scenario and write CSV + manifest."""
+    """Solve all snapshots of a configured scenario and write CSV + manifest.
+
+    ``threads`` is the number of snapshot threads, 0 for one per snapshot up to
+    the core count and 8; a negative count is a ConfigError.
+    """
+    if threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
     scenario = build_scenario(config)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -17,9 +17,10 @@ dual uses frequencies xi_k = pi*k/L and the transform convention
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -193,47 +194,109 @@ class BlochField:
 # Initial conditions
 # ---------------------------------------------------------------------------
 
-def _gauss(x: np.ndarray, sigma: float) -> np.ndarray:
-    return np.exp(-x * x / (2.0 * sigma * sigma)) / (math.sqrt(2.0 * math.pi) * sigma)
+# A built-in shape puts p f1 in rho11, (1 - p) f2 in rho22 and c f12 in rho12
+# (f12 = None: no coherence), each f a unit-mass profile below.  A profile
+# states its closed forms once, the weight w passed in so that products keep
+# one order: its density w f(x), its heat flow w (g_t * f)(x) at t > 0, its
+# transform w f_hat(xi), its mass beyond +-L and the length a grid must resolve.
+# Heat flows import specfun when called, so sampling initial data loads no scipy.
+
+@dataclass(frozen=True)
+class _Gaussian:
+    """N(0, sigma^2), times the plane wave e^{ikx} unless k is None."""
+
+    sigma: float
+    k: Optional[float] = None
+
+    def density(self, w, x):
+        f = w * (np.exp(-x * x / (2.0 * self.sigma * self.sigma)) / (math.sqrt(2.0 * math.pi) * self.sigma))
+        return f if self.k is None else f * np.exp(1j * self.k * x)
+
+    def heat(self, w, t, x, gamma_p):
+        s = 4.0 * gamma_p * t
+        if self.k is None:
+            v = self.sigma**2 + s
+            return w * np.exp(-(x ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+        # N(0, v)(x) exp(-s sigma^2 k^2 / (2 v)) exp(i k sigma^2 x / v); sigma * sigma
+        # rounds as the product does, where sigma**2 (C pow) may differ in the last bit
+        sigma, k = self.sigma, self.k
+        v = s + sigma * sigma
+        envelope = np.exp(-(x * x + s * sigma * sigma * k * k) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+        return w * (envelope * np.exp(1j * (k * sigma * sigma / v) * x))
+
+    def hat(self, w, xis):
+        if self.k is None:
+            return w * np.exp(-0.5 * (self.sigma * xis) ** 2)
+        return w * np.exp(-0.5 * self.sigma**2 * (xis - self.k) ** 2)
+
+    def tail(self, half_width): return math.erfc(half_width / (self.sigma * math.sqrt(2.0)))
+    def feature(self): return min(self.sigma, 2.0 * math.pi / abs(self.k)) if self.k else self.sigma
 
 
-def _laplace(x: np.ndarray, scale: float) -> np.ndarray:
-    return np.exp(-np.abs(x) / scale) / (2.0 * scale)
+@dataclass(frozen=True)
+class _Laplace:
+    """exp(-|x| / scale) / (2 scale)."""
+
+    scale: float
+
+    def density(self, w, x): return w * (np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale))
+    def hat(self, w, xis): return w / (1.0 + (self.scale * xis) ** 2)
+    def tail(self, half_width): return math.exp(-half_width / self.scale)
+    def feature(self): return self.scale
+
+    def heat(self, w, t, x, gamma_p):
+        from . import specfun
+        return w * specfun.heat_laplace(t, x, gamma_p, 1.0 / self.scale)
 
 
-def _box(x: np.ndarray, a: float) -> np.ndarray:
-    """Indicator of [-a, a] with the midpoint (half-plateau) value at the jumps."""
-    inside = (np.abs(x) < a).astype(float)
-    inside[np.abs(np.abs(x) - a) == 0.0] = 0.5
-    return inside / (2.0 * a)
+@dataclass(frozen=True)
+class _Plateau:
+    """1 / (2a) on [-a, a], with the midpoint (half-plateau) value at the jumps."""
+
+    a: float
+
+    def density(self, w, x):
+        inside = (np.abs(x) < self.a).astype(float)
+        inside[np.abs(np.abs(x) - self.a) == 0.0] = 0.5
+        return w * (inside / (2.0 * self.a))
+
+    def hat(self, w, xis): return w * np.sinc(self.a * xis / math.pi)
+    def tail(self, half_width): return 1.0 if half_width < self.a else 0.0  # a domain may not cut it
+    def feature(self): return self.a
+
+    def heat(self, w, t, x, gamma_p):
+        from . import specfun
+        return w * specfun.heat_uniform(t, x, gamma_p, self.a)
 
 
-def _check_shape(shape) -> None:
-    """NonFinite for a NaN or infinite field; the mixture weight p must lie in (0, 1)."""
+def _check_shape(shape, *widths: str) -> None:
+    """NonFinite for a NaN or infinite field; the mixture weight p must lie in
+    (0, 1) and the named profile widths must be > 0."""
     for f in fields(shape):
         value = getattr(shape, f.name)
         if not math.isfinite(value):
             raise NonFinite(f"{f.name} must be finite, got {value}")
     if not 0.0 < shape.p < 1.0:
         raise ValueError(f"mixture weight p must lie in (0, 1), got {shape.p}")
-
-
-def _spread_gauss(w: float, x: np.ndarray, v: float) -> np.ndarray:
-    """w N(0, v)(x); after heat flow a Gaussian of variance sigma^2 has v = sigma^2 + 4 gamma_p t."""
-    return w * np.exp(-(x ** 2) / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
-
-
-def _gauss_hat(sigma: float, xis: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * (sigma * xis) ** 2)
+    if any(getattr(shape, name) <= 0 for name in widths):
+        raise ValueError(f"{', '.join(widths)} must be > 0")
 
 
 class _ClosedShape:
-    """Built-in initial shapes: closed heat propagation and Fourier transform.
+    """Built-in initial shapes: closed densities, heat flow and Fourier transform,
+    all from the profiles (p, f1, f2, c, f12) that ``_declare`` returns."""
 
-    Each shape supplies ``_heat(t, x, gamma_p, drift)`` for t > 0 and
-    ``spectrum(xis)``, the closed transforms (u_hat = integral u e^{-i xi x} dx)
-    of (rho_plus, c_i, rho_minus, c_r) at the float array ``xis``.
-    """
+    @functools.cached_property
+    def _profiles(self) -> tuple:
+        return self._declare()
+
+    def rho11(self, x): return self._profiles[1].density(self.p, np.asarray(x, dtype=float))
+    def rho22(self, x): return self._profiles[2].density(1.0 - self.p, np.asarray(x, dtype=float))
+
+    def rho12(self, x):
+        _, _, _, c, f12 = self._profiles
+        x = np.asarray(x, dtype=float)
+        return np.zeros_like(x, dtype=complex) if f12 is None else f12.density(c, x)
 
     def heat(self, t: float, x, gamma_p: float, drift: float = 0.0):
         """(rho11 at x - drift, rho22 at x + drift, rho12 at x) after heat flow
@@ -243,7 +306,38 @@ class _ClosedShape:
         x = np.asarray(x, dtype=float)
         if t == 0.0:
             return self.rho11(x - drift), self.rho22(x + drift), self.rho12(x)
-        return self._heat(t, x, gamma_p, drift)
+        p, f1, f2, c, f12 = self._profiles
+        rho12 = np.zeros_like(x, dtype=complex) if f12 is None else f12.heat(c, t, x, gamma_p)
+        return f1.heat(p, t, x - drift, gamma_p), f2.heat(1.0 - p, t, x + drift, gamma_p), rho12
+
+    def spectrum(self, xis):
+        """Closed transforms (u_hat = integral u e^{-i xi x} dx) of
+        (rho_plus, c_i, rho_minus, c_r) at the float array ``xis``."""
+        p, f1, f2, c, f12 = self._profiles
+        if f1 is f2:  # a shared envelope: rho_minus without cancellation near p = 1/2
+            plus = f1.hat(1.0, xis)
+            minus = (2.0 * p - 1.0) * plus
+        else:
+            top, bot = f1.hat(p, xis), f2.hat(1.0 - p, xis)
+            plus, minus = top + bot, top - bot
+        if f12 is None:
+            zero = np.zeros_like(xis)
+            return plus, zero, minus, zero
+        fp = f12.hat(1.0, xis)
+        if isinstance(c, complex):  # a fixed direction c on an even profile
+            return plus, c.imag * fp, minus, c.real * fp
+        fm = f12.hat(1.0, -xis)  # a real c on a plane wave: its odd and even parts
+        return plus, c * (fp - fm) / 2j, minus, c * (fp + fm) / 2.0
+
+    def tail_mass(self, half_width: float) -> float:
+        p, f1, f2, _, _ = self._profiles
+        if f1 is f2:
+            return f1.tail(half_width)
+        return p * f1.tail(half_width) + (1.0 - p) * f2.tail(half_width)
+
+    def min_feature(self) -> float:
+        _, f1, f2, _, f12 = self._profiles
+        return min(f.feature() for f in (f1, f2, f12) if f is not None)
 
 
 @dataclass(frozen=True)
@@ -255,33 +349,10 @@ class GaussianMixture(_ClosedShape):
     sigma2: float
 
     def __post_init__(self):
-        _check_shape(self)
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
-            raise ValueError("sigma1, sigma2 must be > 0")
+        _check_shape(self, "sigma1", "sigma2")
 
-    def rho11(self, x): return self.p * _gauss(x, self.sigma1)
-    def rho22(self, x): return (1.0 - self.p) * _gauss(x, self.sigma2)
-    def rho12(self, x): return np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-
-    def tail_mass(self, half_width: float) -> float:
-        t1 = math.erfc(half_width / (self.sigma1 * math.sqrt(2.0)))
-        t2 = math.erfc(half_width / (self.sigma2 * math.sqrt(2.0)))
-        return self.p * t1 + (1.0 - self.p) * t2
-
-    def min_feature(self) -> float:
-        return min(self.sigma1, self.sigma2)
-
-    def _heat(self, t, x, gamma_p, drift):
-        s = 4.0 * gamma_p * t
-        rho11 = _spread_gauss(self.p, x - drift, self.sigma1**2 + s)
-        rho22 = _spread_gauss(1.0 - self.p, x + drift, self.sigma2**2 + s)
-        return rho11, rho22, np.zeros_like(x, dtype=complex)
-
-    def spectrum(self, xis):
-        top = self.p * _gauss_hat(self.sigma1, xis)
-        bot = (1.0 - self.p) * _gauss_hat(self.sigma2, xis)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
+    def _declare(self):
+        return self.p, _Gaussian(self.sigma1), _Gaussian(self.sigma2), 0.0, None
 
 
 @dataclass(frozen=True)
@@ -297,45 +368,13 @@ class GaussianCoherent(_ClosedShape):
     sigma: float
 
     def __post_init__(self):
-        _check_shape(self)
+        _check_shape(self, "sigma")
         if not 0.0 < self.mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
 
-    def rho11(self, x): return self.p * _gauss(x, self.sigma)
-    def rho22(self, x): return (1.0 - self.p) * _gauss(x, self.sigma)
-
-    def rho12(self, x):
-        x = np.asarray(x, dtype=float)
-        amp = self.mu * math.sqrt(self.p * (1.0 - self.p))
-        return amp * _gauss(x, self.sigma) * np.exp(1j * self.k * x)
-
-    def tail_mass(self, half_width: float) -> float:
-        return math.erfc(half_width / (self.sigma * math.sqrt(2.0)))
-
-    def min_feature(self) -> float:
-        if self.k != 0.0:
-            return min(self.sigma, 2.0 * math.pi / abs(self.k))
-        return self.sigma
-
-    def _heat(self, t, x, gamma_p, drift):
-        from . import specfun as sf
-        v = self.sigma**2 + 4.0 * gamma_p * t
-        rho11 = _spread_gauss(self.p, x - drift, v)
-        rho22 = _spread_gauss(1.0 - self.p, x + drift, v)
-        amp = self.mu * math.sqrt(self.p * (1.0 - self.p))
-        return rho11, rho22, amp * sf.heat_modulated_gauss(t, x, gamma_p, self.k, self.sigma)
-
-    def spectrum(self, xis):
-        env = _gauss_hat(self.sigma, xis)
-        amp = self.mu * math.sqrt(self.p * (1.0 - self.p))
-        plus_k = np.exp(-0.5 * self.sigma**2 * (xis - self.k) ** 2)
-        minus_k = np.exp(-0.5 * self.sigma**2 * (xis + self.k) ** 2)
-        # FT of Im(rho12) and Re(rho12) for rho12 = amp e^{ikx} N_sigma
-        ci_hat = amp * (plus_k - minus_k) / 2j
-        cr_hat = amp * (plus_k + minus_k) / 2.0
-        return env, ci_hat, (2.0 * self.p - 1.0) * env, cr_hat
+    def _declare(self):
+        env = _Gaussian(self.sigma)
+        return self.p, env, env, self.mu * math.sqrt(self.p * (1.0 - self.p)), _Gaussian(self.sigma, self.k)
 
 
 @dataclass(frozen=True)
@@ -347,31 +386,10 @@ class LaplaceMixture(_ClosedShape):
     b: float
 
     def __post_init__(self):
-        _check_shape(self)
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a, b must be > 0")
+        _check_shape(self, "a", "b")
 
-    def rho11(self, x): return self.p * _laplace(x, self.a)
-    def rho22(self, x): return (1.0 - self.p) * _laplace(x, self.b)
-    def rho12(self, x): return np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-
-    def tail_mass(self, half_width: float) -> float:
-        return self.p * math.exp(-half_width / self.a) + (1.0 - self.p) * math.exp(-half_width / self.b)
-
-    def min_feature(self) -> float:
-        return min(self.a, self.b)
-
-    def _heat(self, t, x, gamma_p, drift):
-        from . import specfun as sf
-        rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, 1.0 / self.a)
-        rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, 1.0 / self.b)
-        return rho11, rho22, np.zeros_like(x, dtype=complex)
-
-    def spectrum(self, xis):
-        top = self.p / (1.0 + (self.a * xis) ** 2)
-        bot = (1.0 - self.p) / (1.0 + (self.b * xis) ** 2)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
+    def _declare(self):
+        return self.p, _Laplace(self.a), _Laplace(self.b), 0.0, None
 
 
 @dataclass(frozen=True)
@@ -383,31 +401,10 @@ class UniformMixture(_ClosedShape):
     b: float
 
     def __post_init__(self):
-        _check_shape(self)
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a, b must be > 0")
+        _check_shape(self, "a", "b")
 
-    def rho11(self, x): return self.p * _box(np.asarray(x, dtype=float), self.a)
-    def rho22(self, x): return (1.0 - self.p) * _box(np.asarray(x, dtype=float), self.b)
-    def rho12(self, x): return np.zeros_like(np.asarray(x, dtype=float), dtype=complex)
-
-    def tail_mass(self, half_width: float) -> float:
-        return 0.0 if half_width >= max(self.a, self.b) else 1.0
-
-    def min_feature(self) -> float:
-        return min(self.a, self.b)
-
-    def _heat(self, t, x, gamma_p, drift):
-        from . import specfun as sf
-        rho11 = self.p * sf.heat_uniform(t, x - drift, gamma_p, self.a)
-        rho22 = (1.0 - self.p) * sf.heat_uniform(t, x + drift, gamma_p, self.b)
-        return rho11, rho22, np.zeros_like(x, dtype=complex)
-
-    def spectrum(self, xis):
-        top = self.p * np.sinc(self.a * xis / math.pi)
-        bot = (1.0 - self.p) * np.sinc(self.b * xis / math.pi)
-        zero = np.zeros_like(xis)
-        return top + bot, zero, top - bot, zero
+    def _declare(self):
+        return self.p, _Plateau(self.a), _Plateau(self.b), 0.0, None
 
 
 @dataclass(frozen=True)
@@ -427,9 +424,7 @@ class LaplaceCoherent(_ClosedShape):
     scale: float
 
     def __post_init__(self):
-        _check_shape(self)
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
+        _check_shape(self, "scale")
         if self.r * self.r + self.q * self.q > 1.0 + 1e-12:
             raise ValueError(f"need r^2 + q^2 <= 1, got {self.r**2 + self.q**2}")
 
@@ -439,34 +434,9 @@ class LaplaceCoherent(_ClosedShape):
             raise ValueError("Laplace-coherent data needs delta > 0 and omega > 0")
         return cls(p=p, r=r, q=q, scale=params.delta / params.omega)
 
-    def envelope(self, x):
-        return _laplace(np.asarray(x, dtype=float), self.scale)
-
-    def rho11(self, x): return self.p * self.envelope(x)
-    def rho22(self, x): return (1.0 - self.p) * self.envelope(x)
-
-    def rho12(self, x):
-        amp = math.sqrt(self.p * (1.0 - self.p)) * (self.r + 1j * self.q)
-        return amp * self.envelope(x).astype(complex)
-
-    def tail_mass(self, half_width: float) -> float:
-        return math.exp(-half_width / self.scale)
-
-    def min_feature(self) -> float:
-        return self.scale
-
-    def _heat(self, t, x, gamma_p, drift):
-        from . import specfun as sf
-        c = 1.0 / self.scale
-        rho11 = self.p * sf.heat_laplace(t, x - drift, gamma_p, c)
-        rho22 = (1.0 - self.p) * sf.heat_laplace(t, x + drift, gamma_p, c)
-        amp = math.sqrt(self.p * (1.0 - self.p)) * complex(self.r, self.q)
-        return rho11, rho22, amp * sf.heat_laplace(t, x, gamma_p, c)
-
-    def spectrum(self, xis):
-        env = 1.0 / (1.0 + (self.scale * xis) ** 2)
-        amp = math.sqrt(self.p * (1.0 - self.p))
-        return env, amp * self.q * env, (2.0 * self.p - 1.0) * env, amp * self.r * env
+    def _declare(self):
+        env = _Laplace(self.scale)
+        return self.p, env, env, math.sqrt(self.p * (1.0 - self.p)) * complex(self.r, self.q), env
 
 
 @dataclass(frozen=True)
@@ -523,7 +493,11 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
                 f"custom initial populations reach {low:.3e}, below the -{NEG_TOL:.0e} slack"
             )
         return ic.field
-    check_tail(ic, grid.half_width)
+    tail = ic.tail_mass(grid.half_width)
+    if tail > DEFAULT_EPS_TAIL:
+        raise DomainTooNarrow(
+            f"tail mass {tail:.3e} beyond half_width {grid.half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
+        )
     x = grid.nodes
     return BlochField.from_density(
         grid,
@@ -531,16 +505,6 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
         np.asarray(ic.rho22(x), dtype=float),
         np.asarray(ic.rho12(x), dtype=complex),
     )
-
-
-def check_tail(ic: InitialCondition, half_width: float) -> None:
-    """Raise DomainTooNarrow when the analytic tail mass beyond +-half_width
-    exceeds DEFAULT_EPS_TAIL."""
-    tail = ic.tail_mass(half_width)
-    if tail > DEFAULT_EPS_TAIL:
-        raise DomainTooNarrow(
-            f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
-        )
 
 
 def initial_mass(ic: InitialCondition) -> float:

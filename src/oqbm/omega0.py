@@ -4,9 +4,9 @@ With no driving the coherences decouple completely and the populations couple
 only through the drift: the Green's matrix is a pair of Gaussians translated
 by +-2*delta*t on the population block and a damped heat kernel on the
 coherence block.  Every built-in initial shape (Gaussian, Laplace, uniform,
-and the two coherent variants) then has an explicit solution: its own heat
-flow (:meth:`oqbm.core.GaussianMixture.heat` and the like) with rho11 and
-rho22 drifted apart by +-2*delta*t.
+and the two coherent variants) then has an explicit solution: its heat flow
+(the shapes' shared ``heat``, built from the closed heat flows of their
+profiles in :mod:`oqbm.core`) with rho11 and rho22 drifted apart by +-2*delta*t.
 """
 
 from __future__ import annotations

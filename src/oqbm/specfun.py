@@ -133,20 +133,6 @@ def heat_kernel(t: float, x, gamma_p: float):
     return np.exp(-x * x / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
 
 
-def heat_modulated_gauss(t: float, x, gamma_p: float, k: float, sigma: float):
-    """Heat kernel convolved with exp(iky) N(0, sigma^2)(y); complex result.
-
-    Equals N(0, v + sigma^2)(x) * exp(-v sigma^2 k^2 / (2(v + sigma^2)))
-    * exp(i k sigma^2 x / (v + sigma^2)) with v = 4*gamma_p*t.
-    """
-    _require_positive_time(t)
-    x = np.asarray(x, dtype=float)
-    v = 4.0 * gamma_p * t
-    w = v + sigma * sigma
-    envelope = np.exp(-(x * x + v * sigma * sigma * k * k) / (2.0 * w)) / math.sqrt(2.0 * math.pi * w)
-    return envelope * np.exp(1j * (k * sigma * sigma / w) * x)
-
-
 def heat_uniform(t: float, x, gamma_p: float, a: float):
     """Heat kernel convolved with the plateau density on [-a, a] (mass 1).
 

@@ -460,6 +460,24 @@ class TestMain:
         assert not list(out.glob("*.csv"))
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["figure", "solve"])
+    def test_negative_threads_exit_code(self, tmp_path, command, capsys):
+        # a negative count ran every snapshot serially and exited 0
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(TINY_CONFIG))
+        args = ["--figure", "fig3"] if command == "figure" else ["--config", str(config_path)]
+        out = tmp_path / "out"
+        assert cli.main([command, *args, "--threads", "-5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "threads must be >= 0" in capsys.readouterr().err
+
+    def test_negative_threads_rejected_before_any_output(self, tmp_path):
+        with pytest.raises(ConfigError, match="threads"):
+            cli.run_solve(dict(TINY_CONFIG), tmp_path, threads=-1)
+        with pytest.raises(ConfigError, match="threads"):
+            cli.run_figure("fig3", tmp_path, threads=-1)
+        assert not list(tmp_path.iterdir())  # 0, the default, still means auto
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli.main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -556,14 +574,21 @@ class TestReferenceIndependence:
     def test_fd_oracle_runs_no_fft_and_no_closed_form(self):
         # the FD oracle is the reference for the spectral and closed routes:
         # criterion 2's uniform case must load none of their modules and no
-        # FFT, and the oracle's source must name no fft at all
+        # FFT, sampling any of the five shapes (with its tail and feature)
+        # must load none either, and the oracle's source must name no fft at all
         code = (
             "import sys\n"
-            "from oqbm.core import Params, SpatialGrid, UniformMixture\n"
+            "from oqbm.core import (GaussianCoherent, GaussianMixture, LaplaceCoherent, LaplaceMixture,\n"
+            "                       Params, SpatialGrid, UniformMixture, sample_initial, tail_half_width)\n"
             "from oqbm.oracle import fd_integrate\n"
             "fd_integrate(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0),\n"
             "             UniformMixture(p=0.75, a=3.0, b=2.0), 200.0, SpatialGrid(16.0, 4096),\n"
             "             snapshot_times=[50.0, 200.0])\n"
+            "for ic in (GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0),\n"
+            "           GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0),\n"
+            "           LaplaceMixture(p=0.25, a=1.0, b=2.0), UniformMixture(p=0.75, a=3.0, b=2.0),\n"
+            "           LaplaceCoherent(p=0.25, r=0.5, q=-0.5, scale=1.0)):\n"
+            "    sample_initial(ic, SpatialGrid(64.0, 4096)), tail_half_width(ic), ic.min_feature()\n"
             "banned = {'oqbm.spectral', 'oqbm.specfun', 'oqbm.omega0', 'oqbm.delta0', 'oqbm.gammaz0'}\n"
             "print(sorted(m for m in sys.modules if m in banned or m.split('.')[:2] == ['scipy', 'fft']))"
         )

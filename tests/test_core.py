@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -211,6 +214,73 @@ class TestSampling:
         ok = BlochField.from_density(g, rho11, np.full(g.n_points, 1e-3),
                                      np.zeros(g.n_points, dtype=complex))
         assert sample_initial(Custom(ok), g) is ok
+
+
+FIVE_SHAPES = [
+    GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0),
+    GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0),
+    LaplaceMixture(p=0.25, a=1.0, b=2.0),
+    UniformMixture(p=0.75, a=3.0, b=2.0),
+    LaplaceCoherent(p=0.25, r=0.5, q=-0.5, scale=10.0),
+]
+
+
+def _shape_id(ic):
+    return type(ic).__name__
+
+
+class TestShapes:
+    @pytest.mark.parametrize("ic", FIVE_SHAPES, ids=_shape_id)
+    def test_shape_survives_use(self, ic):
+        # a used shape still pickles, deep-copies, hashes and compares as a fresh one
+        x, xis = np.linspace(-5.0, 5.0, 11), np.linspace(0.0, 3.0, 7)
+        ic.heat(2.0, x, 1e-2, drift=0.1), ic.spectrum(xis), ic.tail_mass(2.0)
+        fresh = type(ic)(**dataclasses.asdict(ic))
+        for twin in (pickle.loads(pickle.dumps(ic)), copy.deepcopy(ic)):
+            assert twin == ic == fresh
+            assert hash(twin) == hash(ic) == hash(fresh)
+            assert dataclasses.asdict(twin) == dataclasses.asdict(fresh)
+            for got, want in zip(twin.heat(2.0, x, 1e-2, drift=0.1), fresh.heat(2.0, x, 1e-2, drift=0.1)):
+                assert np.array_equal(got, want)
+            for got, want in zip(twin.spectrum(xis), fresh.spectrum(xis)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ic", FIVE_SHAPES, ids=_shape_id)
+    @pytest.mark.parametrize("half_width", [0.0, 0.5, 2.5, 4.0])
+    def test_tail_mass_is_the_density_beyond(self, ic, half_width):
+        # both populations are even, so the mass beyond +-L is twice that on
+        # [L, L + 512]; the dyadic spacing puts the plateau edges on nodes,
+        # where the half-plateau value makes the trapezoid exact.  A plateau
+        # that reaches beyond L counts whole: a domain may not cut it.
+        x = half_width + np.linspace(0.0, 512.0, (1 << 21) + 1)
+        populations = (ic.rho11(x), ic.rho22(x))
+        if isinstance(ic, UniformMixture):
+            mass = sum(w for w, rho in zip((ic.p, 1.0 - ic.p), populations) if rho.any())
+        else:
+            mass = 2.0 * float(np.trapezoid(populations[0] + populations[1], x))
+        assert math.isclose(ic.tail_mass(half_width), mass, rel_tol=1e-7, abs_tol=1e-15)
+
+    def test_plateau_tail_weighs_each_plateau(self):
+        # each plateau's tail counts with its weight: the wide one below 1e-8
+        # no longer widens the grid, as a light wide Gaussian or Laplace does not
+        ic = UniformMixture(p=1.0 - 1e-9, a=1.0, b=3.0)
+        assert ic.tail_mass(0.5) == 1.0
+        assert math.isclose(ic.tail_mass(2.0), 1.0 - ic.p)
+        assert ic.tail_mass(3.0) == 0.0
+        assert tail_half_width(ic) == pytest.approx(1.0)
+        assert tail_half_width(UniformMixture(p=0.75, a=3.0, b=2.0)) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("ic, feature", [
+        (GaussianMixture(p=0.75, sigma1=3.0, sigma2=2.0), 2.0),
+        (GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0), 1.0),
+        (GaussianCoherent(p=0.75, mu=0.8, k=-4.0, sigma=2.0), math.pi / 2.0),  # the wavelength
+        (GaussianCoherent(p=0.75, mu=0.8, k=0.0, sigma=2.0), 2.0),
+        (LaplaceMixture(p=0.25, a=3.0, b=2.0), 2.0),
+        (UniformMixture(p=0.75, a=3.0, b=2.0), 2.0),
+        (LaplaceCoherent(p=0.25, r=0.5, q=-0.5, scale=10.0), 10.0),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, float) else "")
+    def test_min_feature(self, ic, feature):
+        assert ic.min_feature() == feature
 
 
 class TestGridPlanning:
