@@ -199,7 +199,8 @@ class BlochField:
 # states its closed forms once, the weight w passed in so that products keep
 # one order: its density w f(x), its heat flow w (g_t * f)(x) at t > 0, its
 # transform w f_hat(xi), its mass beyond +-L and the length a grid must resolve.
-# Heat flows import specfun when called, so sampling initial data loads no scipy.
+# Heat flows import specfun when called, so sampling initial data (as the FD
+# oracle does) loads none of the closed-form kernels that the oracle checks.
 
 @dataclass(frozen=True)
 class _Gaussian:

@@ -2,10 +2,8 @@
 
 Without the coin-position coupling the Green's matrix is a single heat kernel
 times a constant-in-x internal matrix whose 2x2 (c_i, rho_minus) block damps
-like an oscillator: overdamped for gamma_z > 2*omega (hyperbolic functions of
-omega_plus = sqrt(gamma_z^2 - 4 omega^2)), underdamped for gamma_z < 2*omega
-(trigonometric functions of omega_minus = sqrt(4 omega^2 - gamma_z^2)), and a
-polynomial-times-exponential Jordan block exactly at gamma_z = 2*omega.
+like an oscillator: overdamped for gamma_z > 2*omega, underdamped below, and
+critically damped exactly at gamma_z = 2*omega, all three by one formula.
 
 For mixture data (no coherence) the imbalance that :func:`solve` returns is
 the scalar internal_matrix(p, t)[2, 2] times the heat-spread rho11 - rho22, so
@@ -25,8 +23,6 @@ from . import specfun as sf
 from .core import BlochField, InitialCondition, Params, SpatialGrid
 from .errors import NonPositiveTime, OqbmError, WrongRegime
 
-TOL_CRITICAL = 1e-9  # relative width of the Jordan-block window
-
 
 class DampingKind(enum.Enum):
     OVER = "overdamped"
@@ -37,17 +33,20 @@ class DampingKind(enum.Enum):
 @dataclass(frozen=True)
 class DampingRegime:
     kind: DampingKind
-    omega_pm: float  # sqrt(|gamma_z^2 - 4 omega^2|); zero in the critical window
+    omega_pm: float  # sqrt(|gamma_z^2 - 4 omega^2|); zero exactly at gamma_z = 2*omega
+
+
+def _discriminant(p: Params) -> tuple:
+    """(gamma_z - 2 omega, w): w^2 = (gamma_z - 2 omega)(gamma_z + 2 omega) has the sign
+    of its first factor, and w = sqrt(|w^2|) is taken per factor, so it never cancels."""
+    split = p.gamma_z - 2.0 * p.omega
+    return split, math.sqrt(abs(split)) * math.sqrt(p.gamma_z + 2.0 * p.omega)
 
 
 def classify(p: Params) -> DampingRegime:
-    split = p.gamma_z - 2.0 * p.omega
-    total = p.gamma_z + 2.0 * p.omega
-    if abs(split) <= TOL_CRITICAL * total or total == 0.0:
-        return DampingRegime(DampingKind.CRITICAL, 0.0)
-    if split > 0.0:
-        return DampingRegime(DampingKind.OVER, math.sqrt(p.gamma_z**2 - 4.0 * p.omega**2))
-    return DampingRegime(DampingKind.UNDER, math.sqrt(4.0 * p.omega**2 - p.gamma_z**2))
+    split, w = _discriminant(p)
+    kind = DampingKind.OVER if split > 0.0 else DampingKind.UNDER if split < 0.0 else DampingKind.CRITICAL
+    return DampingRegime(kind, w)
 
 
 def _require_regime(p: Params) -> None:
@@ -56,30 +55,26 @@ def _require_regime(p: Params) -> None:
 
 
 def internal_matrix(p: Params, t: float) -> np.ndarray:
-    """The x-independent 3x3 internal factor of the Green's matrix."""
+    """The x-independent 3x3 internal factor of the Green's matrix.
+
+    Its (c_i, rho_minus) block exp(tM), M = [[-2 gamma_z, omega], [-4 omega, 0]], is
+    c I + s (M + gamma_z I) with c = e^{-gamma_z t} cosh(w t) and s = e^{-gamma_z t} sinh(w t) / w,
+    one entire function of w^2: cos and sin / |w| for w^2 < 0, and s = t e^{-gamma_z t} at w = 0.
+    """
     _require_regime(p)
     gz, om = p.gamma_z, p.omega
-    reg = classify(p)
-    m = np.eye(3)
-    if reg.kind is DampingKind.CRITICAL:
-        # Jordan block: exp(-2 om t) (I + t N); finite limit of both regimes
-        damp = math.exp(-2.0 * om * t)
-        m[1, 1] = (1.0 - 2.0 * om * t) * damp
-        m[1, 2] = om * t * damp
-        m[2, 1] = -4.0 * om * t * damp
-        m[2, 2] = (1.0 + 2.0 * om * t) * damp
-        return m
-    w = reg.omega_pm
-    damp = math.exp(-gz * t)
-    if reg.kind is DampingKind.OVER:
-        c, s = math.cosh(w * t), math.sinh(w * t)
+    split, w = _discriminant(p)
+    if split > 0.0:
+        # decay rates gz -/+ w: the slow one as 4 om^2 / (gz + w), which does not cancel
+        slow = math.exp(-4.0 * om * (om / (gz + w)) * t)
+        gap = math.expm1(-2.0 * w * t)  # e^{-(fast - slow) t} - 1
+        c = slow * (1.0 + 0.5 * gap)
+        s = -slow * gap / (2.0 * w)
     else:
-        c, s = math.cos(w * t), math.sin(w * t)
-    m[1, 1] = damp * (c - (gz / w) * s)
-    m[1, 2] = damp * (om / w) * s
-    m[2, 1] = -damp * (4.0 * om / w) * s
-    m[2, 2] = damp * (c + (gz / w) * s)
-    return m
+        damp = math.exp(-gz * t)
+        c = damp * math.cos(w * t)
+        s = damp * (math.sin(w * t) / w if w > 0.0 else t)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c - gz * s, om * s], [0.0, -4.0 * om * s, c + gz * s]])
 
 
 def green_delta0(p: Params, t: float, x):

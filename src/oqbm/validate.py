@@ -130,16 +130,19 @@ def check_cone_kernel_masses() -> float:
     worst = 0.0
     nodes, weights = gammaz0.theta_rule(512)
     for t in (5.0, 25.0, 60.0):
+        want0, want1 = math.sin(2.0 * p.omega * t) / (2.0 * p.omega), math.cos(2.0 * p.omega * t)
         reach = 2.0 * t * p.delta
         y = reach * np.cos(nodes)
         jac = reach * np.sin(nodes)
         k0 = specfun.kg_kernel_0(t, y, p)
         mass0 = float(np.sum(weights * jac * k0))
-        worst = max(worst, abs(mass0 - math.sin(2.0 * p.omega * t) / (2.0 * p.omega)))
         k1 = specfun.kg_kernel_1(t, y, p)
         mass1 = float(np.sum(weights * jac * k1.values))
         mass1 += sum(w for _, w in k1.delta_shifts)
-        worst = max(worst, abs(mass1 - math.cos(2.0 * p.omega * t)))
+        # the quadrature the closed gamma_z = 0 route runs, on constant data at x = 0
+        _, conv1, conv0 = gammaz0._cone_convolutions(lambda z: np.ones((1,) + z.shape), t, 0.0, p)
+        worst = max(worst, abs(mass0 - want0), abs(mass1 - want1),
+                    abs(float(conv0[0, 0]) - want0), abs(float(conv1[0, 0]) - want1))
     return worst
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqbm import cli, core, oracle
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
-from oqbm.errors import ConfigError, GridUnderResolved, UnknownFigure
+from oqbm.errors import ConfigError, GridUnderResolved, OqbmError, UnknownFigure
 
 TINY_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": 0.0,
@@ -22,6 +22,12 @@ TINY_CONFIG = {
 }
 GRIDLESS_CONFIG = {k: v for k, v in TINY_CONFIG.items() if k not in ("half_width", "n_points")}
 DRIVEN_CONFIG = dict(cli.FIGURES["fig4"]["configs"]["left"], times=[0.0, 100.0], n_points=1024)
+# delta = 0 with w t = 1000 at the last snapshot: cosh(w t) overflows a float
+OVERDAMPED_CONFIG = {
+    "gamma_p": 1e-3, "gamma_z": 1.0, "delta": 0.0, "omega": 1e-2,
+    "ic": "gaussian_mixture", "p": 0.75, "sigma1": 1.0, "sigma2": 2.0,
+    "times": [0, 1000],
+}
 
 
 class TestConfig:
@@ -143,6 +149,11 @@ class TestDispatch:
         forced = cli.build_scenario(dict(TINY_CONFIG, method="spectral"))
         _, spec = cli.solve_snapshot(forced, 50.0)
         assert np.max(np.abs(closed.rho_plus - spec.rho_plus)) < 1e-8
+        route, closed = cli.solve_snapshot(cli.build_scenario(OVERDAMPED_CONFIG), 1000.0)
+        _, spec = cli.solve_snapshot(cli.build_scenario(dict(OVERDAMPED_CONFIG, method="spectral")), 1000.0)
+        assert route == "closed[delta]"
+        for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+            assert np.max(np.abs(getattr(closed, name) - getattr(spec, name))) < 1e-12, name
 
 
 class TestOutputs:
@@ -509,6 +520,45 @@ class TestMain:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert out.count("PASS") >= 10
+
+
+def _log_uniform(rng, lo: float, hi: float) -> float:
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _random_config(rng, ic: str, method: str) -> dict:
+    """Rates log-uniform in [1e-5, 10], one of gamma_z, delta, omega zeroed in
+    nine draws of ten, and one snapshot time log-uniform in [1e-3, 1e6]."""
+    config = {key: _log_uniform(rng, 1e-5, 10.0) for key in ("gamma_p", "gamma_z", "delta", "omega")}
+    zeroed = str(rng.choice(["gamma_z", "delta", "omega", ""], p=[0.3, 0.3, 0.3, 0.1]))
+    if zeroed:
+        config[zeroed] = 0.0
+    angle, radius = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 1.0)
+    shape = {"p": rng.uniform(0.05, 0.95), "mu": rng.uniform(0.05, 0.95), "k": rng.uniform(0.0, 3.0),
+             "r": radius * math.cos(angle), "q": radius * math.sin(angle)}
+    shape.update({key: _log_uniform(rng, 0.3, 3.0) for key in ("sigma", "sigma1", "sigma2", "a", "b")})
+    return dict(config, ic=ic, method=method, times=[_log_uniform(rng, 1e-3, 1e6)],
+                **{key: shape[key] for key in cli._shape_keys(cli.SHAPES[ic])})
+
+
+def test_accepted_configs_solve_or_raise_typed_errors(rng):
+    # every shape under every method; plans above 2^15 nodes are skipped to keep this fast
+    combos = [(ic, method) for ic in cli.SHAPES for method in ("auto", "closed", "spectral")]
+    configs = [OVERDAMPED_CONFIG] + [_random_config(rng, *combos[i % len(combos)]) for i in range(120)]
+    routes = set()
+    for config in configs:
+        try:
+            scenario = cli.build_scenario(config)
+            if scenario.grid.n_points > 1 << 15:
+                continue
+            for t in scenario.times:
+                route, field = cli.solve_snapshot(scenario, t)
+                for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+                    assert np.all(np.isfinite(getattr(field, name))), (config, t, name)
+                routes.add(route)
+        except OqbmError:
+            continue
+    assert routes == {"initial", "closed[omega]", "closed[delta]", "closed[gamma_z]", "spectral"}
 
 
 def _fresh_python(code: str) -> str:

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.linalg
 
 from oqbm import delta0, omega0, oracle, spectral
 from oqbm.core import (
@@ -20,6 +20,16 @@ from oqbm.errors import WrongRegime
 UNDER = Params(gamma_p=1e-3, gamma_z=1e-3, delta=0.0, omega=1e-2)
 FIG6_LEFT = GaussianMixture(p=0.75, sigma1=2.0, sigma2=1.0)
 FIG6_RIGHT = GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)
+# (gamma_z, omega, t) with w t > 710: cosh(w t) and sinh(w t) overflow a float
+OVERDAMPED_LONG = [(1.0, 1e-2, 1e3), (0.1, 1e-3, 8e3), (0.5, 0.1, 2e3), (10.0, 1.0, 1e4),
+                   (8.88, 0.0563, 1189.5), (0.464, 0.0114, 9680.0)]
+
+
+def _expm_block(gz, om, t):
+    """exp(tM) of the (c_i, rho_minus) block, to 50 digits."""
+    with mpmath.workdps(50):
+        e = mpmath.expm(mpmath.mpf(t) * mpmath.matrix([[-2 * mpmath.mpf(gz), om], [-4 * mpmath.mpf(om), 0]]))
+        return np.array([[float(e[i, j]) for j in range(2)] for i in range(2)])
 
 
 class TestRegimes:
@@ -33,24 +43,28 @@ class TestRegimes:
         assert math.isclose(reg.omega_pm, math.sqrt(4e-4 - 1e-6))
 
     def test_internal_matrix_matches_expm(self, rng):
-        for _ in range(40):
-            gz, om = rng.uniform(1e-3, 0.3, 2)
-            p = Params(1e-3, gz, 0.0, om)
-            t = float(rng.uniform(0.5, 60.0))
-            m = delta0.internal_matrix(p, t)
-            block = scipy.linalg.expm(t * np.array([[-2 * gz, om], [-4 * om, 0.0]]))
-            assert np.max(np.abs(m[1:, 1:] - block)) < 1e-12
-            assert m[0, 0] == 1.0
+        draws = [(*rng.uniform(1e-3, 0.3, 2), float(rng.uniform(0.5, 60.0))) for _ in range(40)]
+        near_critical = [(2 * om * (1 + e), om, t) for e in (1e-12, -1e-12, 3e-10, -3e-10, 1.5e-9, -1.5e-9)
+                         for om in (1e-2, 1.0) for t in (1.0, 100.0, 1e4)]
+        # the draws' phases w t reach about 35, so rounding w costs them up to ~1e-15 more
+        for cases, tol in ((draws, 1e-14), (OVERDAMPED_LONG + near_critical, 1e-15)):
+            for gz, om, t in cases:
+                m = delta0.internal_matrix(Params(1e-3, gz, 0.0, om), t)
+                assert np.max(np.abs(m[1:, 1:] - _expm_block(gz, om, t))) < tol, (gz, om, t)
+                assert m[0, 0] == 1.0
+        for gz in (1e-3, 2e-2, 1.0):  # under, critical, over
+            assert np.array_equal(delta0.internal_matrix(Params(1e-3, gz, 0.0, 1e-2), 0.0), np.eye(3))
 
     def test_continuity_across_critical_line(self):
-        om, t = 1e-2, 25.0
-        critical = delta0.internal_matrix(Params(1e-3, 2 * om, 0.0, om), t)
-        for eps in (1e-5, 1e-6, 1e-7):
-            over = delta0.internal_matrix(Params(1e-3, 2 * om * (1 + eps), 0.0, om), t)
-            under = delta0.internal_matrix(Params(1e-3, 2 * om * (1 - eps), 0.0, om), t)
-            gap = np.max(np.abs(over - under))
-            assert gap < 20.0 * eps
-            assert np.max(np.abs(over - critical)) < 20.0 * eps
+        for om in (1e-2, 1.0):
+            for t in (1.0, 25.0, 100.0, 1e4):
+                critical = delta0.internal_matrix(Params(1e-3, 2 * om, 0.0, om), t)
+                for eps in (1e-5, 1e-6, 1e-7, 1.5e-9, 3e-10, 1e-12):
+                    over = delta0.internal_matrix(Params(1e-3, 2 * om * (1 + eps), 0.0, om), t)
+                    under = delta0.internal_matrix(Params(1e-3, 2 * om * (1 - eps), 0.0, om), t)
+                    gap = np.max(np.abs(over - under))
+                    assert gap < 20.0 * eps, (om, t, eps)
+                    assert np.max(np.abs(over - critical)) < 20.0 * eps, (om, t, eps)
 
     def test_small_driving_limit_is_undriven_matrix(self):
         p = Params(1e-3, 5e-2, 0.0, 1e-9)
