@@ -400,7 +400,8 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
     """Solve all snapshots of a configured scenario and write CSV + manifest.
 
     ``threads`` is the number of snapshot threads, 0 for one per snapshot up to
-    the core count and 8; a negative count is a ConfigError.
+    the core count and 8; a negative count is a ConfigError.  A solved field
+    that is not finite raises NonFinite before its CSV is written.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
@@ -409,6 +410,8 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
 
     def compute(t: float):
         solver, field = solve_snapshot(scenario, t)
+        if not all(np.isfinite(c).all() for c in (field.rho_plus, field.c_i, field.rho_minus, field.c_r)):
+            raise NonFinite(f"the {solver} solution at t = {_format(t)} is not finite")
         name = f"{prefix}_t{_time_tag(t)}.csv"
         write_snapshot_csv(out_dir / name, field)
         return t, solver, name

@@ -478,6 +478,22 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     return ic.spectrum(np.asarray(xis, dtype=float))
 
 
+def _too_narrow(ic: _ClosedShape, half_width: float, tail: float) -> str:
+    """The reason of sample_initial's DomainTooNarrow.  A plateau's tail is an
+    indicator (a domain may not cut it), so a cut plateau is named with the
+    mass of the density that lies beyond +-half_width."""
+    p, f1, f2, _, _ = ic._profiles
+    weighted = ((1.0, f1),) if f1 is f2 else ((p, f1), (1.0 - p, f2))
+    cut = [(w, f) for w, f in weighted if isinstance(f, _Plateau) and f.a > half_width]
+    if not cut:
+        return f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
+    beyond = sum(w * (1.0 - half_width / f.a) for w, f in cut)
+    which = " and ".join(f"{f.a:g}" for _, f in cut)
+    which = f"plateau of half-width {which}" if len(cut) == 1 else f"plateaus of half-widths {which}"
+    return (f"half_width {half_width} cuts the {which}: {beyond:.3e} of the density lies "
+            f"beyond +-{half_width}, and a domain may not cut a plateau")
+
+
 def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
     """Sample the closed-form initial density matrix on ``grid``.
 
@@ -496,9 +512,7 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
         return ic.field
     tail = ic.tail_mass(grid.half_width)
     if tail > DEFAULT_EPS_TAIL:
-        raise DomainTooNarrow(
-            f"tail mass {tail:.3e} beyond half_width {grid.half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
-        )
+        raise DomainTooNarrow(_too_narrow(ic, grid.half_width, tail))
     x = grid.nodes
     return BlochField.from_density(
         grid,

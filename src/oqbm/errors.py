@@ -6,7 +6,7 @@ class OqbmError(Exception):
 
 
 class NonFinite(OqbmError):
-    """A rate or parameter is NaN or infinite."""
+    """A rate, a parameter or a solved field is NaN or infinite."""
 
 
 class NonPositiveDiffusion(OqbmError):

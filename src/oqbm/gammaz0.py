@@ -244,17 +244,20 @@ def _check_initial(p: Params, ic: LaplaceCoherent) -> float:
     return math.sqrt(ic.p * (1.0 - ic.p))
 
 
-def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: SpatialGrid) -> BlochField:
-    """Exact field for the Laplace-coherent initial state.
+def laplace_coherent_field(p: Params, ic: LaplaceCoherent, t: float, x) -> tuple:
+    """Exact (rho_plus, c_i, rho_minus, c_r) for the Laplace-coherent initial
+    state at the points x, each of shape (x.size,).
 
     All Laplace-against-Laplace convolutions are closed (phi+/-); only the
-    light-cone convolutions remain as one-dimensional theta integrals.
+    light-cone convolutions remain as one-dimensional theta integrals.  At
+    t = 0 the components are those of the initial data.
     """
     _require_regime(p)
     amp = _check_initial(p, ic)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
-        return BlochField.from_density(grid, *ic.heat(0.0, grid.nodes, p.gamma_p))
-    x = grid.nodes
+        rho11, rho22, rho12 = ic.heat(0.0, x, p.gamma_p)
+        return rho11 + rho22, np.imag(rho12).copy(), rho11 - rho22, np.real(rho12).copy()
     coh = 2.0 * ic.q * amp        # coefficient of the Im(rho12) channel
     pop = 2.0 * ic.p - 1.0        # coefficient of the rho_minus channel
 
@@ -269,8 +272,13 @@ def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: Spati
     u1 = php + k1_dphi - coh * (phm - k1_phm) + 2.0 * p.omega * pop * k0_hm
     u2 = 0.5 * (phm - k1_phm) + 0.5 * coh * (hp - php + k1_php) + p.omega * pop * k0_hp
     u3 = 2.0 * p.omega * k0_hm - 2.0 * coh * p.omega * k0_hp + pop * (k1_dphi + k1_php)
-    c_r = ic.r * amp * hp
-    return BlochField(grid=grid, rho_plus=u1, c_i=u2, rho_minus=u3, c_r=c_r, time=t)
+    return u1, u2, u3, ic.r * amp * hp
+
+
+def solve_laplace_coherent(p: Params, ic: LaplaceCoherent, t: float, grid: SpatialGrid) -> BlochField:
+    """:func:`laplace_coherent_field` on the nodes of ``grid``."""
+    rho_plus, c_i, rho_minus, c_r = laplace_coherent_field(p, ic, t, grid.nodes)
+    return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   carries the same diffusion 2 gamma_p D2, which commutes with the rest B
   of the operator, so each snapshot interval applies the lattice heat
   semigroup exactly (one periodic convolution with the discrete Gaussian
-  ive(|j|, 2s)) and then explicit RK4 on B alone, at a step set by
-  accuracy, stepped as y + hB (P y) (mass kept to round-off) over only the
-  components that can be non-zero.  It touches only the core types and
+  ive(|j|, 2s)) and then steps B alone by the degree-30 Taylor polynomial
+  of exp(hB), in Horner form (every increment hB times a vector, so mass is
+  kept to round-off), at the step of Al-Mohy & Higham's bound, over only
+  the components that can be non-zero.  It touches only the core types and
   scipy.special.ive; it uses no FFT and never imports the spectral or
   closed-form modules, so agreement with them is meaningful evidence.
 
@@ -47,8 +48,8 @@ if TYPE_CHECKING:
 QUAD_START_NODES = 2049    # quad_inverse_fourier's first node count; odd, so xi = 0 is a node
 QUAD_TOL = 1e-10           # max-norm change between two refinements that ends the doubling
 QUAD_MAX_NODES = 1 << 21   # node count beyond which QuadratureNotConverged is raised
-RK4_RADIUS = 0.1           # largest h ||B||_inf of auto_time_step, set by accuracy
-COUPLING_RADIUS = 0.01     # largest h max(4 omega, 2 gamma_z + omega) of auto_time_step
+TAYLOR_DEGREE = 30         # degree of the truncated Taylor step of exp(hB)
+THETA_30 = 3.54            # largest h ||B|| of a degree-30 step with backward error below 2^-53
 
 
 @dataclass
@@ -91,30 +92,21 @@ def _difference_operator(p: Params, grid: SpatialGrid) -> sp.csr_matrix:
 
 
 def auto_time_step(p: Params, grid: SpatialGrid) -> float:
-    """RK4 step for the coupling operator B, set by accuracy, not stability.
+    """Step of the degree-30 Taylor step for the coupling operator B.
 
-    Diffusion is applied exactly, so RK4 only steps B (advection and Rabi
-    coupling).  The row sums of |B| give ||B||_inf = max(2 delta/dx +
-    4 omega, 2 gamma_z + omega); every eigenvalue has Re <= 0 and
-    |lambda| <= ||B||_inf, far inside RK4's stability region (Hairer &
-    Wanner, Solving ODEs II, IV.2).  The step is the smaller of
-    RK4_RADIUS / ||B||_inf and COUPLING_RADIUS / max(4 omega, 2 gamma_z +
-    omega).  The first bounds the advection: its largest eigenvalues belong
-    to grid-scale modes that the exact heat step has already damped, and at
-    0.1 the Richardson estimate is 2.7e-14 on the uniform case at t = 50 and
-    4.4e-13 with all rates at 1e-3..1e-2 on SpatialGrid(24, 2048) (0.125:
-    6.6e-14 and 1.07e-12).  The second bounds the Rabi and dephasing
-    couplings, which act on every mode at full amplitude: at delta = 0 the
-    first alone gives 1.6e-8 on the delta = 0 coherent case at t = 100, and
-    0.01 gives 1.6e-12.  Pure diffusion has B = 0 and gets math.inf, one
-    exact step per interval.
+    Diffusion is applied exactly, so the Taylor step only advances B
+    (advection and Rabi coupling).  The row sums of |B| give ||B||_inf =
+    max(2 delta/dx + 4 omega, 2 gamma_z + omega), and h = THETA_30 /
+    ||B||_inf.  At h ||B|| <= THETA_30 the degree-30 truncation of exp(hB)
+    is exp(h(B + E)) with ||E|| <= 2^-53 ||B|| (Al-Mohy & Higham, "Computing
+    the action of the matrix exponential", SIAM J. Sci. Comput. 33, 2011,
+    Table 3.1).  The bound holds on every mode, the grid-scale advection
+    modes and the Rabi and dephasing couplings alike, so the step does not
+    rely on the heat step having damped any of them.  Pure diffusion has
+    B = 0 and gets math.inf, one exact step per interval.
     """
     norm = max(2.0 * p.delta / grid.dx + 4.0 * p.omega, 2.0 * p.gamma_z + p.omega)
-    coupling = max(4.0 * p.omega, 2.0 * p.gamma_z + p.omega)
-    return min(
-        RK4_RADIUS / norm if norm > 0.0 else math.inf,
-        COUPLING_RADIUS / coupling if coupling > 0.0 else math.inf,
-    )
+    return THETA_30 / norm if norm > 0.0 else math.inf
 
 
 def _live_components(B: sp.csr_matrix, y0: np.ndarray, n: int) -> np.ndarray:
@@ -159,40 +151,36 @@ def _lattice_heat(y: np.ndarray, s: float, n: int) -> np.ndarray:
     return np.array(blocks).reshape(y.shape)
 
 
-def _rk4_run(
+def _taylor_run(
     B: sp.csr_matrix,
     y0: np.ndarray,
     span: float,
     dt: float,
     norm_cap: float,
 ) -> np.ndarray:
-    """Advance y' = B y by ``span`` in max(1, ceil(span / dt)) RK4 steps.
+    """Advance y' = B y by ``span`` in max(1, ceil(span / dt)) Taylor steps.
 
-    For this linear autonomous operator one classical RK4 step of size h is
-    exactly the degree-4 Taylor polynomial of exp(hB), written here as
-    y + hB (P y) with P = I + hB/2 + (hB)^2/6 + (hB)^3/24.  Every increment
-    is hB times a vector, and the columns of B sum to exactly zero over the
-    rho_plus rows, so the mass changes by round-off only; a single assembled
-    increment hB P would have rounded column sums and drift with the step
-    count.
+    Each step of size h applies T(hB) = sum_{j <= TAYLOR_DEGREE} (hB)^j / j!
+    in Horner form: v = y, then v = y + (hB v)/j for j = TAYLOR_DEGREE down
+    to 2, then y + hB v, TAYLOR_DEGREE matrix-vector products in all.  Every
+    increment is hB times a vector, and the columns of B sum to exactly zero
+    over the rho_plus rows, so the mass changes by round-off only.
     """
-    import scipy.sparse as sp
     nsteps = max(1, math.ceil(span / dt))
     h = span / nsteps
-    eye = sp.identity(B.shape[0], format="csr")
     hB = h * B
-    P = eye + hB / 4.0
-    P = eye + (hB / 3.0) @ P
-    P = eye + (hB / 2.0) @ P
     y = y0.copy()
     for step in range(nsteps):
-        y += hB @ (P @ y)
-        if step % 64 == 0 and not np.all(np.abs(y) <= norm_cap):
+        v = y
+        for j in range(TAYLOR_DEGREE, 1, -1):
+            v = hB @ v
+            v *= 1.0 / j
+            v += y
+        y += hB @ v
+        if not np.all(np.abs(y) <= norm_cap):
             raise UnstableStep(
                 f"solution norm exceeded 10x its initial value after {step + 1} steps of {h:.3g}"
             )
-    if not np.all(np.isfinite(y)) or not np.all(np.abs(y) <= norm_cap):
-        raise UnstableStep("solution norm exceeded 10x its initial value")
     return y
 
 
@@ -208,16 +196,17 @@ def fd_integrate(
     """March the coupled system to ``t_end`` with central differences.
 
     Each snapshot interval of length tau applies the lattice heat semigroup
-    exactly (:func:`_lattice_heat`) and then RK4 on the coupling operator B
-    (:func:`_rk4_run`, step ``dt``, by default :func:`auto_time_step`).  The
-    two commute, so the split adds no error to the semi-discretisation.
-    Only the live components are integrated (see :func:`_live_components`);
-    the others come back as exact zeros.  The Richardson estimate is the
-    max-norm difference against a re-run over [0, t_end] as one interval at
-    dt/2, scaled by 16/15 (the step-halving bound for a fourth-order method);
-    it covers the RK4 time error of the B part only, the O(dx^2) spatial
-    error is assessed by grid refinement in the tests.  The tail and
-    boundary checks use DEFAULT_EPS_TAIL.
+    exactly (:func:`_lattice_heat`) and then Taylor steps of the coupling
+    operator B (:func:`_taylor_run`, step ``dt``, by default
+    :func:`auto_time_step`).  The two commute, so the split adds no error
+    to the semi-discretisation.  Only the live components are integrated
+    (see :func:`_live_components`); the others come back as exact zeros.
+    The Richardson estimate is the max-norm difference against a re-run
+    over [0, t_end] as one interval at dt/2, scaled by 2^30/(2^30 - 1) (the
+    step-halving bound for a method of order 30); it covers the time error
+    of the B part only, the O(dx^2) spatial error is assessed by grid
+    refinement in the tests.  The tail and boundary checks use
+    DEFAULT_EPS_TAIL.
     """
     if t_end <= 0.0:
         raise NonPositiveTime(f"t_end must be > 0, got {t_end}")
@@ -238,7 +227,7 @@ def fd_integrate(
     heat_rate = 2.0 * p.gamma_p / grid.dx**2  # s of the lattice heat semigroup per unit time
 
     def advance(y: np.ndarray, span: float, step: float) -> np.ndarray:
-        return _rk4_run(B, _lattice_heat(y, heat_rate * span, n), span, step, norm_cap)
+        return _taylor_run(B, _lattice_heat(y, heat_rate * span, n), span, step, norm_cap)
 
     y, t_prev, states = y0_live, 0.0, []
     for t in times:
@@ -269,7 +258,8 @@ def fd_integrate(
     rich = None
     if richardson:
         half = advance(y0_live, times[-1], dt / 2.0)
-        rich = (16.0 / 15.0) * float(np.max(np.abs(states[-1] - half)))
+        halving = 2.0**TAYLOR_DEGREE
+        rich = halving / (halving - 1.0) * float(np.max(np.abs(states[-1] - half)))
 
     return FdResult(field=final, richardson_error=rich, snapshots=snaps)
 

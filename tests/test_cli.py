@@ -471,6 +471,26 @@ class TestMain:
         assert not list(out.glob("*.csv"))
         assert key in capsys.readouterr().err
 
+    def test_non_finite_field_exits_2_before_its_csv(self, tmp_path):
+        # at gamma_z = 1e308 the spectral symbol overflows and the solved field
+        # is NaN; it ran in a new interpreter, where RuntimeWarning is not the
+        # error that this suite's settings make it
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(dict(GRIDLESS_CONFIG, gamma_z=1e308, omega=1e-2,
+                                               method="spectral")))
+        out = tmp_path / "out"
+        code = (
+            "import contextlib, io\n"
+            "from oqbm import cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = cli.main(['solve', '--config', {str(config_path)!r}, '--out', {str(out)!r}])\n"
+            "print(code, 'not finite' in err.getvalue())"
+        )
+        assert _fresh_python(code) == "2 True"
+        assert not any("nan" in f.read_text() for f in out.glob("*.csv"))
+        assert not (out / "snapshot_manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["figure", "solve"])
     def test_negative_threads_exit_code(self, tmp_path, command, capsys):
         # a negative count ran every snapshot serially and exited 0

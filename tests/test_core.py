@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ class TestShapes:
         assert ic.tail_mass(3.0) == 0.0
         assert tail_half_width(ic) == pytest.approx(1.0)
         assert tail_half_width(UniformMixture(p=0.75, a=3.0, b=2.0)) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("half_width, message", [
+        # 0.75 (3 - 2.5)/3 of the density lies beyond +-2.5, not the indicator's 0.75
+        (2.5, "cuts the plateau of half-width 3: 1.250e-01 of the density lies beyond +-2.5"),
+        # 0.75 (3 - 1.5)/3 + 0.25 (2 - 1.5)/2
+        (1.5, "cuts the plateaus of half-widths 3 and 2: 4.375e-01 of the density lies beyond +-1.5"),
+    ])
+    def test_refusal_names_the_cut_plateau(self, half_width, message):
+        with pytest.raises(errors.DomainTooNarrow, match=re.escape(message)):
+            sample_initial(UniformMixture(p=0.75, a=3.0, b=2.0), SpatialGrid(half_width, 256))
 
     @pytest.mark.parametrize("ic, feature", [
         (GaussianMixture(p=0.75, sigma1=3.0, sigma2=2.0), 2.0),

@@ -252,6 +252,17 @@ class TestLaplaceCoherentSolve:
         assert np.max(np.abs(K[:, 1, 0] - u.c_i[sel])) < 1e-9
         assert np.max(np.abs(K[:, 2, 0] - u.rho_minus[sel])) < 1e-9
 
+    @pytest.mark.parametrize("t", [0.0, 25.0])
+    def test_points_form_equals_the_grid_solution(self, t):
+        # validate's driven row evaluates the field only at the 301 nodes it
+        # compares; there each component equals the whole grid's bit for bit
+        grid = SpatialGrid(260.0, 8192)
+        sel = np.linspace(0, grid.n_points - 1, 301).astype(int)
+        u = gammaz0.solve_laplace_coherent(RATES, IC_FULL, t, grid)
+        at = gammaz0.laplace_coherent_field(RATES, IC_FULL, t, grid.nodes[sel])
+        for name, values in zip(("rho_plus", "c_i", "rho_minus", "c_r"), at):
+            assert np.array_equal(values, getattr(u, name)[sel]), name
+
     def test_balanced_data_leaves_only_odd_channel(self):
         # q = 0 and p = 1/2 kill the coherent and population source terms
         ic = LaplaceCoherent.for_params(p=0.5, r=0.0, q=0.0, params=RATES)

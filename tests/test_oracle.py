@@ -17,19 +17,19 @@ GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
 class TestFdIntegrate:
     def test_pure_heat_limit(self, monkeypatch):
         # with delta = omega = gamma_z = 0 every component just diffuses: B = 0,
-        # so each interval (and the Richardson re-run) takes one RK4 step that
-        # leaves the exact lattice heat semigroup as it is
+        # so each interval (and the Richardson re-run) takes one Taylor step
+        # that leaves the exact lattice heat semigroup as it is
         p = Params(gamma_p=1e-3)
         grid = SpatialGrid(24.0, 4096)
         assert auto_time_step(p, grid) == math.inf
         steps = []
-        rk4_run = oracle._rk4_run
+        taylor_run = oracle._taylor_run
 
         def counted(B, y0, span, dt, norm_cap):
             steps.append(max(1, math.ceil(span / dt)))
-            return rk4_run(B, y0, span, dt, norm_cap)
+            return taylor_run(B, y0, span, dt, norm_cap)
 
-        monkeypatch.setattr(oracle, "_rk4_run", counted)
+        monkeypatch.setattr(oracle, "_taylor_run", counted)
         times = [10.0, 25.0, 50.0]
         res = fd_integrate(p, IC, 50.0, grid, snapshot_times=times)
         assert steps == [1, 1, 1, 1]
@@ -66,7 +66,7 @@ class TestFdIntegrate:
         assert abs(res.field.mass() - 1.0) < 1e-14
 
     def test_mass_kept_to_round_off_on_the_uniform_case(self):
-        # the heat kernel sums to 1, every RK4 increment is hB times a vector,
+        # the heat kernel sums to 1, every Taylor increment is hB times a vector,
         # and the columns of B sum to zero over the rho_plus rows
         grid = SpatialGrid(16.0, 4096)
         short = fd_integrate(FIG1, FIG3_IC, 50.0, grid)
@@ -106,11 +106,12 @@ class TestFdIntegrate:
     def test_unstable_step_detected(self):
         # diffusion is exact, so only B can go unstable: pure advection gives
         # B the eigenvalues i (2 delta/dx) sin(k dx), reaching ||B||_inf at
-        # k dx = pi/2, and a step putting them at h|lambda| = 3, past RK4's
-        # imaginary-axis limit 2 sqrt(2), grows that mode by ~1.5x per step
+        # k dx = pi/2, and a step putting them at h|lambda| = 15, where the
+        # degree-30 Taylor polynomial has left the unit disc (|T_30(iy)|
+        # grows large beyond y ~ 12), grows that mode by ~340x per step
         p = Params(gamma_p=1e-3, delta=1e-2)
         grid = SpatialGrid(20.0, 512)
-        big_dt = (3.0 / oracle.RK4_RADIUS) * auto_time_step(p, grid)
+        big_dt = (15.0 / oracle.THETA_30) * auto_time_step(p, grid)
         with pytest.raises(UnstableStep):
             fd_integrate(p, IC, 2000.0, grid, dt=big_dt, richardson=False)
 
@@ -129,32 +130,36 @@ class TestFdIntegrate:
             fd_integrate(GENERAL, IC, 10.0, grid, snapshot_times=[12.0], richardson=False)
 
     def test_assembled_step_is_one_rk4_step(self):
+        # one Horner-form step is the plain sum of (hB)^j y / j! over j <= 30
         grid = SpatialGrid(20.0, 512)
         B = oracle._difference_operator(GENERAL, grid)
         h = auto_time_step(GENERAL, grid)
         y = np.random.default_rng(3).normal(size=B.shape[0])
-        k1 = B @ y
-        k2 = B @ (y + 0.5 * h * k1)
-        k3 = B @ (y + 0.5 * h * k2)
-        k4 = B @ (y + h * k3)
-        rk4 = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assembled = oracle._rk4_run(B, y, h, h, norm_cap=math.inf)
-        assert np.max(np.abs(assembled - rk4)) < 1e-14 * np.max(np.abs(y))
+        term, taylor = y, y.copy()
+        for j in range(1, oracle.TAYLOR_DEGREE + 1):
+            term = h * (B @ term) / j
+            taylor += term
+        horner = oracle._taylor_run(B, y, h, h, norm_cap=math.inf)
+        assert np.max(np.abs(horner - taylor)) < 1e-14 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auto_step_inside_rk4_region(self, seed):
         # dense spectrum of the coupling operator B on a small grid: h|lambda|
-        # stays within RK4_RADIUS (reached by advection when n is a multiple
-        # of 4, hence the round-off slack) and RK4 amplifies no eigenmode
+        # stays within THETA_30 (reached by advection when n is a multiple
+        # of 4, hence the round-off slack) and the degree-30 Taylor step
+        # amplifies no eigenmode
         rng = np.random.default_rng(seed)
         gamma_p, gamma_z, delta, omega = 10.0 ** rng.uniform(-4.0, 1.0, size=4)
         p = Params(gamma_p=gamma_p, gamma_z=gamma_z, delta=delta, omega=omega)
         grid = SpatialGrid(rng.uniform(2.0, 40.0), 64)
         B = oracle._difference_operator(p, grid).toarray()
         z = auto_time_step(p, grid) * np.linalg.eigvals(B)
-        assert np.max(np.abs(z)) <= oracle.RK4_RADIUS * (1.0 + 1e-12)
-        amplification = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
-        assert np.max(amplification) <= 1.0 + 1e-12
+        assert np.max(np.abs(z)) <= oracle.THETA_30 * (1.0 + 1e-12)
+        term, taylor = np.ones_like(z), np.ones_like(z)
+        for j in range(1, oracle.TAYLOR_DEGREE + 1):
+            term = term * z / j
+            taylor += term
+        assert np.max(np.abs(taylor)) <= 1.0 + 1e-12
 
     def test_coherent_data_matches_spectral(self):
         # non-zero c_r and c_i at t = 0, so all four blocks are integrated
