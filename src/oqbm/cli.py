@@ -401,22 +401,30 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
 
     ``threads`` is the number of snapshot threads, 0 for one per snapshot up to
     the core count and 8; a negative count is a ConfigError.  A solved field
-    that is not finite raises NonFinite before its CSV is written.
+    that is not finite raises NonFinite before its CSV is written.  A run
+    that raises removes the CSVs it wrote, so it leaves no partial output.
     """
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
     scenario = build_scenario(config)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
 
     def compute(t: float):
         solver, field = solve_snapshot(scenario, t)
         if not all(np.isfinite(c).all() for c in (field.rho_plus, field.c_i, field.rho_minus, field.c_r)):
             raise NonFinite(f"the {solver} solution at t = {_format(t)} is not finite")
         name = f"{prefix}_t{_time_tag(t)}.csv"
+        written.append(out_dir / name)
         write_snapshot_csv(out_dir / name, field)
         return t, solver, name
 
-    results = _map_maybe_parallel(compute, scenario.times, threads)
+    try:
+        results = _map_maybe_parallel(compute, scenario.times, threads)
+    except BaseException:  # every worker has finished: the pool joins them on the way out
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     manifest = {
         "package_version": __version__,
         "params": asdict(scenario.params),

@@ -478,20 +478,25 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     return ic.spectrum(np.asarray(xis, dtype=float))
 
 
-def _too_narrow(ic: _ClosedShape, half_width: float, tail: float) -> str:
-    """The reason of sample_initial's DomainTooNarrow.  A plateau's tail is an
-    indicator (a domain may not cut it), so a cut plateau is named with the
-    mass of the density that lies beyond +-half_width."""
+def _check_tail(ic: _ClosedShape, half_width: float) -> None:
+    """DomainTooNarrow when the analytic tail mass beyond +-half_width exceeds
+    DEFAULT_EPS_TAIL.  A plateau's tail is an indicator (a domain may not cut
+    it), so a cut plateau is named with the mass of the density that lies
+    beyond +-half_width."""
+    tail = ic.tail_mass(half_width)
+    if tail <= DEFAULT_EPS_TAIL:
+        return
     p, f1, f2, _, _ = ic._profiles
     weighted = ((1.0, f1),) if f1 is f2 else ((p, f1), (1.0 - p, f2))
     cut = [(w, f) for w, f in weighted if isinstance(f, _Plateau) and f.a > half_width]
     if not cut:
-        return f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {DEFAULT_EPS_TAIL:.1e}"
+        raise DomainTooNarrow(
+            f"tail mass {tail:.3e} beyond half_width {half_width} exceeds {DEFAULT_EPS_TAIL:.1e}")
     beyond = sum(w * (1.0 - half_width / f.a) for w, f in cut)
     which = " and ".join(f"{f.a:g}" for _, f in cut)
     which = f"plateau of half-width {which}" if len(cut) == 1 else f"plateaus of half-widths {which}"
-    return (f"half_width {half_width} cuts the {which}: {beyond:.3e} of the density lies "
-            f"beyond +-{half_width}, and a domain may not cut a plateau")
+    raise DomainTooNarrow(f"half_width {half_width} cuts the {which}: {beyond:.3e} of the density "
+                          f"lies beyond +-{half_width}, and a domain may not cut a plateau")
 
 
 def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
@@ -510,9 +515,7 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
                 f"custom initial populations reach {low:.3e}, below the -{NEG_TOL:.0e} slack"
             )
         return ic.field
-    tail = ic.tail_mass(grid.half_width)
-    if tail > DEFAULT_EPS_TAIL:
-        raise DomainTooNarrow(_too_narrow(ic, grid.half_width, tail))
+    _check_tail(ic, grid.half_width)
     x = grid.nodes
     return BlochField.from_density(
         grid,
@@ -525,21 +528,25 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
 def initial_mass(ic: InitialCondition) -> float:
     """Richardson-extrapolated trapezoid mass of the raw initial density.
 
-    The grid has MASS_POINTS nodes and its half-width is the next power of
-    two above the tail width, so the spacing is dyadic and the integer-valued
+    rho11 + rho22 is sampled, with no grid or field built, at the
+    MASS_POINTS nodes of the grid whose half-width is the next power of two
+    above the tail width, so the spacing is dyadic and the integer-valued
     plateau edges of uniform data fall exactly on nodes (where the
     half-plateau sampling makes the trapezoid exact).  The O(h^2) trapezoid
     error at the kink of Laplace shapes is removed by m_h + (m_h - m_2h)/3,
-    with m_2h taken from every other sample of the same grid.
+    with m_2h taken from every other sample.  The result is bit for bit that
+    of ``sample_initial``'s rho_plus on that grid.
     """
     if isinstance(ic, Custom):
         return ic.field.mass()
     width = tail_half_width(ic) + 1.0
     half_width = 2.0 ** math.ceil(math.log2(width))
-    grid = SpatialGrid(half_width, MASS_POINTS)
-    density = sample_initial(ic, grid).rho_plus
-    fine = grid.trapezoid(density)
-    coarse = float(np.trapezoid(density[::2], dx=2.0 * grid.dx))
+    _check_tail(ic, half_width)
+    dx = grid_spacing(half_width, MASS_POINTS)
+    x = -half_width + dx * np.arange(MASS_POINTS)
+    density = np.asarray(ic.rho11(x), dtype=float) + np.asarray(ic.rho22(x), dtype=float)
+    fine = float(np.trapezoid(density, dx=dx))
+    coarse = float(np.trapezoid(density[::2], dx=2.0 * dx))
     return fine + (fine - coarse) / 3.0
 
 
@@ -572,15 +579,26 @@ def plan_size(ic: InitialCondition, params: Params, t_max: float) -> tuple:
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature, or the diffusion width at t_max if
     t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].
+    A half-width that overflows raises DomainTooNarrow and a diffusion
+    width that underflows to 0 raises GridUnderResolved, each naming the
+    quantity; a node count beyond MAX_POINTS, however far, is MAX_POINTS.
     """
     width = tail_half_width(ic) + reach(params, t_max)
     half_width = 1.25 * width  # slack so the rule is met with margin
+    if not math.isfinite(half_width):
+        raise DomainTooNarrow(f"the drift and diffusion reach by t = {t_max:g} is not finite: "
+                              f"no grid is wide enough")
     feature = ic.min_feature()
     if t_max > 0.0:
-        feature = min(feature, math.sqrt(4.0 * params.gamma_p * t_max))
+        spread = math.sqrt(4.0 * params.gamma_p * t_max)
+        if spread == 0.0:
+            raise GridUnderResolved(f"the diffusion width sqrt(4 gamma_p t) at t = {t_max:g} "
+                                    f"underflows to 0: no grid resolves it")
+        feature = min(feature, spread)
     dx_target = feature / POINTS_PER_FEATURE
-    n = 1 << max(1, math.ceil(math.log2(2.0 * half_width / dx_target)))
-    return half_width, min(max(n, MIN_POINTS), MAX_POINTS)
+    cells = 2.0 * half_width / dx_target if dx_target > 0.0 else math.inf
+    n = 1 << max(1, math.ceil(math.log2(min(cells, MAX_POINTS))))
+    return half_width, max(n, MIN_POINTS)
 
 
 def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid:

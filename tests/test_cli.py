@@ -491,6 +491,21 @@ class TestMain:
         assert not any("nan" in f.read_text() for f in out.glob("*.csv"))
         assert not (out / "snapshot_manifest.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the CLI also lets pass
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_solve_leaves_no_partial_output(self, tmp_path, threads):
+        # t = 0 is written before t = 50 is refused as not finite; the run
+        # removes its CSV and writes no manifest, and keeps files it did not write
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(dict(GRIDLESS_CONFIG, gamma_z=1e308, omega=1e-2,
+                                               method="spectral")))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+        args = ["solve", "--config", str(config_path), "--out", str(out), "--threads", threads]
+        assert cli.main(args) == 2
+        assert sorted(f.name for f in out.iterdir()) == ["earlier.csv"]
+
     @pytest.mark.parametrize("command", ["figure", "solve"])
     def test_negative_threads_exit_code(self, tmp_path, command, capsys):
         # a negative count ran every snapshot serially and exited 0
@@ -579,6 +594,21 @@ def test_accepted_configs_solve_or_raise_typed_errors(rng):
         except OqbmError:
             continue
     assert routes == {"initial", "closed[omega]", "closed[delta]", "closed[gamma_z]", "spectral"}
+
+
+@pytest.mark.parametrize("rates, times", [
+    ({"gamma_p": 1e-300}, [1e-300]),  # sqrt(4 gamma_p t) underflows to 0
+    ({"delta": 1e300}, [1e300]),      # the drift reach overflows
+    ({"gamma_p": 1e200}, [1e200]),    # the diffusion reach overflows
+    ({"gamma_p": 1e-300, "delta": 1e100}, [1e200]),  # finite scales, too many cells for a float
+    ({"sigma1": 1e-323}, [0.0, 50.0]),  # the feature over POINTS_PER_FEATURE underflows to 0
+], ids=["width-underflow", "drift-overflow", "diffusion-overflow", "cells-overflow", "feature-underflow"])
+def test_planned_scales_out_of_range_raise_typed_errors(rates, times):
+    # plan_size divided by 0 or took ceil of inf, so these raised bare
+    # ZeroDivisionError and OverflowError; the fig1 Gaussian mixture
+    config = dict(GRIDLESS_CONFIG, **rates, times=times)
+    with pytest.raises(OqbmError):
+        cli.build_scenario(config)
 
 
 def _fresh_python(code: str) -> str:

@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from oqbm import oracle, specfun as sf, spectral
+from oqbm import gammaz0, oracle, specfun as sf, spectral
 from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid, sample_initial
 from oqbm.errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 from oqbm.oracle import auto_time_step, fd_integrate, quad_inverse_fourier
-from oqbm.validate import FIG1, FIG3_IC
+from oqbm.validate import FIG1, FIG3_IC, FIG4
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
@@ -267,6 +267,29 @@ class TestQuadInverseFourier:
         w[0] = w[-1] = 0.5 * w[0]
         plain = np.real(np.exp(1j * np.outer(x, xi)) @ (w * symbol(xi)[:, 0, 0])) / (2 * math.pi)
         assert np.max(np.abs(K[:, 0, 0] - plain)) <= 1e-15 * np.max(np.abs(plain))
+
+    def test_angle_addition_at_validates_arguments(self):
+        # validate's t = 1 row: |x xi| reaches about 1.2e4, where each phase
+        # e^{i x xi_b} e^{i x k s} may be off the node's own by a few ulp of
+        # xi_max times |x|; the bound allows 4 eps max|x| xi_max per node
+        t = 1.0
+        closed = gammaz0.exp_symbol_closed(FIG4, t)
+        calls = []
+
+        def symbol(xi):
+            calls.append(xi.size)
+            return closed(xi)
+
+        x = SpatialGrid(260.0, 32768).nodes[np.linspace(0, 32767, 301).astype(int)]
+        xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
+        K = quad_inverse_fourier(symbol, x, xi_max)
+        xi = np.linspace(-xi_max, xi_max, sum(calls))
+        w = np.full(xi.size, xi[1] - xi[0])
+        w[0] = w[-1] = 0.5 * w[0]
+        wS = w[:, None] * closed(xi).reshape(xi.size, 9)
+        plain = np.real(np.exp(1j * np.outer(x, xi)) @ wS) / (2 * math.pi)
+        unit = 4 * np.finfo(float).eps * np.max(np.abs(x)) * xi_max * np.max(np.sum(np.abs(wS), axis=0))
+        assert np.max(np.abs(K.reshape(x.size, 9) - plain)) <= unit / (2 * math.pi)
 
     def test_not_converged_raises(self, monkeypatch):
         # an oscillatory symbol cannot settle to 1e-14 within two refinements;
