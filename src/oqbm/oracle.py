@@ -10,7 +10,8 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   ive(|j|, 2s)) and then steps B alone by the degree-30 Taylor polynomial
   of exp(hB), in Horner form (every increment hB times a vector, so mass is
   kept to round-off), at the step of Al-Mohy & Higham's bound, over only
-  the components that can be non-zero.  It touches only the core types and
+  the components that can be non-zero.  B is applied matrix-free, as a
+  stencil on its non-zero blocks.  It touches only the core types and
   scipy.special.ive; it uses no FFT and never imports the spectral or
   closed-form modules, so agreement with them is meaningful evidence.
 
@@ -20,15 +21,15 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   of the last, so no node is evaluated twice) until successive results
   agree, its phases by angle addition.  No FFT involved.
 
-scipy.sparse and scipy.special are imported by the functions that use
-them, on first use, so importing this module loads no scipy.
+scipy.special is imported by the functions that use it, on first use, so
+importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,9 +42,6 @@ from .core import (
     sample_initial,
 )
 from .errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 QUAD_START_NODES = 2049    # quad_inverse_fourier's first node count; odd, so xi = 0 is a node
 QUAD_TOL = 1e-10           # max-norm change between two refinements that ends the doubling
@@ -62,34 +60,42 @@ class FdResult:
     snapshots: dict = field(default_factory=dict)
 
 
-def _difference_operator(p: Params, grid: SpatialGrid) -> sp.csr_matrix:
-    """The periodic difference operator B of everything but diffusion.
+def _coupling(p: Params, grid: SpatialGrid, live: np.ndarray) -> Callable:
+    """The periodic difference operator B of everything but diffusion, matrix-free.
 
     The full semi-discretisation is A = 2 gamma_p (I x D2) + B: every block
     carries the same circulant D2, which commutes with B's central
     difference D1 and scalar couplings, so exp(tA) = exp(tB) exp(2 gamma_p t D2)
-    exactly (see :func:`_lattice_heat`).
+    exactly (see :func:`_lattice_heat`).  B's non-zero n-blocks are -2 delta D1
+    between rho_plus and rho_minus, -4 omega (rho_minus from c_i), omega (c_i
+    from rho_minus) and -2 gamma_z on c_i and c_r.  ``apply(v, c, out)``
+    writes c B v for v the ``live`` blocks of (rho_plus, rho_minus, c_i, c_r):
+    the pair's central difference, rows swapped, by slice subtractions, and
+    the couplings as in-place axpys, c folded into each coefficient.
     """
-    import scipy.sparse as sp
-    n = grid.n_points
-    ones = np.ones(n - 1)
-    d1 = sp.diags(
-        [ones, -ones, [-1.0], [1.0]],
-        [1, -1, n - 1, -(n - 1)],
-        format="csr",
-    ) / (2.0 * grid.dx)
-    eye = sp.identity(n, format="csr")
-    zero = sp.csr_matrix((n, n))
-    # unknown ordering: (rho_plus, c_i, rho_minus, c_r)
-    return sp.bmat(
-        [
-            [zero, zero, -2.0 * p.delta * d1, zero],
-            [zero, -2.0 * p.gamma_z * eye, p.omega * eye, zero],
-            [-2.0 * p.delta * d1, -4.0 * p.omega * eye, zero, zero],
-            [zero, zero, zero, -2.0 * p.gamma_z * eye],
-        ],
-        format="csr",
-    )
+    row = np.cumsum(live) - 1  # each live block's row of v
+    pair = p.delta != 0.0 and live[0]  # rho_plus and rho_minus, rows 0 and 1
+    rabi = p.omega != 0.0 and live[2]  # c_i and, fed by it, rho_minus
+    n_pop, damped = int(live[0]) + int(live[1]), row[2:][live[2:]]
+    step = -p.delta / grid.dx  # -2 delta / (2 dx)
+    buf = np.empty(grid.n_points)
+
+    def apply(v: np.ndarray, c: float, out: np.ndarray) -> None:
+        if pair:
+            swap = v[1::-1]
+            np.subtract(swap[:, 2:], swap[:, :-2], out=out[:2, 1:-1])
+            np.subtract(swap[:, 1:2], swap[:, -1:], out=out[:2, :1])
+            np.subtract(swap[:, :1], swap[:, -2:-1], out=out[:2, -1:])
+            out[:2] *= c * step
+        else:
+            out[:n_pop] = 0.0
+        for k in damped:
+            np.multiply(v[k], -2.0 * p.gamma_z * c, out=out[k])
+        if rabi:
+            out[row[1]] += np.multiply(v[row[2]], -4.0 * p.omega * c, out=buf)
+            out[row[2]] += np.multiply(v[row[1]], p.omega * c, out=buf)
+
+    return apply
 
 
 def auto_time_step(p: Params, grid: SpatialGrid) -> float:
@@ -108,24 +114,6 @@ def auto_time_step(p: Params, grid: SpatialGrid) -> float:
     """
     norm = max(2.0 * p.delta / grid.dx + 4.0 * p.omega, 2.0 * p.gamma_z + p.omega)
     return THETA_30 / norm if norm > 0.0 else math.inf
-
-
-def _live_components(B: sp.csr_matrix, y0: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the n-blocks of ``y0`` that can ever be non-zero under B.
-
-    A block is live if it is non-zero at t = 0 or if a non-zero n x n block of
-    B feeds it from a live block; every other block stays exactly zero.
-    Diffusion acts within each block, so it feeds none.
-    """
-    k = B.shape[0] // n
-    coo = B.tocoo()
-    nonzero = coo.data != 0.0
-    feeds = np.zeros((k, k), dtype=bool)
-    feeds[coo.row[nonzero] // n, coo.col[nonzero] // n] = True
-    live = np.any(y0.reshape(k, n) != 0.0, axis=1)
-    for _ in range(k):  # a feeding chain has at most k - 1 links
-        live = live | feeds[:, live].any(axis=1)
-    return np.flatnonzero(np.repeat(live, n))
 
 
 def _lattice_heat(y: np.ndarray, s: float, n: int) -> np.ndarray:
@@ -153,7 +141,7 @@ def _lattice_heat(y: np.ndarray, s: float, n: int) -> np.ndarray:
 
 
 def _taylor_run(
-    B: sp.csr_matrix,
+    B: Callable,
     y0: np.ndarray,
     span: float,
     dt: float,
@@ -162,22 +150,24 @@ def _taylor_run(
     """Advance y' = B y by ``span`` in max(1, ceil(span / dt)) Taylor steps.
 
     Each step of size h applies T(hB) = sum_{j <= TAYLOR_DEGREE} (hB)^j / j!
-    in Horner form: v = y, then v = y + (hB v)/j for j = TAYLOR_DEGREE down
-    to 2, then y + hB v, TAYLOR_DEGREE matrix-vector products in all.  Every
-    increment is hB times a vector, and the columns of B sum to exactly zero
-    over the rho_plus rows, so the mass changes by round-off only.
+    in Horner form: v = y, then v = y + (h/j) B v for j = TAYLOR_DEGREE down
+    to 2, then y + hB v, TAYLOR_DEGREE applications of ``B`` (see
+    :func:`_coupling`) in all.  Every increment is B times a vector, and the
+    columns of B sum to exactly zero over the rho_plus rows, so the mass
+    changes by round-off only.
     """
     nsteps = max(1, math.ceil(span / dt))
     h = span / nsteps
-    hB = h * B
     y = y0.copy()
+    v, w = np.empty_like(y), np.empty_like(y)
     for step in range(nsteps):
-        v = y
+        v[...] = y
         for j in range(TAYLOR_DEGREE, 1, -1):
-            v = hB @ v
-            v *= 1.0 / j
-            v += y
-        y += hB @ v
+            B(v, h / j, w)
+            w += y
+            v, w = w, v
+        B(v, h, w)
+        y += w
         if not np.all(np.abs(y) <= norm_cap):
             raise UnstableStep(
                 f"solution norm exceeded 10x its initial value after {step + 1} steps of {h:.3g}"
@@ -200,8 +190,9 @@ def fd_integrate(
     exactly (:func:`_lattice_heat`) and then Taylor steps of the coupling
     operator B (:func:`_taylor_run`, step ``dt``, by default
     :func:`auto_time_step`).  The two commute, so the split adds no error
-    to the semi-discretisation.  Only the live components are integrated
-    (see :func:`_live_components`); the others come back as exact zeros.
+    to the semi-discretisation.  Only the live blocks are integrated, those
+    non-zero at t = 0 or fed by a live one through B; the others come back
+    as exact zeros.
     The Richardson estimate is the max-norm difference against a re-run
     over [0, t_end] as one interval at dt/2, scaled by 2^30/(2^30 - 1) (the
     step-halving bound for a method of order 30); it covers the time error
@@ -217,11 +208,15 @@ def fd_integrate(
     if times[-1] > t_end:
         raise ValueError(f"snapshot times must be <= t_end={t_end}, got {times[-1]}")
     u0 = sample_initial(ic, grid)
-    y0 = np.concatenate([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r])
+    y0 = np.stack([u0.rho_plus, u0.rho_minus, u0.c_i, u0.c_r])
     n = grid.n_points
-    B = _difference_operator(p, grid)
-    live = _live_components(B, y0, n)
-    B, y0_live = B[live][:, live], y0[live]
+    # a block is live if it is non-zero at t = 0 or fed by a live block; B
+    # couples rho_minus both ways with rho_plus (delta) and c_i (omega), so
+    # that group is live as a whole or not at all, and c_r feeds no other
+    live = np.any(y0 != 0.0, axis=1)
+    group = [1] + [0] * (p.delta != 0.0) + [2] * (p.omega != 0.0)
+    live[group] = live[group].any()
+    B, y0_live = _coupling(p, grid, live), y0[live]
     if dt is None:
         dt = auto_time_step(p, grid)
     norm_cap = 10.0 * max(np.max(np.abs(y0)), 1e-300)
@@ -239,14 +234,7 @@ def fd_integrate(
     def unpack(y_live: np.ndarray, t: float) -> BlochField:
         y = np.zeros_like(y0)
         y[live] = y_live
-        return BlochField(
-            grid=grid,
-            rho_plus=y[:n],
-            c_i=y[n:2 * n],
-            rho_minus=y[2 * n:3 * n],
-            c_r=y[3 * n:],
-            time=t,
-        )
+        return BlochField(grid=grid, rho_plus=y[0], c_i=y[2], rho_minus=y[1], c_r=y[3], time=t)
 
     snaps = {t: unpack(y, t) for t, y in zip(times, states)}
     final = snaps[times[-1]]

@@ -56,6 +56,13 @@ class StabilityReport:
     n_samples: int
 
 
+def _pow(v, k: int):
+    """v**k as a float rate gets it, libm's pow, also on an array of rates:
+    numpy's own power (a product for k = 2) differs from it in the last bit
+    for some rates, and a row must get the bits of its rate set alone."""
+    return v**k if np.ndim(v) == 0 else np.array([u**k for u in v.tolist()])
+
+
 def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     """Eigenvalues of Q(xi), shape (m, 3): a real root, then the other two.
 
@@ -66,11 +73,13 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     s = b + r >= 0 and P = e + w + r s >= 0 (Vieta).  Each quantity is formed
     so that its sign holds in floating point: every real part is at most
     -2 gp xi^2, exactly, and simple roots are accurate relative to themselves.
+    The rates of ``p`` may also be arrays of xis' shape, one rate set per
+    row; each row gets the bits it gets alone.
     """
     xis = np.asarray(xis, dtype=float)
     b = 2.0 * p.gamma_z
-    e = 4.0 * p.delta**2 * (xis * xis)
-    w = 4.0 * p.omega**2
+    e = 4.0 * _pow(p.delta, 2) * (xis * xis)
+    w = 4.0 * _pow(p.omega, 2)
     lo, hi = np.full_like(e, -b), np.zeros_like(e)
     with np.errstate(invalid="ignore", divide="ignore"):
         # start at Newton's step from 0, clipped (at omega = 0 rounding puts it
@@ -105,10 +114,11 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
         # where |s^2 - 4P| < |f'(r)|; e, which may be subnormal, multiplies last.
         fprime = r * (3.0 * r + 2.0 * b) + e + w
         meet = np.abs(disc) < np.abs(fprime)
-        em, fm = e[meet], fprime[meet]
-        e_term = em * em + em * (2.0 * b**2 + 3.0 * w) + b**4 - 5.0 * b**2 * w + 3.0 * w**2
         crit = 4.0 * (p.gamma_z - 2.0 * p.omega) * (p.gamma_z + 2.0 * p.omega)  # b^2 - 4 w
-        disc[meet] = w**2 * crit / fm / fm - 4.0 * em * (e_term / fm / fm)
+        em, fm, bm, wm, crit = (v[meet] if np.ndim(v) else v for v in (e, fprime, b, w, crit))
+        b2 = _pow(bm, 2)
+        e_term = em * em + em * (2.0 * b2 + 3.0 * wm) + _pow(bm, 4) - 5.0 * b2 * wm + 3.0 * _pow(wm, 2)
+        disc[meet] = _pow(wm, 2) * crit / fm / fm - 4.0 * em * (e_term / fm / fm)
         # disc <= 0 is a complex pair, also where disc underflows at subnormal xi
         root = np.sqrt(np.abs(disc))
         real = disc > 0.0
@@ -116,6 +126,33 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
         pair = (np.where(real, big, -0.5 * s + 0.5j * root),
                 np.where(real, prod / big, -0.5 * s - 0.5j * root))
     return np.stack([r, *pair], axis=1) - (2.0 * p.gamma_p * (xis * xis))[:, None]
+
+
+def _zero_modes(p: Params):
+    """Zero modes of Q(0): one when omega > 0, two when omega = 0 < gamma_z, else three."""
+    return np.where(p.omega > 0.0, 1, np.where(p.gamma_z > 0.0, 2, 3))
+
+
+def dissipativity_rows(xis: np.ndarray, p: Params) -> tuple:
+    """The rules of :func:`stability_check` row by row, the rates scalars or
+    one rate set per row (see :func:`symbol_eigenvalues`): each row's broken
+    rule (0 none, 1 the zero modes, 2 the +-2i omega pair, 3 Re lambda >= 0),
+    the eigenvalues, the real parts held to Re < 0 (the rest -inf) and the
+    moduli of the zero modes where xi counts as 0 (the rest 0)."""
+    xis = np.asarray(xis, dtype=float)
+    lam = symbol_eigenvalues(xis, p)
+    # the routine's own arithmetic: (2 gp xi) xi gives 5e-324 where xi xi is 0
+    at_zero = (2.0 * p.gamma_p * (xis * xis) == 0.0)[:, None]
+    tol = 1e-10 * np.maximum(np.maximum(np.maximum(p.gamma_z, p.omega), 1.0), np.abs(p.delta * xis))[:, None]
+    ranked = np.take_along_axis(lam, np.argsort(np.abs(lam), axis=1), axis=1)
+    zero = at_zero & (np.arange(3) < _zero_modes(p)[..., None])
+    undamped = at_zero & np.asarray(p.gamma_z == 0.0)[..., None]  # Q(0)'s other pair is +-2i omega
+    zero_bad = np.any(zero & ((np.abs(ranked) > tol) | (ranked.real > 0.0)), axis=1)
+    pair_bad = np.any(undamped & ~zero & (np.abs(ranked.real) > tol), axis=1)
+    # real parts held to Re < 0: not those of Q(0)'s zero modes, nor any when gamma_z = 0
+    modes = np.where(zero | undamped, -math.inf, ranked.real)
+    rule = np.select([zero_bad, pair_bad, np.any(modes >= 0.0, axis=1)], [1, 2, 3])
+    return rule, lam, modes, np.where(zero, np.abs(ranked), 0.0)
 
 
 def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
@@ -129,31 +166,18 @@ def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
     Re < 0 of every mode, which symbol_eigenvalues guarantees by construction.
     """
     xis = np.asarray(xi_samples, dtype=float)
-    lam = symbol_eigenvalues(xis, p)
-    n_zero = 1 if p.omega > 0.0 else (2 if p.gamma_z > 0.0 else 3)
-    # the routine's own arithmetic: (2 gp xi) xi gives 5e-324 where xi xi is 0
-    at_zero = 2.0 * p.gamma_p * (xis * xis) == 0.0
-    tol = 1e-10 * np.maximum(max(p.gamma_z, p.omega, 1.0), np.abs(p.delta * xis))[:, None]
-    ranked = np.take_along_axis(lam, np.argsort(np.abs(lam), axis=1), axis=1)
-    zero = ranked[:, :n_zero]
-    zero_bad = at_zero & np.any((np.abs(zero) > tol) | (zero.real > 0.0), axis=1)
-    pair_bad = at_zero & (p.gamma_z == 0.0) & np.any(np.abs(ranked[:, n_zero:].real) > tol, axis=1)
-    # real parts held to Re < 0: not those of the zero modes of Q(0), nor any
-    # of Q(0) when gamma_z = 0, whose other pair is +-2i omega
-    modes = ranked.real.copy()
-    modes[at_zero, :n_zero if p.gamma_z > 0.0 else 3] = -math.inf
-    re_bad = np.any(modes >= 0.0, axis=1)
-    bad = np.flatnonzero(zero_bad | pair_bad | re_bad)
+    rule, lam, modes, zero = dissipativity_rows(xis, p)
+    bad = np.flatnonzero(rule)
     if bad.size:
         i = bad[0]
         xi = float(xis[i])
-        if zero_bad[i]:
-            raise StabilityViolation(f"expected {n_zero} zero modes at xi={xi}: eigenvalues {lam[i]}")
-        if pair_bad[i]:
+        if rule[i] == 1:
+            raise StabilityViolation(f"expected {_zero_modes(p)} zero modes at xi={xi}: eigenvalues {lam[i]}")
+        if rule[i] == 2:
             raise StabilityViolation(f"+-2i omega pair off the imaginary axis at xi={xi}: {lam[i]}")
         raise StabilityViolation(f"Re lambda >= 0 at xi={xi}: {lam[i]}")
     return StabilityReport(max_real_part=float(np.max(modes, initial=-math.inf)),
-                           zero_mode_residual=float(np.max(np.abs(zero[at_zero]), initial=0.0)),
+                           zero_mode_residual=float(np.max(zero, initial=0.0)),
                            n_samples=len(xi_samples))
 
 

@@ -635,8 +635,14 @@ class TestColdStart:
                "print('scipy.integrate' in sys.modules)"
         assert _fresh_python(code) == "False"
 
+    def test_fd_cross_check_leaves_scipy_sparse_out(self):
+        # the FD oracle applies its coupling operator as a stencil, with no sparse matrix
+        code = "import sys; from oqbm import validate; validate.check_fd_cross(); " \
+               "print('scipy.sparse' in sys.modules)"
+        assert _fresh_python(code) == "False"
+
     def test_import_leaves_scipy_out(self):
-        # scipy.special and scipy.sparse are imported by the functions that use them
+        # scipy.special is imported by the functions that use it
         assert _fresh_python(f"import sys, oqbm.cli; print({SCIPY_LOADED})") == "False"
 
     @pytest.mark.parametrize("job", [

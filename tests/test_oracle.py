@@ -12,6 +12,26 @@ from oqbm.validate import FIG1, FIG3_IC, FIG4
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
+ALL_LIVE = np.ones(4, dtype=bool)
+
+
+def sparse_coupling(p, grid, live):
+    """The reference B: assembled with scipy.sparse on the blocks (rho_plus,
+    rho_minus, c_i, c_r) and restricted to the ``live`` ones, the rows and
+    columns the oracle's matrix-free B acts on."""
+    import scipy.sparse as sp
+    n = grid.n_points
+    ones = np.ones(n - 1)
+    d1 = sp.diags([ones, -ones, [-1.0], [1.0]], [1, -1, n - 1, -(n - 1)], format="csr") / (2.0 * grid.dx)
+    eye = sp.identity(n, format="csr")
+    B = sp.bmat([
+        [None, -2.0 * p.delta * d1, None, None],
+        [-2.0 * p.delta * d1, None, -4.0 * p.omega * eye, None],
+        [None, p.omega * eye, -2.0 * p.gamma_z * eye, None],
+        [None, None, None, -2.0 * p.gamma_z * eye],
+    ], format="csr")
+    keep = np.flatnonzero(np.repeat(live, n))
+    return B[keep][:, keep]
 
 
 class TestFdIntegrate:
@@ -132,15 +152,16 @@ class TestFdIntegrate:
     def test_assembled_step_is_one_rk4_step(self):
         # one Horner-form step is the plain sum of (hB)^j y / j! over j <= 30
         grid = SpatialGrid(20.0, 512)
-        B = oracle._difference_operator(GENERAL, grid)
+        live = np.array([True, True, True, False])
+        B = sparse_coupling(GENERAL, grid, live)
         h = auto_time_step(GENERAL, grid)
-        y = np.random.default_rng(3).normal(size=B.shape[0])
-        term, taylor = y, y.copy()
+        y = np.random.default_rng(3).normal(size=(3, grid.n_points))
+        term, taylor = y.ravel(), y.ravel().copy()
         for j in range(1, oracle.TAYLOR_DEGREE + 1):
             term = h * (B @ term) / j
             taylor += term
-        horner = oracle._taylor_run(B, y, h, h, norm_cap=math.inf)
-        assert np.max(np.abs(horner - taylor)) < 1e-14 * np.max(np.abs(y))
+        horner = oracle._taylor_run(oracle._coupling(GENERAL, grid, live), y, h, h, norm_cap=math.inf)
+        assert np.max(np.abs(horner.ravel() - taylor)) < 1e-14 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auto_step_inside_rk4_region(self, seed):
@@ -152,7 +173,7 @@ class TestFdIntegrate:
         gamma_p, gamma_z, delta, omega = 10.0 ** rng.uniform(-4.0, 1.0, size=4)
         p = Params(gamma_p=gamma_p, gamma_z=gamma_z, delta=delta, omega=omega)
         grid = SpatialGrid(rng.uniform(2.0, 40.0), 64)
-        B = oracle._difference_operator(p, grid).toarray()
+        B = sparse_coupling(p, grid, ALL_LIVE).toarray()
         z = auto_time_step(p, grid) * np.linalg.eigvals(B)
         assert np.max(np.abs(z)) <= oracle.THETA_30 * (1.0 + 1e-12)
         term, taylor = np.ones_like(z), np.ones_like(z)
@@ -160,6 +181,29 @@ class TestFdIntegrate:
             term = term * z / j
             taylor += term
         assert np.max(np.abs(taylor)) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("p, live", [
+        (FIG1, [True, True, False, False]),                   # omega = 0: the pair alone
+        (GENERAL, [True, True, True, False]),                 # general rates, mixture data
+        (GENERAL, ALL_LIVE),                                  # coherent data: all four blocks
+        (Params(gamma_p=1e-3, gamma_z=1e-3, omega=1e-2), ALL_LIVE),  # delta = 0: no stencil
+        (Params(gamma_p=1e-3), ALL_LIVE),                     # B = 0
+    ], ids=["omega0", "general", "coherent", "delta0", "zero"])
+    def test_matrix_free_coupling_matches_sparse_assembly(self, p, live):
+        # c B v on random v and c, to a few ulp of |c| |B| |v| row by row
+        live = np.asarray(live)
+        grid = SpatialGrid(20.0, 512)
+        B = sparse_coupling(p, grid, live)
+        apply = oracle._coupling(p, grid, live)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            v = rng.normal(size=(int(live.sum()), grid.n_points))
+            c = float(rng.uniform(0.1, 10.0))
+            out = np.full_like(v, np.nan)
+            apply(v, c, out)
+            ref = c * (B @ v.ravel())
+            scale = c * (abs(B) @ np.abs(v.ravel()))
+            assert np.all(np.abs(out.ravel() - ref) <= 4.0 * np.finfo(float).eps * scale)
 
     def test_coherent_data_matches_spectral(self):
         # non-zero c_r and c_i at t = 0, so all four blocks are integrated

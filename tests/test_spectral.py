@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -165,6 +166,12 @@ class TestCharacteristicCubic:
             assert abs(det - poly) < 1e-10 * max(1.0, abs(det))
 
 
+def rate_rows(sets, m):
+    """The rates of ``sets`` as arrays, each rate set repeated over m rows."""
+    return SimpleNamespace(**{f: np.repeat([getattr(p, f) for p in sets], m)
+                              for f in ("gamma_p", "gamma_z", "delta", "omega")})
+
+
 class TestEigenvalues:
     def test_symbol_eigenvalues_match_dense_solver(self, rng):
         worst = 0.0
@@ -243,6 +250,17 @@ class TestEigenvalues:
                 if alone.tobytes() != batch[i].tobytes():
                     differ.append((p, xis[i]))
         assert differ == []
+
+    def test_rate_arrays_give_each_row_the_bits_of_its_rates_alone(self):
+        # delta and omega where numpy's delta * delta differs from delta**2 (libm's
+        # pow, which a float rate gets) in the last bit on glibc; each row of
+        # one call over two rate sets must match its rate set checked alone
+        sets = [Params(0.3, 0.2, 1.8528002090845035, 0.013587695790717126),
+                Params(0.01, 1.5, 0.0026256095115628213, 0.00529201084146534)]
+        xis = np.linspace(-20.0, 20.0, 41)
+        lam = spectral.symbol_eigenvalues(np.tile(xis, 2), rate_rows(sets, xis.size))
+        for k, p in enumerate(sets):
+            assert np.array_equal(lam[k * xis.size:(k + 1) * xis.size], spectral.symbol_eigenvalues(xis, p))
 
     def test_undriven_closed_eigenvalues(self):
         p = Params(gamma_p=0.4, gamma_z=0.3, delta=0.7, omega=0.0)
@@ -334,6 +352,17 @@ class TestStability:
         report = spectral.stability_check(p, [0.0, 0.3])
         assert report.max_real_part < 0.0
         assert report.zero_mode_residual < 1e-12
+
+    def test_rules_of_a_batch_are_those_of_each_rate_set_alone(self):
+        # the zero-mode count and the +-2i omega pair differ between these
+        # rate sets; one call over all of them gives each row what it gets alone
+        sets = [Params(1.0, 0.5, 0.7, 0.0), Params(1.0, 0.0, 0.7, 0.0),
+                Params(1.0, 0.0, 0.7, 0.5), Params(1.0, 2.0, 1.0, 0.5)]
+        xis = np.array([0.0, 1e-170, 0.3, 5.0])
+        batch = spectral.dissipativity_rows(np.tile(xis, len(sets)), rate_rows(sets, xis.size))
+        for k, p in enumerate(sets):
+            for got, alone in zip(batch, spectral.dissipativity_rows(xis, p)):
+                assert np.array_equal(got[k * xis.size:(k + 1) * xis.size], alone)
 
     @pytest.mark.parametrize("p, mode", [
         (Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 1),  # a zero mode

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from oqbm import core, spectral, validate
@@ -6,33 +7,48 @@ from oqbm.errors import StabilityViolation
 
 class TestCheckStability:
     def test_zero_real_part_report_passes(self, monkeypatch):
-        # stability_check accepts an underflowed zero mode and reports its 0.0
-        def accepting(p, xis):
-            return spectral.StabilityReport(max_real_part=0.0, zero_mode_residual=0.0,
-                                            n_samples=len(xis))
+        # rows that break no rule (an underflowed zero mode reported as 0.0) pass the row
+        def accepting(xis, p):
+            return np.zeros(xis.size, dtype=int), None, np.zeros((xis.size, 3)), np.zeros((xis.size, 3))
 
-        monkeypatch.setattr(spectral, "stability_check", accepting)
+        monkeypatch.setattr(spectral, "dissipativity_rows", accepting)
         monkeypatch.setattr(validate, "STABILITY_DRAWS", 5)
         row = validate.check_stability()
         assert row.passed
         assert row.max_err == 0.0
 
     def test_violation_gives_failed_row(self, monkeypatch):
+        # two rows of the second draw break a rule: one failed draw
         calls = []
 
-        def raising(p, xis):
+        def raising(xis, p):
             calls.append(p)
-            if len(calls) == 2:
-                raise StabilityViolation("Re lambda >= 0")
-            return spectral.StabilityReport(max_real_part=-1.0, zero_mode_residual=0.0,
-                                            n_samples=len(xis))
+            rule = np.zeros(xis.size, dtype=int)
+            rule[np.flatnonzero(xis == 0.0)[1] + np.arange(2)] = 3
+            return rule, None, None, None
 
-        monkeypatch.setattr(spectral, "stability_check", raising)
+        monkeypatch.setattr(spectral, "dissipativity_rows", raising)
         monkeypatch.setattr(validate, "STABILITY_DRAWS", 5)
         row = validate.check_stability()
-        assert len(calls) == 5
+        assert len(calls) == 1 and calls[0].gamma_p.size == 5 * 9
         assert not row.passed
         assert row.max_err == 1.0
+
+    def test_one_call_matches_the_draws_checked_alone(self):
+        # a row's eigenvalues do not depend on its batch, so the one call over
+        # all draws sees the bits stability_check sees draw by draw
+        rates, xis, draw = validate.stability_draws()
+        rule, lam, _, _ = spectral.dissipativity_rows(xis, rates)
+        failed = 0
+        for k in range(validate.STABILITY_DRAWS):
+            mine = draw == k
+            p = core.Params(*(getattr(rates, f)[mine][0] for f in ("gamma_p", "gamma_z", "delta", "omega")))
+            assert np.array_equal(spectral.symbol_eigenvalues(xis[mine], p), lam[mine])
+            try:
+                spectral.stability_check(p, xis[mine])
+            except StabilityViolation:
+                failed += 1
+        assert failed == np.unique(draw[rule != 0]).size == validate.check_stability().max_err
 
 
 class TestCheckInitialMasses:
