@@ -7,18 +7,18 @@ figure datasets, or run the cross-validation suite.
 
 Configs are flat JSON.  Outputs are one CSV per snapshot (columns t, x, P, Q,
 C_R, C_I, rho11, rho22; 17 significant digits, LF line endings) plus a
-run_manifest.json capturing every number needed to re-run; no two snapshot
-times may share a file name.  An explicit half_width must cover the initial
-tails plus the drift and diffusion reach (core.reach) at the last time; a
-grid, explicit or planned, that cannot resolve the solution at the earliest
-time (core.check_resolution) is refused before it is allocated.  Config
-files are UTF-8 JSON whose values must be JSON numbers within the float
-range, not booleans or strings; a key that is neither a RUN_KEYS entry nor a
-field of the chosen shape is refused, and an explicit n_points may not exceed
-core.MAX_POINTS.  The default output directory comes
-from $OQBM_OUT_DIR, falling back to the current directory.  choose_route
-fixes each scenario's t > 0 route before any CSV: gamma_z = 0 takes its closed
-form only under ``method: "closed"``, and that method with no closed form is refused.
+<prefix>_manifest.json capturing every number needed to re-run; no two
+snapshot times may share a file name.  A grid, explicit or planned, must
+cover the initial tails plus the drift and diffusion reach at the last time
+and resolve the solution at the earliest (core.check_grid), or it is refused
+before it is allocated.  Config files are UTF-8 JSON whose values must be
+JSON numbers within the float range, not booleans or strings; a key that is
+neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
+explicit n_points may not exceed core.MAX_POINTS.  The default output
+directory comes from $OQBM_OUT_DIR, falling back to the current directory.
+choose_route fixes each scenario's t > 0 route before any CSV: gamma_z = 0
+takes its closed form only under ``method: "closed"``, and that method with
+no closed form is refused.
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ from .core import (
     Params,
     SpatialGrid,
     UniformMixture,
-    check_resolution,
-    grid_spacing,
+    check_grid,
     plan_size,
-    reach,
     sample_initial,
     tail_half_width,
 )
-from .errors import ConfigError, DomainTooNarrow, NonFinite, OqbmError, UnknownFigure
+from .errors import ConfigError, NonFinite, OqbmError, UnknownFigure
 
 CSV_HEADER = "t,x,P,Q,C_R,C_I,rho11,rho22"
 
@@ -157,21 +155,12 @@ def build_scenario(config: dict) -> Scenario:
         if not (n_points.is_integer() and n_points <= MAX_POINTS):
             raise ConfigError(f"n_points must be a whole number <= {MAX_POINTS}, got {n_points!r}")
         half_width, n_points = _number("half_width", _need(config, "half_width")), int(n_points)
-        try:
-            dx = grid_spacing(half_width, n_points)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        need = tail_half_width(ic) + reach(params, max(times))
-        if half_width < need:
-            raise DomainTooNarrow(
-                f"half_width {half_width:g} is narrower than the initial tails plus "
-                f"drift and diffusion reach by t = {max(times):g}; it needs half_width >= {need:.6g}"
-            )
     else:
         half_width, n_points = plan_size(ic, params, t_max=max(times))
-        dx = grid_spacing(half_width, n_points)
-    # every grid rule is checked before SpatialGrid allocates its node arrays
-    check_resolution(dx, ic.min_feature(), params, min(times))
+    try:  # every grid rule is checked before SpatialGrid allocates its node arrays
+        check_grid(half_width, n_points, params, times, tail_half_width(ic), ic.min_feature())
+    except ValueError as exc:  # a half-width or node count no grid may have
+        raise ConfigError(str(exc)) from exc
     return Scenario(params=params, ic=ic, times=times, grid=SpatialGrid(half_width, n_points),
                     method=method, route=route)
 

@@ -38,7 +38,7 @@ from .errors import (
 DEFAULT_EPS_TAIL = 1e-8    # tail mass (or boundary/peak ratio) a grid may leave outside
 NEG_TOL = 1e-9             # slack below zero allowed in Custom initial populations
 MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
-POINTS_PER_FEATURE = 8.0   # check_resolution: nodes per solution width, at least
+POINTS_PER_FEATURE = 8.0   # check_grid: nodes per solution width, at least
 MIN_POINTS = 256           # plan_grid: bounds on the node count
 MAX_POINTS = 1 << 21
 
@@ -578,7 +578,11 @@ def plan_size(ic: InitialCondition, params: Params, t_max: float) -> tuple:
     Half-width rule: initial tail width (to DEFAULT_EPS_TAIL) + reach(params, t_max).
     Resolution rule: at least POINTS_PER_FEATURE nodes per smallest
     relevant length (initial feature, or the diffusion width at t_max if
-    t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].
+    t_max > 0), with the node count held to [MIN_POINTS, MAX_POINTS].  The
+    bare diffusion width, not check_grid's hypot(feature, width): at dx =
+    sqrt(4 gamma_p t_max) / 8 the heat factor exp(-2 gamma_p xi^2 t_max) at the
+    Nyquist frequency pi/dx is e^(-32 pi^2), so the spectral route is free of
+    aliasing at t_max even for data with kinks.
     A half-width that overflows raises DomainTooNarrow and a diffusion
     width that underflows to 0 raises GridUnderResolved, each naming the
     quantity; a node count beyond MAX_POINTS, however far, is MAX_POINTS.
@@ -605,20 +609,33 @@ def plan_grid(ic: InitialCondition, params: Params, t_max: float) -> SpatialGrid
     """The grid of :func:`plan_size`, or GridUnderResolved, before any node array
     exists, when the MAX_POINTS cap leaves the solution at t_max unresolved."""
     half_width, n_points = plan_size(ic, params, t_max)
-    check_resolution(grid_spacing(half_width, n_points), ic.min_feature(), params, t_max)
+    check_grid(half_width, n_points, params, (t_max,), tail_half_width(ic), ic.min_feature())
     return SpatialGrid(half_width, n_points)
 
 
-def check_resolution(dx: float, feature: float, params: Params, t: float) -> None:
-    """Raise GridUnderResolved unless the solution width at time t,
-    sqrt(feature^2 + 4 gamma_p t), spans POINTS_PER_FEATURE nodes of spacing dx.
+def check_grid(half_width: float, n_points: int, params: Params, times, tail_width: float,
+               feature: float) -> None:
+    """The two rules every grid meets, checked before any node array exists.
 
-    ``feature`` is the initial min_feature(), 0.0 for a point source.  The width
-    grows with t, so a grid that passes at the earliest snapshot resolves every later one.
+    A half-width or node count that SpatialGrid refuses raises its ValueError.
+    Width: DomainTooNarrow unless half_width covers tail_width plus
+    reach(params, max(times)); a reach that is not finite fails it.
+    Resolution: GridUnderResolved unless the solution width at the earliest
+    time, sqrt(feature^2 + 4 gamma_p t_min), spans POINTS_PER_FEATURE nodes.
+    The width grows with t, so a grid that resolves the earliest snapshot
+    resolves every later one.  A point source has tail_width = feature = 0.0.
     """
-    spread = math.hypot(feature, math.sqrt(4.0 * params.gamma_p * t))
+    dx = grid_spacing(half_width, n_points)
+    t_max, t_min = max(times), min(times)
+    need = tail_width + reach(params, t_max)
+    if not half_width >= need:  # a need that is inf or NaN fails too
+        raise DomainTooNarrow(
+            f"half_width {half_width:g} is narrower than the initial tails plus "
+            f"drift and diffusion reach by t = {t_max:g}; it needs half_width >= {need:.6g}"
+        )
+    spread = math.hypot(feature, math.sqrt(4.0 * params.gamma_p * t_min))
     if dx > spread / POINTS_PER_FEATURE:
         raise GridUnderResolved(
             f"dx = {dx:.3g} gives fewer than {POINTS_PER_FEATURE:g} nodes per solution width "
-            f"{spread:.3g} at t = {t:g}"
+            f"{spread:.3g} at t = {t_min:g}"
         )

@@ -13,9 +13,7 @@ by :func:`imbalance_zeros`.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,29 +22,13 @@ from .core import BlochField, InitialCondition, Params, SpatialGrid
 from .errors import NonPositiveTime, OqbmError, WrongRegime
 
 
-class DampingKind(enum.Enum):
-    OVER = "overdamped"
-    UNDER = "underdamped"
-    CRITICAL = "critical"
-
-
-@dataclass(frozen=True)
-class DampingRegime:
-    kind: DampingKind
-    omega_pm: float  # sqrt(|gamma_z^2 - 4 omega^2|); zero exactly at gamma_z = 2*omega
-
-
 def _discriminant(p: Params) -> tuple:
-    """(gamma_z - 2 omega, w): w^2 = (gamma_z - 2 omega)(gamma_z + 2 omega) has the sign
-    of its first factor, and w = sqrt(|w^2|) is taken per factor, so it never cancels."""
+    """(gamma_z - 2 omega, w), the damping regime: overdamped where the first is > 0,
+    underdamped where < 0, critical at 0.  w^2 = (gamma_z - 2 omega)(gamma_z + 2 omega)
+    has the sign of its first factor, and w = sqrt(|w^2|) is taken per factor, so it
+    never cancels."""
     split = p.gamma_z - 2.0 * p.omega
     return split, math.sqrt(abs(split)) * math.sqrt(p.gamma_z + 2.0 * p.omega)
-
-
-def classify(p: Params) -> DampingRegime:
-    split, w = _discriminant(p)
-    kind = DampingKind.OVER if split > 0.0 else DampingKind.UNDER if split < 0.0 else DampingKind.CRITICAL
-    return DampingRegime(kind, w)
 
 
 def _require_regime(p: Params) -> None:
@@ -92,12 +74,11 @@ def imbalance_zeros(p: Params, n_max: int) -> np.ndarray:
     Roots of gamma_z sin(w t) + w cos(w t) = 0 in the underdamped regime:
     tau_n = (n pi - arctan(w / gamma_z)) / w, n = 1..n_max.
     """
-    reg = classify(p)
-    if reg.kind is not DampingKind.UNDER:
+    split, w = _discriminant(p)
+    if split >= 0.0:
         raise WrongRegime("imbalance zeros exist only in the underdamped regime")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    w = reg.omega_pm
     n = np.arange(1, n_max + 1, dtype=float)
     taus = (n * math.pi - math.atan2(w, p.gamma_z)) / w
     residual = np.abs(p.gamma_z * np.sin(w * taus) + w * np.cos(w * taus))

@@ -37,11 +37,10 @@ from .core import (
     InitialCondition,
     Params,
     SpatialGrid,
-    check_resolution,
-    reach,
+    check_grid,
     sample_initial,
 )
-from .errors import GridUnderResolved, NonPositiveTime, StabilityViolation, TailNotDecayed
+from .errors import NonPositiveTime, StabilityViolation, TailNotDecayed
 
 _NEAR = 1.0                # points this close use series forms of the divided differences
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
@@ -302,18 +301,14 @@ def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
     """Matrix Green's function on the grid, the real inverse transform of
     exp(t Q) on the half nodes, shape (n, 3, 3).
 
-    Rejects grids too coarse for the diffusion width (core.check_resolution
-    for a point source) or narrower than reach(p, t) (GridUnderResolved),
-    and results with an entry at either grid boundary above DEFAULT_EPS_TAIL
-    times the peak entry (TailNotDecayed).
+    Rejects grids narrower than the reach or too coarse for the diffusion
+    width (core.check_grid for a point source: DomainTooNarrow,
+    GridUnderResolved), and results with an entry at either grid boundary
+    above DEFAULT_EPS_TAIL times the peak entry (TailNotDecayed).
     """
     if t <= 0.0:
         raise NonPositiveTime(f"green_function needs t > 0, got {t}")
-    check_resolution(grid.dx, 0.0, p, t)
-    if grid.half_width < reach(p, t):
-        raise GridUnderResolved(
-            f"half_width={grid.half_width:.3g} smaller than drift + 6 sigma = {reach(p, t):.3g}"
-        )
+    check_grid(grid.half_width, grid.n_points, p, (t,), 0.0, 0.0)
     spectra = exp_symbols(grid.half_nodes, p, t)
     entries = np.moveaxis(grid.real_inverse(np.moveaxis(spectra, 0, -1)), -1, 0)
     peak = np.max(np.abs(entries))

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oqbm import cli, core, oracle
-from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid
-from oqbm.errors import ConfigError, GridUnderResolved, OqbmError, UnknownFigure
+from oqbm import cli, core, oracle, spectral
+from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid, plan_grid
+from oqbm.errors import ConfigError, DomainTooNarrow, GridUnderResolved, OqbmError, UnknownFigure
 
 TINY_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": 0.0,
@@ -609,6 +609,35 @@ def test_planned_scales_out_of_range_raise_typed_errors(rates, times):
     config = dict(GRIDLESS_CONFIG, **rates, times=times)
     with pytest.raises(OqbmError):
         cli.build_scenario(config)
+
+
+@pytest.mark.parametrize("error, explicit, planned, green", [
+    # half-width 24 against a reach of 126.8 at t = 5000; the planner refuses only a
+    # reach that is not finite, as its half-width meets the rule with 25% slack otherwise
+    (DomainTooNarrow, {"times": [5000.0]}, ({"delta": 1e300}, 1e300), (5000.0, 24.0, 1024)),
+    # dx = 2e300/1024 against a unit width, the planner at its MAX_POINTS cap, and
+    # dx = 0.19 against the diffusion width 0.063 at t = 1
+    (GridUnderResolved, {"half_width": 1e300}, ({}, 1e300), (1.0, 24.0, 256)),
+], ids=["width", "resolution"])
+def test_grid_rules_refuse_alike_in_every_caller(monkeypatch, error, explicit, planned, green):
+    # build_scenario, plan_grid and green_function share core.check_grid: a broken
+    # rule raises the same type in each, before a grid or a symbol is made
+    t, half_width, n_points = green
+    grid = SpatialGrid(half_width, n_points)  # the Green's function's own grid
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid or a symbol was made for a refused grid")
+
+    for module, name in ((core, "SpatialGrid"), (cli, "SpatialGrid"), (spectral, "exp_symbols")):
+        monkeypatch.setattr(module, name, refuse)
+    rates = {k: TINY_CONFIG[k] for k in ("gamma_p", "gamma_z", "delta", "omega")}
+    (planned_rates, t_max), ic = planned, core.GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
+    with pytest.raises(error):
+        cli.build_scenario(dict(TINY_CONFIG, **explicit))
+    with pytest.raises(error):
+        plan_grid(ic, Params(**dict(rates, **planned_rates)), t_max)
+    with pytest.raises(error):
+        spectral.green_function(Params(**rates), t, grid)
 
 
 def _fresh_python(code: str) -> str:

@@ -34,13 +34,20 @@ def _expm_block(gz, om, t):
 
 class TestRegimes:
     def test_classification(self):
-        assert delta0.classify(Params(1, 4e-2, 0, 1e-2)).kind is delta0.DampingKind.OVER
-        assert delta0.classify(Params(1, 1e-2, 0, 1e-2)).kind is delta0.DampingKind.UNDER
-        assert delta0.classify(Params(1, 2e-2, 0, 1e-2)).kind is delta0.DampingKind.CRITICAL
+        # only the underdamped regime (gamma_z < 2 omega) has imbalance zeros
+        for gz in (4e-2, 2e-2):  # over, critical
+            with pytest.raises(WrongRegime, match="underdamped"):
+                delta0.imbalance_zeros(Params(1, gz, 0, 1e-2), 1)
+        assert delta0.imbalance_zeros(Params(1, 1e-2, 0, 1e-2), 1).shape == (1,)
 
     def test_omega_pm_value(self):
-        reg = delta0.classify(UNDER)
-        assert math.isclose(reg.omega_pm, math.sqrt(4e-4 - 1e-6))
+        # the underdamped block oscillates at w = sqrt(4 omega^2 - gamma_z^2)
+        w, gz, om = math.sqrt(4e-4 - 1e-6), UNDER.gamma_z, UNDER.omega
+        for t in (1.0, 81.0, 500.0):
+            m = delta0.internal_matrix(UNDER, t)
+            damp, s = math.exp(-gz * t), math.exp(-gz * t) * math.sin(w * t) / w
+            assert abs(m[2, 2] - (damp * math.cos(w * t) + gz * s)) < 1e-14, t
+            assert abs(m[1, 2] - om * s) < 1e-14, t
 
     def test_internal_matrix_matches_expm(self, rng):
         draws = [(*rng.uniform(1e-3, 0.3, 2), float(rng.uniform(0.5, 60.0))) for _ in range(40)]
@@ -99,7 +106,7 @@ class TestImbalanceZeros:
 
     def test_spacing_is_half_period(self):
         taus = delta0.imbalance_zeros(UNDER, 6)
-        w = delta0.classify(UNDER).omega_pm
+        w = math.sqrt(4e-4 - 1e-6)
         assert np.max(np.abs(np.diff(taus) - math.pi / w)) < 1e-9
 
     def test_imbalance_vanishes_at_every_zero(self):

@@ -17,8 +17,11 @@ from oqbm.core import (
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
+    LaplaceMixture,
     Params,
     SpatialGrid,
+    plan_grid,
+    reach,
     sample_initial,
 )
 from oqbm.errors import (
@@ -533,10 +536,18 @@ class TestGreenFunction:
         with pytest.raises(GridUnderResolved):
             spectral.green_function(GENERAL, 1.0, SpatialGrid(24.0, 256))
 
-    def test_tail_not_decayed_rejected(self):
+    def test_narrow_grid_rejected(self):
+        # half-width 12 against a reach of 6 sqrt(160) = 75.9 at t = 40
         p = Params(gamma_p=1.0, gamma_z=0.0, delta=0.0, omega=0.0)
-        with pytest.raises((TailNotDecayed, GridUnderResolved)):
+        with pytest.raises(DomainTooNarrow, match="needs half_width >= 75.89"):
             spectral.green_function(p, 40.0, SpatialGrid(12.0, 1024))
+
+    def test_tail_not_decayed_rejected(self):
+        # just wider than the reach: the width rule passes, but the boundary
+        # entries (7.8e-10) exceed DEFAULT_EPS_TAIL times the peak (3.15e-2)
+        p = Params(gamma_p=1.0, gamma_z=0.0, delta=0.0, omega=0.0)
+        with pytest.raises(TailNotDecayed):
+            spectral.green_function(p, 40.0, SpatialGrid(1.01 * reach(p, 40.0), 128))
 
 
 class TestSolve:
@@ -601,6 +612,23 @@ class TestSolve:
         # t = 0 returns the sampled initial data, tail check included
         with pytest.raises(DomainTooNarrow):
             spectral.solve(GENERAL, IC, 0.0, SpatialGrid(2.0, 256))
+
+    def test_planned_grid_resolves_kinked_data_at_t_max(self):
+        # plan_size resolves the diffusion width sqrt(4 gamma_p t_max), so the heat
+        # factor at Nyquist is e^(-32 pi^2) and the Laplace kinks alias nothing: the
+        # planned 16,384 nodes match 2^17; the 1,024 that resolve the feature do not
+        ic, p = LaplaceMixture(p=0.25, a=1.0, b=2.0), Params(1e-3, 2e-3, 1e-2, 5e-3)
+        planned = plan_grid(ic, p, 1.0)
+        assert planned.n_points == 1 << 14
+        fine = spectral.solve(p, ic, 1.0, SpatialGrid(planned.half_width, 1 << 17))
+
+        def err(n_points):
+            u = spectral.solve(p, ic, 1.0, SpatialGrid(planned.half_width, n_points))
+            return max(np.max(np.abs(getattr(u, c) - getattr(fine, c)[:: (1 << 17) // n_points]))
+                       for c in ("rho_plus", "c_i", "rho_minus", "c_r"))
+
+        assert err(planned.n_points) < 1e-12
+        assert err(1024) > 1e-6
 
 
 def _full_spectrum_solve(p, ic, t, grid):
