@@ -24,6 +24,7 @@ no closed form is refused.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import functools
 import json
@@ -31,7 +32,6 @@ import math
 import numbers
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -279,7 +279,8 @@ class _Scratch:
         self.lines[:, -1] = ord("\n")
 
 
-_SCRATCH = threading.local()  # each thread's _Scratch, made by its first CSV write
+_MAX_THREADS = 8  # the cap of the auto thread count, and of the idle _Scratch kept for reuse
+_IDLE_SCRATCH = collections.deque(maxlen=_MAX_THREADS)  # _Scratch that no CSV write holds
 
 
 def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarray:
@@ -362,19 +363,25 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
     nodes = _node_slots(field.grid)
     stamp = np.frombuffer(_format(field.time).encode().ljust(_SLOT, b"\0"), np.uint8)
-    work = getattr(_SCRATCH, "work", None)
+    try:  # deque.pop and deque.append are atomic; append drops the oldest beyond maxlen
+        work = _IDLE_SCRATCH.pop()
+    except IndexError:
+        work = None
     if work is None or len(work.lines) != _ROWS_PER_CHUNK:
-        work = _SCRATCH.work = _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
-    with open(path, "wb") as fh:
-        fh.write((CSV_HEADER + "\n").encode())
-        work.lines[:, :_SLOT] = stamp
-        for start in range(0, len(nodes), _ROWS_PER_CHUNK):
-            stop = min(start + _ROWS_PER_CHUNK, len(nodes))
-            lines = work.lines[:stop - start]
-            block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
-            lines[:, _SLOT:2 * _SLOT] = nodes[start:stop]
-            lines[:, 2 * _SLOT:-1] = _format_g17(block, work).reshape(len(lines), -1)
-            fh.write(lines.tobytes().translate(None, b"\0"))
+        work = _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
+    try:
+        with open(path, "wb") as fh:
+            fh.write((CSV_HEADER + "\n").encode())
+            work.lines[:, :_SLOT] = stamp
+            for start in range(0, len(nodes), _ROWS_PER_CHUNK):
+                stop = min(start + _ROWS_PER_CHUNK, len(nodes))
+                lines = work.lines[:stop - start]
+                block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
+                lines[:, _SLOT:2 * _SLOT] = nodes[start:stop]
+                lines[:, 2 * _SLOT:-1] = _format_g17(block, work).reshape(len(lines), -1)
+                fh.write(lines.tobytes().translate(None, b"\0"))
+    finally:
+        _IDLE_SCRATCH.append(work)
 
 
 def _ic_manifest(ic: InitialCondition) -> dict:
@@ -388,33 +395,41 @@ def _grid_manifest(grid: SpatialGrid) -> dict:
 def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snapshot") -> dict:
     """Solve all snapshots of a configured scenario and write CSV + manifest.
 
-    ``threads`` is the number of snapshot threads, 0 for one per snapshot up to
-    the core count and 8; a negative count is a ConfigError.  A solved field
-    that is not finite raises NonFinite before its CSV is written.  A run
-    that raises removes the CSVs it wrote, so it leaves no partial output.
+    ``threads`` sizes the one pool of all the snapshots, 0 for one thread per
+    snapshot up to the core count and 8; a negative count is a ConfigError.
+    A solved field that is not finite raises NonFinite before its CSV is
+    written.  A run that raises removes the CSVs it wrote and writes no manifest.
     """
+    return _run_scenarios({prefix: config}, out_dir, threads)[prefix]
+
+
+def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
+    """run_solve of each {prefix: config}, all snapshots on one pool; returns
+    {prefix: manifest}.  Every scenario is built before any file is written."""
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
-    scenario = build_scenario(config)
+    scenarios = {prefix: build_scenario(config) for prefix, config in configs.items()}
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def compute(t: float):
-        solver, field = solve_snapshot(scenario, t)
+    def compute(task: tuple):
+        prefix, t = task
+        solver, field = solve_snapshot(scenarios[prefix], t)
         if not all(np.isfinite(c).all() for c in (field.rho_plus, field.c_i, field.rho_minus, field.c_r)):
             raise NonFinite(f"the {solver} solution at t = {_format(t)} is not finite")
         name = f"{prefix}_t{_time_tag(t)}.csv"
         written.append(out_dir / name)
         write_snapshot_csv(out_dir / name, field)
-        return t, solver, name
+        return prefix, t, solver, name
 
+    tasks = [(prefix, t) for prefix, scenario in scenarios.items() for t in scenario.times]
     try:
-        results = _map_maybe_parallel(compute, scenario.times, threads)
+        results = _map_maybe_parallel(compute, tasks, threads)
     except BaseException:  # every worker has finished: the pool joins them on the way out
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    manifest = {
+    manifests = {prefix: {
         "package_version": __version__,
         "params": asdict(scenario.params),
         "initial_condition": _ic_manifest(scenario.ic),
@@ -424,12 +439,19 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
         "method": scenario.method,
         "quadrature_tol": gammaz0.QUAD_TOL,
         "csv_columns": CSV_HEADER.split(","),
-        "files": {_format(t): {"file": name, "solver": solver} for t, solver, name in results},
-    }
-    with open(out_dir / f"{prefix}_manifest.json", "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        "files": {},
+    } for prefix, scenario in scenarios.items()}
+    for prefix, t, solver, name in results:  # in task order: each prefix's times as configured
+        manifests[prefix]["files"][_format(t)] = {"file": name, "solver": solver}
+    for prefix, manifest in manifests.items():
+        _write_json(out_dir / f"{prefix}_manifest.json", manifest)
+    return manifests
+
+
+def _write_json(path: Path, data: dict) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
 
 
 def _time_tag(t: float) -> str:
@@ -439,7 +461,7 @@ def _time_tag(t: float) -> str:
 
 def _map_maybe_parallel(fn, items, threads: int):
     if threads == 0:
-        threads = min(len(items), os.cpu_count() or 1, 8)
+        threads = min(len(items), os.cpu_count() or 1, _MAX_THREADS)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -500,22 +522,17 @@ FIGURES = {
 
 
 def run_figure(name: str, out_dir: Path, threads: int = 0) -> dict:
-    """Reproduce one built-in figure dataset; returns the combined manifest."""
+    """Reproduce one built-in figure dataset; returns the combined manifest.
+    Its panels share one pool of ``threads`` and, if one fails, leave no file."""
     if name not in FIGURES:
         raise UnknownFigure(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     spec = FIGURES[name]
-    manifests = {}
-    for panel, config in spec["configs"].items():
-        prefix = name if panel == "" else f"{name}_{panel}"
-        manifests[panel or "both"] = run_solve(dict(config), out_dir, threads, prefix=prefix)
-    combined = {
-        "figure": name,
-        "panel_quantity": spec["panels"],
-        "runs": manifests,
-    }
-    with open(out_dir / f"{name}_manifest.json", "w", newline="\n") as fh:
-        json.dump(combined, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    configs = {f"{name}_{panel}" if panel else name: dict(config)
+               for panel, config in spec["configs"].items()}
+    manifests = _run_scenarios(configs, out_dir, threads)
+    runs = {panel or "both": manifests[prefix] for panel, prefix in zip(spec["configs"], configs)}
+    combined = {"figure": name, "panel_quantity": spec["panels"], "runs": runs}
+    _write_json(out_dir / f"{name}_manifest.json", combined)
     return combined
 
 
@@ -549,12 +566,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_solve = sub.add_parser("solve", help="solve a configured scenario")
     p_solve.add_argument("--config", required=True, help="path to a flat JSON config")
     p_solve.add_argument("--out", default=None, help="output directory (default $OQBM_OUT_DIR)")
-    p_solve.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
+    threads_help = "size of the one snapshot pool, shared by all of a figure's panels; 0 = auto"
+    p_solve.add_argument("--threads", type=int, default=0, help=threads_help)
 
     p_fig = sub.add_parser("figure", help="reproduce a built-in figure dataset")
     p_fig.add_argument("--figure", required=True, help="fig1..fig6")
     p_fig.add_argument("--out", default=None)
-    p_fig.add_argument("--threads", type=int, default=0)
+    p_fig.add_argument("--threads", type=int, default=0, help=threads_help)
 
     p_val = sub.add_parser("validate", help="run the cross-validation suite")
     p_val.add_argument("--level", choices=("fast", "full"), default="fast")

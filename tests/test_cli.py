@@ -1,4 +1,6 @@
 import ast
+import collections
+import dataclasses
 import json
 import math
 import os
@@ -261,6 +263,22 @@ class TestOutputs:
         assert runs["left"]["regime"] == "delta"
         assert runs["left"]["files"]["50"]["solver"] == "closed[delta]"
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["fig4", "fig6"])
+    def test_figure_bytes_match_separate_solves(self, tmp_path, name, threads):
+        # every panel's snapshots share one pool; the files are those of one
+        # run_solve per panel, the figure's manifest included
+        cli.run_figure(name, tmp_path / "figure", threads=threads)
+        spec, separate = cli.FIGURES[name], tmp_path / "separate"
+        runs = {panel: cli.run_solve(dict(config), separate, threads, prefix=f"{name}_{panel}")
+                for panel, config in spec["configs"].items()}
+        combined = {"figure": name, "panel_quantity": spec["panels"], "runs": runs}
+        (separate / f"{name}_manifest.json").write_text(json.dumps(combined, indent=2, sort_keys=True) + "\n")
+        names = sorted(f.name for f in separate.iterdir())
+        assert len(names) == 13 and sorted(f.name for f in (tmp_path / "figure").iterdir()) == names
+        for f in names:
+            assert (tmp_path / "figure" / f).read_bytes() == (separate / f).read_bytes(), f
+
 
 def _powers_of_ten_and_neighbours():
     values = []
@@ -367,6 +385,46 @@ class TestCsvWorkingMemory:
             assert lines[0] == cli.CSV_HEADER and lines[-1] == "" and len(lines) == n_points + 2
             for i, line in enumerate(lines[1:-1]):
                 assert line.split(",") == [format(float(c[i]), ".17g") for c in cols], (k, i)
+
+    def test_threaded_figure_reuses_idle_scratch(self, tmp_path, monkeypatch):
+        # a new pool's threads take the working memory that an earlier run's
+        # threads left idle: of the two threads' buffers, the second run makes
+        # only those the warm-up did not leave, where it made both every run
+        idle = collections.deque(maxlen=cli._MAX_THREADS)
+        monkeypatch.setattr(cli, "_IDLE_SCRATCH", idle)
+        cli.run_figure("fig4", tmp_path / "warm", threads=2)  # also caches fig4's x column text
+        made, scratch = [], cli._Scratch
+        monkeypatch.setattr(cli, "_Scratch", lambda *args: made.append(args) or scratch(*args))
+        left_idle = len(idle)
+        cli.run_figure("fig4", tmp_path / "again", threads=2)
+        assert left_idle in (1, 2) and len(made) <= 2 - left_idle
+        assert len(idle) == left_idle + len(made)
+
+    def test_idle_scratch_kept_to_the_thread_cap(self, tmp_path, monkeypatch):
+        # twelve writes hold twelve buffers at once; eight stay idle after them
+        import threading
+
+        idle = collections.deque(maxlen=cli._MAX_THREADS)
+        monkeypatch.setattr(cli, "_IDLE_SCRATCH", idle)
+        barrier, format_g17 = threading.Barrier(12), cli._format_g17
+
+        def format_when_all_hold_one(values, work=None):
+            if work is not None:  # a CSV chunk, not the x column text
+                barrier.wait(timeout=30)
+            return format_g17(values, work)
+
+        monkeypatch.setattr(cli, "_format_g17", format_when_all_hold_one)
+        field = BlochField(grid=SpatialGrid(1.0, 16), **{name: np.full(16, 0.5) for name in
+                                                          ("rho_plus", "c_i", "rho_minus", "c_r")})
+        threads = [threading.Thread(target=cli.write_snapshot_csv, args=(tmp_path / f"{k}.csv", field))
+                   for k in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({(tmp_path / f"{k}.csv").read_bytes() for k in range(12)}) == 1
+        assert cli._MAX_THREADS == 8 and len(idle) == 8 and len({id(work) for work in idle}) == 8
 
     def test_node_text_is_read_only_in_a_fixed_size_cache(self):
         grids = [SpatialGrid(1.0 + k, 16) for k in range(cli._node_slots.cache_info().maxsize + 2)]
@@ -504,6 +562,25 @@ class TestMain:
         (out / "earlier.csv").write_text("kept\n")
         args = ["solve", "--config", str(config_path), "--out", str(out), "--threads", threads]
         assert cli.main(args) == 2
+        assert sorted(f.name for f in out.iterdir()) == ["earlier.csv"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_figure_leaves_no_partial_output(self, tmp_path, monkeypatch, threads):
+        # fig6's right panel is not finite at t = 100, after the left panel's
+        # snapshots are written: no file of either panel stays, and no manifest
+        solve_snapshot = cli.solve_snapshot
+
+        def solve(scenario, t):
+            solver, field = solve_snapshot(scenario, t)
+            if isinstance(scenario.ic, core.GaussianCoherent) and t == 100.0:
+                field = dataclasses.replace(field, rho_plus=np.full(field.grid.n_points, np.nan))
+            return solver, field
+
+        monkeypatch.setattr(cli, "solve_snapshot", solve)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+        assert cli.main(["figure", "--figure", "fig6", "--out", str(out), "--threads", threads]) == 2
         assert sorted(f.name for f in out.iterdir()) == ["earlier.csv"]
 
     @pytest.mark.parametrize("command", ["figure", "solve"])

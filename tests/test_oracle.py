@@ -149,7 +149,7 @@ class TestFdIntegrate:
         with pytest.raises(ValueError):
             fd_integrate(GENERAL, IC, 10.0, grid, snapshot_times=[12.0], richardson=False)
 
-    def test_assembled_step_is_one_rk4_step(self):
+    def test_assembled_step_is_one_taylor_step(self):
         # one Horner-form step is the plain sum of (hB)^j y / j! over j <= 30
         grid = SpatialGrid(20.0, 512)
         live = np.array([True, True, True, False])
@@ -164,7 +164,7 @@ class TestFdIntegrate:
         assert np.max(np.abs(horner.ravel() - taylor)) < 1e-14 * np.max(np.abs(y))
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_auto_step_inside_rk4_region(self, seed):
+    def test_auto_step_inside_taylor_region(self, seed):
         # dense spectrum of the coupling operator B on a small grid: h|lambda|
         # stays within THETA_30 (reached by advection when n is a multiple
         # of 4, hence the round-off slack) and the degree-30 Taylor step
