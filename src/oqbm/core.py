@@ -471,9 +471,13 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     """Closed Fourier transforms (u_hat = integral u e^{-i xi x} dx) of the
     initial components (rho_plus, c_i, rho_minus, c_r).
 
-    Using these instead of an FFT of samples keeps spectral solutions free of
-    the O(dx^2) aliasing caused by kinks or jumps in the initial profiles.
-    Custom data has no closed transform (returns None).
+    Using these instead of an FFT of samples removes the sampling error of
+    kinks and jumps in the initial profiles.  But the spectrum is cut at
+    pi/dx, where a kink or jump is damped only by exp(-2 gp (pi/dx)^2 t), so
+    early snapshots of Laplace or plateau data alias (5.3e-2 against a peak
+    of 0.19 for a uniform mixture at t = 1e-4); the figures, whose earliest
+    t > 0 is 25, are not affected.  Custom data has no closed transform
+    (returns None).
     """
     return ic.spectrum(np.asarray(xis, dtype=float))
 

@@ -58,10 +58,6 @@ class UnstableStep(OqbmError):
     """The explicit integrator blew up (norm growth beyond 10x)."""
 
 
-class StabilityViolation(OqbmError):
-    """An eigenvalue with positive real part was found; implementation bug."""
-
-
 class ConfigError(OqbmError):
     """A run configuration is missing keys or has inconsistent values."""
 

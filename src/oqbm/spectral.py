@@ -26,7 +26,6 @@ multiplied by exp(-(2 gp xi^2 + 2 gz) t) and inverted alongside the others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,19 +39,12 @@ from .core import (
     check_grid,
     sample_initial,
 )
-from .errors import NonPositiveTime, StabilityViolation, TailNotDecayed
+from .errors import NonPositiveTime, TailNotDecayed
 
 _NEAR = 1.0                # points this close use series forms of the divided differences
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
 _EPS = np.finfo(float).eps
 _NEWTON_STEPS = 60         # cap on the real root's Newton steps; 1-8 is typical
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    max_real_part: float
-    zero_mode_residual: float
-    n_samples: int
 
 
 def _pow(v, k: int):
@@ -133,11 +125,19 @@ def _zero_modes(p: Params):
 
 
 def dissipativity_rows(xis: np.ndarray, p: Params) -> tuple:
-    """The rules of :func:`stability_check` row by row, the rates scalars or
-    one rate set per row (see :func:`symbol_eigenvalues`): each row's broken
-    rule (0 none, 1 the zero modes, 2 the +-2i omega pair, 3 Re lambda >= 0),
-    the eigenvalues, the real parts held to Re < 0 (the rest -inf) and the
-    moduli of the zero modes where xi counts as 0 (the rest 0)."""
+    """The dissipativity rules of Q's eigenvalues, row by row; the rates are
+    scalars or one rate set per row (see :func:`symbol_eigenvalues`).
+
+    Where 2 gp xi^2 is 0.0 (xi = 0, or |xi| below ~1e-162), Q(xi) is Q(0),
+    with spectrum {0, -gz +- sqrt(gz^2 - 4 om^2)}: its zero modes (counted by
+    _zero_modes) must lie within 1e-10 * scale of zero with Re <= 0; the
+    others need Re < 0, or real parts within 1e-10 * scale when gamma_z = 0
+    (+-2i omega).  Every other xi needs Re < 0 of every mode, which
+    symbol_eigenvalues guarantees by construction.  Returns (rule, lam,
+    modes, zero): each row's broken rule (0 none, 1 the zero modes, 2 the
+    +-2i omega pair, 3 Re lambda >= 0), the eigenvalues, the real parts held
+    to Re < 0 (the rest -inf) and the moduli of the zero modes where xi
+    counts as 0 (the rest 0)."""
     xis = np.asarray(xis, dtype=float)
     lam = symbol_eigenvalues(xis, p)
     # the routine's own arithmetic: (2 gp xi) xi gives 5e-324 where xi xi is 0
@@ -152,32 +152,6 @@ def dissipativity_rows(xis: np.ndarray, p: Params) -> tuple:
     modes = np.where(zero | undamped, -math.inf, ranked.real)
     rule = np.select([zero_bad, pair_bad, np.any(modes >= 0.0, axis=1)], [1, 2, 3])
     return rule, lam, modes, np.where(zero, np.abs(ranked), 0.0)
-
-
-def stability_check(p: Params, xi_samples: Sequence[float]) -> StabilityReport:
-    """Assert the dissipativity structure of the eigenvalues on samples.
-
-    Where 2 gp xi^2 is 0.0 (xi = 0, or |xi| below ~1e-162), Q(xi) is Q(0),
-    with spectrum {0, -gz +- sqrt(gz^2 - 4 om^2)}: the zero modes (one when
-    omega > 0, two when omega = 0 < gamma_z, else three) must lie within
-    1e-10 * scale of zero with Re <= 0; the others need Re < 0, or real parts
-    within 1e-10 * scale when gamma_z = 0 (+-2i omega).  Every other xi needs
-    Re < 0 of every mode, which symbol_eigenvalues guarantees by construction.
-    """
-    xis = np.asarray(xi_samples, dtype=float)
-    rule, lam, modes, zero = dissipativity_rows(xis, p)
-    bad = np.flatnonzero(rule)
-    if bad.size:
-        i = bad[0]
-        xi = float(xis[i])
-        if rule[i] == 1:
-            raise StabilityViolation(f"expected {_zero_modes(p)} zero modes at xi={xi}: eigenvalues {lam[i]}")
-        if rule[i] == 2:
-            raise StabilityViolation(f"+-2i omega pair off the imaginary axis at xi={xi}: {lam[i]}")
-        raise StabilityViolation(f"Re lambda >= 0 at xi={xi}: {lam[i]}")
-    return StabilityReport(max_real_part=float(np.max(modes, initial=-math.inf)),
-                           zero_mode_residual=float(np.max(zero, initial=0.0)),
-                           n_samples=len(xi_samples))
 
 
 def _sinhc(w: np.ndarray) -> np.ndarray:
@@ -324,8 +298,11 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     """Propagate the initial data to time t in Fourier space, on the half nodes.
 
     Equivalent to convolving with the Green's matrix (one transform less).
-    Built-in initial shapes enter through their closed Fourier transforms
-    (no kink-sampling error); Custom fields through the xi >= 0 half of their
+    Built-in initial shapes enter through their closed Fourier transforms,
+    free of sampling error but cut at pi/dx, where a kink or jump is damped
+    only by exp(-2 gp (pi/dx)^2 t): early snapshots of Laplace or plateau
+    data alias (see core.initial_spectrum; the figures, whose earliest t > 0
+    is 25, do not).  Custom fields enter through the xi >= 0 half of their
     FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r by
     the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back in
     one real inverse transform.  At t = 0 the sampled initial data returns.

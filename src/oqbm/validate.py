@@ -198,7 +198,7 @@ def stability_draws() -> tuple:
 
 @_row(f"dissipativity on {STABILITY_DRAWS} random draws", 0.5)
 def check_stability() -> float:
-    # the error is the number of draws that break a rule of stability_check
+    # the error is the number of draws that break a rule of dissipativity_rows
     rates, xis, draw = stability_draws()
     rule = spectral.dissipativity_rows(xis, rates)[0]
     return np.unique(draw[rule != 0]).size
@@ -252,9 +252,9 @@ def check_semigroup() -> float:
 
 @_row("finite-difference oracle vs spectral (t=50)", 3e-5)
 def check_fd_cross() -> float:
-    # uses the same aligned windows as the three-way acceptance helper (the
-    # uniform plateau edges must land on nodes or the sampled initial data
-    # differs from the analytic one at O(dx))
+    # the windows of THREE_WAY_CASES, on which acceptance criterion 2 also
+    # runs (the uniform plateau edges must land on nodes or the sampled
+    # initial data differs from the analytic one at O(dx))
     worst = 0.0
     t = 50.0
     for ic, (half_width, n) in THREE_WAY_CASES.values():
@@ -269,41 +269,12 @@ def check_fd_cross() -> float:
 THREE_WAY_CASES = {
     # scenario -> (initial condition, (half_width, n_points)); each window is
     # the tail-rule minimum and the spacings sit at dx ~ 0.010-0.012, where
-    # the measured O(dx^2) FD error clears the 1e-5 gate for all three shapes
+    # the measured O(dx^2) FD error clears acceptance criterion 2's 1e-5
+    # closed-vs-FD gate for all three shapes
     "gaussian": (FIG1_IC, (21.0, 4096)),
     "laplace": (FIG2_IC, (48.0, 8192)),
     "uniform": (FIG3_IC, (16.0, 4096)),
 }
-
-
-def three_way_agreement_case(case: str) -> dict:
-    """Closed vs spectral vs finite-difference errors for one omega=0 scenario
-    at t = 50 and t = 200.
-
-    Importable top-level helper so the acceptance suite can fan the three
-    scenarios out to worker processes.
-    """
-    ic, (half_width, n) = THREE_WAY_CASES[case]
-    times = (50.0, 200.0)
-    grid = SpatialGrid(half_width, n)
-    fd = oracle.fd_integrate(FIG1, ic, max(times), grid,
-                             snapshot_times=list(times), richardson=True)
-    out = {"richardson": fd.richardson_error, "dx": grid.dx}
-    for t in times:
-        c = omega0.solve(FIG1, ic, t, grid)
-        u = spectral.solve(FIG1, ic, t, grid)
-        f = fd.snapshots[t]
-        out[t] = {
-            "closed_vs_spectral": max(
-                float(np.max(np.abs(u.rho_plus - c.rho_plus))),
-                float(np.max(np.abs(u.rho_minus - c.rho_minus))),
-            ),
-            "closed_vs_fd": max(
-                float(np.max(np.abs(f.rho_plus - c.rho_plus))),
-                float(np.max(np.abs(f.rho_minus - c.rho_minus))),
-            ),
-        }
-    return out
 
 
 @_row("driven solution vs transform oracle", 1e-8)

@@ -328,8 +328,10 @@ class TestCsvKernel:
         self.assert_matches_format(_powers_of_ten_and_neighbours())
 
     def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch):
-        # 2048 rows in chunks of 300: six whole chunks and one of 248 rows
+        # 2048 rows in chunks of 300: six whole chunks and one of 248 rows; the
+        # 300-row working memory stays in this test's own list of idle buffers
         monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 300)
+        monkeypatch.setattr(cli, "_IDLE_SCRATCH", collections.deque(maxlen=cli._MAX_THREADS))
         grid = SpatialGrid(3.0, 2048)
         rng = np.random.default_rng(7)
         cols = [rng.normal(size=2048) * 10.0 ** rng.integers(-30, 30, 2048) for _ in range(4)]

@@ -28,7 +28,6 @@ from oqbm.errors import (
     DomainTooNarrow,
     GridUnderResolved,
     NonPositiveTime,
-    StabilityViolation,
     TailNotDecayed,
 )
 
@@ -307,31 +306,39 @@ class TestStability:
         for _ in range(100):
             p = Params(*np.exp(rng.uniform(math.log(1e-4), math.log(10.0), 4)))
             xis = rng.uniform(-100, 100, 10)
-            report = spectral.stability_check(p, [0.0, *xis[xis != 0.0]])
-            assert report.max_real_part < 0.0
-            assert report.zero_mode_residual < 1e-12
+            rule, _, modes, zero = spectral.dissipativity_rows(np.array([0.0, *xis[xis != 0.0]]), p)
+            assert np.all(rule == 0)
+            assert modes.max() < 0.0
+            assert zero.max() < 1e-12
 
     def test_underflowed_zero_mode_accepted(self):
         # 2 gp xi^2 underflows to 0 at these xi, so Q(xi) is Q(0) and the
         # zero mode is held to the xi = 0 rule
         p = Params(gamma_p=1.0, gamma_z=2.0, delta=1.0, omega=0.5)
-        report = spectral.stability_check(p, [0.0, 1e-170, 1.0527533645051122e-212])
-        assert report.max_real_part < 0.0
+        rule, _, modes, _ = spectral.dissipativity_rows(np.array([0.0, 1e-170, 1.0527533645051122e-212]), p)
+        assert np.all(rule == 0)
+        assert modes.max() < 0.0
 
     @pytest.mark.parametrize("p, xi", [
         (Params(1.0, 0.5, 0.7, 0.0), 1e-16),  # the pair +-2i dl xi has real part -2e-32
         (Params(1.0, 0.5, 0.0, 0.0), 1e-10),  # a double root at -2e-20
     ])
     def test_undriven_modes_at_tiny_frequency(self, p, xi):
-        report = spectral.stability_check(p, [0.0, xi])
-        assert report.max_real_part < 0.0
+        rule, _, modes, _ = spectral.dissipativity_rows(np.array([0.0, xi]), p)
+        assert np.all(rule == 0)
+        assert modes.max() < 0.0
 
-    @pytest.mark.parametrize("xi, mode, value", [
-        (1.7e-103, 0, 0.0),      # zero real part where 2 gp xi^2 > 0
-        (1e-170, 0, 1e-300),     # positive real part on the zero mode of Q(0)
-        (1e-170, 1, 0.0),        # zero real part on a damped mode of Q(0)
+    # each tampered row is flagged with the rule it breaks: 1 the zero modes,
+    # 2 the +-2i omega pair, 3 Re lambda >= 0
+    @pytest.mark.parametrize("xi, mode, value, broken", [
+        # zero real part where 2 gp xi^2 > 0
+        pytest.param(1.7e-103, 0, 0.0, 3, id="1.7e-103-0-0.0"),
+        # positive real part on the zero mode of Q(0)
+        pytest.param(1e-170, 0, 1e-300, 1, id="1e-170-0-1e-300"),
+        # zero real part on a damped mode of Q(0)
+        pytest.param(1e-170, 1, 0.0, 3, id="1e-170-1-0.0"),
     ])
-    def test_violations_still_raise(self, monkeypatch, xi, mode, value):
+    def test_violations_still_raise(self, monkeypatch, xi, mode, value, broken):
         p = Params(gamma_p=1.0, gamma_z=2.0, delta=1.0, omega=0.5)
         eigenvalues = spectral.symbol_eigenvalues
 
@@ -342,8 +349,7 @@ class TestStability:
             return lam
 
         monkeypatch.setattr(spectral, "symbol_eigenvalues", tampered)
-        with pytest.raises(StabilityViolation):
-            spectral.stability_check(p, [xi])
+        assert spectral.dissipativity_rows(np.array([xi]), p)[0].tolist() == [broken]
 
     @pytest.mark.parametrize("p", [
         Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0),  # 0, 0, -2 gamma_z
@@ -352,9 +358,10 @@ class TestStability:
     ])
     def test_zero_modes_counted_from_rates(self, p):
         # the zero modes at xi = 0 come out exactly zero
-        report = spectral.stability_check(p, [0.0, 0.3])
-        assert report.max_real_part < 0.0
-        assert report.zero_mode_residual < 1e-12
+        rule, _, modes, zero = spectral.dissipativity_rows(np.array([0.0, 0.3]), p)
+        assert np.all(rule == 0)
+        assert modes.max() < 0.0
+        assert zero.max() < 1e-12
 
     def test_rules_of_a_batch_are_those_of_each_rate_set_alone(self):
         # the zero-mode count and the +-2i omega pair differ between these
@@ -367,12 +374,15 @@ class TestStability:
             for got, alone in zip(batch, spectral.dissipativity_rows(xis, p)):
                 assert np.array_equal(got[k * xis.size:(k + 1) * xis.size], alone)
 
-    @pytest.mark.parametrize("p, mode", [
-        (Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 1),  # a zero mode
-        (Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 2),  # the -2 gamma_z mode
-        (Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5), 1),  # one of +-2i omega
+    @pytest.mark.parametrize("p, mode, broken", [
+        # a zero mode
+        pytest.param(Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 1, 1, id="p0-1"),
+        # the -2 gamma_z mode
+        pytest.param(Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.0), 2, 3, id="p1-2"),
+        # one of +-2i omega
+        pytest.param(Params(gamma_p=1.0, gamma_z=0.0, delta=0.7, omega=0.5), 1, 2, id="p2-1"),
     ])
-    def test_zero_frequency_violations_raise(self, monkeypatch, p, mode):
+    def test_zero_frequency_violations_raise(self, monkeypatch, p, mode, broken):
         eigenvalues = spectral.symbol_eigenvalues
 
         def tampered(xis, p):
@@ -382,24 +392,25 @@ class TestStability:
             return lam
 
         monkeypatch.setattr(spectral, "symbol_eigenvalues", tampered)
-        with pytest.raises(StabilityViolation):
-            spectral.stability_check(p, [0.0])
+        assert spectral.dissipativity_rows(np.array([0.0]), p)[0].tolist() == [broken]
 
     def test_triple_root_is_warning_free(self):
         # the shifted cubic is mu^3 here; Newton's first step is 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = spectral.stability_check(Params(1.0, 0.0, 0.0, 0.0), [1e-100])
+            rule, _, modes, _ = spectral.dissipativity_rows(np.array([1e-100]), Params(1.0, 0.0, 0.0, 0.0))
             lam = spectral.symbol_eigenvalues(np.array([0.0, 1e-100]), Params(1.0, 0.0, 0.0, 0.0))
-        assert report.max_real_part < 0.0
+        assert rule.tolist() == [0]
+        assert modes.max() < 0.0
         assert np.all(lam == np.array([[0.0], [-2e-200]]))
 
     @pytest.mark.parametrize("xi", [1e-12, 1e-10, 1e-9])
     def test_undamped_pair_at_small_frequency(self, xi):
         # the real part of the +-2i omega pair, -2 gp xi^2, lies far below
         # the round-off of |lambda| = 1 and must still come out negative
-        report = spectral.stability_check(Params(1.0, 0.0, 0.7, 0.5), [xi])
-        assert report.max_real_part < 0.0
+        rule, _, modes, _ = spectral.dissipativity_rows(np.array([xi]), Params(1.0, 0.0, 0.7, 0.5))
+        assert rule.tolist() == [0]
+        assert modes.max() < 0.0
 
     def test_large_frequency_dominated_by_diffusion(self):
         p = Params(gamma_p=1.0, gamma_z=0.5, delta=0.7, omega=0.1)
@@ -629,6 +640,35 @@ class TestSolve:
 
         assert err(planned.n_points) < 1e-12
         assert err(1024) > 1e-6
+
+
+class TestPositivity:
+    """The decoherence-diffusion trade-off (Diosi, Phys. Scr. T163, 014004
+    (2014); Oppenheim et al., Nat. Commun. 14, 7910 (2023)) on a coherent
+    Gaussian at omega = 0: at x = 0, rho11 rho22 / |rho12|^2 =
+    mu^-2 exp(4 gz t - a^2 / s^2) with a = 2 delta t and s^2 = sigma^2 + 4 gp t,
+    so det rho < 0 exactly when 4 delta^2 t^2 / s^2 > 4 gz t - 2 ln mu."""
+
+    IC = GaussianCoherent(p=0.5, mu=0.999, k=0.0, sigma=1.0)
+
+    # delta^2 = ratio * 4 gp gz with gp = gz = 1e-2, within 5% of the threshold
+    # at t (ratio 1.2506 at t = 100, 1.0313 at t = 800) on either side; at
+    # t = 800, |rho12(0)| is still 1e-7 of max P, far above round-off
+    @pytest.mark.parametrize("solver", [omega0.solve, spectral.solve], ids=["closed", "spectral"])
+    @pytest.mark.parametrize("t, ratio", [(100.0, 1.2), (100.0, 1.3), (800.0, 0.99), (800.0, 1.07)])
+    def test_sign_of_det_at_origin_follows_the_closed_form(self, solver, t, ratio):
+        gp = gz = 1e-2
+        p = Params(gamma_p=gp, gamma_z=gz, delta=math.sqrt(ratio * 4.0 * gp * gz), omega=0.0)
+        grid = plan_grid(self.IC, p, t)
+        u = solver(p, self.IC, t, grid)
+        i = grid.n_points // 2
+        assert grid.nodes[i] == 0.0 and abs(u.rho12[i]) > 1e-8 * u.rho_plus.max()
+        s2 = self.IC.sigma**2 + 4.0 * gp * t
+        # log(rho11 rho22 / |rho12|^2) at x = 0: 4 gz t - 2 ln mu - a^2 / s^2
+        log_ratio = 4.0 * gz * t - 2.0 * math.log(self.IC.mu) - (2.0 * p.delta * t) ** 2 / s2
+        det = u.rho11[i] * u.rho22[i] - abs(u.rho12[i]) ** 2
+        assert (det < 0.0) == (log_ratio < 0.0)
+        assert math.log(u.rho11[i] * u.rho22[i] / abs(u.rho12[i]) ** 2) == pytest.approx(log_ratio, abs=1e-6)
 
 
 def _full_spectrum_solve(p, ic, t, grid):
