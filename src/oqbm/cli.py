@@ -216,15 +216,17 @@ _SLOT = 25
 _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
-_ROWS_PER_CHUNK = 1024
+_ROWS_PER_CHUNK = 2048
 _LINE = 8 * _SLOT + 1  # a CSV row before its NUL bytes go: t's slot, seven fields, "\n"
 
 
-def _split(x: np.ndarray) -> tuple:
-    """Veltkamp's split: x = hi + lo exactly, each half with at most 26 bits."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
+def _split(x: np.ndarray, out: tuple = (None, None)) -> tuple:
+    """Veltkamp's split: x = hi + lo exactly, each half with at most 26 bits;
+    written into the two arrays of ``out`` if they are given."""
+    c = np.multiply(134217729.0, x, out=out[0])
+    lo = np.subtract(c, x, out=out[1])
+    hi = np.subtract(c, lo, out=c)  # c - (c - x)
+    return hi, np.subtract(x, hi, out=lo)
 
 
 @functools.cache
@@ -232,11 +234,13 @@ def _g17_tables() -> tuple:
     """Tables of :func:`_format_g17`, built from exact integers on first use.
 
     10^k = hi + lo to 2^-106 relative for k from _POW_MIN, with hi also
-    split; the 4-digit ASCII chunks 0000..9999 as little-endian words, and
-    each chunk's significant length (-99 for 0000); word masks that keep the
-    first j - 1 of the digits d1..d16; the suffix "e+XX" of each exponent
-    from _POW_MIN as an 8-byte word; and the row offsets of each slot's bytes,
-    for fixed X = -4..16 and then for the exponent form.
+    split, and the least double not below 10^k (a < 10^k exactly iff a is
+    below it); the 4-digit ASCII chunks 0000..9999 as little-endian words,
+    and for chunk j = 0..3 of the digits d1..d16 the position 1 + 4j + its
+    significant length (-99 for 0000); word masks that keep the first j - 1
+    of the digits d1..d16, a row for each word; the suffix "e+XX" of each exponent from _POW_MIN
+    as an 8-byte word; and the row offsets of each slot's bytes, for fixed
+    X = -4..16 and then for the exponent form.
     """
     from fractions import Fraction  # imports decimal: a cost only CSV writing pays
 
@@ -244,9 +248,11 @@ def _g17_tables() -> tuple:
     hi = [float(x) for x in exact]
     lo = np.array([float(x - Fraction(h)) for x, h in zip(exact, hi)])
     hi = np.array(hi)
+    bound = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
     text = [f"{i:04d}" for i in range(10000)]
     chunks = np.frombuffer("".join(text).encode(), "<u4")
-    length = np.array([len(s.rstrip("0")) if i else -99 for i, s in enumerate(text)], np.int8)
+    length = np.array([len(s.rstrip("0")) if i else -99 for i, s in enumerate(text)], np.intp)
+    ends = length + np.arange(1, 17, 4)[:, None]
     keep = np.where(np.arange(16) < np.arange(-1, 17)[:, None], 0xFF, 0).astype(np.uint8)
     exps = np.frombuffer(b"".join(f"e{x:+03d}".encode().ljust(8, b"\0")
                                   for x in range(_POW_MIN, _POW_MAX + 1)), "<u8")
@@ -257,19 +263,15 @@ def _g17_tables() -> tuple:
     layouts.append([raw[0], _POINT] + list(stripped[1:]) + list(range(_EXP, _EXP + 5)))
     slots = np.array([[_COMMA, _SIGN] + lay + [_PAD] * (_SLOT - 2 - len(lay)) for lay in layouts],
                      np.intp)
-    return hi, lo, *_split(hi), chunks, length, keep.view("<u4"), exps, slots
-
-
-def _below_pow10(a: np.ndarray, k: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """a < 10^k exactly, for doubles a, from the double-double table."""
-    h, low = hi[k - _POW_MIN], lo[k - _POW_MIN]
-    return (a < h) | ((a == h) & (low > 0.0))
+    return hi, lo, *_split(hi), bound, chunks, ends, keep.view("<u4").T.copy(), exps, slots
 
 
 class _Scratch:
-    """Working memory of :func:`_format_g17` for up to ``size`` values (the
-    source rows, the gather index at 200 bytes a value, the slots), and of
-    :func:`write_snapshot_csv` for ``rows`` rows; reused chunk after chunk."""
+    """Working memory of :func:`_format_g17` for up to ``size`` values, 281
+    bytes a value (the source rows 48, the gather index 200, its row offsets
+    8, the slots 25), and of :func:`write_snapshot_csv` for ``rows`` rows,
+    249 bytes a row; reused chunk after chunk.  Every array temporary of the
+    kernel lives in the index and the slots until the two gathers fill them."""
 
     def __init__(self, size: int, rows: int = 0):
         self.src = np.empty((size, _SRC_WIDTH // 4), "<u4")
@@ -277,7 +279,8 @@ class _Scratch:
         self.offsets = _SRC_WIDTH * np.arange(size)[:, None]  # each value's row in src
         self.out = np.empty((size, _SLOT), np.uint8)
         self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
-        self.lines = np.empty((rows, _LINE), np.uint8)
+        self.text = bytearray(rows * _LINE)  # the CSV rows, whose NUL bytes bytearray.translate drops
+        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, _LINE)
         self.lines[:, -1] = ord("\n")
 
 
@@ -285,10 +288,21 @@ _MAX_THREADS = 8  # the cap of the auto thread count, and of the idle _Scratch k
 _IDLE_SCRATCH = collections.deque(maxlen=_MAX_THREADS)  # _Scratch that no CSV write holds
 
 
+def _idle_scratch() -> _Scratch:
+    """An idle _Scratch of one CSV chunk, or a new one; ``_IDLE_SCRATCH.append``
+    gives it back (deque.pop and append are atomic; append drops the oldest)."""
+    try:
+        return _IDLE_SCRATCH.pop()
+    except IndexError:
+        return _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
+
+
 def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarray:
     """The bytes "," + format(v, ".17g") of each value, as (n, _SLOT) uint8
     rows padded with NUL bytes; they live in ``work`` if it is given, else
-    in fresh memory.
+    in fresh memory.  Every ufunc and gather writes into ``work``: a call
+    allocates only the slow path's positions and numpy's 64 KiB buffer for
+    the broadcast row offsets.
 
     For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
     comes from comparisons with the double-double 10^X; Dekker's exact
@@ -300,63 +314,115 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     values, and non-finite ones and |v| outside that range, are formatted
     one at a time by ``format`` itself.
     """
-    hi, lo, hi_hi, hi_lo, chunks, length, keep, exps, slots = _g17_tables()
+    hi, lo, hi_hi, hi_lo, bound, chunks, ends, keep, exps, slots = _g17_tables()
     v = np.ravel(values)
-    work = work if work is not None else _Scratch(v.size)
-    a = np.abs(v)
-    zero = a == 0.0
-    fast = zero | ((a >= _FAST_MIN) & (a <= _FAST_MAX))
-    a = np.where(fast & ~zero, a, 1.0)  # no log10(0) or cast of NaN below
-    x = np.floor(np.log10(a)).astype(np.intp)
-    x -= _below_pow10(a, x, hi, lo)
-    x += ~_below_pow10(a, x + 1, hi, lo)
-    k = 16 - x - _POW_MIN
-    a_hi, a_lo = _split(a)
-    p = a * hi[k]
-    q = (((a_hi * hi_hi[k] - p) + a_hi * hi_lo[k] + a_lo * hi_hi[k]) + a_lo * hi_lo[k]) + a * lo[k]
-    s = p + q
-    t = q - (s - p)
-    whole = np.floor(t)
-    frac = t - whole
-    n = s.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = n == 10**17  # 9.99..95e(X) rounds up to 1e(X+1)
-    n = np.where(zero, 0, np.where(carry, 10**16, n))
-    x += carry
-    slow = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_GAP))
+    n = v.size
+    work = work if work is not None else _Scratch(n)
+    # until the gathers at the end fill it, the index holds the temporaries in
+    # rows of n words: as floats f, as integers i, and eight rows of bools in i[9]
+    i = work.index.reshape(-1)[:_SLOT * n].reshape(_SLOT, n)
+    f = i.view(np.float64)
+    zero, fast, mask, carry, fixed = i[9].view(np.bool_).reshape(8, n)[:5]
+    a = np.abs(v, out=f[0])
+    np.equal(a, 0.0, out=zero)
+    np.greater_equal(a, _FAST_MIN, out=fast)
+    fast &= np.less_equal(a, _FAST_MAX, out=mask)
+    np.copyto(a, 1.0, where=np.logical_not(fast, out=mask))  # no log10(0) or cast of NaN below
+    fast |= zero
+    x, k = i[7], i[8]
+    np.copyto(x, np.floor(np.log10(a, out=f[8]), out=f[8]), casting="unsafe")
+    np.less(a, np.take(bound, np.subtract(x, _POW_MIN, out=k), mode="clip", out=f[5]), out=mask)
+    np.subtract(x, 1, out=x, where=mask)  # a < 10^x
+    np.greater_equal(a, np.take(bound, np.subtract(x, _POW_MIN - 1, out=k), mode="clip", out=f[5]),
+                     out=mask)
+    np.add(x, 1, out=x, where=mask)  # a >= 10^(x + 1)
+    np.subtract(16 - _POW_MIN, x, out=k)
+    a_hi, a_lo = _split(a, out=(f[1], f[2]))
+    p = np.multiply(a, np.take(hi, k, mode="clip", out=f[5]), out=f[3])
+    g_hi, g_lo = np.take(hi_hi, k, mode="clip", out=f[5]), np.take(hi_lo, k, mode="clip", out=f[6])
+    # q = (((a_hi g_hi - p) + a_hi g_lo + a_lo g_hi) + a_lo g_lo) + a lo[k], term by term
+    q = np.multiply(a_hi, g_hi, out=f[4])
+    q -= p
+    q += np.multiply(a_hi, g_lo, out=a_hi)
+    q += np.multiply(a_lo, g_hi, out=g_hi)
+    q += np.multiply(a_lo, g_lo, out=a_lo)
+    q += np.multiply(a, np.take(lo, k, mode="clip", out=g_lo), out=g_lo)
+    s = np.add(p, q, out=a)
+    t = np.subtract(q, np.subtract(s, p, out=p), out=q)
+    whole = np.floor(t, out=p)
+    frac = np.subtract(t, whole, out=t)
+    digits = i[1]  # N = s + whole + (frac > 1/2), each as an integer
+    np.copyto(digits, s, casting="unsafe")
+    np.copyto(k, whole, casting="unsafe")
+    digits += k
+    np.add(digits, 1, out=digits, where=np.greater(frac, 0.5, out=mask))
+    np.equal(digits, 10**17, out=carry)  # 9.99..95e(X) rounds up to 1e(X+1)
+    np.copyto(digits, 10**16, where=carry)
+    np.copyto(digits, 0, where=zero)
+    np.add(x, 1, out=x, where=carry)
+    np.less(np.absolute(np.subtract(frac, 0.5, out=frac), out=frac), _TIE_GAP, out=mask)
+    mask |= np.logical_not(fast, out=fast)
+    slow = np.flatnonzero(mask)
 
-    top, low8 = np.divmod(n, 10**8)
-    lead, mid8 = np.divmod(top, 10**8)
-    c1, c2 = np.divmod(mid8, 10**4)
-    c3, c4 = np.divmod(low8, 10**4)
-    n_digits = np.maximum(np.maximum(np.maximum(1 + length[c1], 5 + length[c2]),
-                                     np.maximum(9 + length[c3], 13 + length[c4])), 1)
-    fixed = (x >= -4) & (x < 17)  # format's "g" rule at precision 17
+    top, low8 = np.divmod(digits, 10**8, out=(i[8], i[6]))
+    lead, mid8 = np.divmod(top, 10**8, out=(i[0], top))
+    c = i[2:6]  # the 4-digit chunks of the digits d1..d16
+    np.divmod(mid8, 10**4, out=(c[0], c[1]))
+    np.divmod(low8, 10**4, out=(c[2], c[3]))
+    n_digits = np.take(ends[0], c[0], mode="clip", out=i[6])
+    for j in (1, 2, 3):
+        np.maximum(n_digits, np.take(ends[j], c[j], mode="clip", out=i[8]), out=n_digits)
+    np.maximum(n_digits, 1, out=n_digits)
+    np.greater_equal(x, -4, out=fixed)
+    fixed &= np.less(x, 17, out=mask)  # format's "g" rule at precision 17
     # the row as little-endian words: byte 3 of words 0 and 5 is the first digit
-    first = (lead.astype("<u4") + ord("0")) << 24
-    src = work.src[:v.size]
-    src[:, 0] = ord(",") | np.where(np.signbit(v), ord("-") << 8, 0) | ord("0") << 16 | first
-    src[:, 1:5] = np.column_stack([chunks[c1], chunks[c2], chunks[c3], chunks[c4]])
-    src[:, 5] = np.where(n_digits > np.where(fixed, x, 0) + 1, ord("."), 0) | first
-    src[:, 6:10] = src[:, 1:5] & keep[n_digits]
-    src.view("<u8")[:, _EXP // 8] = exps[np.where(fixed, 0, x) - _POW_MIN]
-    # the last layout is the exponent form; every index is in range, so "clip"
-    # only spares np.take the copy it makes of ``out`` under mode="raise"
-    index = np.take(slots, np.where(fixed, x + 4, len(slots) - 1), axis=0, mode="clip",
-                    out=work.index[:v.size])
-    index += work.offsets[:v.size]
-    out = np.take(src.view(np.uint8).ravel(), index, mode="clip", out=work.out[:v.size])
-    for i in slow:
-        text = np.frombuffer(("," + _format(v[i])).encode(), np.uint8)
-        out[i] = 0
-        out[i, :text.size] = text
+    first = np.left_shift(np.add(lead, ord("0"), out=lead), 24, out=lead)
+    src = work.src[:n]
+    head, point = src[:, 0], src[:, 5]
+    np.copyto(head, first, casting="unsafe")
+    head |= ord(",") | ord("0") << 16
+    np.bitwise_or(head, ord("-") << 8, out=head, where=np.signbit(v, out=mask))
+    np.copyto(point, first, casting="unsafe")
+    shown = i[8]  # the digits before the point: where(fixed, x, 0) + 1
+    shown.fill(1)
+    np.add(x, 1, out=shown, where=fixed)
+    np.bitwise_or(point, ord("."), out=point, where=np.greater(n_digits, shown, out=mask))
+    words = np.take(chunks, c, mode="clip", out=i[10:12].view("<u4").reshape(4, n))
+    src[:, 1:5] = words.T
+    kept = np.take(keep, n_digits, axis=1, mode="clip", out=i[12:14].view("<u4").reshape(4, n))
+    src[:, 6:10] = np.bitwise_and(words, kept, out=kept).T
+    exp = np.subtract(x, _POW_MIN, out=i[8])
+    np.copyto(exp, -_POW_MIN, where=fixed)
+    src.view("<u8")[:, _EXP // 8] = np.take(exps, exp, mode="clip", out=i[0].view("<u8"))
+    # the last layout is the exponent form; the layout ids are kept in the
+    # slots' memory.  Every index is in range, so "clip" only spares np.take
+    # the copy it makes of ``out`` under mode="raise"
+    layout = work.out.reshape(-1)[:8 * n].view(np.intp)
+    layout.fill(len(slots) - 1)
+    np.add(x, 4, out=layout, where=fixed)
+    index = np.take(slots, layout, axis=0, mode="clip", out=work.index[:n])
+    index += work.offsets[:n]
+    out = np.take(src.view(np.uint8).ravel(), index, mode="clip", out=work.out[:n])
+    for j in slow:
+        text = np.frombuffer(("," + _format(v[j])).encode(), np.uint8)
+        out[j] = 0
+        out[j, :text.size] = text
     return out
 
 
 @functools.lru_cache(maxsize=4)
 def _node_slots(grid: SpatialGrid) -> np.ndarray:
     """The x column's slots, the same in every snapshot on ``grid``: formatted
-    once per grid, read-only."""
-    slots = _format_g17(grid.nodes)
+    once per grid, in blocks of a CSV chunk's values through an idle
+    _Scratch, and kept read-only."""
+    nodes, block = grid.nodes, 6 * _ROWS_PER_CHUNK
+    slots = np.empty((len(nodes), _SLOT), np.uint8)
+    work = _idle_scratch()
+    try:
+        for start in range(0, len(nodes), block):
+            slots[start:start + block] = _format_g17(nodes[start:start + block], work)
+    finally:
+        _IDLE_SCRATCH.append(work)
     slots.setflags(write=False)
     return slots
 
@@ -365,10 +431,7 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
     nodes = _node_slots(field.grid)
     stamp = np.frombuffer(_format(field.time).encode().ljust(_SLOT, b"\0"), np.uint8)
-    try:  # deque.pop and deque.append are atomic; append drops the oldest beyond maxlen
-        work = _IDLE_SCRATCH.pop()
-    except IndexError:
-        work = _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
+    work = _idle_scratch()
     try:
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
@@ -379,7 +442,8 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
                 block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
                 lines[:, _SLOT:2 * _SLOT] = nodes[start:stop]
                 lines[:, 2 * _SLOT:-1] = _format_g17(block, work).reshape(len(lines), -1)
-                fh.write(lines.tobytes().translate(None, b"\0"))
+                text = work.text if len(lines) == len(work.lines) else work.text[:lines.nbytes]
+                fh.write(text.translate(None, b"\0"))
     finally:
         _IDLE_SCRATCH.append(work)
 

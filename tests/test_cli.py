@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -288,13 +289,41 @@ def _powers_of_ten_and_neighbours():
     return values
 
 
+class _Rows:
+    """What write_snapshot_csv reads of a grid, at a row count that no
+    SpatialGrid (a power of two) has; hashed by identity."""
+
+    def __init__(self, n: int):
+        self.nodes = np.linspace(-3.0, 3.0, n)
+
+
+def _table(grid, seed: int, time: float = 0.1) -> types.SimpleNamespace:
+    """A field of ``grid``'s rows as write_snapshot_csv reads it, all six
+    columns stored (a BlochField computes rho11 and rho22 on each read)."""
+    rng = np.random.default_rng(seed)
+    n = len(grid.nodes)
+    return types.SimpleNamespace(grid=grid, time=time, **{
+        name: rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+        for name in ("rho_plus", "rho_minus", "c_r", "c_i", "rho11", "rho22")})
+
+
+def _csv_text(field) -> str:
+    """The CSV of ``field`` with every value formatted by ``format`` itself."""
+    table = (field.grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
+             field.rho11, field.rho22)
+    stamp = format(float(field.time), ".17g")
+    return cli.CSV_HEADER + "\n" + "".join(
+        stamp + "," + ",".join(format(float(c[i]), ".17g") for c in table) + "\n"
+        for i in range(len(field.grid.nodes)))
+
+
 class TestCsvKernel:
     """``_format_g17`` gives exactly format(v, ".17g"), value by value."""
 
     @staticmethod
-    def assert_matches_format(values):
+    def assert_matches_format(values, work=None):
         values = np.asarray(values, dtype=float)
-        slots = cli._format_g17(values)
+        slots = cli._format_g17(values, work)
         assert slots.shape == (values.size, cli._SLOT)
         for v, slot in zip(values.tolist(), slots):
             assert bytes(slot).replace(b"\0", b"") == ("," + format(v, ".17g")).encode(), repr(v)
@@ -324,8 +353,35 @@ class TestCsvKernel:
         # a log10 off either way next to 10^k moves floor(log10|v|) by one,
         # which the comparisons with the double-double 10^k take back
         log10 = np.log10
-        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        monkeypatch.setattr(np, "log10", lambda a, **kw: np.add(log10(a, **kw), shift, **kw))
         self.assert_matches_format(_powers_of_ten_and_neighbours())
+
+    def test_reused_scratch_keeps_no_stale_state(self):
+        # one working memory formats a batch and then a shorter one, whose
+        # slow-path values sit where the first batch took the fast path and
+        # whose fast-path values sit where it took the slow path
+        rng = np.random.default_rng(29)
+        work = cli._Scratch(50_000)
+        first = rng.integers(0, 2**64, size=50_000, dtype=np.uint64).view(np.float64)
+        self.assert_matches_format(first, work)
+        size = np.abs(first)
+        was_fast = (size == 0.0) | ((size >= 1e-280) & (size <= 1e280))
+        second = rng.normal(size=20_000) * 10.0 ** rng.integers(-200, 200, 20_000)
+        # non-finite, beyond 1e280, below 1e-280 and exact ties of the 18th digit
+        slow = [np.nan, np.inf, -np.inf, 1e300, -3e290, 5e-300, 437988075602300.625,
+                -123456789012345.625]
+        at_fast = np.flatnonzero(was_fast[:20_000])
+        second[at_fast] = np.resize(slow, at_fast.size)
+        assert (~was_fast[:20_000]).sum() > 1000 and at_fast.size > 10_000
+        self.assert_matches_format(second, work)
+
+    @pytest.mark.parametrize("rows", [cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK,
+                                      cli._ROWS_PER_CHUNK + 1, 2 * cli._ROWS_PER_CHUNK + 1])
+    def test_rows_across_the_chunks_of_a_write(self, tmp_path, rows):
+        # the real chunk length: a part chunk, a whole one, and one row beyond
+        field = _table(_Rows(rows), rows)
+        cli.write_snapshot_csv(tmp_path / "s.csv", field)
+        assert (tmp_path / "s.csv").read_text() == _csv_text(field)
 
     def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch):
         # 2048 rows in chunks of 300: six whole chunks and one of 248 rows; the
@@ -338,11 +394,7 @@ class TestCsvKernel:
         field = BlochField(grid=grid, rho_plus=cols[0], rho_minus=cols[1], c_r=cols[2],
                            c_i=cols[3], time=0.1)
         cli.write_snapshot_csv(tmp_path / "s.csv", field)
-        table = (grid.nodes, field.rho_plus, field.rho_minus, field.c_r, field.c_i,
-                 field.rho11, field.rho22)
-        rows = ["0.10000000000000001," + ",".join(format(float(c[i]), ".17g") for c in table) + "\n"
-                for i in range(2048)]
-        assert (tmp_path / "s.csv").read_text() == "t,x,P,Q,C_R,C_I,rho11,rho22\n" + "".join(rows)
+        assert (tmp_path / "s.csv").read_text() == _csv_text(field)
 
 
 class TestCsvWorkingMemory:
@@ -411,13 +463,13 @@ class TestCsvWorkingMemory:
         barrier, format_g17 = threading.Barrier(12), cli._format_g17
 
         def format_when_all_hold_one(values, work=None):
-            if work is not None:  # a CSV chunk, not the x column text
-                barrier.wait(timeout=30)
+            barrier.wait(timeout=30)
             return format_g17(values, work)
 
-        monkeypatch.setattr(cli, "_format_g17", format_when_all_hold_one)
         field = BlochField(grid=SpatialGrid(1.0, 16), **{name: np.full(16, 0.5) for name in
                                                           ("rho_plus", "c_i", "rho_minus", "c_r")})
+        cli._node_slots(field.grid)  # the x column text is cached before the writes start
+        monkeypatch.setattr(cli, "_format_g17", format_when_all_hold_one)
         threads = [threading.Thread(target=cli.write_snapshot_csv, args=(tmp_path / f"{k}.csv", field))
                    for k in range(12)]
         for thread in threads:
@@ -427,6 +479,39 @@ class TestCsvWorkingMemory:
         assert not any(thread.is_alive() for thread in threads)
         assert len({(tmp_path / f"{k}.csv").read_bytes() for k in range(12)}) == 1
         assert cli._MAX_THREADS == 8 and len(idle) == 8 and len({id(work) for work in idle}) == 8
+
+    def test_warm_write_allocates_no_array_temporaries(self, tmp_path):
+        # numpy reports its buffers to tracemalloc, so whatever the allocator
+        # does: a warm write of four chunks holds one chunk's NUL-stripped
+        # text at a time, and every array of the kernel is reused memory
+        import tracemalloc
+
+        field = _table(SpatialGrid(4.0, 4 * cli._ROWS_PER_CHUNK), 5)
+        cli.write_snapshot_csv(tmp_path / "warm.csv", field)
+        tracemalloc.start()
+        try:
+            cli.write_snapshot_csv(tmp_path / "s.csv", field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+        assert peak <= cli._ROWS_PER_CHUNK * cli._LINE + 64 * 1024, peak
+
+    def test_x_column_of_a_large_grid_in_chunks(self):
+        # 2^20 nodes: the x column's text (25 bytes a node) and one idle
+        # working memory, not a whole-column one (about 450 MB more)
+        grown_kib = _fresh_python(
+            "import resource\n"
+            "from oqbm import cli\n"
+            "from oqbm.core import SpatialGrid\n"
+            "grid = SpatialGrid(64.0, 2**20)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "slots = cli._node_slots(grid)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+            "for i in range(0, 2**20, 997):\n"
+            "    text = ',' + format(float(grid.nodes[i]), '.17g')\n"
+            "    assert bytes(slots[i]).replace(b'\\0', b'') == text.encode(), i\n")
+        assert int(grown_kib) <= 64 * 1024, grown_kib  # ru_maxrss counts KiB on Linux
 
     def test_node_text_is_read_only_in_a_fixed_size_cache(self):
         grids = [SpatialGrid(1.0 + k, 16) for k in range(cli._node_slots.cache_info().maxsize + 2)]
