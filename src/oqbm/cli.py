@@ -32,6 +32,7 @@ import math
 import numbers
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -175,8 +176,8 @@ def classify_regime(p: Params) -> str:
 def choose_route(p: Params, ic: InitialCondition, method: str) -> str:
     """The solver of every t > 0 snapshot: "closed[<regime>]" or "spectral".
 
-    The gamma_z = 0 closed form gives the spectral field to 4e-11 at about 45
-    times its cost (fig4-left, t = 50, 8,192 nodes: 150 ms against 3.3 ms,
+    The gamma_z = 0 closed form gives the spectral field to 4e-11 at about 50
+    times its cost (fig4-left, t = 50, 8,192 nodes: 165 ms against 3.3 ms,
     median of 7 warm calls on 2 vCPUs), so only ``method: "closed"`` takes
     it; that method with no closed form for the regime and shape is a
     ConfigError.
@@ -302,7 +303,10 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     rows padded with NUL bytes; they live in ``work`` if it is given, else
     in fresh memory.  Every ufunc and gather writes into ``work``: a call
     allocates only the slow path's positions and numpy's 64 KiB buffer for
-    the broadcast row offsets.
+    the broadcast row offsets.  A mask that varies from value to value
+    enters the arithmetic as 0 or 1 (x -= mask, layout = (X - 17) fixed +
+    21), not as a ``where=`` selection, which costs about ten times as much
+    a value.
 
     For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
     comes from comparisons with the double-double 10^X; Dekker's exact
@@ -332,10 +336,10 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     x, k = i[7], i[8]
     np.copyto(x, np.floor(np.log10(a, out=f[8]), out=f[8]), casting="unsafe")
     np.less(a, np.take(bound, np.subtract(x, _POW_MIN, out=k), mode="clip", out=f[5]), out=mask)
-    np.subtract(x, 1, out=x, where=mask)  # a < 10^x
+    x -= mask  # a < 10^x
     np.greater_equal(a, np.take(bound, np.subtract(x, _POW_MIN - 1, out=k), mode="clip", out=f[5]),
                      out=mask)
-    np.add(x, 1, out=x, where=mask)  # a >= 10^(x + 1)
+    x += mask  # a >= 10^(x + 1)
     np.subtract(16 - _POW_MIN, x, out=k)
     a_hi, a_lo = _split(a, out=(f[1], f[2]))
     p = np.multiply(a, np.take(hi, k, mode="clip", out=f[5]), out=f[3])
@@ -355,11 +359,11 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     np.copyto(digits, s, casting="unsafe")
     np.copyto(k, whole, casting="unsafe")
     digits += k
-    np.add(digits, 1, out=digits, where=np.greater(frac, 0.5, out=mask))
+    digits += np.greater(frac, 0.5, out=mask)
     np.equal(digits, 10**17, out=carry)  # 9.99..95e(X) rounds up to 1e(X+1)
     np.copyto(digits, 10**16, where=carry)
     np.copyto(digits, 0, where=zero)
-    np.add(x, 1, out=x, where=carry)
+    x += carry
     np.less(np.absolute(np.subtract(frac, 0.5, out=frac), out=frac), _TIE_GAP, out=mask)
     mask |= np.logical_not(fast, out=fast)
     slow = np.flatnonzero(mask)
@@ -378,28 +382,28 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     # the row as little-endian words: byte 3 of words 0 and 5 is the first digit
     first = np.left_shift(np.add(lead, ord("0"), out=lead), 24, out=lead)
     src = work.src[:n]
-    head, point = src[:, 0], src[:, 5]
-    np.copyto(head, first, casting="unsafe")
+    head = np.multiply(np.signbit(v, out=mask), ord("-") << 8, out=i[14])
+    head |= first
     head |= ord(",") | ord("0") << 16
-    np.bitwise_or(head, ord("-") << 8, out=head, where=np.signbit(v, out=mask))
-    np.copyto(point, first, casting="unsafe")
-    shown = i[8]  # the digits before the point: where(fixed, x, 0) + 1
-    shown.fill(1)
-    np.add(x, 1, out=shown, where=fixed)
-    np.bitwise_or(point, ord("."), out=point, where=np.greater(n_digits, shown, out=mask))
+    np.copyto(src[:, 0], head, casting="unsafe")
+    shown = np.multiply(x, fixed, out=i[8])  # the digits before the point: where(fixed, x, 0) + 1
+    shown += 1
+    point = np.multiply(np.greater(n_digits, shown, out=mask), ord("."), out=i[15])
+    point |= first
+    np.copyto(src[:, 5], point, casting="unsafe")
     words = np.take(chunks, c, mode="clip", out=i[10:12].view("<u4").reshape(4, n))
     src[:, 1:5] = words.T
     kept = np.take(keep, n_digits, axis=1, mode="clip", out=i[12:14].view("<u4").reshape(4, n))
     src[:, 6:10] = np.bitwise_and(words, kept, out=kept).T
-    exp = np.subtract(x, _POW_MIN, out=i[8])
-    np.copyto(exp, -_POW_MIN, where=fixed)
+    exp = np.multiply(x, np.logical_not(fixed, out=mask), out=i[8])  # e+00 where fixed
+    exp -= _POW_MIN
     src.view("<u8")[:, _EXP // 8] = np.take(exps, exp, mode="clip", out=i[0].view("<u8"))
-    # the last layout is the exponent form; the layout ids are kept in the
-    # slots' memory.  Every index is in range, so "clip" only spares np.take
-    # the copy it makes of ``out`` under mode="raise"
-    layout = work.out.reshape(-1)[:8 * n].view(np.intp)
-    layout.fill(len(slots) - 1)
-    np.add(x, 4, out=layout, where=fixed)
+    # the layout ids are kept in the slots' memory.  Every index is in range,
+    # so "clip" only spares np.take the copy it makes of ``out`` under mode="raise"
+    last = len(slots) - 1  # the exponent form; fixed X = -4..16 takes layout X + 4
+    layout = np.subtract(x, last - 4, out=work.out.reshape(-1)[:8 * n].view(np.intp))
+    layout *= fixed
+    layout += last
     index = np.take(slots, layout, axis=0, mode="clip", out=work.index[:n])
     index += work.offsets[:n]
     out = np.take(src.view(np.uint8).ravel(), index, mode="clip", out=work.out[:n])
@@ -427,9 +431,13 @@ def _node_slots(grid: SpatialGrid) -> np.ndarray:
     return slots
 
 
+_NODE_SLOTS_LOCK = threading.Lock()  # snapshot threads that miss the cache together format x once
+
+
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
-    nodes = _node_slots(field.grid)
+    with _NODE_SLOTS_LOCK:
+        nodes = _node_slots(field.grid)
     stamp = np.frombuffer(_format(field.time).encode().ljust(_SLOT, b"\0"), np.uint8)
     work = _idle_scratch()
     try:

@@ -27,8 +27,8 @@ regime: ``oqbm validate`` checks them against the quadrature oracle, the
 tests check the spectral route against them (this module imports nothing
 from :mod:`oqbm.spectral`), and the CLI uses them under ``method:
 "closed"``.  Under ``method: "auto"`` the CLI takes the spectral route, which
-gives the same field to 4e-11 at about 1/45 of the cost (fig4-left, t = 50,
-8,192 nodes: 3.3 ms against 150 ms, median of 7 warm calls on 2 vCPUs).
+gives the same field to 4e-11 at about 1/50 of the cost (fig4-left, t = 50,
+8,192 nodes: 3.3 ms against 165 ms, median of 7 warm calls on 2 vCPUs).
 """
 
 from __future__ import annotations

@@ -21,6 +21,12 @@ formed; exp_symbols applies it to the three unit columns.
 
 c_r = Re(rho12) decouples into a damped heat equation: its transform is
 multiplied by exp(-(2 gp xi^2 + 2 gz) t) and inverted alongside the others.
+
+Every real part of t Q's eigenvalues is at most -2 gp xi^2 t, exactly (as
+symbol_eigenvalues forms them; rounding is monotone).  So where 2 gp xi^2 t
+>= _FLUSH, e[z1], both branches of each divided difference (exp times a
+series, or a difference of zeros) and the c_r factor are exactly +-0: only
+the other frequencies (:func:`_live`) are evaluated, the rest zero-filled.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ _NEAR = 1.0                # points this close use series forms of the divided d
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
 _EPS = np.finfo(float).eps
 _NEWTON_STEPS = 60         # cap on the real root's Newton steps; 1-8 is typical
+# exp(x) rounds to 0.0 below ln(2^-1075) = -745.13; 746 leaves a margin for libm
+_FLUSH = 746.0
 
 
 def _pow(v, k: int):
@@ -224,6 +232,13 @@ def _putzer_weights(xis: np.ndarray, p: Params, t: float) -> tuple:
     return z1.copy(), z2.copy(), np.exp(z1), e12, e123
 
 
+def _live(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
+    """Where exp(t Q(xi)) can be nonzero: 2 gp xi^2 t not >= _FLUSH, so a NaN
+    product (t = inf at xi = 0) and every xi at t <= 0 count as live."""
+    with np.errstate(over="ignore"):  # a product that overflows is past the edge too
+        return ~(t * (2.0 * p.gamma_p * (xis * xis)) >= _FLUSH)
+
+
 def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray]) -> tuple:
     """exp(t Q(xi)) v by Putzer's formula, for v = (v0, v1, v2) whose last axis
     runs over ``xis``; returns the three components of the result.
@@ -258,7 +273,7 @@ def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray]) ->
 def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
     """Stacked exp(t Q(xi_k)), shape (m, 3, 3): Putzer's formula
     (:func:`_apply_exp`) applied to the three unit columns.  At t = 0 it is
-    the identity exactly.
+    the identity exactly.  Frequencies that :func:`_live` drops get zeros.
 
     The error grows as about eps * t * max |lambda|: a root known to
     relative eps gives exp a phase error of eps |t lambda|.  On 300 draws
@@ -266,9 +281,12 @@ def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
     1.5 eps max(1, t max |lambda|) against 40-digit mpmath.
     """
     xis = np.asarray(xis, dtype=float)
+    live = _live(xis, p, t)
     # component i of unit column j is eye[i, j], broadcast over the frequencies
-    columns = _apply_exp(xis, p, t, np.eye(3)[:, :, None])
-    return np.stack(columns).transpose(2, 0, 1)
+    columns = _apply_exp(xis[live], p, t, np.eye(3)[:, :, None])
+    out = np.zeros((3, 3, xis.size), dtype=complex)
+    out[..., live] = np.stack(columns)
+    return out.transpose(2, 0, 1)
 
 
 def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
@@ -305,17 +323,21 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     is 25, do not).  Custom fields enter through the xi >= 0 half of their
     FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r by
     the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back in
-    one real inverse transform.  At t = 0 the sampled initial data returns.
+    one real inverse transform.  Both factors are evaluated only on the half
+    nodes where they can be nonzero (:func:`_live`): the others are exactly
+    zero in double precision, so they are zero-filled and the field keeps
+    its bits.  At t = 0 the sampled initial data returns.
     """
     if t == 0.0:
         return sample_initial(ic, grid)
-    xis = grid.half_nodes
+    half = grid.half_nodes
+    xis = half[: np.count_nonzero(_live(half, p, t))]  # the half nodes ascend: the live ones lead
     hat = ic.spectrum(xis)
     if hat is None:  # Custom data
         u0 = sample_initial(ic, grid)
         hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
-    evolved = np.empty((4, xis.size), dtype=complex)
-    evolved[:3] = _apply_exp(xis, p, t, hat[:3])
-    evolved[3] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
+    evolved = np.zeros((4, half.size), dtype=complex)
+    evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3])
+    evolved[3, : xis.size] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
     rho_plus, c_i, rho_minus, c_r = grid.real_inverse(evolved)
     return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)

@@ -480,6 +480,38 @@ class TestCsvWorkingMemory:
         assert len({(tmp_path / f"{k}.csv").read_bytes() for k in range(12)}) == 1
         assert cli._MAX_THREADS == 8 and len(idle) == 8 and len({id(work) for work in idle}) == 8
 
+    def test_threads_that_miss_the_cache_together_format_the_x_column_once(self, tmp_path, monkeypatch):
+        # two threads released at once write CSVs of one grid that no test has
+        # cached; the x column's format is slowed so that both miss the cache
+        import threading
+        import time
+
+        barrier, format_g17, columns = threading.Barrier(2), cli._format_g17, []
+
+        def slow_column(values, work=None):
+            if np.ndim(values) == 1:  # the x column; the value blocks are (rows, 6)
+                columns.append(values.size)
+                time.sleep(0.1)
+            return format_g17(values, work)
+
+        grid = SpatialGrid(7.375, 16)
+        field = BlochField(grid=grid, **{name: np.full(16, 0.25) for name in
+                                         ("rho_plus", "c_i", "rho_minus", "c_r")})
+        monkeypatch.setattr(cli, "_format_g17", slow_column)
+
+        def write(k):
+            barrier.wait(timeout=30)
+            cli.write_snapshot_csv(tmp_path / f"{k}.csv", field)
+
+        threads = [threading.Thread(target=write, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert columns == [16]
+        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
     def test_warm_write_allocates_no_array_temporaries(self, tmp_path):
         # numpy reports its buffers to tracemalloc, so whatever the allocator
         # does: a warm write of four chunks holds one chunk's NUL-stripped

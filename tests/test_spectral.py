@@ -715,3 +715,81 @@ class TestHalfSpectrum:
             spectra = np.moveaxis(spectral.exp_symbols(grid.fourier_nodes, GENERAL, t), 0, -1)
             full = np.moveaxis(grid.inverse_transform(spectra).real, -1, 0)
             assert np.max(np.abs(spectral.green_function(GENERAL, t, grid) - full)) <= 1e-15
+
+
+def _general_draw(seed):
+    """Rates and t_max within 15% of solve-spectral's general-rate centre,
+    on 8,192 nodes of the planned half-width."""
+    rng = np.random.default_rng(seed)
+    rates = dict(zip(("gamma_p", "gamma_z", "delta", "omega"),
+                     np.array([3e-3, 5e-3, 6e-3, 1e-2]) * 1.15 ** rng.uniform(-1.0, 1.0, 4)))
+    p, t_max = Params(**rates), 150.0 * 1.15 ** rng.uniform(-1.0, 1.0)
+    return p, IC, t_max, SpatialGrid(plan_grid(IC, p, t_max).half_width, 8192)
+
+
+def _fig4_left(t):
+    from oqbm import cli
+
+    s = cli.build_scenario(cli.FIGURES["fig4"]["configs"]["left"])
+    return s.params, s.ic, t, s.grid
+
+
+def _heat_factor(p, t, xis):
+    """The c_r factor, as spectral.solve forms it."""
+    return np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
+
+
+class TestFlushedSpectrum:
+    """Past 2 gp xi^2 t = spectral._FLUSH, exp(t Q) and the c_r factor are
+    exactly zero, so solve and exp_symbols evaluate only the other nodes."""
+
+    GRID = SpatialGrid(28.0, 2048)
+
+    @pytest.mark.parametrize("case", [
+        lambda: _fig4_left(25.0),
+        lambda: _fig4_left(100.0),
+        lambda: _general_draw(3),
+        lambda: (CRITICAL, IC, 5.0, TestFlushedSpectrum.GRID),
+        lambda: (Params(1e-3, 1e-3, 1e-2, 0.0), IC, 200.0, SpatialGrid(24.0, 4096)),
+        lambda: (Params(1e-3, 1e-3, 0.0, 1e-2), IC, 200.0, SpatialGrid(24.0, 4096)),
+        lambda: (GENERAL, _noisy_custom(TestFlushedSpectrum.GRID), 50.0, TestFlushedSpectrum.GRID),
+    ], ids=["fig4-left-25", "fig4-left-100", "general-t_max", "critical", "omega0", "delta0", "custom"])
+    def test_cut_spectrum_equals_every_node_evaluated(self, case, monkeypatch):
+        p, ic, t, grid = case()
+        xis = grid.half_nodes
+        assert not spectral._live(xis, p, t).all()
+        hat = ic.spectrum(xis)
+        if hat is None:
+            u0 = ic.field
+            hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
+        every = np.stack([*spectral._apply_exp(xis, p, t, hat[:3]), hat[3] * _heat_factor(p, t, xis)])
+        seen, real_inverse = [], SpatialGrid.real_inverse
+        monkeypatch.setattr(SpatialGrid, "real_inverse",
+                            lambda self, half: seen.append(half.copy()) or real_inverse(self, half))
+        spectral.solve(p, ic, t, grid)
+        assert np.all(seen[0] == every)  # == also takes -0.0 for 0.0
+        columns = np.stack(spectral._apply_exp(xis, p, t, np.eye(3)[:, :, None])).transpose(2, 0, 1)
+        assert np.all(spectral.exp_symbols(xis, p, t) == columns)
+
+    def test_weights_past_the_edge_are_exactly_zero(self):
+        # seeded draws and degenerate rates, on nodes from half to four times the
+        # edge; at gz = 0 the c_r factor just below the edge is 1e-304..5e-324
+        rng = np.random.default_rng(7)
+        draws = [Params(*10.0 ** rng.uniform(-4.0, 1.0, 4)) for _ in range(40)]
+        draws += [CRITICAL, Params(1e-3, 1e-3, 1e-2, 0.0), Params(1e-3, 1e-3, 0.0, 1e-2),
+                  Params(1e-2, 0.0, 1e-1, 1e-2), Params(1e-2, 0.0, 0.0, 0.0), Params(1.0, 2e-3, 1e-3, 1e-3)]
+        for p in draws:
+            t = 10.0 ** rng.uniform(-1.0, 3.0)
+            xis = np.sqrt(np.linspace(0.5, 4.0, 2001) * spectral._FLUSH / (2.0 * p.gamma_p * t))
+            dead = ~spectral._live(xis, p, t)
+            assert 900 < np.count_nonzero(dead) < 2001
+            _, _, *weights = spectral._putzer_weights(xis[dead], p, t)
+            for w in (*weights, _heat_factor(p, t, xis[dead])):
+                assert np.all(w == 0.0), p
+
+    def test_undamped_and_weakly_damped_diffusion_keep_every_node(self):
+        xis = np.linspace(0.0, 1e3, 101)
+        assert spectral._live(xis, SimpleNamespace(gamma_p=0.0), 1e300).all()
+        assert spectral._live(xis, Params(1e-300, 1e-3, 1e-2, 1e-2), 1e6).all()
+        # t <= 0 keeps them too, so _apply_exp's NonPositiveTime is what a negative t meets
+        assert spectral._live(xis, GENERAL, -1e300).all() and spectral._live(xis, GENERAL, 0.0).all()
