@@ -19,14 +19,20 @@ directory comes from $OQBM_OUT_DIR, falling back to the current directory.
 choose_route fixes each scenario's t > 0 route before any CSV: gamma_z = 0
 takes its closed form only under ``method: "closed"``, and that method with
 no closed form is refused.
+
+What loads when: ``import oqbm.cli`` loads numpy and, of the package, only
+``core`` and ``errors``.  build_scenario imports the module of its route's
+solver (``omega0``, ``delta0`` or ``gammaz0`` with ``specfun``, or
+``spectral``) in the calling thread, before any snapshot thread starts;
+run_validate imports ``validate``; a run on more than one thread imports
+``concurrent.futures``; main imports ``argparse``.
 """
 
 from __future__ import annotations
 
-import argparse
 import collections
-import concurrent.futures
 import functools
+import importlib
 import json
 import math
 import numbers
@@ -39,9 +45,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__, delta0, gammaz0, omega0, spectral, validate as validate_mod
+from . import __version__
 from .core import (
     MAX_POINTS,
+    QUAD_TOL,
     BlochField,
     Custom,
     GaussianCoherent,
@@ -71,6 +78,10 @@ SHAPES = {
 }
 # the keys every config may set besides its shape's
 RUN_KEYS = ("gamma_p", "gamma_z", "delta", "omega", "ic", "times", "half_width", "n_points", "method")
+# route -> (module, function) of its t > 0 solver; the function is looked up
+# on the module at each call, so a module attribute swapped in later is used
+_SOLVERS = {"closed[omega]": ("omega0", "solve"), "closed[delta]": ("delta0", "solve"),
+            "closed[gamma_z]": ("gammaz0", "solve_laplace_coherent"), "spectral": ("spectral", "solve")}
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,7 @@ def build_scenario(config: dict) -> Scenario:
     if method not in ("auto", "closed", "spectral"):
         raise ConfigError(f"method must be auto|closed|spectral, got {method!r}")
     route = choose_route(params, ic, method)
+    _route_module(route)  # its first import, here and not in a snapshot thread
     if "half_width" in config or "n_points" in config:
         n_points = _number("n_points", _need(config, "n_points"))
         if not (n_points.is_integer() and n_points <= MAX_POINTS):
@@ -192,13 +204,17 @@ def choose_route(p: Params, ic: InitialCondition, method: str) -> str:
     return "spectral"
 
 
+def _route_module(route: str):
+    """The module of ``route``'s solver, imported on first use."""
+    return importlib.import_module(f"{__package__}.{_SOLVERS[route][0]}")
+
+
 def solve_snapshot(scenario: Scenario, t: float) -> tuple:
     """(solver name, BlochField) for one snapshot time, on the scenario's route."""
     if t == 0.0:
         return "initial", sample_initial(scenario.ic, scenario.grid)
-    solver = {"closed[omega]": omega0.solve, "closed[delta]": delta0.solve,
-              "closed[gamma_z]": gammaz0.solve_laplace_coherent, "spectral": spectral.solve}
-    return scenario.route, solver[scenario.route](scenario.params, scenario.ic, t, scenario.grid)
+    solver = getattr(_route_module(scenario.route), _SOLVERS[scenario.route][1])
+    return scenario.route, solver(scenario.params, scenario.ic, t, scenario.grid)
 
 
 def _format(v: float) -> str:
@@ -509,7 +525,7 @@ def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
         "times": list(scenario.times),
         "regime": classify_regime(scenario.params),
         "method": scenario.method,
-        "quadrature_tol": gammaz0.QUAD_TOL,
+        "quadrature_tol": QUAD_TOL,
         "csv_columns": CSV_HEADER.split(","),
         "files": {},
     } for prefix, scenario in scenarios.items()}
@@ -536,6 +552,8 @@ def _map_maybe_parallel(fn, items, threads: int):
         threads = min(len(items), os.cpu_count() or 1, _MAX_THREADS)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import concurrent.futures
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -610,8 +628,10 @@ def run_figure(name: str, out_dir: Path, threads: int = 0) -> dict:
 
 def run_validate(level: str, stream=None) -> int:
     """Print the cross-validation table; exit code 0 iff everything passed."""
+    from . import validate
+
     stream = stream if stream is not None else sys.stdout
-    results = validate_mod.run_checks(level)
+    results = validate.run_checks(level)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -631,6 +651,8 @@ def _default_out_dir(value: Optional[str]) -> Path:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="oqbm", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -41,6 +41,7 @@ MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
 POINTS_PER_FEATURE = 8.0   # check_grid: nodes per solution width, at least
 MIN_POINTS = 256           # plan_grid: bounds on the node count
 MAX_POINTS = 1 << 21
+QUAD_TOL = 1e-9            # gammaz0's theta quadrature tolerance, which run manifests record
 
 
 @dataclass(frozen=True)

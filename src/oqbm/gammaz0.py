@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import specfun as sf
-from .core import BlochField, LaplaceCoherent, Params, SpatialGrid
+from .core import QUAD_TOL, BlochField, LaplaceCoherent, Params, SpatialGrid
 from .errors import (
     NonPositiveTime,
     QuadratureNotConverged,
@@ -49,7 +49,6 @@ from .errors import (
     WrongRegime,
 )
 
-QUAD_TOL = 1e-9
 QUAD_START_ORDER = 64
 QUAD_MAX_ORDER = 4096
 # samples (x rows times theta nodes) per block of the theta quadrature, 512 KB

@@ -45,7 +45,7 @@ from .core import (
     check_grid,
     sample_initial,
 )
-from .errors import NonPositiveTime, TailNotDecayed
+from .errors import NonFinite, NonPositiveTime, TailNotDecayed
 
 _NEAR = 1.0                # points this close use series forms of the divided differences
 _SERIES_TERMS = 20         # terms of the three-point series; the rest is below 1e-18
@@ -58,8 +58,12 @@ _FLUSH = 746.0
 def _pow(v, k: int):
     """v**k as a float rate gets it, libm's pow, also on an array of rates:
     numpy's own power (a product for k = 2) differs from it in the last bit
-    for some rates, and a row must get the bits of its rate set alone."""
-    return v**k if np.ndim(v) == 0 else np.array([u**k for u in v.tolist()])
+    for some rates, and a row must get the bits of its rate set alone.
+    NonFinite where the power overflows, which Python's float power raises."""
+    try:
+        return v**k if np.ndim(v) == 0 else np.array([u**k for u in v.tolist()])
+    except OverflowError:
+        raise NonFinite(f"the symbol's {max(np.ravel(v).tolist(), key=abs)!r}**{k} overflows a float") from None
 
 
 def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:

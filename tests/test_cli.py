@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oqbm import cli, core, oracle, spectral
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid, plan_grid
-from oqbm.errors import ConfigError, DomainTooNarrow, GridUnderResolved, OqbmError, UnknownFigure
+from oqbm.errors import ConfigError, DomainTooNarrow, GridUnderResolved, NonFinite, OqbmError, UnknownFigure
 
 TINY_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": 0.0,
@@ -25,6 +25,12 @@ TINY_CONFIG = {
 }
 GRIDLESS_CONFIG = {k: v for k, v in TINY_CONFIG.items() if k not in ("half_width", "n_points")}
 DRIVEN_CONFIG = dict(cli.FIGURES["fig4"]["configs"]["left"], times=[0.0, 100.0], n_points=1024)
+# all four rates positive: the spectral route under any method
+GENERAL_CONFIG = {
+    "gamma_p": 3e-3, "gamma_z": 5e-3, "delta": 6e-3, "omega": 1e-2,
+    "ic": "gaussian_mixture", "p": 0.75, "sigma1": 1.0, "sigma2": 2.0,
+    "times": [0.0, 50.0, 100.0], "half_width": 32.0, "n_points": 1024, "method": "spectral",
+}
 # delta = 0 with w t = 1000 at the last snapshot: cosh(w t) overflows a float
 OVERDAMPED_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1.0, "delta": 0.0, "omega": 1e-2,
@@ -683,6 +689,22 @@ class TestMain:
         assert cli.main(args) == 2
         assert sorted(f.name for f in out.iterdir()) == ["earlier.csv"]
 
+    @pytest.mark.parametrize("rates", [{"omega": 1e80}, {"gamma_z": 1e100}, {"omega": 1e200}],
+                             ids=["omega-1e80", "gamma_z-1e100", "omega-1e200"])
+    def test_overflowing_symbol_power_is_typed(self, tmp_path, rates, capsys):
+        # Python's float power in spectral._pow raised a bare OverflowError at
+        # these rates, and `oqbm solve` exited 1 with a traceback
+        config = dict(GRIDLESS_CONFIG, **{"omega": 1e-2, "method": "spectral", **rates})
+        with pytest.raises(NonFinite, match=r"\*\*[24] overflows a float"):
+            cli.run_solve(config, tmp_path / "solve", threads=1)
+        assert not list((tmp_path / "solve").iterdir())
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "main"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert "overflows a float" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_figure_leaves_no_partial_output(self, tmp_path, monkeypatch, threads):
         # fig6's right panel is not finite at t = 100, after the left panel's
@@ -893,6 +915,58 @@ class TestColdStart:
         assert names == sorted(f.name for f in eager.iterdir())
         for name in names:
             assert (lazy / name).read_bytes() == (eager / name).read_bytes(), name
+
+    def test_import_loads_only_core_of_the_package(self):
+        # route modules, validate, oracle, a thread pool and argparse load on use
+        code = "import sys, oqbm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'oqbm' " \
+               "or m in ('concurrent.futures', 'argparse')))"
+        assert _fresh_python(code) == str(["oqbm", "oqbm.cli", "oqbm.core", "oqbm.errors"])
+
+    @pytest.mark.parametrize("name, loaded", [
+        ("fig1", ["oqbm.omega0", "oqbm.specfun"]),
+        ("fig4", ["oqbm.spectral"]),  # gamma_z = 0 on the spectral route under auto
+        ("fig6", ["oqbm.delta0", "oqbm.specfun"]),
+    ], ids=["fig1", "fig4", "fig6"])
+    def test_building_a_figure_imports_only_its_route_module(self, name, loaded):
+        code = "import sys; from oqbm import cli\n" \
+               "before = set(sys.modules)\n" \
+               f"scenarios = [cli.build_scenario(c) for c in cli.FIGURES[{name!r}]['configs'].values()]\n" \
+               "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'oqbm'))"
+        assert _fresh_python(code) == str(loaded)
+
+    def test_spectral_solves_import_no_other_route(self, tmp_path):
+        # solve-spectral's two job kinds on one thread: the modules a cold run
+        # no longer imports are not imported later in the run either
+        unused = ["concurrent.futures", "oqbm.validate", "oqbm.oracle", "oqbm.gammaz0", "oqbm.omega0",
+                  "oqbm.delta0", "oqbm.specfun"]
+        code = f"import sys, pathlib; from oqbm import cli; out = pathlib.Path({str(tmp_path)!r})\n" \
+               f"cli.run_solve({GENERAL_CONFIG!r}, out, threads=1, prefix='general')\n" \
+               f"cli.run_solve(dict({DRIVEN_CONFIG!r}, method='spectral'), out, threads=1, prefix='driven')\n" \
+               f"print(sorted(m for m in {unused!r} if m in sys.modules), 'oqbm.spectral' in sys.modules)"
+        assert _fresh_python(code) == "[] True"
+        assert len(list(tmp_path.glob("*.csv"))) == 5
+
+    def test_cold_threaded_figure_matches_preloaded_modules(self, tmp_path):
+        run = "import pathlib; from oqbm import cli; cli.run_figure('fig4', pathlib.Path({out!r}), threads=2)"
+        preload = "import argparse, concurrent.futures, scipy.special\n" \
+                  "from oqbm import delta0, gammaz0, omega0, oracle, specfun, spectral, validate\n"
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        _fresh_python(run.format(out=str(cold)))
+        _fresh_python(preload + run.format(out=str(warm)))
+        names = sorted(f.name for f in cold.iterdir())
+        assert len([n for n in names if n.endswith(".csv")]) == 10
+        assert names == sorted(f.name for f in warm.iterdir())
+        for name in names:
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
+
+    def test_manifest_records_the_theta_quadrature_tolerance(self, tmp_path):
+        # one definition, read by gammaz0 and by the manifest, which no longer imports gammaz0
+        from oqbm import gammaz0
+
+        cli.run_solve(TINY_CONFIG, tmp_path, threads=1)
+        text = (tmp_path / "snapshot_manifest.json").read_text()
+        assert json.loads(text)["quadrature_tol"] == gammaz0.QUAD_TOL == 1e-9
+        assert '"quadrature_tol": 1e-09,' in text
 
 
 class TestReferenceIndependence:
