@@ -6,7 +6,8 @@ figure datasets, or run the cross-validation suite.
     oqbm validate --level fast
 
 Configs are flat JSON.  Outputs are one CSV per snapshot (columns t, x, P, Q,
-C_R, C_I, rho11, rho22; 17 significant digits, LF line endings) plus a
+C_R, C_I, rho11, rho22; each field format(v, ".17g"), made by _format_g17
+as 8-byte words in the rows of the CSV text; LF line endings) plus a
 <prefix>_manifest.json capturing every number needed to re-run; no two
 snapshot times may share a file name.  A grid, explicit or planned, must
 cover the initial tails plus the drift and diffusion reach at the last time
@@ -221,20 +222,17 @@ def _format(v: float) -> str:
     return format(float(v), ".17g")
 
 
-# format(v, ".17g") of whole arrays.  Each value is laid out in a row of
-# _SRC_WIDTH bytes (its digits once as they are and once less trailing
-# zeros, its sign, point and exponent), and its text is gathered from that row
-# into a slot of _SLOT bytes, "," and then the text, padded with NUL bytes
-# that are dropped from the finished CSV rows.  Byte offsets in the row:
-_COMMA, _SIGN, _ZERO, _RAW = 0, 1, 2, 3  # "," sign "0" and the 17 digits at 3..19
-_POINT, _PAD, _STRIPPED, _EXP = 20, 21, 23, 40  # "." or NUL; 17 digits at 23..39; "e+XX"
-_SRC_WIDTH = 48
-_SLOT = 25
+# format(v, ".17g") of whole arrays, as _WORDS little-endian 8-byte words a
+# value padded with NUL bytes, which are dropped from the finished CSV rows:
+# ",", the sign, the "0.000" of X = -4..-1 and d1 in byte 7; then d2..d17,
+# with the point put in after the digits before it, and "e+XX" at byte 17.
+_WORDS = 4
+_STAMP = 3  # words of t's text; the longest .17g text, "-1.2345678901234567e-100", has 24 bytes
 _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
 _ROWS_PER_CHUNK = 2048
-_LINE = 8 * _SLOT + 1  # a CSV row before its NUL bytes go: t's slot, seven fields, "\n"
+_LINE = 8 * (_STAMP + 7 * _WORDS + 1)  # a CSV row before its NUL bytes go: t, seven fields, "\n"
 
 
 def _split(x: np.ndarray, out: tuple = (None, None)) -> tuple:
@@ -246,18 +244,24 @@ def _split(x: np.ndarray, out: tuple = (None, None)) -> tuple:
     return hi, np.subtract(x, hi, out=lo)
 
 
+def _words(text: str, size: int = 8) -> np.ndarray:
+    """The ASCII ``text`` padded with NUL bytes to ``size`` bytes, as little-endian words."""
+    return np.frombuffer(text.encode().ljust(size, b"\0"), "<i8")
+
+
 @functools.cache
 def _g17_tables() -> tuple:
     """Tables of :func:`_format_g17`, built from exact integers on first use.
 
     10^k = hi + lo to 2^-106 relative for k from _POW_MIN, with hi also
     split, and the least double not below 10^k (a < 10^k exactly iff a is
-    below it); the 4-digit ASCII chunks 0000..9999 as little-endian words,
-    and for chunk j = 0..3 of the digits d1..d16 the position 1 + 4j + its
-    significant length (-99 for 0000); word masks that keep the first j - 1
-    of the digits d1..d16, a row for each word; the suffix "e+XX" of each exponent from _POW_MIN
-    as an 8-byte word; and the row offsets of each slot's bytes, for fixed
-    X = -4..16 and then for the exponent form.
+    below it); for the chunks d2..d5, d10..d13, d6..d9, d14..d17 being
+    0000..9999, the index of the last significant digit (-99 for 0000); by
+    X - _POW_MIN, the prefix word, the digits before the point (1 in the
+    exponent form) and the exponent word; 0000..9999 as 4-byte words; and
+    word by word, in 0x7F bytes (all text is ASCII), masks that keep d2..dL
+    (L = 0..17), and for a point after dq (q = 1..16; none for q = 0) masks
+    of the digits before and after it, and the point.
     """
     from fractions import Fraction  # imports decimal: a cost only CSV writing pays
 
@@ -267,38 +271,38 @@ def _g17_tables() -> tuple:
     hi = np.array(hi)
     bound = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
     text = [f"{i:04d}" for i in range(10000)]
-    chunks = np.frombuffer("".join(text).encode(), "<u4")
     length = np.array([len(s.rstrip("0")) if i else -99 for i, s in enumerate(text)], np.intp)
-    ends = length + np.arange(1, 17, 4)[:, None]
-    keep = np.where(np.arange(16) < np.arange(-1, 17)[:, None], 0xFF, 0).astype(np.uint8)
-    exps = np.frombuffer(b"".join(f"e{x:+03d}".encode().ljust(8, b"\0")
-                                  for x in range(_POW_MIN, _POW_MAX + 1)), "<u8")
-    raw = range(_RAW, _RAW + 17)
-    stripped = range(_STRIPPED, _STRIPPED + 17)
-    layouts = [[_ZERO, _POINT] + [_ZERO] * (-x - 1) + list(stripped) if x < 0
-               else list(raw[:x + 1]) + [_POINT] + list(stripped[x + 1:]) for x in range(-4, 17)]
-    layouts.append([raw[0], _POINT] + list(stripped[1:]) + list(range(_EXP, _EXP + 5)))
-    slots = np.array([[_COMMA, _SIGN] + lay + [_PAD] * (_SLOT - 2 - len(lay)) for lay in layouts],
-                     np.intp)
-    return hi, lo, *_split(hi), bound, chunks, ends, keep.view("<u4").T.copy(), exps, slots
+    ends = length + np.array([1, 9, 5, 13])[:, None]
+    fixed = range(-4, 17)  # format's "g" rule at precision 17
+    powers = range(_POW_MIN, _POW_MAX + 1)
+    prefix = np.concatenate([_words("," + ("0." + "0" * (-x - 1) if x < 0 else "").rjust(6, "\0")
+                                    if x in fixed else ",") for x in powers])
+    before = np.array([max(x + 1, 0) if x in fixed else 1 for x in powers], np.intp)
+    exps = np.concatenate([_words("" if x in fixed else f"\0e{x:+03d}") for x in powers])
+    chunks = np.frombuffer("".join(text).encode(), "<u4").astype("<i8")
+    # byte b of the 24 after the prefix (word b // 8) holds d(b + 2); k is L or q
+    b, k = np.arange(24).reshape(3, 8), np.arange(18)[:, None, None]
+    dot = np.where(k > 0, k - 1, 16)  # the byte of a point after dq; 16: none
+    keep, low, high, point = (np.where(rule, byte, 0).astype(np.uint8).view("<i8")[..., 0].T.copy()
+                              for rule, byte in ((b + 2 <= k, 0x7F), (b < dot, 0x7F), (b > dot, 0x7F),
+                                                 ((b == dot) & (k > 0), ord("."))))
+    return (hi, lo, *_split(hi), bound, ends, prefix, before, exps, chunks,
+            keep[:2], low[:2], high, point[:2])
 
 
 class _Scratch:
-    """Working memory of :func:`_format_g17` for up to ``size`` values, 281
-    bytes a value (the source rows 48, the gather index 200, its row offsets
-    8, the slots 25), and of :func:`write_snapshot_csv` for ``rows`` rows,
-    249 bytes a row; reused chunk after chunk.  Every array temporary of the
-    kernel lives in the index and the slots until the two gathers fill them."""
+    """Working memory of :func:`_format_g17` for up to ``size`` values, 140
+    bytes a value (17 rows of words and 4 of flags: every temporary), and of
+    :func:`write_snapshot_csv` for ``rows`` rows, 304 bytes a row (the six
+    columns 48, the row text 256); reused chunk after chunk."""
 
     def __init__(self, size: int, rows: int = 0):
-        self.src = np.empty((size, _SRC_WIDTH // 4), "<u4")
-        self.index = np.empty((size, _SLOT), np.intp)
-        self.offsets = _SRC_WIDTH * np.arange(size)[:, None]  # each value's row in src
-        self.out = np.empty((size, _SLOT), np.uint8)
+        self.words = np.empty((17, size), np.int64)
+        self.flags = np.empty((4, size), np.bool_)
         self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
         self.text = bytearray(rows * _LINE)  # the CSV rows, whose NUL bytes bytearray.translate drops
-        self.lines = np.frombuffer(self.text, np.uint8).reshape(rows, _LINE)
-        self.lines[:, -1] = ord("\n")
+        self.rows = np.frombuffer(self.text, "<i8").reshape(rows, _LINE // 8)
+        self.rows[:, -1] = ord("\n")
 
 
 _MAX_THREADS = 8  # the cap of the auto thread count, and of the idle _Scratch kept for reuse
@@ -314,15 +318,13 @@ def _idle_scratch() -> _Scratch:
         return _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
 
 
-def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarray:
-    """The bytes "," + format(v, ".17g") of each value, as (n, _SLOT) uint8
-    rows padded with NUL bytes; they live in ``work`` if it is given, else
-    in fresh memory.  Every ufunc and gather writes into ``work``: a call
-    allocates only the slow path's positions and numpy's 64 KiB buffer for
-    the broadcast row offsets.  A mask that varies from value to value
-    enters the arithmetic as 0 or 1 (x -= mask, layout = (X - 17) fixed +
-    21), not as a ``where=`` selection, which costs about ten times as much
-    a value.
+def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -> np.ndarray:
+    """The bytes "," + format(v, ".17g") of each value as _WORDS NUL-padded
+    little-endian words, in ``out`` (int64, values.shape + (_WORDS,), maybe a
+    strided view of CSV rows).  With ``work``, every temporary lives there:
+    a call allocates only the slow path's positions.  A mask that varies
+    from value to value enters the arithmetic as 0 or 1 (x -= mask), not as
+    a ``where=`` selection, which costs about ten times as much a value.
 
     For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
     comes from comparisons with the double-double 10^X; Dekker's exact
@@ -334,15 +336,15 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     values, and non-finite ones and |v| outside that range, are formatted
     one at a time by ``format`` itself.
     """
-    hi, lo, hi_hi, hi_lo, bound, chunks, ends, keep, exps, slots = _g17_tables()
-    v = np.ravel(values)
+    (hi, lo, hi_hi, hi_lo, bound, ends, prefix, before, exps, chunks,
+     keep, low, high, point) = _g17_tables()
+    v, shape = np.ravel(values), np.shape(values)
     n = v.size
     work = work if work is not None else _Scratch(n)
-    # until the gathers at the end fill it, the index holds the temporaries in
-    # rows of n words: as floats f, as integers i, and eight rows of bools in i[9]
-    i = work.index.reshape(-1)[:_SLOT * n].reshape(_SLOT, n)
+    # every temporary sits in a row of n words, as floats f or integers i, or of flags
+    i = work.words.reshape(-1)[:17 * n].reshape(17, n)
     f = i.view(np.float64)
-    zero, fast, mask, carry, fixed = i[9].view(np.bool_).reshape(8, n)[:5]
+    zero, fast, mask, carry = work.flags.reshape(-1)[:4 * n].reshape(4, n)
     a = np.abs(v, out=f[0])
     np.equal(a, 0.0, out=zero)
     np.greater_equal(a, _FAST_MIN, out=fast)
@@ -384,67 +386,63 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch] = None) -> np.ndarr
     mask |= np.logical_not(fast, out=fast)
     slow = np.flatnonzero(mask)
 
-    top, low8 = np.divmod(digits, 10**8, out=(i[8], i[6]))
-    lead, mid8 = np.divmod(top, 10**8, out=(i[0], top))
-    c = i[2:6]  # the 4-digit chunks of the digits d1..d16
-    np.divmod(mid8, 10**4, out=(c[0], c[1]))
-    np.divmod(low8, 10**4, out=(c[2], c[3]))
+    # numpy divides by a scalar several times faster than np.divmod does
+    top = np.floor_divide(digits, 10**8, out=i[8])
+    lead = np.floor_divide(top, 10**8, out=i[0])
+    pair = i[4:6]  # d2..d9 and d10..d17
+    np.subtract(top, np.multiply(lead, 10**8, out=i[2]), out=pair[0])
+    np.subtract(digits, np.multiply(top, 10**8, out=i[3]), out=pair[1])
+    pair -= np.multiply(np.floor_divide(pair, 10**4, out=i[2:4]), 10**4, out=i[9:11])
+    c = i[2:6]  # the 4-digit chunks d2..d5, d10..d13, d6..d9, d14..d17
     n_digits = np.take(ends[0], c[0], mode="clip", out=i[6])
     for j in (1, 2, 3):
         np.maximum(n_digits, np.take(ends[j], c[j], mode="clip", out=i[8]), out=n_digits)
-    np.maximum(n_digits, 1, out=n_digits)
-    np.greater_equal(x, -4, out=fixed)
-    fixed &= np.less(x, 17, out=mask)  # format's "g" rule at precision 17
-    # the row as little-endian words: byte 3 of words 0 and 5 is the first digit
-    first = np.left_shift(np.add(lead, ord("0"), out=lead), 24, out=lead)
-    src = work.src[:n]
-    head = np.multiply(np.signbit(v, out=mask), ord("-") << 8, out=i[14])
-    head |= first
-    head |= ord(",") | ord("0") << 16
-    np.copyto(src[:, 0], head, casting="unsafe")
-    shown = np.multiply(x, fixed, out=i[8])  # the digits before the point: where(fixed, x, 0) + 1
-    shown += 1
-    point = np.multiply(np.greater(n_digits, shown, out=mask), ord("."), out=i[15])
-    point |= first
-    np.copyto(src[:, 5], point, casting="unsafe")
-    words = np.take(chunks, c, mode="clip", out=i[10:12].view("<u4").reshape(4, n))
-    src[:, 1:5] = words.T
-    kept = np.take(keep, n_digits, axis=1, mode="clip", out=i[12:14].view("<u4").reshape(4, n))
-    src[:, 6:10] = np.bitwise_and(words, kept, out=kept).T
-    exp = np.multiply(x, np.logical_not(fixed, out=mask), out=i[8])  # e+00 where fixed
-    exp -= _POW_MIN
-    src.view("<u8")[:, _EXP // 8] = np.take(exps, exp, mode="clip", out=i[0].view("<u8"))
-    # the layout ids are kept in the slots' memory.  Every index is in range,
-    # so "clip" only spares np.take the copy it makes of ``out`` under mode="raise"
-    last = len(slots) - 1  # the exponent form; fixed X = -4..16 takes layout X + 4
-    layout = np.subtract(x, last - 4, out=work.out.reshape(-1)[:8 * n].view(np.intp))
-    layout *= fixed
-    layout += last
-    index = np.take(slots, layout, axis=0, mode="clip", out=work.index[:n])
-    index += work.offsets[:n]
-    out = np.take(src.view(np.uint8).ravel(), index, mode="clip", out=work.out[:n])
+    # every index below is in range, so "clip" only spares np.take the copy
+    # it makes of ``out`` under mode="raise"
+    x -= _POW_MIN
+    shown = np.take(before, x, mode="clip", out=i[8])
+    dot_at = np.multiply(shown, np.greater(n_digits, shown, out=mask), out=i[1])
+    np.maximum(n_digits, shown, out=n_digits)
+    # d2..d17 as two words w, and as the three words s of w one byte on;
+    # the 24 bytes are w's below the point's byte, the point and s's above it
+    chunk = np.take(chunks, c, mode="clip", out=i[9:13])
+    w = np.bitwise_or(chunk[:2], np.left_shift(chunk[2:], 32, out=chunk[2:]), out=chunk[:2])
+    w &= np.take(keep, n_digits, axis=1, mode="clip", out=i[11:13])
+    s = i[13:16]
+    np.left_shift(w, 8, out=s[:2])
+    np.right_shift(w[1], 56, out=s[2])  # each word's last byte goes to the next word's first
+    s[1] |= np.right_shift(w[0], 56, out=i[16])
+    s &= np.take(high, dot_at, axis=1, mode="clip", out=i[2:5])
+    s[:2] |= np.bitwise_and(w, np.take(low, dot_at, axis=1, mode="clip", out=i[2:4]), out=w)
+    np.bitwise_or(s[:2].reshape((2,) + shape),
+                  np.take(point, dot_at, axis=1, mode="clip", out=i[2:4]).reshape((2,) + shape),
+                  out=np.moveaxis(out[..., 1:3], -1, 0))
+    np.bitwise_or(s[2].reshape(shape), np.take(exps, x, mode="clip", out=i[2]).reshape(shape),
+                  out=out[..., 3])
+    head = np.take(prefix, x, mode="clip", out=i[13])
+    head |= np.multiply(np.signbit(v, out=mask), ord("-") << 8, out=i[14])
+    lead = np.left_shift(np.add(lead, ord("0"), out=lead), 56, out=lead)
+    np.bitwise_or(head.reshape(shape), lead.reshape(shape), out=out[..., 0])
     for j in slow:
-        text = np.frombuffer(("," + _format(v[j])).encode(), np.uint8)
-        out[j] = 0
-        out[j, :text.size] = text
+        out[np.unravel_index(j, shape)] = _words("," + _format(v[j]), 8 * _WORDS)
     return out
 
 
 @functools.lru_cache(maxsize=4)
 def _node_slots(grid: SpatialGrid) -> np.ndarray:
-    """The x column's slots, the same in every snapshot on ``grid``: formatted
+    """The x column's words, the same in every snapshot on ``grid``: formatted
     once per grid, in blocks of a CSV chunk's values through an idle
     _Scratch, and kept read-only."""
     nodes, block = grid.nodes, 6 * _ROWS_PER_CHUNK
-    slots = np.empty((len(nodes), _SLOT), np.uint8)
+    words = np.empty((len(nodes), _WORDS), np.int64)
     work = _idle_scratch()
     try:
         for start in range(0, len(nodes), block):
-            slots[start:start + block] = _format_g17(nodes[start:start + block], work)
+            _format_g17(nodes[start:start + block], work, out=words[start:start + block])
     finally:
         _IDLE_SCRATCH.append(work)
-    slots.setflags(write=False)
-    return slots
+    words.setflags(write=False)
+    return words
 
 
 _NODE_SLOTS_LOCK = threading.Lock()  # snapshot threads that miss the cache together format x once
@@ -454,19 +452,18 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
     with _NODE_SLOTS_LOCK:
         nodes = _node_slots(field.grid)
-    stamp = np.frombuffer(_format(field.time).encode().ljust(_SLOT, b"\0"), np.uint8)
     work = _idle_scratch()
     try:
         with open(path, "wb") as fh:
             fh.write((CSV_HEADER + "\n").encode())
-            work.lines[:, :_SLOT] = stamp
+            work.rows[:, :_STAMP] = _words(_format(field.time), 8 * _STAMP)
             for start in range(0, len(nodes), _ROWS_PER_CHUNK):
                 stop = min(start + _ROWS_PER_CHUNK, len(nodes))
-                lines = work.lines[:stop - start]
+                rows = work.rows[:stop - start]
                 block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
-                lines[:, _SLOT:2 * _SLOT] = nodes[start:stop]
-                lines[:, 2 * _SLOT:-1] = _format_g17(block, work).reshape(len(lines), -1)
-                text = work.text if len(lines) == len(work.lines) else work.text[:lines.nbytes]
+                rows[:, _STAMP:_STAMP + _WORDS] = nodes[start:stop]
+                _format_g17(block, work, out=rows[:, _STAMP + _WORDS:-1].reshape(-1, 6, _WORDS))
+                text = work.text if len(rows) == len(work.rows) else work.text[:rows.nbytes]
                 fh.write(text.translate(None, b"\0"))
     finally:
         _IDLE_SCRATCH.append(work)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import specfun as sf
 from .core import BlochField, InitialCondition, Params, SpatialGrid
-from .errors import NonPositiveTime, OqbmError, WrongRegime
+from .errors import NonFinite, NonPositiveTime, OqbmError, WrongRegime
 
 
 def _discriminant(p: Params) -> tuple:
@@ -53,6 +53,8 @@ def internal_matrix(p: Params, t: float) -> np.ndarray:
         c = slow * (1.0 + 0.5 * gap)
         s = -slow * gap / (2.0 * w)
     else:
+        if not math.isfinite(w * t):  # where math.cos raises a bare ValueError
+            raise NonFinite(f"the angle w t overflows a float at omega={om!r}, gamma_z={gz!r}, t={t!r}")
         damp = math.exp(-gz * t)
         c = damp * math.cos(w * t)
         s = damp * (math.sin(w * t) / w if w > 0.0 else t)

@@ -295,6 +295,30 @@ def _powers_of_ten_and_neighbours():
     return values
 
 
+def _exponent_length_cells():
+    """A value of each sign for each decimal exponent X of the text and each
+    significant length L = 1..17 of its digits: ``{(X, L): [v, -v]}``.
+
+    The digits are 133..35 (5 for L = 1), or, where m = L - 1 - X digits
+    follow the point and 5^m has at most L digits, the least odd multiple
+    K 5^m of L digits, whose value is K 2^-m exactly.  The value is the
+    double nearest those digits times 10^(X - L + 1); its text has them
+    in every cell of X = 0..16, and in many others.
+    """
+    cells = {}
+    for x in list(range(-6, 19)) + [-100, -99, 99, 100, -280, 280, cli._POW_MIN, cli._POW_MAX]:
+        for length in range(1, 18):
+            m = length - 1 - x  # digits after the point
+            if m > 0 and 5**m < 10**length:
+                k = -(-10 ** (length - 1) // 5**m) | 1  # odd, so the last digit is 5
+                digits = k * 5**m
+            else:
+                digits = int("1" + "3" * (length - 2) + "5") if length > 1 else 5
+            value = float(f"{digits}e{-m}")
+            cells[x, length] = [value, -value]
+    return cells
+
+
 class _Rows:
     """What write_snapshot_csv reads of a grid, at a row count that no
     SpatialGrid (a power of two) has; hashed by identity."""
@@ -329,10 +353,10 @@ class TestCsvKernel:
     @staticmethod
     def assert_matches_format(values, work=None):
         values = np.asarray(values, dtype=float)
-        slots = cli._format_g17(values, work)
-        assert slots.shape == (values.size, cli._SLOT)
-        for v, slot in zip(values.tolist(), slots):
-            assert bytes(slot).replace(b"\0", b"") == ("," + format(v, ".17g")).encode(), repr(v)
+        words = cli._format_g17(values, work, np.empty((values.size, cli._WORDS), np.int64))
+        assert words.shape == (values.size, cli._WORDS)
+        for v, word in zip(values.tolist(), words):
+            assert bytes(word).replace(b"\0", b"") == ("," + format(v, ".17g")).encode(), repr(v)
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(19).integers(0, 2**64, size=200_000, dtype=np.uint64)
@@ -353,6 +377,21 @@ class TestCsvKernel:
     ], ids=["specials", "fast-path-edges", "named", "powers-of-ten"])
     def test_edge_cases(self, values):
         self.assert_matches_format(values)
+
+    def test_every_exponent_and_length_of_the_word_layout(self):
+        # every point position, count of shown digits, "0.000" prefix and
+        # 2- and 3-digit exponent of the words, for both signs
+        cells = _exponent_length_cells()
+        self.assert_matches_format([v for pair in cells.values() for v in pair])
+        shown = {}
+        for (x, length), (value, _) in cells.items():
+            mantissa, _, exp = format(value, ".17e").partition("e")
+            shown[x, length] = (int(exp), len(mantissa.replace(".", "").rstrip("0")))
+        # the texts fill the cells: every point position and count of shown
+        # digits in fixed notation, and every count in the exponent form
+        exact = {cell for cell, text in shown.items() if text == cell}
+        assert {(x, n) for x in range(-1, 17) for n in range(1, 18)} <= exact and (-4, 7) in exact
+        assert {n for x, n in exact if not -4 <= x <= 16} == set(range(1, 18))
 
     @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
     def test_exponent_exact_whatever_log10_rounds(self, monkeypatch, shift):
@@ -468,9 +507,9 @@ class TestCsvWorkingMemory:
         monkeypatch.setattr(cli, "_IDLE_SCRATCH", idle)
         barrier, format_g17 = threading.Barrier(12), cli._format_g17
 
-        def format_when_all_hold_one(values, work=None):
+        def format_when_all_hold_one(values, work=None, out=None):
             barrier.wait(timeout=30)
-            return format_g17(values, work)
+            return format_g17(values, work, out)
 
         field = BlochField(grid=SpatialGrid(1.0, 16), **{name: np.full(16, 0.5) for name in
                                                           ("rho_plus", "c_i", "rho_minus", "c_r")})
@@ -494,11 +533,11 @@ class TestCsvWorkingMemory:
 
         barrier, format_g17, columns = threading.Barrier(2), cli._format_g17, []
 
-        def slow_column(values, work=None):
+        def slow_column(values, work=None, out=None):
             if np.ndim(values) == 1:  # the x column; the value blocks are (rows, 6)
                 columns.append(values.size)
                 time.sleep(0.1)
-            return format_g17(values, work)
+            return format_g17(values, work, out)
 
         grid = SpatialGrid(7.375, 16)
         field = BlochField(grid=grid, **{name: np.full(16, 0.25) for name in
@@ -521,7 +560,8 @@ class TestCsvWorkingMemory:
     def test_warm_write_allocates_no_array_temporaries(self, tmp_path):
         # numpy reports its buffers to tracemalloc, so whatever the allocator
         # does: a warm write of four chunks holds one chunk's NUL-stripped
-        # text at a time, and every array of the kernel is reused memory
+        # text at a time, and every array of the kernel is reused memory;
+        # besides that text, about 7 KB: the open file and array headers
         import tracemalloc
 
         field = _table(SpatialGrid(4.0, 4 * cli._ROWS_PER_CHUNK), 5)
@@ -533,10 +573,10 @@ class TestCsvWorkingMemory:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
-        assert peak <= cli._ROWS_PER_CHUNK * cli._LINE + 64 * 1024, peak
+        assert peak <= cli._ROWS_PER_CHUNK * cli._LINE + 16 * 1024, peak
 
     def test_x_column_of_a_large_grid_in_chunks(self):
-        # 2^20 nodes: the x column's text (25 bytes a node) and one idle
+        # 2^20 nodes: the x column's text (32 bytes a node) and one idle
         # working memory, not a whole-column one (about 450 MB more)
         grown_kib = _fresh_python(
             "import resource\n"
@@ -696,6 +736,21 @@ class TestMain:
         # these rates, and `oqbm solve` exited 1 with a traceback
         config = dict(GRIDLESS_CONFIG, **{"omega": 1e-2, "method": "spectral", **rates})
         with pytest.raises(NonFinite, match=r"\*\*[24] overflows a float"):
+            cli.run_solve(config, tmp_path / "solve", threads=1)
+        assert not list((tmp_path / "solve").iterdir())
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "main"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert "overflows a float" in capsys.readouterr().err
+
+    def test_overflowing_delta0_angle_is_typed(self, tmp_path, capsys):
+        # 2 omega overflows, and math.cos(inf) in delta0.internal_matrix raised
+        # a bare ValueError; `oqbm solve` exited 1 with a traceback
+        config = dict(TINY_CONFIG, delta=0.0, omega=1e308)
+        assert cli.build_scenario(config).route == "closed[delta]"
+        with pytest.raises(NonFinite, match=r"omega=1e\+308"):
             cli.run_solve(config, tmp_path / "solve", threads=1)
         assert not list((tmp_path / "solve").iterdir())
         config_path = tmp_path / "run.json"
