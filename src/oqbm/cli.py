@@ -224,15 +224,19 @@ def _format(v: float) -> str:
 
 # format(v, ".17g") of whole arrays, as _WORDS little-endian 8-byte words a
 # value padded with NUL bytes, which are dropped from the finished CSV rows:
-# ",", the sign, the "0.000" of X = -4..-1 and d1 in byte 7; then d2..d17,
-# with the point put in after the digits before it, and "e+XX" at byte 17.
+# ",", the sign and the "0.000" of X = -4..-1 just before d1 in byte 7, so
+# that a text in fixed notation is one run of bytes (the strip's boolean-mask
+# copy pays a fixed cost per run of kept bytes); then d2..d17, with the
+# point put in after the digits before it, and "e+XX" at byte 17.  Byte 31,
+# past the longest text (25 bytes with its comma), is always NUL.
 _WORDS = 4
 _STAMP = 3  # words of t's text; the longest .17g text, "-1.2345678901234567e-100", has 24 bytes
 _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
 _ROWS_PER_CHUNK = 2048
-_LINE = 8 * (_STAMP + 7 * _WORDS + 1)  # a CSV row before its NUL bytes go: t, seven fields, "\n"
+_LINE = 8 * (_STAMP + 7 * _WORDS)  # a CSV row before its NUL bytes go: t and seven fields
+_NEWLINE = ord("\n") << 56  # the row's "\n", in byte 31 of its last field
 
 
 def _split(x: np.ndarray, out: tuple = (None, None)) -> tuple:
@@ -257,8 +261,9 @@ def _g17_tables() -> tuple:
     split, and the least double not below 10^k (a < 10^k exactly iff a is
     below it); for the chunks d2..d5, d10..d13, d6..d9, d14..d17 being
     0000..9999, the index of the last significant digit (-99 for 0000); by
-    X - _POW_MIN, the prefix word, the digits before the point (1 in the
-    exponent form) and the exponent word; 0000..9999 as 4-byte words; and
+    X - _POW_MIN, the prefix word (of a negative v at that plus the count of
+    exponents), the digits before the point (1 in the exponent form) and the
+    exponent word; 0000..9999 as 4-byte words; and
     word by word, in 0x7F bytes (all text is ASCII), masks that keep d2..dL
     (L = 0..17), and for a point after dq (q = 1..16; none for q = 0) masks
     of the digits before and after it, and the point.
@@ -275,8 +280,8 @@ def _g17_tables() -> tuple:
     ends = length + np.array([1, 9, 5, 13])[:, None]
     fixed = range(-4, 17)  # format's "g" rule at precision 17
     powers = range(_POW_MIN, _POW_MAX + 1)
-    prefix = np.concatenate([_words("," + ("0." + "0" * (-x - 1) if x < 0 else "").rjust(6, "\0")
-                                    if x in fixed else ",") for x in powers])
+    prefix = np.concatenate([_words(("," + sign + ("0." + "0" * (-x - 1) if x < 0 and x in fixed else ""))
+                                    .rjust(7, "\0")) for sign in ("", "-") for x in powers])
     before = np.array([max(x + 1, 0) if x in fixed else 1 for x in powers], np.intp)
     exps = np.concatenate([_words("" if x in fixed else f"\0e{x:+03d}") for x in powers])
     chunks = np.frombuffer("".join(text).encode(), "<u4").astype("<i8")
@@ -291,18 +296,20 @@ def _g17_tables() -> tuple:
 
 
 class _Scratch:
-    """Working memory of :func:`_format_g17` for up to ``size`` values, 140
-    bytes a value (17 rows of words and 4 of flags: every temporary), and of
-    :func:`write_snapshot_csv` for ``rows`` rows, 304 bytes a row (the six
-    columns 48, the row text 256); reused chunk after chunk."""
+    """Working memory of :func:`_format_g17` for up to ``size`` values, 141
+    bytes a value (17 rows of words and 5 of flags: every temporary), and of
+    :func:`write_snapshot_csv` for ``rows`` rows, 296 bytes a row (the six
+    columns 48, the row text 248) and a mask of the text's bytes kept in the
+    memory of ``words``, which the kernel no longer needs once a chunk's text
+    is made; reused chunk after chunk."""
 
     def __init__(self, size: int, rows: int = 0):
         self.words = np.empty((17, size), np.int64)
-        self.flags = np.empty((4, size), np.bool_)
+        self.flags = np.empty((5, size), np.bool_)
         self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
-        self.text = bytearray(rows * _LINE)  # the CSV rows, whose NUL bytes bytearray.translate drops
-        self.rows = np.frombuffer(self.text, "<i8").reshape(rows, _LINE // 8)
-        self.rows[:, -1] = ord("\n")
+        self.text = np.empty(rows * _LINE, np.uint8)  # the CSV rows, NUL bytes and all
+        self.rows = self.text.view("<i8").reshape(rows, _LINE // 8)
+        self.keep = self.words.reshape(-1).view(np.bool_)[:self.text.size]  # the text's bytes that are not NUL
 
 
 _MAX_THREADS = 8  # the cap of the auto thread count, and of the idle _Scratch kept for reuse
@@ -331,10 +338,12 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -
     two-product forms V = |v| 10^(16 - X) in [1e16, 1e17) as s + t with
     absolute error below 5e-15 (2^-106 V from the table, two roundings of
     terms below 32); its nearest integer N holds the 17 significant digits.
-    N is exact unless V's fraction is within _TIE_GAP of 1/2, where the
-    error could flip the rounding and true ties round half-even.  Those
-    values, and non-finite ones and |v| outside that range, are formatted
-    one at a time by ``format`` itself.
+    N is s + rint(t), and exact unless V's fraction is within _TIE_GAP of
+    1/2, where the error could flip the rounding.  For -6 <= X <= 16,
+    10^(16 - X) is a double, so s + t is V exactly and rint decides every
+    tie, half to even as format does (s is even).  Near ties at other X, and
+    non-finite values and |v| outside that range, are formatted one at a
+    time by ``format`` itself.
     """
     (hi, lo, hi_hi, hi_lo, bound, ends, prefix, before, exps, chunks,
      keep, low, high, point) = _g17_tables()
@@ -344,7 +353,7 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -
     # every temporary sits in a row of n words, as floats f or integers i, or of flags
     i = work.words.reshape(-1)[:17 * n].reshape(17, n)
     f = i.view(np.float64)
-    zero, fast, mask, carry = work.flags.reshape(-1)[:4 * n].reshape(4, n)
+    zero, fast, mask, carry, exact = work.flags.reshape(-1)[:5 * n].reshape(5, n)
     a = np.abs(v, out=f[0])
     np.equal(a, 0.0, out=zero)
     np.greater_equal(a, _FAST_MIN, out=fast)
@@ -368,21 +377,23 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -
     q += np.multiply(a_hi, g_lo, out=a_hi)
     q += np.multiply(a_lo, g_hi, out=g_hi)
     q += np.multiply(a_lo, g_lo, out=a_lo)
-    q += np.multiply(a, np.take(lo, k, mode="clip", out=g_lo), out=g_lo)
+    np.take(lo, k, mode="clip", out=g_lo)
+    np.equal(g_lo, 0.0, out=exact)  # 10^(16 - X) is a double
+    q += np.multiply(a, g_lo, out=g_lo)
     s = np.add(p, q, out=a)
     t = np.subtract(q, np.subtract(s, p, out=p), out=q)
-    whole = np.floor(t, out=p)
-    frac = np.subtract(t, whole, out=t)
-    digits = i[1]  # N = s + whole + (frac > 1/2), each as an integer
+    near = np.rint(t, out=p)
+    digits = i[1]  # N = s + rint(t), each as an integer
     np.copyto(digits, s, casting="unsafe")
-    np.copyto(k, whole, casting="unsafe")
+    np.copyto(k, near, casting="unsafe")
     digits += k
-    digits += np.greater(frac, 0.5, out=mask)
     np.equal(digits, 10**17, out=carry)  # 9.99..95e(X) rounds up to 1e(X+1)
     np.copyto(digits, 10**16, where=carry)
     np.copyto(digits, 0, where=zero)
     x += carry
-    np.less(np.absolute(np.subtract(frac, 0.5, out=frac), out=frac), _TIE_GAP, out=mask)
+    # |t - rint(t)| within _TIE_GAP of 1/2, where t is not exact
+    np.greater(np.absolute(np.subtract(t, near, out=t), out=t), 0.5 - _TIE_GAP, out=mask)
+    mask &= np.logical_not(exact, out=exact)
     mask |= np.logical_not(fast, out=fast)
     slow = np.flatnonzero(mask)
 
@@ -419,8 +430,8 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -
                   out=np.moveaxis(out[..., 1:3], -1, 0))
     np.bitwise_or(s[2].reshape(shape), np.take(exps, x, mode="clip", out=i[2]).reshape(shape),
                   out=out[..., 3])
+    x += np.multiply(np.signbit(v, out=mask), _POW_MAX + 1 - _POW_MIN, out=i[14])  # "-" prefixes: 2nd half
     head = np.take(prefix, x, mode="clip", out=i[13])
-    head |= np.multiply(np.signbit(v, out=mask), ord("-") << 8, out=i[14])
     lead = np.left_shift(np.add(lead, ord("0"), out=lead), 56, out=lead)
     np.bitwise_or(head.reshape(shape), lead.reshape(shape), out=out[..., 0])
     for j in slow:
@@ -462,9 +473,11 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
                 rows = work.rows[:stop - start]
                 block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
                 rows[:, _STAMP:_STAMP + _WORDS] = nodes[start:stop]
-                _format_g17(block, work, out=rows[:, _STAMP + _WORDS:-1].reshape(-1, 6, _WORDS))
-                text = work.text if len(rows) == len(work.rows) else work.text[:rows.nbytes]
-                fh.write(text.translate(None, b"\0"))
+                _format_g17(block, work, out=rows[:, _STAMP + _WORDS:].reshape(-1, 6, _WORDS))
+                rows[:, -1] |= _NEWLINE
+                # numpy's mask and copy release the GIL, so snapshot threads strip at once
+                text = work.text[:rows.nbytes]
+                fh.write(text[np.not_equal(text, 0, out=work.keep[:text.size])])
     finally:
         _IDLE_SCRATCH.append(work)
 

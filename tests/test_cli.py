@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import fractions
 import json
 import math
 import os
@@ -319,6 +320,26 @@ def _exponent_length_cells():
     return cells
 
 
+def _exact_ties(seed: int, exponents, count: int) -> list:
+    """``count`` doubles of each sign per decimal exponent X whose 18th
+    significant digit is an exact tie: v = m / 2^(k + 1) with m odd and
+    k = 16 - X, so |v| 10^k = m 5^k / 2 ends in exactly .5.  An X whose
+    range holds no such double (m from 2^53 on) gives none."""
+    rng = np.random.default_rng(seed)
+    ties = []
+    for x in exponents:
+        scale = 2 ** (17 - x)
+        low = math.ceil(fractions.Fraction(10) ** x * scale)
+        high = min(math.floor(fractions.Fraction(10) ** (x + 1) * scale), 2**53)
+        if high - low < 2:
+            continue
+        for m in rng.integers(low // 2, high // 2, size=count) * 2 + 1:
+            value = math.ldexp(int(m), x - 17)
+            assert (fractions.Fraction(value) * 10 ** (16 - x)).denominator == 2
+            ties += [value, -value]
+    return ties
+
+
 class _Rows:
     """What write_snapshot_csv reads of a grid, at a row count that no
     SpatialGrid (a power of two) has; hashed by identity."""
@@ -378,6 +399,15 @@ class TestCsvKernel:
     def test_edge_cases(self, values):
         self.assert_matches_format(values)
 
+    def test_exact_ties_round_half_even_without_format(self, monkeypatch):
+        # where 10^(16 - X) is a double the kernel's |v| 10^(16 - X) is exact,
+        # so it rounds each tie half to even itself: no value goes to format
+        ties = _exact_ties(31, range(13, 17), 200) + _exact_ties(37, range(-6, 0), 200)
+        calls, format_one = [], cli._format
+        monkeypatch.setattr(cli, "_format", lambda v: calls.append(v) or format_one(v))
+        self.assert_matches_format(ties)
+        assert len(ties) == 2 * 200 * 9 and calls == []  # X = 16 holds no tie
+
     def test_every_exponent_and_length_of_the_word_layout(self):
         # every point position, count of shown digits, "0.000" prefix and
         # 2- and 3-digit exponent of the words, for both signs
@@ -412,9 +442,10 @@ class TestCsvKernel:
         size = np.abs(first)
         was_fast = (size == 0.0) | ((size >= 1e-280) & (size <= 1e280))
         second = rng.normal(size=20_000) * 10.0 ** rng.integers(-200, 200, 20_000)
-        # non-finite, beyond 1e280, below 1e-280 and exact ties of the 18th digit
-        slow = [np.nan, np.inf, -np.inf, 1e300, -3e290, 5e-300, 437988075602300.625,
-                -123456789012345.625]
+        # non-finite, beyond 1e280, below 1e-280, and within 1e-7 of a tie of
+        # the 18th digit where 10^(16 - X) is no double
+        slow = [np.nan, np.inf, -np.inf, 1e300, -3e290, 5e-300, 9.72431132956429e-10,
+                -5.213923131857591e+40]
         at_fast = np.flatnonzero(was_fast[:20_000])
         second[at_fast] = np.resize(slow, at_fast.size)
         assert (~was_fast[:20_000]).sum() > 1000 and at_fast.size > 10_000
@@ -427,6 +458,21 @@ class TestCsvKernel:
         field = _table(_Rows(rows), rows)
         cli.write_snapshot_csv(tmp_path / "s.csv", field)
         assert (tmp_path / "s.csv").read_text() == _csv_text(field)
+
+    @pytest.mark.parametrize("rows", [cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK, cli._ROWS_PER_CHUNK + 1])
+    @pytest.mark.parametrize("value, length", [(0.0, 1), (-1.2345678901234567e-100, 24)],
+                             ids=["all-zero", "all-24-characters"])
+    def test_rows_of_the_most_and_fewest_nul_bytes(self, tmp_path, rows, value, length):
+        # every field "0" leaves the most NUL bytes in a row for the strip to
+        # drop, and every field of the longest text the fewest
+        grid = _Rows(rows)
+        grid.nodes[:] = value
+        field = types.SimpleNamespace(grid=grid, time=value, **{
+            name: np.full(rows, value) for name in ("rho_plus", "rho_minus", "c_r", "c_i", "rho11", "rho22")})
+        cli.write_snapshot_csv(tmp_path / "s.csv", field)
+        data = (tmp_path / "s.csv").read_bytes()
+        assert len(data) == len(cli.CSV_HEADER) + 1 + rows * (8 * length + 8)
+        assert b"\0" not in data and data.decode() == _csv_text(field)
 
     def test_rows_across_chunk_boundaries(self, tmp_path, monkeypatch):
         # 2048 rows in chunks of 300: six whole chunks and one of 248 rows; the
