@@ -51,7 +51,6 @@ from .core import (
     MAX_POINTS,
     QUAD_TOL,
     BlochField,
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     InitialCondition,
@@ -196,7 +195,7 @@ def choose_route(p: Params, ic: InitialCondition, method: str) -> str:
     ConfigError.
     """
     regime = classify_regime(p)
-    if method != "spectral" and not isinstance(ic, Custom):
+    if method != "spectral":
         if regime in ("omega", "delta") or (
                 regime == "gamma_z" and method == "closed" and isinstance(ic, LaplaceCoherent)):
             return f"closed[{regime}]"
@@ -296,14 +295,16 @@ def _g17_tables() -> tuple:
 
 
 class _Scratch:
-    """Working memory of :func:`_format_g17` for up to ``size`` values, 141
-    bytes a value (17 rows of words and 5 of flags: every temporary), and of
-    :func:`write_snapshot_csv` for ``rows`` rows, 296 bytes a row (the six
-    columns 48, the row text 248) and a mask of the text's bytes kept in the
-    memory of ``words``, which the kernel no longer needs once a chunk's text
-    is made; reused chunk after chunk."""
+    """Working memory of one CSV chunk, reused chunk after chunk: of
+    :func:`_format_g17` for its 6 * _ROWS_PER_CHUNK values, 141 bytes a value
+    (17 rows of words and 5 of flags: every temporary), and of
+    :func:`write_snapshot_csv` for its _ROWS_PER_CHUNK rows, 296 bytes a row
+    (the six columns 48, the row text 248) and a mask of the text's bytes
+    kept in the memory of ``words``, which the kernel no longer needs once a
+    chunk's text is made."""
 
-    def __init__(self, size: int, rows: int = 0):
+    def __init__(self):
+        size, rows = 6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK
         self.words = np.empty((17, size), np.int64)
         self.flags = np.empty((5, size), np.bool_)
         self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
@@ -322,16 +323,17 @@ def _idle_scratch() -> _Scratch:
     try:
         return _IDLE_SCRATCH.pop()
     except IndexError:
-        return _Scratch(6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK)
+        return _Scratch()
 
 
-def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -> np.ndarray:
+def _format_g17(values: np.ndarray, work: _Scratch, out: np.ndarray) -> np.ndarray:
     """The bytes "," + format(v, ".17g") of each value as _WORDS NUL-padded
     little-endian words, in ``out`` (int64, values.shape + (_WORDS,), maybe a
-    strided view of CSV rows).  With ``work``, every temporary lives there:
-    a call allocates only the slow path's positions.  A mask that varies
-    from value to value enters the arithmetic as 0 or 1 (x -= mask), not as
-    a ``where=`` selection, which costs about ten times as much a value.
+    strided view of CSV rows).  Every temporary lives in ``work``, so a call
+    takes at most a chunk's 6 * _ROWS_PER_CHUNK values and allocates only
+    the slow path's positions.  A mask that varies from value to value
+    enters the arithmetic as 0 or 1 (x -= mask), not as a ``where=``
+    selection, which costs about ten times as much a value.
 
     For 0 and 1e-280 <= |v| <= 1e280: the exact decimal exponent X of |v|
     comes from comparisons with the double-double 10^X; Dekker's exact
@@ -349,7 +351,6 @@ def _format_g17(values: np.ndarray, work: Optional[_Scratch], out: np.ndarray) -
      keep, low, high, point) = _g17_tables()
     v, shape = np.ravel(values), np.shape(values)
     n = v.size
-    work = work if work is not None else _Scratch(n)
     # every temporary sits in a row of n words, as floats f or integers i, or of flags
     i = work.words.reshape(-1)[:17 * n].reshape(17, n)
     f = i.view(np.float64)

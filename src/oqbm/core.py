@@ -302,11 +302,12 @@ class _ClosedShape:
 
     def heat(self, t: float, x, gamma_p: float, drift: float = 0.0):
         """(rho11 at x - drift, rho22 at x + drift, rho12 at x) after heat flow
-        of variance 4*gamma_p*t; at t = 0 the initial data itself."""
+        of variance 4*gamma_p*t; the initial data itself where 2*gamma_p*t,
+        the least width a profile divides by, is 0.0 (t = 0 or an underflow)."""
         if t < 0.0:
             raise NonPositiveTime(f"heat flow needs t >= 0, got {t}")
         x = np.asarray(x, dtype=float)
-        if t == 0.0:
+        if 2.0 * gamma_p * t == 0.0:
             return self.rho11(x - drift), self.rho22(x + drift), self.rho12(x)
         p, f1, f2, c, f12 = self._profiles
         rho12 = np.zeros_like(x, dtype=complex) if f12 is None else f12.heat(c, t, x, gamma_p)

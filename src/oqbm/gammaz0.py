@@ -337,8 +337,9 @@ def convolution_identities_check(
     width_l = _LAPLACE_PIECE * scale
     width_g = min(_HEAT_PIECE * sigma, width_l)
 
+    driven = sf.DrivenKernels(t, x_points, p)
     e1 = e1s = e2 = e3 = e4 = 0.0
-    for xv in x_points:
+    for xv, hp, hm in zip(x_points, driven.h_plus(), driven.h_minus()):
         # Laplace products on +-60 Laplace scales about 0 and x
         y, w = _compound_rule(-60.0 * scale + min(0.0, xv), 60.0 * scale + max(0.0, xv),
                               (0.0, xv), width_l)
@@ -348,8 +349,7 @@ def convolution_identities_check(
         # heat products on +-12 heat widths
         y, w = _compound_rule(-12.0 * sigma, 12.0 * sigma, (xv,), width_g)
         prod = sf.heat_kernel(t, y, p.gamma_p) * f_l(xv - y)
-        hm = sf.h_minus(t, xv, p)
-        e2 = max(e2, abs(w @ prod - sf.h_plus(t, xv, p)))
+        e2 = max(e2, abs(w @ prod - hp))
         e3 = max(e3, abs(w @ (np.sign(xv - y) * prod) - hm))
         e4 = max(e4, abs(w @ (y * prod) - (4.0 * p.gamma_p * t * p.omega / p.delta) * hm))
 

@@ -1,8 +1,9 @@
 """Cross-validation matrix: closed forms vs spectral vs the two oracles.
 
 Each check computes its worst error and ``_row`` turns that into a timed
-:class:`CheckResult`; :func:`run_checks` collects the fast or the full suite.  The CLI prints them as a table and exits nonzero if
-any check fails; the test suite asserts them individually.
+:class:`CheckResult`; :func:`run_checks` collects the fast or the full suite,
+whose figure rates and shapes are the scenarios ``oqbm figure`` builds.  The
+CLI prints them as a table and exits nonzero if any fails; tests assert each.
 """
 
 from __future__ import annotations
@@ -16,29 +17,22 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import delta0, gammaz0, omega0, oracle, specfun, spectral
-from .core import (
-    BlochField,
-    Custom,
-    GaussianCoherent,
-    GaussianMixture,
-    LaplaceCoherent,
-    LaplaceMixture,
-    Params,
-    SpatialGrid,
-    UniformMixture,
-    initial_mass,
-)
+from . import cli, delta0, gammaz0, omega0, oracle, specfun, spectral
+from .core import BlochField, Custom, Params, SpatialGrid, initial_mass
 
-FIG1 = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=0.0)
-FIG4 = Params(gamma_p=1e-2, gamma_z=0.0, delta=1e-1, omega=1e-2)
-FIG6 = Params(gamma_p=1e-3, gamma_z=1e-3, delta=0.0, omega=1e-2)
 
-FIG1_IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
-FIG2_IC = LaplaceMixture(p=0.25, a=1.0, b=2.0)
-FIG3_IC = UniformMixture(p=0.75, a=3.0, b=2.0)
-FIG6_LEFT_IC = GaussianMixture(p=0.75, sigma1=2.0, sigma2=1.0)
-FIG6_RIGHT_IC = GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)
+def _figure(name: str, panel: str = "") -> tuple:
+    """(params, initial condition) of one panel of a dataset ``oqbm figure`` writes."""
+    scenario = cli.build_scenario(cli.FIGURES[name]["configs"][panel])
+    return scenario.params, scenario.ic
+
+
+FIG1, FIG1_IC = _figure("fig1")
+FIG2_IC = _figure("fig2")[1]
+FIG3_IC = _figure("fig3")[1]
+FIG4, FIG4_RIGHT_IC = _figure("fig4", "right")
+FIG6, FIG6_LEFT_IC = _figure("fig6", "left")
+FIG6_RIGHT_IC = _figure("fig6", "right")[1]
 
 TAU1_REFERENCE = 81.1423506200
 STABILITY_DRAWS = 200  # random rate sets of the dissipativity row
@@ -90,10 +84,7 @@ def check_bloch_roundtrip() -> float:
 
 @_row("initial conditions integrate to 1", 1e-8)
 def check_initial_masses() -> float:
-    ics = [
-        FIG1_IC, FIG2_IC, FIG3_IC, FIG6_RIGHT_IC,
-        LaplaceCoherent.for_params(p=0.25, r=0.5, q=-0.5, params=FIG4),
-    ]
+    ics = (FIG1_IC, FIG2_IC, FIG3_IC, FIG6_RIGHT_IC, FIG4_RIGHT_IC)
     return max(abs(initial_mass(ic) - 1.0) for ic in ics)
 
 
@@ -117,10 +108,8 @@ def check_kernel_parity() -> float:
         p = Params(*rng.uniform(1e-3, 1.0, 4))
         t = float(rng.uniform(0.1, 80.0))
         x = rng.uniform(0.0, 40.0, 64)
-        both = np.concatenate([x, -x])  # one call per kernel for x and -x
-        for kernel, sign in ((specfun.h_plus, 1.0), (specfun.h_minus, -1.0),
-                             (specfun.phi_plus, 1.0), (specfun.phi_minus, -1.0)):
-            v = kernel(t, both, p)
+        k = specfun.DrivenKernels(t, np.concatenate([x, -x]), p)  # one evaluation for x and -x
+        for v, sign in ((k.h_plus(), 1.0), (k.h_minus(), -1.0), (k.phi_plus(), 1.0), (k.phi_minus(), -1.0)):
             worst = max(worst, np.max(np.abs(v[:64] - sign * v[64:])))
     return worst
 
@@ -223,15 +212,21 @@ def check_identities() -> float:
     return rep.max_error()
 
 
+def _transform_oracle(symbol: Callable, t: float, n: int) -> tuple:
+    """301 of the nodes of SpatialGrid(260, n), and the quadrature oracle's
+    inverse transform of ``symbol`` there, cut off where fig4's decay
+    exp(-2 gamma_p t xi^2) falls to 1e-18."""
+    x = SpatialGrid(260.0, n).nodes[np.linspace(0, n - 1, 301).astype(int)]
+    xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
+    return x, oracle.quad_inverse_fourier(symbol, x, xi_max)
+
+
 @_row("green: kernel assembly vs quadrature oracle", 1e-7)
 def check_greez_vs_quadrature() -> float:
     worst = 0.0
     for t, n in ((1.0, 32768), (25.0, 8192)):
-        x = SpatialGrid(260.0, n).nodes[np.linspace(0, n - 1, 301).astype(int)]
-        G = gammaz0.green_gammaz0(FIG4, t, x)
-        xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
-        K = oracle.quad_inverse_fourier(gammaz0.exp_symbol_closed(FIG4, t), x, xi_max)
-        worst = max(worst, np.max(np.abs(G - K)))
+        x, K = _transform_oracle(gammaz0.exp_symbol_closed(FIG4, t), t, n)
+        worst = max(worst, np.max(np.abs(gammaz0.green_gammaz0(FIG4, t, x) - K)))
     return worst
 
 
@@ -279,26 +274,17 @@ THREE_WAY_CASES = {
 
 @_row("driven solution vs transform oracle", 1e-8)
 def check_driven_solution_vs_symbol() -> float:
-    """Exact-transform cross-check of the Laplace-coherent solution."""
-    p = FIG4
-    ic = LaplaceCoherent.for_params(p=0.25, r=0.0, q=-0.5, params=p)
+    """Exact-transform cross-check of fig4-right's Laplace-coherent solution."""
     t = 25.0
-    grid = SpatialGrid(260.0, 8192)
-    x = grid.nodes[np.linspace(0, grid.n_points - 1, 301).astype(int)]
-    rho_plus, c_i, rho_minus, _ = gammaz0.laplace_coherent_field(p, ic, t, x)
-    amp = math.sqrt(ic.p * (1.0 - ic.p))
-    weights = np.array([1.0, ic.q * amp, 2.0 * ic.p - 1.0])
-    closed = gammaz0.exp_symbol_closed(p, t)
+    closed = gammaz0.exp_symbol_closed(FIG4, t)
 
-    def symbol(xis):
-        f_hat = 4.0 * p.omega**2 / (4.0 * (p.delta**2 * xis**2 + p.omega**2))
-        e = closed(xis)
-        out = np.zeros_like(e)
-        out[:, :, 0] = np.einsum("mij,j->mi", e, weights) * f_hat[:, None]
+    def symbol(xis):  # exp(t Q) of the initial transforms, in column 0
+        out = np.zeros((xis.size, 3, 3), dtype=complex)
+        out[:, :, 0] = np.einsum("mij,jm->mi", closed(xis), np.array(FIG4_RIGHT_IC.spectrum(xis)[:3]))
         return out
 
-    xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * p.gamma_p * t))
-    K = oracle.quad_inverse_fourier(symbol, x, xi_max)
+    x, K = _transform_oracle(symbol, t, 8192)
+    rho_plus, c_i, rho_minus, _ = gammaz0.laplace_coherent_field(FIG4, FIG4_RIGHT_IC, t, x)
     return max(
         np.max(np.abs(K[:, 0, 0] - rho_plus)),
         np.max(np.abs(K[:, 1, 0] - c_i)),
