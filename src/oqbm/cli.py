@@ -39,7 +39,6 @@ import math
 import numbers
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -444,7 +443,9 @@ def _format_g17(values: np.ndarray, work: _Scratch, out: np.ndarray) -> np.ndarr
 def _node_slots(grid: SpatialGrid) -> np.ndarray:
     """The x column's words, the same in every snapshot on ``grid``: formatted
     once per grid, in blocks of a CSV chunk's values through an idle
-    _Scratch, and kept read-only."""
+    _Scratch, and kept read-only.  _run_scenarios formats each grid here
+    before its snapshot threads start; two threads that miss the cache
+    together each format an identical copy, and one of them is kept."""
     nodes, block = grid.nodes, 6 * _ROWS_PER_CHUNK
     words = np.empty((len(nodes), _WORDS), np.int64)
     work = _idle_scratch()
@@ -457,13 +458,9 @@ def _node_slots(grid: SpatialGrid) -> np.ndarray:
     return words
 
 
-_NODE_SLOTS_LOCK = threading.Lock()  # snapshot threads that miss the cache together format x once
-
-
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
-    with _NODE_SLOTS_LOCK:
-        nodes = _node_slots(field.grid)
+    nodes = _node_slots(field.grid)
     work = _idle_scratch()
     try:
         with open(path, "wb") as fh:
@@ -508,6 +505,8 @@ def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
     scenarios = {prefix: build_scenario(config) for prefix, config in configs.items()}
+    for scenario in scenarios.values():  # each grid's x text, before any snapshot thread runs
+        _node_slots(scenario.grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 

@@ -10,7 +10,8 @@ class NonFinite(OqbmError):
 
 
 class NonPositiveDiffusion(OqbmError):
-    """gamma_p <= 0; the diffusion term would vanish or be negative."""
+    """gamma_p <= 0, or a diffusion width 2 gamma_p t that underflows to 0;
+    the diffusion term would vanish or be negative."""
 
 
 class NegativeRate(OqbmError):

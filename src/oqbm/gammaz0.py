@@ -43,6 +43,7 @@ import numpy as np
 from . import specfun as sf
 from .core import QUAD_TOL, BlochField, LaplaceCoherent, Params, SpatialGrid
 from .errors import (
+    NonPositiveDiffusion,
     NonPositiveTime,
     QuadratureNotConverged,
     ScaleMismatch,
@@ -134,6 +135,9 @@ def _cone_convolutions(fields, t: float, x, p: Params) -> tuple:
     """
     if t <= 0.0:
         raise NonPositiveTime(f"light-cone convolutions need t > 0, got {t}")
+    if 2.0 * p.gamma_p * t == 0.0:  # delta and omega still act, so the initial data is no answer
+        raise NonPositiveDiffusion(f"the diffusion width 2 gamma_p t underflows to 0 at "
+                                   f"gamma_p = {p.gamma_p:g}, t = {t:g}: the gamma_z = 0 kernels divide by it")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     reach = 2.0 * t * p.delta
     at, back, ahead = np.moveaxis(fields(np.stack((x, x - reach, x + reach))), 1, 0)

@@ -77,12 +77,22 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
     so that its sign holds in floating point: every real part is at most
     -2 gp xi^2, exactly, and simple roots are accurate relative to themselves.
     The rates of ``p`` may also be arrays of xis' shape, one rate set per
-    row; each row gets the bits it gets alone.
+    row; each row gets the bits it gets alone.  NonFinite where a step of
+    the real root, or the discriminant of a meeting pair, overflows a float.
     """
     xis = np.asarray(xis, dtype=float)
     b = 2.0 * p.gamma_z
-    e = 4.0 * _pow(p.delta, 2) * (xis * xis)
-    w = 4.0 * _pow(p.omega, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = 4.0 * _pow(p.delta, 2) * (xis * xis)
+        w = 4.0 * _pow(p.omega, 2)
+        # for r in [-b, 0] and S = b^2 + e + w: |f(r)| <= b S, and r^2 + e,
+        # |f'(r)| and |s^2 - 4P| are at most 4 S.  Where this bound is finite
+        # no step of the root overflows; elsewhere f could be inf - inf = NaN,
+        # which keeps the bracket and can end the iteration on a non-root
+        bound = 4.0 * (1.0 + b) * (b * b + e + w)
+    if not np.all(np.isfinite(bound)):
+        raise NonFinite(f"the symbol's cubic is not finite in a float: b = 2 gamma_z = {np.max(b):.3g}, "
+                        f"e = 4 delta^2 xi^2 up to {np.max(e):.3g}, w = 4 omega^2 = {np.max(w):.3g}")
     lo, hi = np.full_like(e, -b), np.zeros_like(e)
     with np.errstate(invalid="ignore", divide="ignore"):
         # start at Newton's step from 0, clipped (at omega = 0 rounding puts it
@@ -120,8 +130,12 @@ def symbol_eigenvalues(xis: np.ndarray, p: Params) -> np.ndarray:
         crit = 4.0 * (p.gamma_z - 2.0 * p.omega) * (p.gamma_z + 2.0 * p.omega)  # b^2 - 4 w
         em, fm, bm, wm, crit = (v[meet] if np.ndim(v) else v for v in (e, fprime, b, w, crit))
         b2 = _pow(bm, 2)
-        e_term = em * em + em * (2.0 * b2 + 3.0 * wm) + _pow(bm, 4) - 5.0 * b2 * wm + 3.0 * _pow(wm, 2)
-        disc[meet] = _pow(wm, 2) * crit / fm / fm - 4.0 * em * (e_term / fm / fm)
+        # fm is finite and not 0, so an overflow below leaves disc[meet] inf or NaN
+        with np.errstate(over="ignore"):
+            e_term = em * em + em * (2.0 * b2 + 3.0 * wm) + _pow(bm, 4) - 5.0 * b2 * wm + 3.0 * _pow(wm, 2)
+            disc[meet] = _pow(wm, 2) * crit / fm / fm - 4.0 * em * (e_term / fm / fm)
+        if not np.all(np.isfinite(disc[meet])):
+            raise NonFinite("the discriminant of the symbol's eigenvalue pair overflows a float")
         # disc <= 0 is a complex pair, also where disc underflows at subnormal xi
         root = np.sqrt(np.abs(disc))
         real = disc > 0.0

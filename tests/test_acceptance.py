@@ -101,28 +101,19 @@ def test_criterion_2_three_way_agreement_undriven():
 
 
 def test_criterion_3_green_cross_check_uncoupled():
-    start = time.perf_counter()
-    t, om = 25.0, 1e-2
-    worst = 0.0
-    for ratio in (0.5, 1.0, 2.0):
-        p = Params(gamma_p=1e-3, gamma_z=ratio * 2.0 * om, delta=0.0, omega=om)
-        grid = SpatialGrid(8.0, 2048)
-        G = spectral.green_function(p, t, grid)
-        Gc = delta0.green_delta0(p, t, grid.nodes)
-        worst = max(worst, np.max(np.abs(G - Gc)))
+    # validate's row: gamma_z / 2 omega = 0.5, 1, 2 at omega = 1e-2, t = 25, on SpatialGrid(8, 2048)
+    row = validate.check_green_delta0()
     assert _report(3, "delta=0 Green matrix vs spectral FFT (3 regimes, t=25)",
-                   worst, 1e-8, time.perf_counter() - start)
+                   row.max_err, row.tol, row.seconds)
 
 
 def test_criterion_4_driven_kernel_identities():
-    start = time.perf_counter()
-    p = validate.FIG4
-    rep = gammaz0.convolution_identities_check(
-        p, 25.0, [-7.0, -2.0, 0.0, 1.5, 4.0, 5.5, 8.0, 12.0])
-    ok_ids = _report(4, "printed convolution identities (gamma_z=0)",
-                     rep.max_error(), 1e-8, time.perf_counter() - start)
+    # validate's row: fig4's rates at t = 25, at eight points
+    row = validate.check_identities()
+    ok_ids = _report(4, "printed convolution identities (gamma_z=0)", row.max_err, row.tol, row.seconds)
 
     start = time.perf_counter()
+    p = validate.FIG4
     worst = 0.0
     x = SpatialGrid(224.0, 4096).nodes[np.linspace(0, 4095, 201).astype(int)]
     for t in (1.0, 25.0, 100.0):

@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from oqbm import cli, core, oracle, spectral
 from oqbm.core import BlochField, LaplaceCoherent, Params, SpatialGrid, plan_grid
-from oqbm.errors import ConfigError, DomainTooNarrow, GridUnderResolved, NonFinite, OqbmError, UnknownFigure
+from oqbm.errors import (ConfigError, DomainTooNarrow, GridUnderResolved, NonFinite, NonPositiveDiffusion,
+                         OqbmError, UnknownFigure)
 
 TINY_CONFIG = {
     "gamma_p": 1e-3, "gamma_z": 1e-3, "delta": 1e-2, "omega": 0.0,
@@ -152,6 +153,14 @@ class TestDispatch:
         assert cli.build_scenario(DRIVEN_CONFIG).route == "spectral"
         assert cli.build_scenario(dict(DRIVEN_CONFIG, method="closed")).route == "closed[gamma_z]"
         assert cli.build_scenario(dict(TINY_CONFIG, method="spectral")).route == "spectral"
+        # every figure panel: the mixtures of fig1-fig3 closed at omega = 0, the
+        # driven runs of fig4 and fig5 spectral under auto, fig6 closed at delta = 0
+        routes = {"fig1": "closed[omega]", "fig2": "closed[omega]", "fig3": "closed[omega]",
+                  "fig4": "spectral", "fig5": "spectral", "fig6": "closed[delta]"}
+        assert sorted(routes) == sorted(cli.FIGURES)
+        for name, spec in cli.FIGURES.items():
+            for panel, config in spec["configs"].items():
+                assert cli.build_scenario(config).route == routes[name], (name, panel)
 
     def test_closed_and_spectral_agree(self):
         scenario = cli.build_scenario(TINY_CONFIG)
@@ -272,18 +281,21 @@ class TestOutputs:
         assert runs["left"]["files"]["50"]["solver"] == "closed[delta]"
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("name", ["fig4", "fig6"])
+    @pytest.mark.parametrize("name", ["fig1", "fig3", "fig4", "fig6"])
     def test_figure_bytes_match_separate_solves(self, tmp_path, name, threads):
-        # every panel's snapshots share one pool; the files are those of one
-        # run_solve per panel, the figure's manifest included
+        # every panel's snapshots share one pool; on one thread or two, the
+        # files are those of one serial run_solve per panel, the figure's
+        # manifest included
         cli.run_figure(name, tmp_path / "figure", threads=threads)
         spec, separate = cli.FIGURES[name], tmp_path / "separate"
-        runs = {panel: cli.run_solve(dict(config), separate, threads, prefix=f"{name}_{panel}")
+        runs = {panel or "both": cli.run_solve(dict(config), separate, 1,
+                                               prefix=f"{name}_{panel}" if panel else name)
                 for panel, config in spec["configs"].items()}
         combined = {"figure": name, "panel_quantity": spec["panels"], "runs": runs}
         (separate / f"{name}_manifest.json").write_text(json.dumps(combined, indent=2, sort_keys=True) + "\n")
         names = sorted(f.name for f in separate.iterdir())
-        assert len(names) == 13 and sorted(f.name for f in (tmp_path / "figure").iterdir()) == names
+        assert len([f for f in names if f.endswith(".csv")]) == 5 * len(runs)
+        assert sorted(f.name for f in (tmp_path / "figure").iterdir()) == names
         for f in names:
             assert (tmp_path / "figure" / f).read_bytes() == (separate / f).read_bytes(), f
 
@@ -575,37 +587,31 @@ class TestCsvWorkingMemory:
         assert len({(tmp_path / f"{k}.csv").read_bytes() for k in range(12)}) == 1
         assert cli._MAX_THREADS == 8 and len(idle) == 8 and len({id(work) for work in idle}) == 8
 
-    def test_threads_that_miss_the_cache_together_format_the_x_column_once(self, tmp_path, monkeypatch):
-        # two threads released at once write CSVs of one grid that no test has
-        # cached; the x column's format is slowed so that both miss the cache
+    def test_figure_formats_its_x_column_once_before_its_threads(self, tmp_path, monkeypatch):
+        # fig4's two panels share one grid, here uncached: the calling thread
+        # formats its x column once, before any snapshot is solved, so the
+        # snapshot threads' writes take no lock
         import threading
-        import time
 
-        barrier, format_g17, columns = threading.Barrier(2), cli._format_g17, []
+        events, format_g17, solve_snapshot = [], cli._format_g17, cli.solve_snapshot
 
-        def slow_column(values, work=None, out=None):
+        def format_logged(values, work, out):
             if np.ndim(values) == 1:  # the x column; the value blocks are (rows, 6)
-                columns.append(values.size)
-                time.sleep(0.1)
+                events.append(("x", values.size, threading.get_ident()))
             return format_g17(values, work, out)
 
-        grid = SpatialGrid(7.375, 16)
-        field = BlochField(grid=grid, **{name: np.full(16, 0.25) for name in
-                                         ("rho_plus", "c_i", "rho_minus", "c_r")})
-        monkeypatch.setattr(cli, "_format_g17", slow_column)
+        def solve_logged(scenario, t):
+            events.append(("solve", t, threading.get_ident()))
+            return solve_snapshot(scenario, t)
 
-        def write(k):
-            barrier.wait(timeout=30)
-            cli.write_snapshot_csv(tmp_path / f"{k}.csv", field)
-
-        threads = [threading.Thread(target=write, args=(k,)) for k in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert columns == [16]
-        assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+        cli._node_slots.cache_clear()
+        monkeypatch.setattr(cli, "_format_g17", format_logged)
+        monkeypatch.setattr(cli, "solve_snapshot", solve_logged)
+        cli.run_figure("fig4", tmp_path, threads=2)
+        caller = threading.get_ident()
+        assert [event for event in events if event[0] == "x"] == [events[0]] == [("x", 8192, caller)]
+        solvers = {ident for kind, _, ident in events if kind == "solve"}
+        assert len(events) == 11 and caller not in solvers
 
     def test_warm_write_allocates_no_array_temporaries(self, tmp_path):
         # numpy reports its buffers to tracemalloc, so whatever the allocator
@@ -726,6 +732,7 @@ class TestMain:
         (dict(TINY_CONFIG, p="0.5"), "p must be a number"),
         # a gridless run whose planned grid cannot resolve the solution under MAX_POINTS
         (dict(GRIDLESS_CONFIG, times=[1e300]), "nodes per solution width"),  # mass-0 CSV, dx 2.4e292
+        (dict(GRIDLESS_CONFIG, gamma_p=1e-300, times=[1e-300]), "underflows to 0"),  # sqrt(4 gamma_p t) is 0.0
         # grids, planned or explicit, too coarse for the earliest snapshot
         (dict(GRIDLESS_CONFIG, sigma1=1e-300), "nodes per solution width"),  # NaN at x = 0 at t = 0
         (dict(TINY_CONFIG, half_width=1e300), "nodes per solution width"),   # grid mass 6.8e296 at t = 0
@@ -749,6 +756,7 @@ class TestMain:
             "sigma1-nan", "a-nan", "k-inf", "b-nan", "k-nan", "r-nan", "q-nan",
             "reach-closed", "reach-spectral", "reach-huge-time",
             "gamma_p-bool", "time-bool", "sigma1-bool", "p-numeric-string", "gridless-huge-time",
+            "gridless-width-underflow",
             "planned-grid-coarse-at-t0", "explicit-grid-coarse-at-t0",
             "unknown-key", "other-shape-key", "laplace-coherent-scale",
             "json-number", "json-list", "ic-list", "closed-general", "closed-gamma_z-gaussian",
@@ -761,27 +769,18 @@ class TestMain:
         assert not list(out.glob("*.csv"))
         assert key in capsys.readouterr().err
 
-    def test_non_finite_field_exits_2_before_its_csv(self, tmp_path):
-        # at gamma_z = 1e308 the spectral symbol overflows and the solved field
-        # is NaN; it ran in a new interpreter, where RuntimeWarning is not the
-        # error that this suite's settings make it
+    def test_non_finite_field_exits_2_before_its_csv(self, tmp_path, capsys):
+        # at gamma_z = 1e308, 2 gamma_z overflows and the spectral symbol refuses
+        # its cubic as not finite, before any t > 0 field is solved
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(dict(GRIDLESS_CONFIG, gamma_z=1e308, omega=1e-2,
                                                method="spectral")))
         out = tmp_path / "out"
-        code = (
-            "import contextlib, io\n"
-            "from oqbm import cli\n"
-            "err = io.StringIO()\n"
-            "with contextlib.redirect_stderr(err):\n"
-            f"    code = cli.main(['solve', '--config', {str(config_path)!r}, '--out', {str(out)!r}])\n"
-            "print(code, 'not finite' in err.getvalue())"
-        )
-        assert _fresh_python(code) == "2 True"
-        assert not any("nan" in f.read_text() for f in out.glob("*.csv"))
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
         assert not (out / "snapshot_manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow the CLI also lets pass
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_solve_leaves_no_partial_output(self, tmp_path, threads):
         # t = 0 is written before t = 50 is refused as not finite; the run
@@ -811,6 +810,43 @@ class TestMain:
         assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
         assert not list(out.iterdir())
         assert "overflows a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, error, message", [
+        # b = 2 gamma_z = 1.2e163: b^2 overflows, and the Newton step of
+        # spectral.symbol_eigenvalues raised a bare RuntimeWarning
+        ({"gamma_p": 1.5474684268632542e-81, "gamma_z": 5.910358476285108e+162,
+          "delta": 3.1145913361538467e-54, "omega": 5.280614470749352e-22, "ic": "uniform_mixture",
+          "p": 0.27938736325923125, "a": 0.9706616868286976, "b": 0.8927157862158362,
+          "times": [0, 2.1347477165500216e-37], "half_width": 3.1943462397832083, "n_points": 256},
+         NonFinite, "the symbol's cubic is not finite in a float"),
+        # where the pair meets, e^2 in the discriminant's rate form overflowed
+        # (a bare RuntimeWarning) before _pow's typed refusal of b^4
+        ({"gamma_p": 1.6300394031243072e-48, "gamma_z": 3.772370071624214e+78,
+          "delta": 5.259136898058045e+76, "omega": 1.1671369162685816e+63, "ic": "gaussian_mixture",
+          "p": 0.2883794045942554, "sigma1": 1.7863778950367435, "sigma2": 1.3883627226048696,
+          "times": [0.0, 2.4805418285993435e-81], "half_width": 21.096825907307633, "n_points": 256,
+          "method": "spectral"},
+         NonFinite, "overflows a float"),
+        # there, too, the float product w^2 (b^2 - 4 w) overflowed to inf with no
+        # warning, and the infinite eigenvalue raised a bare RuntimeWarning in _putzer_weights
+        ({"gamma_p": 1e-3, "gamma_z": 3.639182792899376e+66, "delta": 5.3075973197124406e+63,
+          "omega": 4.366673548831189e+64, "ic": "gaussian_mixture", "p": 0.75, "sigma1": 1.0,
+          "sigma2": 2.0, "times": [0.0, 1e-66], "half_width": 24.0, "n_points": 1024, "method": "spectral"},
+         NonFinite, "the discriminant of the symbol's eigenvalue pair overflows a float"),
+        # fig4-right's data where 2 gamma_p t underflows: specfun._erfc_pair
+        # divided by it on the closed gamma_z = 0 route, and the field was NaN
+        (dict(cli.FIGURES["fig4"]["configs"]["right"], gamma_p=1e-300, times=[0, 1e-30], method="closed"),
+         NonPositiveDiffusion, "the diffusion width 2 gamma_p t underflows to 0"),
+    ], ids=["newton-overflow", "meet-e-squared", "meet-discriminant", "closed-gamma_z-zero-width"])
+    def test_rates_at_the_float_range_are_typed_refusals(self, tmp_path, config, error, message, capsys):
+        with pytest.raises(error, match=message):
+            cli.run_solve(config, tmp_path / "solve", threads=1)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "main"
+        assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 2
+        assert not list(out.iterdir())
+        assert message in capsys.readouterr().err
 
     def test_overflowing_delta0_angle_is_typed(self, tmp_path, capsys):
         # 2 omega overflows, and math.cos(inf) in delta0.internal_matrix raised
@@ -934,6 +970,53 @@ def test_accepted_configs_solve_or_raise_typed_errors(rng):
         except OqbmError:
             continue
     assert routes == {"initial", "closed[omega]", "closed[delta]", "closed[gamma_z]", "spectral"}
+
+
+def _wide_config(rng) -> dict:
+    """Rates and t log-uniform in [1e-200, 1e200], one of gamma_z, delta, omega
+    zeroed in half the draws, shapes and methods uniform, times [0, t], and an
+    explicit 256-node grid of half-width log-uniform in [1, 100] in half the draws."""
+    config = {key: _log_uniform(rng, 1e-200, 1e200) for key in ("gamma_p", "gamma_z", "delta", "omega")}
+    if rng.uniform() < 0.5:
+        config[str(rng.choice(["gamma_z", "delta", "omega"]))] = 0.0
+    ic, method = str(rng.choice(sorted(cli.SHAPES))), str(rng.choice(["auto", "closed", "spectral"]))
+    config = dict(_random_config(rng, ic, method), **config, times=[0.0, _log_uniform(rng, 1e-200, 1e200)])
+    if rng.uniform() < 0.5:
+        config.update(half_width=_log_uniform(rng, 1.0, 100.0), n_points=256)
+    return config
+
+
+def test_wide_range_configs_solve_or_raise_typed_errors(monkeypatch):
+    # rates and times across the float range, so that extreme rates reach the
+    # solvers through the small explicit grids and not only the planner; plans
+    # above 2^15 nodes are skipped before their grid is made
+    class Skipped(Exception):
+        pass
+
+    def small_grid(half_width, n_points):
+        if n_points > 1 << 15:
+            raise Skipped
+        return SpatialGrid(half_width, n_points)
+
+    monkeypatch.setattr(cli, "SpatialGrid", small_grid)
+    counts = collections.Counter()
+    for seed in range(1, 11):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            config = _wide_config(rng)
+            try:
+                scenario = cli.build_scenario(config)
+                for t in scenario.times:
+                    field = cli.solve_snapshot(scenario, t)[1]
+                    for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+                        assert np.all(np.isfinite(getattr(field, name))), (config, t, name)
+                counts["solved"] += 1
+            except Skipped:
+                counts["skipped"] += 1
+            except OqbmError:
+                counts["refused"] += 1
+    print("wide-range draws:", dict(counts))
+    assert sum(counts.values()) == 600 and min(counts[k] for k in ("solved", "refused", "skipped")) > 0
 
 
 @pytest.mark.parametrize("rates, times", [
