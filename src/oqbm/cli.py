@@ -232,7 +232,8 @@ _STAMP = 3  # words of t's text; the longest .17g text, "-1.2345678901234567e-10
 _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
-_ROWS_PER_CHUNK = 2048
+_ROWS_PER_CHUNK = 4096
+_KERNEL_ROWS, _FLAG_ROWS = 9, 4  # _format_g17's temporaries: rows of words and of flags
 _LINE = 8 * (_STAMP + 7 * _WORDS)  # a CSV row before its NUL bytes go: t and seven fields
 _NEWLINE = ord("\n") << 56  # the row's "\n", in byte 31 of its last field
 
@@ -261,7 +262,8 @@ def _g17_tables() -> tuple:
     0000..9999, the index of the last significant digit (-99 for 0000); by
     X - _POW_MIN, the prefix word (of a negative v at that plus the count of
     exponents), the digits before the point (1 in the exponent form) and the
-    exponent word; 0000..9999 as 4-byte words; and
+    exponent word; 0000..9999 as 4-byte words, in the low and the high half
+    of a word; and
     word by word, in 0x7F bytes (all text is ASCII), masks that keep d2..dL
     (L = 0..17), and for a point after dq (q = 1..16; none for q = 0) masks
     of the digits before and after it, and the point.
@@ -289,23 +291,23 @@ def _g17_tables() -> tuple:
     keep, low, high, point = (np.where(rule, byte, 0).astype(np.uint8).view("<i8")[..., 0].T.copy()
                               for rule, byte in ((b + 2 <= k, 0x7F), (b < dot, 0x7F), (b > dot, 0x7F),
                                                  ((b == dot) & (k > 0), ord("."))))
-    return (hi, lo, *_split(hi), bound, ends, prefix, before, exps, chunks,
+    return (hi, lo, *_split(hi), bound, ends, prefix, before, exps, chunks, chunks << 32,
             keep[:2], low[:2], high, point[:2])
 
 
 class _Scratch:
     """Working memory of one CSV chunk, reused chunk after chunk: of
-    :func:`_format_g17` for its 6 * _ROWS_PER_CHUNK values, 141 bytes a value
-    (17 rows of words and 5 of flags: every temporary), and of
+    :func:`_format_g17` for its 6 * _ROWS_PER_CHUNK values, 76 bytes a value
+    (9 rows of words and 4 of flags: every temporary), and of
     :func:`write_snapshot_csv` for its _ROWS_PER_CHUNK rows, 296 bytes a row
     (the six columns 48, the row text 248) and a mask of the text's bytes
     kept in the memory of ``words``, which the kernel no longer needs once a
-    chunk's text is made."""
+    chunk's text is made; 752 bytes a row in all."""
 
     def __init__(self):
         size, rows = 6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK
-        self.words = np.empty((17, size), np.int64)
-        self.flags = np.empty((5, size), np.bool_)
+        self.words = np.empty((_KERNEL_ROWS, size), np.int64)
+        self.flags = np.empty((_FLAG_ROWS, size), np.bool_)
         self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
         self.text = np.empty(rows * _LINE, np.uint8)  # the CSV rows, NUL bytes and all
         self.rows = self.text.view("<i8").reshape(rows, _LINE // 8)
@@ -346,47 +348,51 @@ def _format_g17(values: np.ndarray, work: _Scratch, out: np.ndarray) -> np.ndarr
     non-finite values and |v| outside that range, are formatted one at a
     time by ``format`` itself.
     """
-    (hi, lo, hi_hi, hi_lo, bound, ends, prefix, before, exps, chunks,
+    (hi, lo, hi_hi, hi_lo, bound, ends, prefix, before, exps, chunks, chunks_hi,
      keep, low, high, point) = _g17_tables()
     v, shape = np.ravel(values), np.shape(values)
     n = v.size
-    # every temporary sits in a row of n words, as floats f or integers i, or of flags
-    i = work.words.reshape(-1)[:17 * n].reshape(17, n)
+    # every temporary sits in a row of n words, as floats f or integers i, or
+    # of flags; a row is reused as soon as its value is dead, so at most
+    # _KERNEL_ROWS rows are live at once (at the chunk words and the high mask)
+    i = work.words.reshape(-1)[:_KERNEL_ROWS * n].reshape(_KERNEL_ROWS, n)
     f = i.view(np.float64)
-    zero, fast, mask, carry, exact = work.flags.reshape(-1)[:5 * n].reshape(5, n)
+    zero, fast, mask, exact = work.flags.reshape(-1)[:_FLAG_ROWS * n].reshape(_FLAG_ROWS, n)
     a = np.abs(v, out=f[0])
     np.equal(a, 0.0, out=zero)
     np.greater_equal(a, _FAST_MIN, out=fast)
     fast &= np.less_equal(a, _FAST_MAX, out=mask)
     np.copyto(a, 1.0, where=np.logical_not(fast, out=mask))  # no log10(0) or cast of NaN below
     fast |= zero
-    x, k = i[7], i[8]
-    np.copyto(x, np.floor(np.log10(a, out=f[8]), out=f[8]), casting="unsafe")
-    np.less(a, np.take(bound, np.subtract(x, _POW_MIN, out=k), mode="clip", out=f[5]), out=mask)
+    x, k = i[7], i[1]
+    np.copyto(x, np.floor(np.log10(a, out=f[1]), out=f[1]), casting="unsafe")
+    np.less(a, np.take(bound, np.subtract(x, _POW_MIN, out=k), mode="clip", out=f[2]), out=mask)
     x -= mask  # a < 10^x
-    np.greater_equal(a, np.take(bound, np.subtract(x, _POW_MIN - 1, out=k), mode="clip", out=f[5]),
+    np.greater_equal(a, np.take(bound, np.subtract(x, _POW_MIN - 1, out=k), mode="clip", out=f[2]),
                      out=mask)
     x += mask  # a >= 10^(x + 1)
     np.subtract(16 - _POW_MIN, x, out=k)
-    a_hi, a_lo = _split(a, out=(f[1], f[2]))
-    p = np.multiply(a, np.take(hi, k, mode="clip", out=f[5]), out=f[3])
+    a_hi, a_lo = _split(a, out=(f[2], f[3]))
+    p = np.multiply(a, np.take(hi, k, mode="clip", out=f[4]), out=f[4])
+    g_lo = np.take(lo, k, mode="clip", out=f[5])
+    np.equal(g_lo, 0.0, out=exact)  # 10^(16 - X) is a double
+    last = np.multiply(a, g_lo, out=a)  # the last term of q; a is not read again
     g_hi, g_lo = np.take(hi_hi, k, mode="clip", out=f[5]), np.take(hi_lo, k, mode="clip", out=f[6])
     # q = (((a_hi g_hi - p) + a_hi g_lo + a_lo g_hi) + a_lo g_lo) + a lo[k], term by term
-    q = np.multiply(a_hi, g_hi, out=f[4])
+    q = np.multiply(a_hi, g_hi, out=f[1])
     q -= p
     q += np.multiply(a_hi, g_lo, out=a_hi)
     q += np.multiply(a_lo, g_hi, out=g_hi)
     q += np.multiply(a_lo, g_lo, out=a_lo)
-    np.take(lo, k, mode="clip", out=g_lo)
-    np.equal(g_lo, 0.0, out=exact)  # 10^(16 - X) is a double
-    q += np.multiply(a, g_lo, out=g_lo)
-    s = np.add(p, q, out=a)
+    q += last
+    s = np.add(p, q, out=f[0])
     t = np.subtract(q, np.subtract(s, p, out=p), out=q)
     near = np.rint(t, out=p)
-    digits = i[1]  # N = s + rint(t), each as an integer
+    digits = i[3]  # N = s + rint(t), each as an integer
     np.copyto(digits, s, casting="unsafe")
-    np.copyto(k, near, casting="unsafe")
-    digits += k
+    np.copyto(i[2], near, casting="unsafe")
+    digits += i[2]
+    carry = mask  # free until the tie test below
     np.equal(digits, 10**17, out=carry)  # 9.99..95e(X) rounds up to 1e(X+1)
     np.copyto(digits, 10**16, where=carry)
     np.copyto(digits, 0, where=zero)
@@ -398,42 +404,44 @@ def _format_g17(values: np.ndarray, work: _Scratch, out: np.ndarray) -> np.ndarr
     slow = np.flatnonzero(mask)
 
     # numpy divides by a scalar several times faster than np.divmod does
-    top = np.floor_divide(digits, 10**8, out=i[8])
-    lead = np.floor_divide(top, 10**8, out=i[0])
-    pair = i[4:6]  # d2..d9 and d10..d17
-    np.subtract(top, np.multiply(lead, 10**8, out=i[2]), out=pair[0])
-    np.subtract(digits, np.multiply(top, 10**8, out=i[3]), out=pair[1])
-    pair -= np.multiply(np.floor_divide(pair, 10**4, out=i[2:4]), 10**4, out=i[9:11])
-    c = i[2:6]  # the 4-digit chunks d2..d5, d10..d13, d6..d9, d14..d17
-    n_digits = np.take(ends[0], c[0], mode="clip", out=i[6])
-    for j in (1, 2, 3):
-        np.maximum(n_digits, np.take(ends[j], c[j], mode="clip", out=i[8]), out=n_digits)
+    top = np.floor_divide(digits, 10**8, out=i[0])
+    lead = np.floor_divide(top, 10**8, out=i[6])
+    c = i[0:4]  # the 4-digit chunks d2..d5, d10..d13, d6..d9, d14..d17
+    pair = c[2:]  # d2..d9 and d10..d17, the latter made in N's row
+    np.subtract(top, np.multiply(lead, 10**8, out=i[1]), out=pair[0])
+    np.subtract(digits, np.multiply(top, 10**8, out=top), out=pair[1])
+    pair -= np.multiply(np.floor_divide(pair, 10**4, out=c[:2]), 10**4, out=i[4:6])
     # every index below is in range, so "clip" only spares np.take the copy
     # it makes of ``out`` under mode="raise"
     x -= _POW_MIN
-    shown = np.take(before, x, mode="clip", out=i[8])
-    dot_at = np.multiply(shown, np.greater(n_digits, shown, out=mask), out=i[1])
-    np.maximum(n_digits, shown, out=n_digits)
-    # d2..d17 as two words w, and as the three words s of w one byte on;
-    # the 24 bytes are w's below the point's byte, the point and s's above it
-    chunk = np.take(chunks, c, mode="clip", out=i[9:13])
-    w = np.bitwise_or(chunk[:2], np.left_shift(chunk[2:], 32, out=chunk[2:]), out=chunk[:2])
-    w &= np.take(keep, n_digits, axis=1, mode="clip", out=i[11:13])
-    s = i[13:16]
-    np.left_shift(w, 8, out=s[:2])
-    np.right_shift(w[1], 56, out=s[2])  # each word's last byte goes to the next word's first
-    s[1] |= np.right_shift(w[0], 56, out=i[16])
-    s &= np.take(high, dot_at, axis=1, mode="clip", out=i[2:5])
-    s[:2] |= np.bitwise_and(w, np.take(low, dot_at, axis=1, mode="clip", out=i[2:4]), out=w)
-    np.bitwise_or(s[:2].reshape((2,) + shape),
-                  np.take(point, dot_at, axis=1, mode="clip", out=i[2:4]).reshape((2,) + shape),
-                  out=np.moveaxis(out[..., 1:3], -1, 0))
-    np.bitwise_or(s[2].reshape(shape), np.take(exps, x, mode="clip", out=i[2]).reshape(shape),
-                  out=out[..., 3])
-    x += np.multiply(np.signbit(v, out=mask), _POW_MAX + 1 - _POW_MIN, out=i[14])  # "-" prefixes: 2nd half
-    head = np.take(prefix, x, mode="clip", out=i[13])
+    # the first word: the prefix and d1 ("-" prefixes: the table's 2nd half)
+    row = np.multiply(np.signbit(v, out=mask), _POW_MAX + 1 - _POW_MIN, out=i[4])
+    row += x
+    head = np.take(prefix, row, mode="clip", out=i[5])
     lead = np.left_shift(np.add(lead, ord("0"), out=lead), 56, out=lead)
     np.bitwise_or(head.reshape(shape), lead.reshape(shape), out=out[..., 0])
+    n_digits = np.take(ends[0], c[0], mode="clip", out=i[4])
+    for j in (1, 2, 3):
+        np.maximum(n_digits, np.take(ends[j], c[j], mode="clip", out=i[5]), out=n_digits)
+    shown = np.take(before, x, mode="clip", out=i[8])
+    s = i[3:6]  # s[2] starts as the exponent word, which every high mask keeps
+    np.take(exps, x, mode="clip", out=s[2])
+    np.greater(n_digits, shown, out=mask)
+    np.maximum(n_digits, shown, out=n_digits)
+    dot_at = np.multiply(shown, mask, out=shown)
+    # d2..d17 as two words w, and as the three words s of w one byte on;
+    # the 24 bytes are w's below the point's byte, the point and s's above it
+    w = np.take(chunks, c[:2], mode="clip", out=i[6:8])
+    w |= np.take(chunks_hi, c[2:], mode="clip", out=c[:2])
+    w &= np.take(keep, n_digits, axis=1, mode="clip", out=i[0:2])
+    np.left_shift(w, 8, out=s[:2])
+    s[1:] |= np.right_shift(w, 56, out=i[0:2])  # each word's last byte goes to the next word's first
+    s &= np.take(high, dot_at, axis=1, mode="clip", out=i[0:3])
+    s[:2] |= np.bitwise_and(w, np.take(low, dot_at, axis=1, mode="clip", out=i[0:2]), out=w)
+    np.bitwise_or(s[:2].reshape((2,) + shape),
+                  np.take(point, dot_at, axis=1, mode="clip", out=i[0:2]).reshape((2,) + shape),
+                  out=np.moveaxis(out[..., 1:3], -1, 0))
+    np.copyto(out[..., 3], s[2].reshape(shape))
     for j in slow:
         out[np.unravel_index(j, shape)] = _words("," + _format(v[j]), 8 * _WORDS)
     return out

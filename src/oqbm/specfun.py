@@ -130,7 +130,9 @@ def heat_kernel(t: float, x, gamma_p: float):
     _require_positive_time(t)
     x = np.asarray(x, dtype=float)
     v = 4.0 * gamma_p * t
-    return np.exp(-x * x / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+    with np.errstate(over="ignore"):  # -inf where v is tiny: exp(-inf) = 0 is the exact limit
+        neg = -x * x / (2.0 * v)
+    return np.exp(neg) / math.sqrt(2.0 * math.pi * v)
 
 
 def heat_uniform(t: float, x, gamma_p: float, a: float):
@@ -166,7 +168,8 @@ def _erfc_pair(t: float, x, gamma_p: float, c: float):
     x = np.asarray(x, dtype=float)
     v = 4.0 * gamma_p * t
     s = math.sqrt(2.0 * v)
-    neg = -x * x / (2.0 * v)
+    with np.errstate(over="ignore"):  # -inf where v is tiny: exp(-inf) = 0 is the exact limit
+        neg = -x * x / (2.0 * v)
     halves = []
     for sign in (-1.0, 1.0):
         b = (c * v + sign * x) / s

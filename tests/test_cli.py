@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,7 +509,7 @@ class TestCsvWorkingMemory:
     """CSV writes share per-grid x text and reuse working memory across
     chunks, files and threads; none of it may leak between writes."""
 
-    @pytest.mark.parametrize("n_points", [256, 8192])  # under one chunk, and eight chunks
+    @pytest.mark.parametrize("n_points", [256, 8192])  # under one chunk, and two whole chunks
     def test_two_threads_write_the_bytes_of_one(self, tmp_path, n_points):
         import threading
 
@@ -631,6 +632,15 @@ class TestCsvWorkingMemory:
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
         assert peak <= cli._ROWS_PER_CHUNK * cli._LINE + 16 * 1024, peak
 
+    def test_scratch_holds_752_bytes_a_row(self):
+        # per CSV row: the kernel's 9 rows of words and 4 of flags for six
+        # values (456 bytes), the six columns (48) and the row text (248);
+        # the rows and the NUL mask are views of that memory
+        work = cli._Scratch()
+        owned = [a for a in vars(work).values() if isinstance(a, np.ndarray) and a.base is None]
+        assert len(owned) == 4
+        assert sum(a.nbytes for a in owned) <= 752 * cli._ROWS_PER_CHUNK
+
     def test_x_column_of_a_large_grid_in_chunks(self):
         # 2^20 nodes: the x column's text (32 bytes a node) and one idle
         # working memory, not a whole-column one (about 450 MB more)
@@ -699,6 +709,23 @@ class TestMain:
         start, end = (np.loadtxt(tmp_path / f"snapshot_t{tag}.csv", delimiter=",", skiprows=1)
                       for tag in ("0", "1em30"))
         assert np.array_equal(start[:, [2, 3, 6, 7]], end[:, [2, 3, 6, 7]])
+
+    @pytest.mark.parametrize("t", [1e-20, 1e-10, 1e-8])
+    def test_tiny_diffusion_width_on_the_driven_route_is_warning_free(self, tmp_path, t):
+        # 2 gamma_p t is tiny but not 0: x^2 / (4 gamma_p t) overflowed in
+        # specfun._erfc_pair, a RuntimeWarning, where exp(-inf) = 0 is the
+        # exact limit.  Over so short a time the field keeps its t = 0 values
+        config = dict(cli.FIGURES["fig4"]["configs"]["right"], gamma_p=1e-300, method="closed",
+                      n_points=1024, times=[0.0, t])
+        config_path, out = tmp_path / "run.json", tmp_path / "out"
+        config_path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+        files = json.loads((out / "snapshot_manifest.json").read_text())["files"]
+        assert [f["solver"] for f in files.values()] == ["initial", "closed[gamma_z]"]
+        start, end = (np.loadtxt(out / f["file"], delimiter=",", skiprows=1) for f in files.values())
+        assert np.max(np.abs(end[:, 2:] - start[:, 2:])) < 1e-10
 
     @pytest.mark.parametrize("config, key", [
         # eps_tail is no setting: the tail rule reads core.DEFAULT_EPS_TAIL
