@@ -468,15 +468,17 @@ class TestCsvKernel:
         assert (~was_fast[:10_000]).sum() > 500 and at_fast.size > 8_000
         self.assert_matches_format(second, work)
 
-    @pytest.mark.parametrize("rows", [cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK,
+    @pytest.mark.parametrize("rows", [2047, 2048, 2049, cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK,
                                       cli._ROWS_PER_CHUNK + 1, 2 * cli._ROWS_PER_CHUNK + 1])
     def test_rows_across_the_chunks_of_a_write(self, tmp_path, rows):
-        # the real chunk length: a part chunk, a whole one, and one row beyond
+        # the real chunk length: part chunks around 2,048 rows and just short of
+        # a whole one, a whole one, and one row beyond one and two chunks
         field = _table(_Rows(rows), rows)
         cli.write_snapshot_csv(tmp_path / "s.csv", field)
         assert (tmp_path / "s.csv").read_text() == _csv_text(field)
 
-    @pytest.mark.parametrize("rows", [cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK, cli._ROWS_PER_CHUNK + 1])
+    @pytest.mark.parametrize("rows", [2047, 2048, 2049, cli._ROWS_PER_CHUNK - 1, cli._ROWS_PER_CHUNK,
+                                      cli._ROWS_PER_CHUNK + 1])
     @pytest.mark.parametrize("value, length", [(0.0, 1), (-1.2345678901234567e-100, 24)],
                              ids=["all-zero", "all-24-characters"])
     def test_rows_of_the_most_and_fewest_nul_bytes(self, tmp_path, rows, value, length):
