@@ -39,7 +39,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -91,6 +91,7 @@ class Scenario:
     grid: SpatialGrid
     method: str  # "auto" | "closed" | "spectral"
     route: str   # choose_route: the solver of every t > 0 snapshot
+    symbol: object = field(default=None, compare=False, repr=False)  # spectral.SharedSymbol, in a run
 
 
 def _need(config: dict, key: str):
@@ -213,7 +214,8 @@ def solve_snapshot(scenario: Scenario, t: float) -> tuple:
     if t == 0.0:
         return "initial", sample_initial(scenario.ic, scenario.grid)
     solver = getattr(_route_module(scenario.route), _SOLVERS[scenario.route][1])
-    return scenario.route, solver(scenario.params, scenario.ic, t, scenario.grid)
+    shared = {} if scenario.symbol is None else {"symbol": scenario.symbol}
+    return scenario.route, solver(scenario.params, scenario.ic, t, scenario.grid, **shared)
 
 
 def _format(v: float) -> str:
@@ -509,13 +511,21 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
 
 def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
     """run_solve of each {prefix: config}, all snapshots on one pool; returns
-    {prefix: manifest}.  Every scenario is built before any file is written."""
+    {prefix: manifest}.  Every scenario is built before any file is written.
+    Before the snapshot threads start, each grid's x text is formatted, and
+    the spectral-route scenarios that share rates and grid (fig4's and fig5's
+    panels) get one spectral.SharedSymbol for the run."""
     if threads < 0:
         raise ConfigError(f"threads must be >= 0 (0 = auto), got {threads}")
     scenarios = {prefix: build_scenario(config) for prefix, config in configs.items()}
-    for scenario in scenarios.values():  # each grid's x text, before any snapshot thread runs
-        _node_slots(scenario.grid)
+    shared = collections.defaultdict(list)  # (params, grid) -> t > 0 of its spectral-route snapshots
+    for s in scenarios.values():
+        _node_slots(s.grid)
+        shared[s.params, s.grid] += [t for t in s.times if t > 0.0 and s.route == "spectral"]
     out_dir.mkdir(parents=True, exist_ok=True)
+    symbols = {key: _route_module("spectral").SharedSymbol(*key, times) for key, times in shared.items() if times}
+    scenarios = {prefix: replace(s, symbol=symbols.get((s.params, s.grid)) if s.route == "spectral" else None)
+                 for prefix, s in scenarios.items()}
     written = []
 
     def compute(task: tuple):

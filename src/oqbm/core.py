@@ -549,8 +549,9 @@ def initial_mass(ic: InitialCondition) -> float:
     half_width = 2.0 ** math.ceil(math.log2(width))
     _check_tail(ic, half_width)
     dx = grid_spacing(half_width, MASS_POINTS)
-    x = -half_width + dx * np.arange(MASS_POINTS)
-    density = np.asarray(ic.rho11(x), dtype=float) + np.asarray(ic.rho22(x), dtype=float)
+    x, density = -half_width + dx * np.arange(MASS_POINTS), np.empty(MASS_POINTS)
+    for xs, out in zip(np.split(x, MASS_POINTS >> 14), np.split(density, MASS_POINTS >> 14)):  # blocks in L2
+        np.add(np.asarray(ic.rho11(xs), dtype=float), np.asarray(ic.rho22(xs), dtype=float), out=out)
     fine = float(np.trapezoid(density, dx=dx))
     coarse = float(np.trapezoid(density[::2], dx=2.0 * dx))
     return fine + (fine - coarse) / 3.0

@@ -32,6 +32,7 @@ the other frequencies (:func:`_live`) are evaluated, the rest zero-filled.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -224,8 +225,9 @@ def _exp_dd3_series(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarra
     return total
 
 
-def _putzer_weights(xis: np.ndarray, p: Params, t: float) -> tuple:
-    """(z1, z2, e[z1], e[z1, z2], e[z1, z2, z3]) for A = t Q(xi), each of shape (m,).
+def _putzer_weights(xis: np.ndarray, p: Params, t: float, lam=None) -> tuple:
+    """(z1, z2, e[z1], e[z1, z2], e[z1, z2, z3]) for A = t Q(xi), each of shape (m,);
+    ``lam`` is symbol_eigenvalues(xis, p), if the caller holds it.
 
     z1, z2, z3 are the eigenvalues of A, each row with its closest pair last,
     so |z1 - z3| is at least half the spread of the three points; e[...] are
@@ -234,7 +236,7 @@ def _putzer_weights(xis: np.ndarray, p: Params, t: float) -> tuple:
     (z1 - z3) elsewhere.  Its own function, so that the temporaries are gone
     before _apply_exp forms its vectors.
     """
-    z = t * symbol_eigenvalues(xis, p)
+    z = t * (symbol_eigenvalues(xis, p) if lam is None else lam)
     gap = np.abs(z - np.roll(z, -1, axis=1))  # gap[:, j] = |z_j - z_(j+1)|
     first = (np.argmin(gap, axis=1) + 2) % 3
     z = np.take_along_axis(z, (first[:, None] + np.arange(3)) % 3, axis=1)
@@ -257,7 +259,7 @@ def _live(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
         return ~(t * (2.0 * p.gamma_p * (xis * xis)) >= _FLUSH)
 
 
-def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray]) -> tuple:
+def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray], symbol=None) -> tuple:
     """exp(t Q(xi)) v by Putzer's formula, for v = (v0, v1, v2) whose last axis
     runs over ``xis``; returns the three components of the result.
 
@@ -267,11 +269,12 @@ def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray]) ->
         w1 = (A - z1) v,  w2 = (A - z2) w1,
 
     holds whether or not the eigenvalues are distinct.  A is applied through
-    its five distinct nonzero entries; no 3x3 matrix is formed.
+    its five distinct nonzero entries; no 3x3 matrix is formed.  The weights
+    come from ``symbol``, a :class:`SharedSymbol`, where it is given.
     """
     if t < 0.0:
         raise NonPositiveTime(f"exp(t Q) needs t >= 0, got {t}")
-    z1, z2, e1, e12, e123 = _putzer_weights(xis, p, t)
+    z1, z2, e1, e12, e123 = _putzer_weights(xis, p, t) if symbol is None else symbol.weights(t)
     lap = -2.0 * p.gamma_p * xis**2
     a00, a11 = t * lap, t * (lap - 2.0 * p.gamma_z)  # a22 = a00
     a02 = t * (-2j * xis * p.delta)                   # a20 = a02
@@ -286,6 +289,31 @@ def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray]) ->
     w1 = shifted(z1, v)
     w2 = shifted(z2, w1)
     return tuple(e1 * a + e12 * b + e123 * c for a, b, c in zip(v, w1, w2))
+
+
+class SharedSymbol:
+    """Eigenvalues and Putzer weights of one run's spectral snapshots on one
+    rate set and grid, ``times`` their t > 0 (a t per snapshot).  The eigenvalues
+    are taken once, on the live prefix of the earliest t, which holds every later
+    prefix; each row's are its own in any batch, so slices keep every bit.  A
+    t's weights are made by its first snapshot (the rest wait on its lock) and
+    dropped after its last."""
+
+    def __init__(self, p: Params, grid: SpatialGrid, times: Sequence[float]):
+        self._p, self._xis = p, grid.half_nodes[: np.count_nonzero(_live(grid.half_nodes, p, min(times)))]
+        self._lam = symbol_eigenvalues(self._xis, p)
+        self._slots = {t: [threading.Lock(), times.count(t), None] for t in set(times)}  # lock, uses, weights
+
+    def weights(self, t: float) -> tuple:
+        """:func:`_putzer_weights` at t on the live prefix at t."""
+        slot = self._slots[t]
+        with slot[0]:
+            if slot[2] is None:
+                m = np.count_nonzero(_live(self._xis, self._p, t))
+                slot[2] = _putzer_weights(self._xis[:m], self._p, t, self._lam[:m])
+            slot[1] -= 1
+            weights, slot[2] = slot[2], slot[2] if slot[1] else None  # the last use drops them
+        return weights
 
 
 def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
@@ -330,7 +358,7 @@ def green_function(p: Params, t: float, grid: SpatialGrid) -> np.ndarray:
     return entries
 
 
-def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> BlochField:
+def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid, symbol=None) -> BlochField:
     """Propagate the initial data to time t in Fourier space, on the half nodes.
 
     Equivalent to convolving with the Green's matrix (one transform less).
@@ -344,7 +372,8 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     one real inverse transform.  Both factors are evaluated only on the half
     nodes where they can be nonzero (:func:`_live`): the others are exactly
     zero in double precision, so they are zero-filled and the field keeps
-    its bits.  At t = 0 the sampled initial data returns.
+    its bits.  At t = 0 the sampled initial data returns.  A run's snapshots
+    share their :class:`SharedSymbol`; each keeps the bits it gets alone.
     """
     if t == 0.0:
         return sample_initial(ic, grid)
@@ -355,7 +384,7 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
         u0 = sample_initial(ic, grid)
         hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
     evolved = np.zeros((4, half.size), dtype=complex)
-    evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3])
+    evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3], symbol)
     evolved[3, : xis.size] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
     rho_plus, c_i, rho_minus, c_r = grid.real_inverse(evolved)
     return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)

@@ -300,6 +300,27 @@ class TestOutputs:
         for f in names:
             assert (tmp_path / "figure" / f).read_bytes() == (separate / f).read_bytes(), f
 
+    def test_a_run_solves_each_symbol_once(self, tmp_path, monkeypatch):
+        # fig4's panels share rates, grid and times: one eigenvalue set for
+        # the run and one weight set per t > 0, on one thread or two, and a
+        # second run computes its own (nothing outlives a run); the 15 t > 0
+        # snapshots of a general-rate solve take one eigenvalue set
+        calls = collections.Counter()
+        for name in ("symbol_eigenvalues", "_putzer_weights"):
+            def counted(*args, _name=name, _fn=getattr(spectral, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectral, name, counted)
+        for threads in (1, 2, 2):
+            calls.clear()
+            cli.run_figure("fig4", tmp_path / "fig4", threads=threads)
+            assert calls == {"symbol_eigenvalues": 1, "_putzer_weights": 4}, threads
+        calls.clear()
+        times = [150.0 * k / 15 for k in range(16)]
+        config = {k: v for k, v in GENERAL_CONFIG.items() if k not in ("half_width", "n_points")}
+        cli.run_solve(dict(config, times=times), tmp_path / "general", threads=2)
+        assert calls == {"symbol_eigenvalues": 1, "_putzer_weights": 15}
+
 
 def _powers_of_ten_and_neighbours():
     values = []

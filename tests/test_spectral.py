@@ -739,6 +739,70 @@ def _heat_factor(p, t, xis):
     return np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
 
 
+class TestSharedSymbol:
+    """A run takes Q's eigenvalues once, on the live prefix of its earliest
+    t > 0, and slices them for every later t (spectral.SharedSymbol)."""
+
+    def test_eigenvalues_of_a_prefix_are_the_rows_of_the_whole(self, rng):
+        # seeded rates, with the meeting pair gamma_z = 2 omega, omega = 0 and
+        # delta = 0 among them, and zero and subnormal xi among the frequencies
+        draws = [Params(*10.0 ** rng.uniform(-4.0, 1.0, 4)) for _ in range(30)]
+        for gp, gz, dl, om in 10.0 ** rng.uniform(-4.0, 1.0, (10, 4)):
+            draws += [Params(gp, 2.0 * om, dl, om), Params(gp, gz, dl, 0.0), Params(gp, gz, 0.0, om)]
+        draws.append(CRITICAL)
+        for p in draws:
+            xis = np.sort(np.concatenate([[0.0, 5e-324, 1e-310, 1e-170], 10.0 ** rng.uniform(-8.0, 2.0, 60)]))
+            whole = spectral.symbol_eigenvalues(xis, p)
+            for m in rng.choice(np.arange(1, xis.size), 8, replace=False):
+                assert spectral.symbol_eigenvalues(xis[:m], p).tobytes() == whole[:m].tobytes(), (p, m)
+
+    def test_live_prefix_at_a_later_time_is_a_prefix_of_the_earlier(self, rng):
+        cut = 0
+        for _ in range(40):
+            p = Params(*10.0 ** rng.uniform(-4.0, 1.0, 4))
+            half = SpatialGrid(10.0 ** rng.uniform(0.5, 2.5), 2 ** int(rng.integers(8, 13))).half_nodes
+            live = [spectral._live(half, p, t) for t in np.sort(10.0 ** rng.uniform(-2.0, 4.0, 6))]
+            counts = [np.count_nonzero(mask) for mask in live]
+            assert all(mask[:m].all() for mask, m in zip(live, counts))  # every live set is a prefix
+            assert counts == sorted(counts, reverse=True)
+            cut += len(set(counts)) > 1
+        assert cut > 10
+
+    def test_snapshots_through_one_symbol_keep_their_bits(self):
+        # two panels' worth of general-rate snapshots, each t twice: the same
+        # fields as solve alone, and each time's weights gone after its last use
+        p, ic, t_max, grid = _general_draw(2)
+        times = [t_max * k / 5 for k in range(1, 6)] * 2
+        symbol = spectral.SharedSymbol(p, grid, times)
+        for t in times:
+            shared, alone = spectral.solve(p, ic, t, grid, symbol), spectral.solve(p, ic, t, grid)
+            for name in ("rho_plus", "c_i", "rho_minus", "c_r"):
+                assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), (t, name)
+        assert all(slot[1:] == [0, None] for slot in symbol._slots.values())
+
+    def test_concurrent_snapshots_make_each_weight_set_once(self, monkeypatch):
+        # more threads than cores, switching often: each time's weights are
+        # made once, every snapshot of it gets that set, and its last use drops it
+        import collections
+        import concurrent.futures
+        import sys
+
+        made, putzer_weights = collections.Counter(), spectral._putzer_weights
+        monkeypatch.setattr(spectral, "_putzer_weights", lambda *args: made.update([args[2]]) or putzer_weights(*args))
+        times = [5.0, 10.0, 20.0, 40.0] * 8
+        symbol = spectral.SharedSymbol(GENERAL, SpatialGrid(28.0, 2048), times)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(symbol.weights, times, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert made == collections.Counter(set(times))
+        assert all(len({id(w) for t, w in zip(times, got) if t == u}) == 1 for u in set(times))
+        assert all(slot[1:] == [0, None] for slot in symbol._slots.values())
+
+
 class TestFlushedSpectrum:
     """Past 2 gp xi^2 t = spectral._FLUSH, exp(t Q) and the c_r factor are
     exactly zero, so solve and exp_symbols evaluate only the other nodes."""
