@@ -16,7 +16,8 @@ before it is allocated.  Config files are UTF-8 JSON whose values must be
 JSON numbers within the float range, not booleans or strings; a key that is
 neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
 explicit n_points may not exceed core.MAX_POINTS.  The default output
-directory comes from $OQBM_OUT_DIR, falling back to the current directory.
+directory comes from $OQBM_OUT_DIR, falling back to the current directory;
+a rerun into it rewrites each file in place and cuts its old tail.
 choose_route fixes each scenario's t > 0 route before any CSV: gamma_z = 0
 takes its closed form only under ``method: "closed"``, and that method with
 no closed form is refused.
@@ -473,7 +474,7 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
     nodes = _node_slots(field.grid)
     work = _idle_scratch()
     try:
-        with open(path, "wb") as fh:
+        with _open_output(path) as fh:
             fh.write((CSV_HEADER + "\n").encode())
             work.rows[:, :_STAMP] = _words(_format(field.time), 8 * _STAMP)
             for start in range(0, len(nodes), _ROWS_PER_CHUNK):
@@ -486,6 +487,7 @@ def write_snapshot_csv(path: Path, field: BlochField) -> None:
                 # numpy's mask and copy release the GIL, so snapshot threads strip at once
                 text = work.text[:rows.nbytes]
                 fh.write(text[np.not_equal(text, 0, out=work.keep[:text.size])])
+            fh.truncate()
     finally:
         _IDLE_SCRATCH.append(work)
 
@@ -564,10 +566,19 @@ def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
     return manifests
 
 
+def _open_output(path: Path, mode: str = "wb", **kwargs):
+    """``path`` opened for writing from its start without truncating it, so a
+    rerun rewrites the file in place; its writer cuts the old tail with
+    ``fh.truncate()``.  A new file gets the mode ``open(path, "wb")`` gives."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    return open(fd, mode, **kwargs)
+
+
 def _write_json(path: Path, data: dict) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _open_output(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+        fh.truncate()
 
 
 def _time_tag(t: float) -> str:

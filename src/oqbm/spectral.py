@@ -225,9 +225,9 @@ def _exp_dd3_series(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarra
     return total
 
 
-def _putzer_weights(xis: np.ndarray, p: Params, t: float, lam=None) -> tuple:
+def _putzer_weights(xis: np.ndarray, p: Params, t: float, z=None) -> tuple:
     """(z1, z2, e[z1], e[z1, z2], e[z1, z2, z3]) for A = t Q(xi), each of shape (m,);
-    ``lam`` is symbol_eigenvalues(xis, p), if the caller holds it.
+    ``z`` is t * symbol_eigenvalues(xis, p), if the caller holds the eigenvalues.
 
     z1, z2, z3 are the eigenvalues of A, each row with its closest pair last,
     so |z1 - z3| is at least half the spread of the three points; e[...] are
@@ -236,7 +236,7 @@ def _putzer_weights(xis: np.ndarray, p: Params, t: float, lam=None) -> tuple:
     (z1 - z3) elsewhere.  Its own function, so that the temporaries are gone
     before _apply_exp forms its vectors.
     """
-    z = t * (symbol_eigenvalues(xis, p) if lam is None else lam)
+    z = t * symbol_eigenvalues(xis, p) if z is None else z
     gap = np.abs(z - np.roll(z, -1, axis=1))  # gap[:, j] = |z_j - z_(j+1)|
     first = (np.argmin(gap, axis=1) + 2) % 3
     z = np.take_along_axis(z, (first[:, None] + np.arange(3)) % 3, axis=1)
@@ -297,12 +297,14 @@ class SharedSymbol:
     are taken once, on the live prefix of the earliest t, which holds every later
     prefix; each row's are its own in any batch, so slices keep every bit.  A
     t's weights are made by its first snapshot (the rest wait on its lock) and
-    dropped after its last."""
+    dropped after its last.  The eigenvalues are dropped once the last t has
+    scaled them, before its weights are made."""
 
     def __init__(self, p: Params, grid: SpatialGrid, times: Sequence[float]):
         self._p, self._xis = p, grid.half_nodes[: np.count_nonzero(_live(grid.half_nodes, p, min(times)))]
         self._lam = symbol_eigenvalues(self._xis, p)
         self._slots = {t: [threading.Lock(), times.count(t), None] for t in set(times)}  # lock, uses, weights
+        self._unscaled = set(times)  # the times that have yet to read the eigenvalues
 
     def weights(self, t: float) -> tuple:
         """:func:`_putzer_weights` at t on the live prefix at t."""
@@ -310,10 +312,19 @@ class SharedSymbol:
         with slot[0]:
             if slot[2] is None:
                 m = np.count_nonzero(_live(self._xis, self._p, t))
-                slot[2] = _putzer_weights(self._xis[:m], self._p, t, self._lam[:m])
+                # no name holds the scaled eigenvalues, so _putzer_weights frees them once it has sorted them
+                slot[2] = _putzer_weights(self._xis[:m], self._p, t, self._scaled(t, m))
             slot[1] -= 1
             weights, slot[2] = slot[2], slot[2] if slot[1] else None  # the last use drops them
         return weights
+
+    def _scaled(self, t: float, m: int) -> np.ndarray:
+        """t times the first m rows of the eigenvalues; the last t to read them drops them."""
+        z = t * self._lam[:m]
+        self._unscaled.discard(t)
+        if not self._unscaled:
+            self._lam = None
+        return z
 
 
 def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:

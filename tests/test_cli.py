@@ -322,6 +322,76 @@ class TestOutputs:
         assert calls == {"symbol_eigenvalues": 1, "_putzer_weights": 15}
 
 
+FIG3_CONFIG = cli.FIGURES["fig3"]["configs"][""]
+
+
+class TestRewriteInPlace:
+    """A rerun into a directory that holds its outputs rewrites each file in
+    place and cuts its old tail (cli._open_output)."""
+
+    def test_rerun_with_fewer_nodes_leaves_no_stale_tail(self, tmp_path):
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        cli.run_solve(dict(FIG3_CONFIG), rerun, threads=1, prefix="fig3")
+        longer = {f.name: f.stat().st_size for f in rerun.iterdir()}
+        cli.run_solve(dict(FIG3_CONFIG, n_points=1024), rerun, threads=1, prefix="fig3")
+        cli.run_solve(dict(FIG3_CONFIG, n_points=1024), fresh, threads=1, prefix="fig3")
+        names = sorted(f.name for f in fresh.iterdir())
+        assert sorted(longer) == names and len(names) == 6
+        for name in names:
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+            assert (rerun / name).stat().st_size < longer[name], name
+
+    def test_rerun_keeps_each_files_inode(self, tmp_path, monkeypatch):
+        # a second link holds each first-run inode, so a file that was
+        # unlinked or renamed over could not come back with its number; the
+        # rerun opens each file once, through os.open without O_TRUNC
+        out, links = tmp_path / "out", tmp_path / "links"
+        cli.run_solve(dict(GENERAL_CONFIG), out, threads=2)
+        links.mkdir()
+        first = {f.name: f.stat().st_ino for f in out.iterdir()}
+        for name in first:
+            os.link(out / name, links / name)
+        flags, os_open = {}, os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, *args, **kwargs: flags.update({Path(path).name: flag})
+                            or os_open(path, flag, *args, **kwargs))
+        cli.run_solve(dict(GENERAL_CONFIG), out, threads=2)
+        assert {f.name: f.stat().st_ino for f in out.iterdir()} == first
+        assert len([name for name in first if name.endswith(".csv")]) == 3
+        assert sorted(flags) == sorted(first) and not any(flag & os.O_TRUNC for flag in flags.values())
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_fresh_file_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cli.run_solve(dict(TINY_CONFIG), tmp_path, threads=1)
+        finally:
+            os.umask(old)
+        for f in tmp_path.iterdir():
+            assert f.stat().st_mode & 0o777 == 0o666 & ~umask, f.name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_rerun_removes_what_it_rewrote(self, tmp_path, monkeypatch, threads):
+        # the rerun rewrites t = 0 and 50, then refuses t = 100 as not finite:
+        # it removes the two CSVs, leaves t = 100's old CSV and the old manifest
+        config = dict(GENERAL_CONFIG)
+        cli.run_solve(config, tmp_path, threads=threads)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        solve_snapshot = cli.solve_snapshot
+
+        def solve(scenario, t):
+            solver, field = solve_snapshot(scenario, t)
+            if t == 100.0:
+                field = dataclasses.replace(field, c_r=np.full(field.grid.n_points, np.inf))
+            return solver, field
+
+        monkeypatch.setattr(cli, "solve_snapshot", solve)
+        with pytest.raises(NonFinite):
+            cli.run_solve(config, tmp_path, threads=threads)
+        after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        kept = ("snapshot_manifest.json", "snapshot_t100.csv")
+        assert after == {name: before[name] for name in kept}
+
+
 def _powers_of_ten_and_neighbours():
     values = []
     for k in range(-323, 309):

@@ -780,6 +780,18 @@ class TestSharedSymbol:
                 assert getattr(shared, name).tobytes() == getattr(alone, name).tobytes(), (t, name)
         assert all(slot[1:] == [0, None] for slot in symbol._slots.values())
 
+    def test_eigenvalues_are_dropped_before_the_last_weights(self, monkeypatch):
+        # each time's first snapshot reads the eigenvalues; the last time drops
+        # them before its weights' temporaries are made
+        held, putzer_weights = [], spectral._putzer_weights
+        monkeypatch.setattr(spectral, "_putzer_weights",
+                            lambda *args: held.append(symbol._lam is not None) or putzer_weights(*args))
+        times = [40.0, 5.0, 20.0, 5.0, 40.0, 20.0]
+        symbol = spectral.SharedSymbol(GENERAL, SpatialGrid(28.0, 2048), times)
+        for t in times:
+            symbol.weights(t)
+        assert held == [True, True, False] and symbol._lam is None
+
     def test_concurrent_snapshots_make_each_weight_set_once(self, monkeypatch):
         # more threads than cores, switching often: each time's weights are
         # made once, every snapshot of it gets that set, and its last use drops it
