@@ -17,7 +17,8 @@ JSON numbers within the float range, not booleans or strings; a key that is
 neither a RUN_KEYS entry nor a field of the chosen shape is refused, and an
 explicit n_points may not exceed core.MAX_POINTS.  The default output
 directory comes from $OQBM_OUT_DIR, falling back to the current directory;
-a rerun into it rewrites each file in place and cuts its old tail.
+a rerun into it rewrites each CSV in place and cuts its old tail, and
+makes the manifest anew after removing the old one before the first CSV.
 choose_route fixes each scenario's t > 0 route before any CSV: gamma_z = 0
 takes its closed form only under ``method: "closed"``, and that method with
 no closed form is refused.
@@ -506,7 +507,9 @@ def run_solve(config: dict, out_dir: Path, threads: int = 0, prefix: str = "snap
     ``threads`` sizes the one pool of all the snapshots, 0 for one thread per
     snapshot up to the core count and 8; a negative count is a ConfigError.
     A solved field that is not finite raises NonFinite before its CSV is
-    written.  A run that raises removes the CSVs it wrote and writes no manifest.
+    written.  The prefix's old manifest is removed before any CSV is written,
+    so a run that stops partway leaves no manifest naming its CSVs; a run
+    that raises also removes the CSVs it wrote.
     """
     return _run_scenarios({prefix: config}, out_dir, threads)[prefix]
 
@@ -528,6 +531,8 @@ def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
     symbols = {key: _route_module("spectral").SharedSymbol(*key, times) for key, times in shared.items() if times}
     scenarios = {prefix: replace(s, symbol=symbols.get((s.params, s.grid)) if s.route == "spectral" else None)
                  for prefix, s in scenarios.items()}
+    for prefix in scenarios:  # the manifest vouches for the CSVs: none stands while they are rewritten
+        (out_dir / f"{prefix}_manifest.json").unlink(missing_ok=True)
     written = []
 
     def compute(task: tuple):
@@ -566,18 +571,16 @@ def _run_scenarios(configs: dict, out_dir: Path, threads: int) -> dict:
     return manifests
 
 
-def _open_output(path: Path, mode: str = "wb", **kwargs):
-    """``path`` opened for writing from its start without truncating it, so a
-    rerun rewrites the file in place; its writer cuts the old tail with
-    ``fh.truncate()``.  A new file gets the mode ``open(path, "wb")`` gives."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    return open(fd, mode, **kwargs)
+def _open_output(path: Path):
+    """``path`` opened for binary writing from its start without truncating
+    it, so a rerun rewrites the file in place; its writer cuts the old tail
+    with ``fh.truncate()``.  A new file gets the mode ``open(path, "wb")`` gives."""
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "wb")
 
 
 def _write_json(path: Path, data: dict) -> None:
-    with _open_output(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _open_output(path) as fh:
+        fh.write((json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
         fh.truncate()
 
 
@@ -652,12 +655,14 @@ FIGURES = {
 
 def run_figure(name: str, out_dir: Path, threads: int = 0) -> dict:
     """Reproduce one built-in figure dataset; returns the combined manifest.
-    Its panels share one pool of ``threads`` and, if one fails, leave no file."""
+    Its panels share one pool of ``threads`` and, if one fails, leave no file
+    they wrote and no manifest."""
     if name not in FIGURES:
         raise UnknownFigure(f"unknown figure {name!r}; choose from {sorted(FIGURES)}")
     spec = FIGURES[name]
     configs = {f"{name}_{panel}" if panel else name: dict(config)
                for panel, config in spec["configs"].items()}
+    (out_dir / f"{name}_manifest.json").unlink(missing_ok=True)  # as each panel's, in _run_scenarios
     manifests = _run_scenarios(configs, out_dir, threads)
     runs = {panel or "both": manifests[prefix] for panel, prefix in zip(spec["configs"], configs)}
     combined = {"figure": name, "panel_quantity": spec["panels"], "runs": runs}

@@ -326,8 +326,9 @@ FIG3_CONFIG = cli.FIGURES["fig3"]["configs"][""]
 
 
 class TestRewriteInPlace:
-    """A rerun into a directory that holds its outputs rewrites each file in
-    place and cuts its old tail (cli._open_output)."""
+    """A rerun into a directory that holds its outputs rewrites each CSV in
+    place and cuts its old tail (cli._open_output), and makes its manifests
+    anew once the CSVs are written."""
 
     def test_rerun_with_fewer_nodes_leaves_no_stale_tail(self, tmp_path):
         rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
@@ -341,10 +342,11 @@ class TestRewriteInPlace:
             assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
             assert (rerun / name).stat().st_size < longer[name], name
 
-    def test_rerun_keeps_each_files_inode(self, tmp_path, monkeypatch):
-        # a second link holds each first-run inode, so a file that was
-        # unlinked or renamed over could not come back with its number; the
-        # rerun opens each file once, through os.open without O_TRUNC
+    def test_rerun_keeps_each_csvs_inode(self, tmp_path, monkeypatch):
+        # a second link holds each first-run inode, so a CSV that was unlinked
+        # or renamed over could not come back with its number; the rerun opens
+        # each file once, through os.open without O_TRUNC, and makes its
+        # manifest anew
         out, links = tmp_path / "out", tmp_path / "links"
         cli.run_solve(dict(GENERAL_CONFIG), out, threads=2)
         links.mkdir()
@@ -355,9 +357,32 @@ class TestRewriteInPlace:
         monkeypatch.setattr(os, "open", lambda path, flag, *args, **kwargs: flags.update({Path(path).name: flag})
                             or os_open(path, flag, *args, **kwargs))
         cli.run_solve(dict(GENERAL_CONFIG), out, threads=2)
-        assert {f.name: f.stat().st_ino for f in out.iterdir()} == first
-        assert len([name for name in first if name.endswith(".csv")]) == 3
+        csvs = sorted(name for name in first if name.endswith(".csv"))
+        assert {name: (out / name).stat().st_ino for name in csvs} == {name: first[name] for name in csvs}
+        assert len(csvs) == 3 and (out / "snapshot_manifest.json").stat().st_ino != first["snapshot_manifest.json"]
         assert sorted(flags) == sorted(first) and not any(flag & os.O_TRUNC for flag in flags.values())
+
+    def test_no_manifest_stands_while_the_csvs_are_rewritten(self, tmp_path, monkeypatch):
+        # the manifest is the run's commit mark: a rerun killed while it
+        # rewrites the CSVs (where no except clause runs) leaves none that
+        # vouches for them; fig4's combined manifest goes with its panels'
+        cli.run_figure("fig4", tmp_path, threads=1)
+        manifests = sorted(f.name for f in tmp_path.glob("*_manifest.json"))
+        assert manifests == ["fig4_left_manifest.json", "fig4_manifest.json", "fig4_right_manifest.json"]
+        seen, write = [], cli.write_snapshot_csv
+        monkeypatch.setattr(cli, "write_snapshot_csv", lambda path, field: seen.append(
+            sorted(f.name for f in tmp_path.glob("*_manifest.json"))) or write(path, field))
+        cli.run_figure("fig4", tmp_path, threads=1)
+        assert len(seen) == 10 and seen == [[]] * 10
+        assert sorted(f.name for f in tmp_path.glob("*_manifest.json")) == manifests
+
+    def test_json_writer_cuts_an_old_tail(self, tmp_path):
+        # a run makes its manifests anew, yet every writer through the opener
+        # cuts the old tail; the JSON is ASCII whatever its strings hold
+        path = tmp_path / "written.json"
+        path.write_bytes(b"x" * 1000)
+        cli._write_json(path, {"b": [1.5], "a": "\u00e9"})
+        assert path.read_bytes() == b'{\n  "a": "\\u00e9",\n  "b": [\n    1.5\n  ]\n}\n'
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_fresh_file_mode_follows_the_umask(self, tmp_path, umask):
@@ -372,7 +397,7 @@ class TestRewriteInPlace:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_rerun_removes_what_it_rewrote(self, tmp_path, monkeypatch, threads):
         # the rerun rewrites t = 0 and 50, then refuses t = 100 as not finite:
-        # it removes the two CSVs, leaves t = 100's old CSV and the old manifest
+        # it removes the two CSVs and leaves t = 100's old CSV, with no manifest
         config = dict(GENERAL_CONFIG)
         cli.run_solve(config, tmp_path, threads=threads)
         before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
@@ -388,8 +413,7 @@ class TestRewriteInPlace:
         with pytest.raises(NonFinite):
             cli.run_solve(config, tmp_path, threads=threads)
         after = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-        kept = ("snapshot_manifest.json", "snapshot_t100.csv")
-        assert after == {name: before[name] for name in kept}
+        assert after == {"snapshot_t100.csv": before["snapshot_t100.csv"]}
 
 
 def _powers_of_ten_and_neighbours():
