@@ -7,10 +7,12 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   carries the same diffusion 2 gamma_p D2, which commutes with the rest B
   of the operator, so each snapshot interval applies the lattice heat
   semigroup exactly (one periodic convolution with the discrete Gaussian
-  ive(|j|, 2s)) and then steps B alone by the degree-30 Taylor polynomial
-  of exp(hB), in Horner form (every increment hB times a vector, so mass is
-  kept to round-off), at the step of Al-Mohy & Higham's bound, over only
-  the components that can be non-zero.  B is applied matrix-free, as a
+  ive(|j|, 2s)) and then steps B alone by the Taylor series of exp(hB),
+  at the step of Al-Mohy & Higham's bound, over only the components that
+  can be non-zero.  Each step adds the terms (h/j) B T_{j-1} one by one
+  (every increment B times a vector, so mass is kept to round-off) and
+  stops at the first term whose proven remainder bound, from h ||B||_inf,
+  is below 2^-53 ||y||_inf, or at degree 30.  B is applied matrix-free, as a
   stencil on its non-zero blocks.  It touches only the core types and
   scipy.special.ive; it uses no FFT and never imports the spectral or
   closed-form modules, so agreement with them is meaningful evidence.
@@ -47,8 +49,9 @@ QUAD_START_NODES = 2049    # quad_inverse_fourier's first node count; odd, so xi
 QUAD_TOL = 1e-10           # max-norm change between two refinements that ends the doubling
 QUAD_MAX_NODES = 1 << 21   # node count beyond which QuadratureNotConverged is raised
 PHASE_BLOCK = 64           # quad_inverse_fourier: nodes whose phases share one exponential per point
-TAYLOR_DEGREE = 30         # degree of the truncated Taylor step of exp(hB)
+TAYLOR_DEGREE = 30         # most terms of one Taylor step of exp(hB)
 THETA_30 = 3.54            # largest h ||B|| of a degree-30 step with backward error below 2^-53
+TAYLOR_TOL = 2.0**-53      # remainder bound, relative to ||y||_inf, that ends a Taylor step early
 
 
 @dataclass
@@ -98,21 +101,32 @@ def _coupling(p: Params, grid: SpatialGrid, live: np.ndarray) -> Callable:
     return apply
 
 
+def _coupling_norm(p: Params, grid: SpatialGrid) -> float:
+    """||B||_inf of the coupling operator B of :func:`_coupling`, by its row sums.
+
+    The rho_minus row holds 2 delta/dx of the central difference and 4 omega
+    of the Rabi coupling, the c_i row omega and 2 gamma_z; the rho_plus and
+    c_r rows sum to less.  Restricting B to its live blocks cannot raise it.
+    """
+    return max(2.0 * p.delta / grid.dx + 4.0 * p.omega, 2.0 * p.gamma_z + p.omega)
+
+
 def auto_time_step(p: Params, grid: SpatialGrid) -> float:
-    """Step of the degree-30 Taylor step for the coupling operator B.
+    """Size of the Taylor steps for the coupling operator B.
 
     Diffusion is applied exactly, so the Taylor step only advances B
-    (advection and Rabi coupling).  The row sums of |B| give ||B||_inf =
-    max(2 delta/dx + 4 omega, 2 gamma_z + omega), and h = THETA_30 /
-    ||B||_inf.  At h ||B|| <= THETA_30 the degree-30 truncation of exp(hB)
-    is exp(h(B + E)) with ||E|| <= 2^-53 ||B|| (Al-Mohy & Higham, "Computing
-    the action of the matrix exponential", SIAM J. Sci. Comput. 33, 2011,
-    Table 3.1).  The bound holds on every mode, the grid-scale advection
-    modes and the Rabi and dephasing couplings alike, so the step does not
-    rely on the heat step having damped any of them.  Pure diffusion has
-    B = 0 and gets math.inf, one exact step per interval.
+    (advection and Rabi coupling), and h = THETA_30 / ||B||_inf
+    (:func:`_coupling_norm`).  At h ||B|| <= THETA_30 the degree-30
+    truncation of exp(hB) is exp(h(B + E)) with ||E|| <= 2^-53 ||B||
+    (Al-Mohy & Higham, "Computing the action of the matrix exponential",
+    SIAM J. Sci. Comput. 33, 2011, Table 3.1); a step that stops earlier is
+    within 2^-53 ||y|| of that (:func:`_taylor_run`).  The bound holds on
+    every mode, the grid-scale advection modes and the Rabi and dephasing
+    couplings alike, so the step does not rely on the heat step having
+    damped any of them.  Pure diffusion has B = 0 and gets math.inf, one
+    exact step per interval.
     """
-    norm = max(2.0 * p.delta / grid.dx + 4.0 * p.omega, 2.0 * p.gamma_z + p.omega)
+    norm = _coupling_norm(p, grid)
     return THETA_30 / norm if norm > 0.0 else math.inf
 
 
@@ -140,35 +154,51 @@ def _lattice_heat(y: np.ndarray, s: float, n: int) -> np.ndarray:
     return np.array(blocks).reshape(y.shape)
 
 
+def _max_norm(v: np.ndarray) -> float:
+    """max |v| by two reductions and no temporary; NaN anywhere gives NaN."""
+    return float(np.maximum(v.max(), -v.min()))
+
+
 def _taylor_run(
     B: Callable,
     y0: np.ndarray,
     span: float,
     dt: float,
     norm_cap: float,
+    b_norm: float = math.inf,
 ) -> np.ndarray:
     """Advance y' = B y by ``span`` in max(1, ceil(span / dt)) Taylor steps.
 
-    Each step of size h applies T(hB) = sum_{j <= TAYLOR_DEGREE} (hB)^j / j!
-    in Horner form: v = y, then v = y + (h/j) B v for j = TAYLOR_DEGREE down
-    to 2, then y + hB v, TAYLOR_DEGREE applications of ``B`` (see
-    :func:`_coupling`) in all.  Every increment is B times a vector, and the
-    columns of B sum to exactly zero over the rho_plus rows, so the mass
-    changes by round-off only.
+    Each step of size h sums the Taylor series of exp(hB) y term by term:
+    T_0 = y, T_j = (h/j) B T_{j-1}, y += T_j, one application of ``B`` (see
+    :func:`_coupling`) a term.  With theta = h ``b_norm`` >= h ||B||_inf,
+    every later term obeys ||T_k|| <= theta^(k-J) J!/k! ||T_J||, so once
+    J + 1 > theta the terms left out sum to at most ||T_J|| theta/(J + 1 -
+    theta).  The step stops at the first such J where that bound is at most
+    TAYLOR_TOL ||y||_inf, and otherwise at J = TAYLOR_DEGREE, the degree-30
+    polynomial; ``b_norm`` = inf always runs to it.  Every increment is B
+    times a vector, and the columns of B sum to exactly zero over the
+    rho_plus rows, so the mass changes by round-off only.  The one
+    ||y||_inf a step scales its stop rule by is also checked against
+    ``norm_cap``, so growth or a NaN raises UnstableStep.
     """
     nsteps = max(1, math.ceil(span / dt))
     h = span / nsteps
+    theta = h * b_norm
     y = y0.copy()
-    v, w = np.empty_like(y), np.empty_like(y)
+    term, new = np.empty_like(y), np.empty_like(y)
+    y_norm = _max_norm(y)
     for step in range(nsteps):
-        v[...] = y
-        for j in range(TAYLOR_DEGREE, 1, -1):
-            B(v, h / j, w)
-            w += y
-            v, w = w, v
-        B(v, h, w)
-        y += w
-        if not np.all(np.abs(y) <= norm_cap):
+        tol = TAYLOR_TOL * y_norm
+        np.copyto(term, y)
+        for j in range(1, TAYLOR_DEGREE + 1):
+            B(term, h / j, new)
+            term, new = new, term
+            y += term
+            if j + 1 > theta and _max_norm(term) * theta / (j + 1 - theta) <= tol:
+                break
+        y_norm = _max_norm(y)
+        if not y_norm <= norm_cap:
             raise UnstableStep(
                 f"solution norm exceeded 10x its initial value after {step + 1} steps of {h:.3g}"
             )
@@ -189,16 +219,19 @@ def fd_integrate(
     Each snapshot interval of length tau applies the lattice heat semigroup
     exactly (:func:`_lattice_heat`) and then Taylor steps of the coupling
     operator B (:func:`_taylor_run`, step ``dt``, by default
-    :func:`auto_time_step`).  The two commute, so the split adds no error
-    to the semi-discretisation.  Only the live blocks are integrated, those
-    non-zero at t = 0 or fed by a live one through B; the others come back
-    as exact zeros.
+    :func:`auto_time_step`), each stopped by its remainder bound at the
+    actual h ||B||_inf or at degree 30.  The two commute, so the split adds
+    no error to the semi-discretisation.  Only the live blocks are
+    integrated, those non-zero at t = 0 or fed by a live one through B; the
+    others come back as exact zeros.
     The Richardson estimate is the max-norm difference against a re-run
-    over [0, t_end] as one interval at dt/2, scaled by 2^30/(2^30 - 1) (the
-    step-halving bound for a method of order 30); it covers the time error
-    of the B part only, the O(dx^2) spatial error is assessed by grid
-    refinement in the tests.  The tail and boundary checks use
-    DEFAULT_EPS_TAIL.
+    over [0, t_end] as one interval at dt/2, scaled by 2^30/(2^30 - 1), the
+    step-halving factor of a degree-30 step.  Steps that stop early are
+    within 2^-53 ||y|| of exp(hB) y, and the factor is 1 to nine digits, so
+    the estimate is in effect the plain difference of the two runs.  It
+    covers the time error of the B part only, the O(dx^2) spatial error is
+    assessed by grid refinement in the tests.  The tail and boundary checks
+    use DEFAULT_EPS_TAIL.
     """
     if t_end <= 0.0:
         raise NonPositiveTime(f"t_end must be > 0, got {t_end}")
@@ -221,9 +254,10 @@ def fd_integrate(
         dt = auto_time_step(p, grid)
     norm_cap = 10.0 * max(np.max(np.abs(y0)), 1e-300)
     heat_rate = 2.0 * p.gamma_p / grid.dx**2  # s of the lattice heat semigroup per unit time
+    b_norm = _coupling_norm(p, grid)
 
     def advance(y: np.ndarray, span: float, step: float) -> np.ndarray:
-        return _taylor_run(B, _lattice_heat(y, heat_rate * span, n), span, step, norm_cap)
+        return _taylor_run(B, _lattice_heat(y, heat_rate * span, n), span, step, norm_cap, b_norm)
 
     y, t_prev, states = y0_live, 0.0, []
     for t in times:

@@ -1,7 +1,7 @@
 """Parameter names that the benchmark harness under bench/ binds by name.
 
 bench/tracer.py binds each traced call's arguments to the callee's signature:
-it counts fd_integrate's degree-30 Taylor steps from its (p, ic, t_end, grid,
+it counts fd_integrate's Taylor steps from its (p, ic, t_end, grid,
 dt, snapshot_times, richardson) through auto_time_step(p, grid), and sizes the
 work of the kernels, Bessel functions, erfc products, symbol exponentials and
 CSV writes from the arguments named below.  bench/test_smoke.py runs validate

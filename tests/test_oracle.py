@@ -8,7 +8,7 @@ from oqbm import gammaz0, oracle, specfun as sf, spectral
 from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid, sample_initial
 from oqbm.errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 from oqbm.oracle import auto_time_step, fd_integrate, quad_inverse_fourier
-from oqbm.validate import FIG1, FIG3_IC, FIG4
+from oqbm.validate import FIG1, FIG3_IC, FIG4, THREE_WAY_CASES
 
 IC = GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0)
 GENERAL = Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2, omega=1e-2)
@@ -34,6 +34,28 @@ def sparse_coupling(p, grid, live):
     return B[keep][:, keep]
 
 
+def degree_30_sum(apply, y, h):
+    """The plain sum of (hB)^j y / j! over j <= 30, its terms made by the
+    matrix-free ``apply`` in the order a Taylor step makes them."""
+    total, term, new = y.copy(), y.copy(), np.empty_like(y)
+    for j in range(1, oracle.TAYLOR_DEGREE + 1):
+        apply(term, h / j, new)
+        term, new = new, term
+        total += term
+    return total
+
+
+def counting(apply):
+    """``apply`` and the list of the coefficients it was called with."""
+    calls = []
+
+    def counted(v, c, out):
+        calls.append(c)
+        apply(v, c, out)
+
+    return counted, calls
+
+
 class TestFdIntegrate:
     def test_pure_heat_limit(self, monkeypatch):
         # with delta = omega = gamma_z = 0 every component just diffuses: B = 0,
@@ -45,9 +67,9 @@ class TestFdIntegrate:
         steps = []
         taylor_run = oracle._taylor_run
 
-        def counted(B, y0, span, dt, norm_cap):
+        def counted(B, y0, span, dt, norm_cap, b_norm):
             steps.append(max(1, math.ceil(span / dt)))
-            return taylor_run(B, y0, span, dt, norm_cap)
+            return taylor_run(B, y0, span, dt, norm_cap, b_norm)
 
         monkeypatch.setattr(oracle, "_taylor_run", counted)
         times = [10.0, 25.0, 50.0]
@@ -162,6 +184,59 @@ class TestFdIntegrate:
             taylor += term
         horner = oracle._taylor_run(oracle._coupling(GENERAL, grid, live), y, h, h, norm_cap=math.inf)
         assert np.max(np.abs(horner.ravel() - taylor)) < 1e-14 * np.max(np.abs(y))
+
+    def test_early_stop_matches_the_degree_30_sum(self):
+        # on heat-smoothed fig1 data the terms fall below 2^-53 ||y|| long
+        # before degree 30; the step stops there, and the terms it leaves out
+        # would move the degree-30 sum by round-off only
+        ic, (half_width, n) = THREE_WAY_CASES["gaussian"]
+        grid = SpatialGrid(half_width, n)
+        u0 = sample_initial(ic, grid)
+        y = oracle._lattice_heat(np.stack([u0.rho_plus, u0.rho_minus]), 2 * FIG1.gamma_p * 50.0 / grid.dx**2, n)
+        apply = oracle._coupling(FIG1, grid, np.array([True, True, False, False]))
+        h = auto_time_step(FIG1, grid)
+        counted, calls = counting(apply)
+        step = oracle._taylor_run(counted, y, h, h, math.inf, oracle._coupling_norm(FIG1, grid))
+        assert len(calls) < oracle.TAYLOR_DEGREE
+        assert np.max(np.abs(step - degree_30_sum(apply, y, h))) <= 2.0 * 2.0**-53 * np.max(np.abs(y))
+
+    def test_explicit_step_stops_by_its_own_theta(self):
+        # an explicit step at h ||B||_inf = 20, far past THETA_30, on data
+        # whose terms dip below 2^-53 ||y|| by J = 11 and then grow again:
+        # c_r = 1, damped at 2 gamma_z h = 0.16, plus a grid-scale advection
+        # mode of amplitude 1e-23 whose terms are 1e-23 20^J / J!, 4e-16 at
+        # J = 20.  The remainder bound holds only from J + 1 > 20, so the
+        # step must not stop at the dip (at THETA_30 in place of the actual
+        # h ||B||_inf it stops after 11 terms)
+        grid = SpatialGrid(20.0, 512)
+        live = np.array([True, True, False, True])
+        apply = oracle._coupling(FIG1, grid, live)
+        h = 20.0 / oracle._coupling_norm(FIG1, grid)
+        assert h > 5.0 * auto_time_step(FIG1, grid)
+        y = np.zeros((3, grid.n_points))
+        y[:2] = 1e-23 * np.tile([1.0, 0.0, -1.0, 0.0], grid.n_points // 4)
+        y[2] = 1.0
+        counted, calls = counting(apply)
+        step = oracle._taylor_run(counted, y, h, h, math.inf, oracle._coupling_norm(FIG1, grid))
+        assert len(calls) >= 20
+        assert np.max(np.abs(step - degree_30_sum(apply, y, h))) <= 2.0 * 2.0**-53  # ||y||_inf = 1
+
+    @pytest.mark.parametrize("case", list(THREE_WAY_CASES))
+    def test_fd_row_applies_b_at_most_400_times(self, case, monkeypatch):
+        # validate's FD row: 750-1,110 applications of B a case at 30 a step
+        # (measured), 252-370 with the early stop
+        runs = []
+        coupling = oracle._coupling
+
+        def counted_coupling(p, grid, live):
+            apply, calls = counting(coupling(p, grid, live))
+            runs.append(calls)
+            return apply
+
+        monkeypatch.setattr(oracle, "_coupling", counted_coupling)
+        ic, (half_width, n) = THREE_WAY_CASES[case]
+        fd_integrate(FIG1, ic, 50.0, SpatialGrid(half_width, n), richardson=False)
+        assert len(runs) == 1 and 0 < len(runs[0]) <= 400
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auto_step_inside_taylor_region(self, seed):
