@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .core import (
     BlochField,
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     InitialCondition,
@@ -20,7 +19,6 @@ from .core import (
 
 __all__ = [
     "BlochField",
-    "Custom",
     "GaussianCoherent",
     "GaussianMixture",
     "InitialCondition",

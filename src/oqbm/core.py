@@ -32,11 +32,9 @@ from .errors import (
     NonFinite,
     NonPositiveDiffusion,
     NonPositiveTime,
-    WrongRegime,
 )
 
 DEFAULT_EPS_TAIL = 1e-8    # tail mass (or boundary/peak ratio) a grid may leave outside
-NEG_TOL = 1e-9             # slack below zero allowed in Custom initial populations
 MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
 POINTS_PER_FEATURE = 8.0   # check_grid: nodes per solution width, at least
 MIN_POINTS = 256           # plan_grid: bounds on the node count
@@ -442,31 +440,8 @@ class LaplaceCoherent(_ClosedShape):
         return self.p, env, env, math.sqrt(self.p * (1.0 - self.p)) * complex(self.r, self.q), env
 
 
-@dataclass(frozen=True)
-class Custom:
-    """A user-supplied sampled field used verbatim as initial data; build it
-    from matrix entries with :meth:`BlochField.from_density`."""
-
-    field: BlochField
-
-    def tail_mass(self, half_width: float) -> float:
-        d = self.field
-        edge = max(abs(float(d.rho_plus[0])), abs(float(d.rho_plus[-1])))
-        return edge * d.grid.dx  # crude boundary estimate
-
-    def min_feature(self) -> float:
-        return 4.0 * self.field.grid.dx
-
-    def heat(self, t: float, x, gamma_p: float, drift: float = 0.0):
-        raise WrongRegime("custom initial data has no closed form; use spectral.solve")
-
-    def spectrum(self, xis):
-        return None  # no closed transform: spectral.solve transforms the samples
-
-
-InitialCondition = Union[
-    GaussianMixture, GaussianCoherent, LaplaceMixture, UniformMixture, LaplaceCoherent, Custom
-]
+InitialCondition = Union[GaussianMixture, GaussianCoherent, LaplaceMixture, UniformMixture,
+                         LaplaceCoherent]
 
 
 def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
@@ -478,8 +453,7 @@ def initial_spectrum(ic: InitialCondition, xis: np.ndarray):
     pi/dx, where a kink or jump is damped only by exp(-2 gp (pi/dx)^2 t), so
     early snapshots of Laplace or plateau data alias (5.3e-2 against a peak
     of 0.19 for a uniform mixture at t = 1e-4); the figures, whose earliest
-    t > 0 is 25, are not affected.  Custom data has no closed transform
-    (returns None).
+    t > 0 is 25, are not affected.
     """
     return ic.spectrum(np.asarray(xis, dtype=float))
 
@@ -509,18 +483,8 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
     """Sample the closed-form initial density matrix on ``grid``.
 
     Raises DomainTooNarrow when the analytic tail mass beyond +-L exceeds
-    DEFAULT_EPS_TAIL.  Custom data must live on the same grid and its populations
-    may dip below zero only by the numerical slack NEG_TOL.
+    DEFAULT_EPS_TAIL.
     """
-    if isinstance(ic, Custom):
-        if ic.field.grid != grid:
-            raise GridMismatch("custom initial data lives on a different grid")
-        low = min(float(np.min(ic.field.rho11)), float(np.min(ic.field.rho22)))
-        if low < -NEG_TOL:
-            raise ValueError(
-                f"custom initial populations reach {low:.3e}, below the -{NEG_TOL:.0e} slack"
-            )
-        return ic.field
     _check_tail(ic, grid.half_width)
     x = grid.nodes
     return BlochField.from_density(
@@ -543,8 +507,6 @@ def initial_mass(ic: InitialCondition) -> float:
     with m_2h taken from every other sample.  The result is bit for bit that
     of ``sample_initial``'s rho_plus on that grid.
     """
-    if isinstance(ic, Custom):
-        return ic.field.mass()
     width = tail_half_width(ic) + 1.0
     half_width = 2.0 ** math.ceil(math.log2(width))
     _check_tail(ic, half_width)

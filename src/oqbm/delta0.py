@@ -93,7 +93,7 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
     """Full closed-form field for delta = 0 (any damping regime).
 
     The heat-propagated components are rotated by the internal matrix; c_r
-    only decays, at rate 2*gamma_z.  Custom data needs the spectral solver.
+    only decays, at rate 2*gamma_z.
     """
     _require_regime(p)
     rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p)

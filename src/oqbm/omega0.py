@@ -51,8 +51,7 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid) -> Bloch
 
     rho11 and rho22 are the initial populations heat-spread (variance
     4*gamma_p*t) and drifted to +2*delta*t and -2*delta*t; at t = 0 this is
-    the initial data.  Custom data has no closed form (WrongRegime); use the
-    spectral solver.
+    the initial data.
     """
     _require_regime(p)
     rho11, rho22, rho12 = ic.heat(t, grid.nodes, p.gamma_p, drift=2.0 * p.delta * t)

@@ -165,7 +165,7 @@ def _taylor_run(
     span: float,
     dt: float,
     norm_cap: float,
-    b_norm: float = math.inf,
+    b_norm: float,
 ) -> np.ndarray:
     """Advance y' = B y by ``span`` in max(1, ceil(span / dt)) Taylor steps.
 

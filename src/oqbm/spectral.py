@@ -373,14 +373,13 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid, symbol=N
     """Propagate the initial data to time t in Fourier space, on the half nodes.
 
     Equivalent to convolving with the Green's matrix (one transform less).
-    Built-in initial shapes enter through their closed Fourier transforms,
-    free of sampling error but cut at pi/dx, where a kink or jump is damped
-    only by exp(-2 gp (pi/dx)^2 t): early snapshots of Laplace or plateau
-    data alias (see core.initial_spectrum; the figures, whose earliest t > 0
-    is 25, do not).  Custom fields enter through the xi >= 0 half of their
-    FFT.  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r by
-    the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back in
-    one real inverse transform.  Both factors are evaluated only on the half
+    The initial data enter through their closed Fourier transforms, free of
+    sampling error but cut at pi/dx, where a kink or jump is damped only by
+    exp(-2 gp (pi/dx)^2 t): early snapshots of Laplace or plateau data alias
+    (see core.initial_spectrum; the figures, whose earliest t > 0 is 25, do
+    not).  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r
+    by the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back
+    in one real inverse transform.  Both factors are evaluated only on the half
     nodes where they can be nonzero (:func:`_live`): the others are exactly
     zero in double precision, so they are zero-filled and the field keeps
     its bits.  At t = 0 the sampled initial data returns.  A run's snapshots
@@ -391,9 +390,6 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid, symbol=N
     half = grid.half_nodes
     xis = half[: np.count_nonzero(_live(half, p, t))]  # the half nodes ascend: the live ones lead
     hat = ic.spectrum(xis)
-    if hat is None:  # Custom data
-        u0 = sample_initial(ic, grid)
-        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
     evolved = np.zeros((4, half.size), dtype=complex)
     evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3], symbol)
     evolved[3, : xis.size] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)

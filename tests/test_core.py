@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from oqbm import core, errors
 from oqbm.core import (
     BlochField,
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
@@ -211,29 +210,6 @@ class TestSampling:
         with pytest.raises(ValueError):
             LaplaceCoherent(p=0.5, r=0.9, q=0.9, scale=1.0)
 
-    def test_custom_roundtrip(self):
-        ic = GaussianMixture(p=0.5, sigma1=1.0, sigma2=1.0)
-        g = SpatialGrid(16.0, 512)
-        d = sample_initial(ic, g)
-        assert sample_initial(Custom(d), g) is d
-        with pytest.raises(errors.GridMismatch):
-            sample_initial(Custom(d), SpatialGrid(16.0, 256))
-
-    def test_custom_negative_populations_rejected(self):
-        g = SpatialGrid(16.0, 512)
-        rho11 = np.full(g.n_points, 1e-3)
-        rho11[10] = -1e-3  # far below the numerical slack
-        bad = BlochField.from_density(g, rho11, np.full(g.n_points, 1e-3),
-                                      np.zeros(g.n_points, dtype=complex))
-        with pytest.raises(ValueError):
-            sample_initial(Custom(bad), g)
-        # round-off level negatives pass
-        rho11 = np.full(g.n_points, 1e-3)
-        rho11[10] = -1e-15
-        ok = BlochField.from_density(g, rho11, np.full(g.n_points, 1e-3),
-                                     np.zeros(g.n_points, dtype=complex))
-        assert sample_initial(Custom(ok), g) is ok
-
 
 FIVE_SHAPES = [
     GaussianMixture(p=0.75, sigma1=1.0, sigma2=2.0),
@@ -369,11 +345,6 @@ class TestInitialSpectrum:
         low = np.abs(g.fourier_nodes) < 3.0
         for closed, fft_side in zip(hat, sampled):
             assert np.max(np.abs(closed[low] - fft_side[low])) < 2e-4
-
-    def test_custom_has_no_closed_transform(self):
-        g = SpatialGrid(8.0, 128)
-        d = sample_initial(GaussianMixture(p=0.5, sigma1=1.0, sigma2=1.0), g)
-        assert initial_spectrum(Custom(d), g.fourier_nodes) is None
 
     def test_zero_frequency_is_total_mass(self):
         ic = LaplaceCoherent(p=0.25, r=0.5, q=-0.5, scale=10.0)

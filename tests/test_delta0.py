@@ -4,16 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from oqbm import delta0, omega0, oracle, spectral
+from oqbm import delta0, oracle, spectral
 from oqbm.core import (
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     LaplaceMixture,
     Params,
     SpatialGrid,
     UniformMixture,
-    sample_initial,
 )
 from oqbm.errors import WrongRegime
 
@@ -196,15 +194,3 @@ class TestDensityAndSolve:
         us = spectral.solve(UNDER, ic, 80.0, grid)
         for name in ("rho_plus", "c_i", "rho_minus"):
             assert np.max(np.abs(getattr(u, name) - getattr(us, name))) < 1e-8
-
-
-@pytest.mark.parametrize("t", [0.0, 10.0])
-@pytest.mark.parametrize("closed", [
-    lambda ic, t, grid: delta0.solve(UNDER, ic, t, grid),
-    lambda ic, t, grid: omega0.solve(Params(gamma_p=1e-3, gamma_z=1e-3, delta=1e-2), ic, t, grid),
-], ids=["delta0_solve", "omega0_solve"])
-def test_custom_data_has_no_closed_helper(closed, t):
-    grid = SpatialGrid(32.0, 512)
-    ic = Custom(sample_initial(FIG6_LEFT, grid))
-    with pytest.raises(WrongRegime):
-        closed(ic, t, grid)

@@ -182,7 +182,7 @@ class TestFdIntegrate:
         for j in range(1, oracle.TAYLOR_DEGREE + 1):
             term = h * (B @ term) / j
             taylor += term
-        horner = oracle._taylor_run(oracle._coupling(GENERAL, grid, live), y, h, h, norm_cap=math.inf)
+        horner = oracle._taylor_run(oracle._coupling(GENERAL, grid, live), y, h, h, math.inf, math.inf)
         assert np.max(np.abs(horner.ravel() - taylor)) < 1e-14 * np.max(np.abs(y))
 
     def test_early_stop_matches_the_degree_30_sum(self):

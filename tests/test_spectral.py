@@ -12,14 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from oqbm import gammaz0, omega0, oracle, spectral
 from oqbm.core import (
-    BlochField,
-    Custom,
     GaussianCoherent,
     GaussianMixture,
     LaplaceCoherent,
     LaplaceMixture,
     Params,
     SpatialGrid,
+    UniformMixture,
     plan_grid,
     reach,
     sample_initial,
@@ -598,15 +597,25 @@ class TestSolve:
             u = spectral.solve(GENERAL, IC, t, grid)
             assert abs(u.mass() - 1.0) < 1e-8
 
-    def test_semigroup_through_custom_restart(self):
-        # the coherent input gives the Custom route's c_r transform non-zero data
+    def test_semigroup_of_the_symbols(self, monkeypatch):
+        # exp(20 Q) exp(30 Q) = exp(50 Q) on the half nodes; and solve hands
+        # real_inverse hat * factor(t) as c_r, so the decoupled factors compose
+        # when (hat f(20)) (hat f(30)) = hat (hat f(50)), checked on coherent
+        # data, whose c_r transform is non-zero
         grid = SpatialGrid(28.0, 2048)
-        for ic in (IC, GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)):
-            direct = spectral.solve(GENERAL, ic, 50.0, grid)
-            leg = spectral.solve(GENERAL, ic, 30.0, grid)
-            two = spectral.solve(GENERAL, Custom(leg), 20.0, grid)
-            assert np.max(np.abs(two.rho_plus - direct.rho_plus)) < 1e-8
-            assert np.max(np.abs(two.c_r - direct.c_r)) < 1e-8
+        xis = grid.half_nodes
+        two = spectral.exp_symbols(xis, GENERAL, 20.0) @ spectral.exp_symbols(xis, GENERAL, 30.0)
+        assert np.max(np.abs(two - spectral.exp_symbols(xis, GENERAL, 50.0))) < 1e-14
+        ic = GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0)
+        seen, real_inverse = [], SpatialGrid.real_inverse
+        monkeypatch.setattr(SpatialGrid, "real_inverse",
+                            lambda self, half: seen.append(half[3].copy()) or real_inverse(self, half))
+        for t in (20.0, 30.0, 50.0):
+            spectral.solve(GENERAL, ic, t, grid)
+        c20, c30, c50 = seen
+        hat = ic.spectrum(xis)[3]
+        assert np.max(np.abs(c50)) > 0.1
+        assert np.max(np.abs(c20 * c30 - hat * c50)) < 1e-15
 
     def test_matches_closed_driven_laplace_coherent(self):
         # every component, c_r included, against the gamma_z = 0 closed route
@@ -677,9 +686,6 @@ def _full_spectrum_solve(p, ic, t, grid):
     spectrum, built from the public pieces as the benchmark's gate builds it."""
     xis = grid.fourier_nodes
     hat = ic.spectrum(xis)
-    if hat is None:
-        u0 = ic.field
-        hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))
     evolved = np.empty((4, xis.size), dtype=complex)
     evolved[:3] = np.einsum("mij,mj->mi", spectral.exp_symbols(xis, p, t),
                             np.stack(hat[:3], axis=1).astype(complex)).T
@@ -687,23 +693,15 @@ def _full_spectrum_solve(p, ic, t, grid):
     return grid.inverse_transform(evolved).real
 
 
-def _noisy_custom(grid):
-    """Coherent Gaussian data plus uniform noise, whose transform is O(1e-3)
-    up to the Nyquist bin."""
-    base = sample_initial(GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0), grid)
-    noise = 1e-3 * np.random.default_rng(1).uniform(0.0, 1.0, (3, grid.n_points))
-    return Custom(BlochField.from_density(grid, base.rho11 + noise[0], base.rho22 + noise[1],
-                                          base.rho12 + 1j * noise[2]))
-
-
 class TestHalfSpectrum:
     GRID = SpatialGrid(28.0, 2048)
 
     @pytest.mark.parametrize("ic", [IC, GaussianCoherent(p=0.75, mu=0.8, k=1.0, sigma=1.0),
-                                    _noisy_custom(GRID)], ids=["mixture", "coherent", "custom"])
+                                    UniformMixture(p=0.75, a=3.0, b=2.0)],
+                             ids=["mixture", "coherent", "uniform"])
     def test_solve_matches_full_spectrum_inverse(self, ic):
-        # at t = 1e-6 diffusion leaves the noisy Custom data's Nyquist bin at
-        # full size, so a dropped or doubled Nyquist entry would show
+        # at t = 1e-6 diffusion leaves the plateaus' Nyquist transform (2.2e-3 on
+        # this grid) at full size, so a dropped or doubled Nyquist entry would show
         for t in (1e-6, 1.0, 50.0):
             u = spectral.solve(GENERAL, ic, t, self.GRID)
             half = np.stack([u.rho_plus, u.c_i, u.rho_minus, u.c_r])
@@ -828,16 +826,12 @@ class TestFlushedSpectrum:
         lambda: (CRITICAL, IC, 5.0, TestFlushedSpectrum.GRID),
         lambda: (Params(1e-3, 1e-3, 1e-2, 0.0), IC, 200.0, SpatialGrid(24.0, 4096)),
         lambda: (Params(1e-3, 1e-3, 0.0, 1e-2), IC, 200.0, SpatialGrid(24.0, 4096)),
-        lambda: (GENERAL, _noisy_custom(TestFlushedSpectrum.GRID), 50.0, TestFlushedSpectrum.GRID),
-    ], ids=["fig4-left-25", "fig4-left-100", "general-t_max", "critical", "omega0", "delta0", "custom"])
+    ], ids=["fig4-left-25", "fig4-left-100", "general-t_max", "critical", "omega0", "delta0"])
     def test_cut_spectrum_equals_every_node_evaluated(self, case, monkeypatch):
         p, ic, t, grid = case()
         xis = grid.half_nodes
         assert not spectral._live(xis, p, t).all()
         hat = ic.spectrum(xis)
-        if hat is None:
-            u0 = ic.field
-            hat = grid.forward_transform(np.stack([u0.rho_plus, u0.c_i, u0.rho_minus, u0.c_r]))[:, : xis.size]
         every = np.stack([*spectral._apply_exp(xis, p, t, hat[:3]), hat[3] * _heat_factor(p, t, xis)])
         seen, real_inverse = [], SpatialGrid.real_inverse
         monkeypatch.setattr(SpatialGrid, "real_inverse",
