@@ -35,7 +35,7 @@ from .errors import (
 )
 
 DEFAULT_EPS_TAIL = 1e-8    # tail mass (or boundary/peak ratio) a grid may leave outside
-MASS_POINTS = 1 << 18      # nodes of the grid initial_mass integrates on
+MASS_POINTS = 1 << 15      # nodes of the grid initial_mass integrates on
 POINTS_PER_FEATURE = 8.0   # check_grid: nodes per solution width, at least
 MIN_POINTS = 256           # plan_grid: bounds on the node count
 MAX_POINTS = 1 << 21
@@ -496,26 +496,19 @@ def sample_initial(ic: InitialCondition, grid: SpatialGrid) -> BlochField:
 
 
 def initial_mass(ic: InitialCondition) -> float:
-    """Richardson-extrapolated trapezoid mass of the raw initial density.
+    """Richardson-extrapolated trapezoid mass of ``sample_initial``'s rho_plus.
 
-    rho11 + rho22 is sampled, with no grid or field built, at the
-    MASS_POINTS nodes of the grid whose half-width is the next power of two
-    above the tail width, so the spacing is dyadic and the integer-valued
-    plateau edges of uniform data fall exactly on nodes (where the
-    half-plateau sampling makes the trapezoid exact).  The O(h^2) trapezoid
-    error at the kink of Laplace shapes is removed by m_h + (m_h - m_2h)/3,
-    with m_2h taken from every other sample.  The result is bit for bit that
-    of ``sample_initial``'s rho_plus on that grid.
+    The grid has MASS_POINTS nodes and, as half-width, the next power of two
+    above the tail width plus 1, so the spacing is dyadic and the
+    integer-valued plateau edges of uniform data fall exactly on nodes (where
+    the half-plateau sampling makes the trapezoid exact).  The O(h^2)
+    trapezoid error at the kink of Laplace shapes is removed by
+    m_h + (m_h - m_2h)/3, with m_2h taken from every other sample.
     """
-    width = tail_half_width(ic) + 1.0
-    half_width = 2.0 ** math.ceil(math.log2(width))
-    _check_tail(ic, half_width)
-    dx = grid_spacing(half_width, MASS_POINTS)
-    x, density = -half_width + dx * np.arange(MASS_POINTS), np.empty(MASS_POINTS)
-    for xs, out in zip(np.split(x, MASS_POINTS >> 14), np.split(density, MASS_POINTS >> 14)):  # blocks in L2
-        np.add(np.asarray(ic.rho11(xs), dtype=float), np.asarray(ic.rho22(xs), dtype=float), out=out)
-    fine = float(np.trapezoid(density, dx=dx))
-    coarse = float(np.trapezoid(density[::2], dx=2.0 * dx))
+    grid = SpatialGrid(2.0 ** math.ceil(math.log2(tail_half_width(ic) + 1.0)), MASS_POINTS)
+    density = sample_initial(ic, grid).rho_plus
+    fine = grid.trapezoid(density)
+    coarse = float(np.trapezoid(density[::2], dx=2.0 * grid.dx))
     return fine + (fine - coarse) / 3.0
 
 

@@ -13,9 +13,11 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   (every increment B times a vector, so mass is kept to round-off) and
   stops at the first term whose proven remainder bound, from h ||B||_inf,
   is below 2^-53 ||y||_inf, or at degree 30.  B is applied matrix-free, as a
-  stencil on its non-zero blocks.  It touches only the core types and
-  scipy.special.ive; it uses no FFT and never imports the spectral or
-  closed-form modules, so agreement with them is meaningful evidence.
+  stencil on its non-zero blocks.  Its time-error estimate is the max-norm
+  difference from a re-run at half the step.  It touches only the core
+  types and scipy.special.ive; it uses no FFT and never imports the
+  spectral or closed-form modules, so agreement with them is meaningful
+  evidence.
 
 * :func:`quad_inverse_fourier` -- plain trapezoid quadrature of
   (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a matrix symbol S at the
@@ -225,13 +227,12 @@ def fd_integrate(
     integrated, those non-zero at t = 0 or fed by a live one through B; the
     others come back as exact zeros.
     The Richardson estimate is the max-norm difference against a re-run
-    over [0, t_end] as one interval at dt/2, scaled by 2^30/(2^30 - 1), the
-    step-halving factor of a degree-30 step.  Steps that stop early are
-    within 2^-53 ||y|| of exp(hB) y, and the factor is 1 to nine digits, so
-    the estimate is in effect the plain difference of the two runs.  It
-    covers the time error of the B part only, the O(dx^2) spatial error is
-    assessed by grid refinement in the tests.  The tail and boundary checks
-    use DEFAULT_EPS_TAIL.
+    over [0, t_end] as one interval at dt/2.  A degree-30 step's halving
+    factor 2^30/(2^30 - 1) is 1 to nine digits, and steps that stop early
+    are within 2^-53 ||y|| of exp(hB) y, so the plain difference is the
+    estimate.  It covers the time error of the B part only, the O(dx^2)
+    spatial error is assessed by grid refinement in the tests.  The tail and
+    boundary checks use DEFAULT_EPS_TAIL.
     """
     if t_end <= 0.0:
         raise NonPositiveTime(f"t_end must be > 0, got {t_end}")
@@ -252,7 +253,7 @@ def fd_integrate(
     B, y0_live = _coupling(p, grid, live), y0[live]
     if dt is None:
         dt = auto_time_step(p, grid)
-    norm_cap = 10.0 * max(np.max(np.abs(y0)), 1e-300)
+    norm_cap = 10.0 * max(_max_norm(y0), 1e-300)
     heat_rate = 2.0 * p.gamma_p / grid.dx**2  # s of the lattice heat semigroup per unit time
     b_norm = _coupling_norm(p, grid)
 
@@ -280,9 +281,7 @@ def fd_integrate(
 
     rich = None
     if richardson:
-        half = advance(y0_live, times[-1], dt / 2.0)
-        halving = 2.0**TAYLOR_DEGREE
-        rich = halving / (halving - 1.0) * float(np.max(np.abs(states[-1] - half)))
+        rich = _max_norm(states[-1] - advance(y0_live, times[-1], dt / 2.0))
 
     return FdResult(field=final, richardson_error=rich, snapshots=snaps)
 

@@ -225,9 +225,9 @@ def _exp_dd3_series(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> np.ndarra
     return total
 
 
-def _putzer_weights(xis: np.ndarray, p: Params, t: float, z=None) -> tuple:
-    """(z1, z2, e[z1], e[z1, z2], e[z1, z2, z3]) for A = t Q(xi), each of shape (m,);
-    ``z`` is t * symbol_eigenvalues(xis, p), if the caller holds the eigenvalues.
+def _putzer_weights(z: np.ndarray) -> tuple:
+    """(z1, z2, e[z1], e[z1, z2], e[z1, z2, z3]) for A = t Q(xi), each of shape (m,),
+    from ``z`` = t * symbol_eigenvalues(xis, p), of shape (m, 3).
 
     z1, z2, z3 are the eigenvalues of A, each row with its closest pair last,
     so |z1 - z3| is at least half the spread of the three points; e[...] are
@@ -236,7 +236,6 @@ def _putzer_weights(xis: np.ndarray, p: Params, t: float, z=None) -> tuple:
     (z1 - z3) elsewhere.  Its own function, so that the temporaries are gone
     before _apply_exp forms its vectors.
     """
-    z = t * symbol_eigenvalues(xis, p) if z is None else z
     gap = np.abs(z - np.roll(z, -1, axis=1))  # gap[:, j] = |z_j - z_(j+1)|
     first = (np.argmin(gap, axis=1) + 2) % 3
     z = np.take_along_axis(z, (first[:, None] + np.arange(3)) % 3, axis=1)
@@ -254,27 +253,27 @@ def _putzer_weights(xis: np.ndarray, p: Params, t: float, z=None) -> tuple:
 
 def _live(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
     """Where exp(t Q(xi)) can be nonzero: 2 gp xi^2 t not >= _FLUSH, so a NaN
-    product (t = inf at xi = 0) and every xi at t <= 0 count as live."""
+    product (t = inf at xi = 0) and every xi at t = 0 count as live; t < 0 is refused."""
+    if t < 0.0:
+        raise NonPositiveTime(f"exp(t Q) needs t >= 0, got {t}")
     with np.errstate(over="ignore"):  # a product that overflows is past the edge too
         return ~(t * (2.0 * p.gamma_p * (xis * xis)) >= _FLUSH)
 
 
-def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray], symbol=None) -> tuple:
+def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray], weights: tuple) -> tuple:
     """exp(t Q(xi)) v by Putzer's formula, for v = (v0, v1, v2) whose last axis
     runs over ``xis``; returns the three components of the result.
 
-    With z1, z2, z3 the eigenvalues of A = t Q (see :func:`_putzer_weights`),
+    ``weights`` are :func:`_putzer_weights` of t Q at ``xis``.  With z1, z2,
+    z3 the eigenvalues of A = t Q,
 
         exp(A) v = e[z1] v + e[z1, z2] w1 + e[z1, z2, z3] w2,
         w1 = (A - z1) v,  w2 = (A - z2) w1,
 
     holds whether or not the eigenvalues are distinct.  A is applied through
-    its five distinct nonzero entries; no 3x3 matrix is formed.  The weights
-    come from ``symbol``, a :class:`SharedSymbol`, where it is given.
+    its five distinct nonzero entries; no 3x3 matrix is formed.
     """
-    if t < 0.0:
-        raise NonPositiveTime(f"exp(t Q) needs t >= 0, got {t}")
-    z1, z2, e1, e12, e123 = _putzer_weights(xis, p, t) if symbol is None else symbol.weights(t)
+    z1, z2, e1, e12, e123 = weights
     lap = -2.0 * p.gamma_p * xis**2
     a00, a11 = t * lap, t * (lap - 2.0 * p.gamma_z)  # a22 = a00
     a02 = t * (-2j * xis * p.delta)                   # a20 = a02
@@ -293,12 +292,12 @@ def _apply_exp(xis: np.ndarray, p: Params, t: float, v: Sequence[np.ndarray], sy
 
 class SharedSymbol:
     """Eigenvalues and Putzer weights of one run's spectral snapshots on one
-    rate set and grid, ``times`` their t > 0 (a t per snapshot).  The eigenvalues
-    are taken once, on the live prefix of the earliest t, which holds every later
-    prefix; each row's are its own in any batch, so slices keep every bit.  A
-    t's weights are made by its first snapshot (the rest wait on its lock) and
-    dropped after its last.  The eigenvalues are dropped once the last t has
-    scaled them, before its weights are made."""
+    rate set and grid, ``times`` their t > 0 (a t per snapshot), the one source
+    of :func:`solve`'s live half nodes and weights.  The eigenvalues are taken
+    once, on the live prefix of the earliest t, which holds every later prefix;
+    a row's are its own in any batch, so slices keep every bit.  A t's weights
+    are made by its first snapshot (the rest wait on its lock) and dropped
+    after its last; the eigenvalues go as soon as the last t has scaled them."""
 
     def __init__(self, p: Params, grid: SpatialGrid, times: Sequence[float]):
         self._p, self._xis = p, grid.half_nodes[: np.count_nonzero(_live(grid.half_nodes, p, min(times)))]
@@ -306,14 +305,17 @@ class SharedSymbol:
         self._slots = {t: [threading.Lock(), times.count(t), None] for t in set(times)}  # lock, uses, weights
         self._unscaled = set(times)  # the times that have yet to read the eigenvalues
 
+    def live_nodes(self, t: float) -> np.ndarray:
+        """The half nodes where exp(t Q) can be nonzero (:func:`_live`), a prefix."""
+        return self._xis[: np.count_nonzero(_live(self._xis, self._p, t))]
+
     def weights(self, t: float) -> tuple:
-        """:func:`_putzer_weights` at t on the live prefix at t."""
+        """:func:`_putzer_weights` at t on :meth:`live_nodes` at t."""
         slot = self._slots[t]
         with slot[0]:
             if slot[2] is None:
-                m = np.count_nonzero(_live(self._xis, self._p, t))
                 # no name holds the scaled eigenvalues, so _putzer_weights frees them once it has sorted them
-                slot[2] = _putzer_weights(self._xis[:m], self._p, t, self._scaled(t, m))
+                slot[2] = _putzer_weights(self._scaled(t, self.live_nodes(t).size))
             slot[1] -= 1
             weights, slot[2] = slot[2], slot[2] if slot[1] else None  # the last use drops them
         return weights
@@ -328,9 +330,9 @@ class SharedSymbol:
 
 
 def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
-    """Stacked exp(t Q(xi_k)), shape (m, 3, 3): Putzer's formula
-    (:func:`_apply_exp`) applied to the three unit columns.  At t = 0 it is
-    the identity exactly.  Frequencies that :func:`_live` drops get zeros.
+    """Stacked exp(t Q(xi_k)) at any frequencies, shape (m, 3, 3): Putzer's
+    formula (:func:`_apply_exp`) applied to the three unit columns.  At t = 0 it
+    is the identity exactly.  Frequencies that :func:`_live` drops get zeros.
 
     The error grows as about eps * t * max |lambda|: a root known to
     relative eps gives exp a phase error of eps |t lambda|.  On 300 draws
@@ -339,8 +341,8 @@ def exp_symbols(xis: np.ndarray, p: Params, t: float) -> np.ndarray:
     """
     xis = np.asarray(xis, dtype=float)
     live = _live(xis, p, t)
-    # component i of unit column j is eye[i, j], broadcast over the frequencies
-    columns = _apply_exp(xis[live], p, t, np.eye(3)[:, :, None])
+    # component i of unit column j is eye[i, j]; no name holds the weights past the call
+    columns = _apply_exp(xis[live], p, t, np.eye(3)[:, :, None], _putzer_weights(t * symbol_eigenvalues(xis[live], p)))
     out = np.zeros((3, 3, xis.size), dtype=complex)
     out[..., live] = np.stack(columns)
     return out.transpose(2, 0, 1)
@@ -380,18 +382,19 @@ def solve(p: Params, ic: InitialCondition, t: float, grid: SpatialGrid, symbol=N
     not).  (rho_plus, c_i, rho_minus) evolve by exp(t Q), the decoupled c_r
     by the damped heat factor exp(-(2 gp xi^2 + 2 gz) t); all four come back
     in one real inverse transform.  Both factors are evaluated only on the half
-    nodes where they can be nonzero (:func:`_live`): the others are exactly
-    zero in double precision, so they are zero-filled and the field keeps
-    its bits.  At t = 0 the sampled initial data returns.  A run's snapshots
-    share their :class:`SharedSymbol`; each keeps the bits it gets alone.
+    nodes where they can be nonzero, the live nodes of ``symbol`` (a run's
+    :class:`SharedSymbol`, or one made for this t alone): the others are exactly
+    zero in double precision, so they are zero-filled and each field keeps the
+    bits it gets alone.  At t = 0 the sampled initial data returns.
     """
     if t == 0.0:
         return sample_initial(ic, grid)
-    half = grid.half_nodes
-    xis = half[: np.count_nonzero(_live(half, p, t))]  # the half nodes ascend: the live ones lead
+    symbol = SharedSymbol(p, grid, (t,)) if symbol is None else symbol
+    xis = symbol.live_nodes(t)
     hat = ic.spectrum(xis)
-    evolved = np.zeros((4, half.size), dtype=complex)
-    evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3], symbol)
+    evolved = np.zeros((4, grid.half_nodes.size), dtype=complex)
+    # the weights come last and unnamed: nothing holds them while hat is made or the field inverted
+    evolved[:3, : xis.size] = _apply_exp(xis, p, t, hat[:3], symbol.weights(t))
     evolved[3, : xis.size] = hat[3] * np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
     rho_plus, c_i, rho_minus, c_r = grid.real_inverse(evolved)
     return BlochField(grid=grid, rho_plus=rho_plus, c_i=c_i, rho_minus=rho_minus, c_r=c_r, time=t)

@@ -190,8 +190,8 @@ class TestSampling:
                                    params=Params(gamma_p=1e-2, delta=1e-1, omega=1e-2)),
     ], ids=lambda ic: type(ic).__name__)
     def test_mass_is_the_sampled_fields_bit_for_bit(self, ic):
-        # initial_mass samples the populations alone; the same extrapolation of
-        # sample_initial's rho_plus on the grid it describes gives the same bits
+        # initial_mass is the extrapolated trapezoid of sample_initial's
+        # rho_plus on the MASS_POINTS-node grid of dyadic half-width
         half_width = 2.0 ** math.ceil(math.log2(tail_half_width(ic) + 1.0))
         grid = SpatialGrid(half_width, core.MASS_POINTS)
         density = sample_initial(ic, grid).rho_plus

@@ -505,7 +505,8 @@ class TestExpSymbol:
         for xi, p in coalescing_points():
             for t in (0.5, 3.0, 40.0):
                 v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-                mine = np.array(spectral._apply_exp(np.full(4, xi), p, t, v))
+                xis = np.full(4, xi)
+                mine = np.array(spectral._apply_exp(xis, p, t, v, _weights(xis, p, t)))
                 ref = coalescing_reference(xi, p, t) @ v
                 worst = max(worst, np.max(np.abs(mine - ref)) / max(1.0, np.max(np.abs(ref))))
         assert worst <= 1e-12
@@ -737,6 +738,11 @@ def _heat_factor(p, t, xis):
     return np.exp(-(2.0 * p.gamma_p * xis**2 + 2.0 * p.gamma_z) * t)
 
 
+def _weights(xis, p, t):
+    """The Putzer weights of t Q at every one of ``xis``, live or not."""
+    return spectral._putzer_weights(t * spectral.symbol_eigenvalues(xis, p))
+
+
 class TestSharedSymbol:
     """A run takes Q's eigenvalues once, on the live prefix of its earliest
     t > 0, and slices them for every later t (spectral.SharedSymbol)."""
@@ -790,6 +796,32 @@ class TestSharedSymbol:
             symbol.weights(t)
         assert held == [True, True, False] and symbol._lam is None
 
+    def test_no_weights_are_held_while_the_spectrum_is_made_or_inverted(self, monkeypatch):
+        # solve makes a snapshot's weights after its initial spectrum and holds
+        # them by no name, so neither that spectrum nor the inverse transform meets them
+        import weakref
+
+        made, held, putzer_weights = [], [], spectral._putzer_weights
+
+        def weights(z):
+            out = putzer_weights(z)
+            made.extend(weakref.ref(w) for w in out)
+            return out
+
+        def alive():
+            held.append(sum(r() is not None for r in made))
+
+        spectrum, real_inverse = type(IC).spectrum, SpatialGrid.real_inverse
+        monkeypatch.setattr(spectral, "_putzer_weights", weights)
+        monkeypatch.setattr(type(IC), "spectrum", lambda self, xis: alive() or spectrum(self, xis))
+        monkeypatch.setattr(SpatialGrid, "real_inverse", lambda self, half: alive() or real_inverse(self, half))
+        grid, times = SpatialGrid(28.0, 2048), (5.0, 20.0)
+        symbol = spectral.SharedSymbol(GENERAL, grid, times)
+        for t in times:  # through a run's symbol, and alone
+            spectral.solve(GENERAL, IC, t, grid, symbol)
+            spectral.solve(GENERAL, IC, t, grid)
+        assert len(made) == 20 and held == [0] * 8
+
     def test_concurrent_snapshots_make_each_weight_set_once(self, monkeypatch):
         # more threads than cores, switching often: each time's weights are
         # made once, every snapshot of it gets that set, and its last use drops it
@@ -797,10 +829,11 @@ class TestSharedSymbol:
         import concurrent.futures
         import sys
 
-        made, putzer_weights = collections.Counter(), spectral._putzer_weights
-        monkeypatch.setattr(spectral, "_putzer_weights", lambda *args: made.update([args[2]]) or putzer_weights(*args))
-        times = [5.0, 10.0, 20.0, 40.0] * 8
-        symbol = spectral.SharedSymbol(GENERAL, SpatialGrid(28.0, 2048), times)
+        # a weight set is made from the eigenvalues scaled by its t, one call each
+        made, scaled = collections.Counter(), spectral.SharedSymbol._scaled
+        monkeypatch.setattr(spectral.SharedSymbol, "_scaled", lambda self, t, m: made.update([t]) or scaled(self, t, m))
+        times, grid = [5.0, 10.0, 20.0, 40.0] * 8, SpatialGrid(28.0, 2048)
+        symbol = spectral.SharedSymbol(GENERAL, grid, times)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -810,6 +843,9 @@ class TestSharedSymbol:
             sys.setswitchinterval(interval)
         assert made == collections.Counter(set(times))
         assert all(len({id(w) for t, w in zip(times, got) if t == u}) == 1 for u in set(times))
+        for t, w in zip(times, got):  # each t's own set, on its own live prefix
+            m = np.count_nonzero(spectral._live(grid.half_nodes, GENERAL, t))
+            assert [a.tobytes() for a in w] == [a.tobytes() for a in _weights(grid.half_nodes[:m], GENERAL, t)], t
         assert all(slot[1:] == [0, None] for slot in symbol._slots.values())
 
 
@@ -831,14 +867,14 @@ class TestFlushedSpectrum:
         p, ic, t, grid = case()
         xis = grid.half_nodes
         assert not spectral._live(xis, p, t).all()
-        hat = ic.spectrum(xis)
-        every = np.stack([*spectral._apply_exp(xis, p, t, hat[:3]), hat[3] * _heat_factor(p, t, xis)])
+        hat, weights = ic.spectrum(xis), _weights(xis, p, t)
+        every = np.stack([*spectral._apply_exp(xis, p, t, hat[:3], weights), hat[3] * _heat_factor(p, t, xis)])
         seen, real_inverse = [], SpatialGrid.real_inverse
         monkeypatch.setattr(SpatialGrid, "real_inverse",
                             lambda self, half: seen.append(half.copy()) or real_inverse(self, half))
         spectral.solve(p, ic, t, grid)
         assert np.all(seen[0] == every)  # == also takes -0.0 for 0.0
-        columns = np.stack(spectral._apply_exp(xis, p, t, np.eye(3)[:, :, None])).transpose(2, 0, 1)
+        columns = np.stack(spectral._apply_exp(xis, p, t, np.eye(3)[:, :, None], weights)).transpose(2, 0, 1)
         assert np.all(spectral.exp_symbols(xis, p, t) == columns)
 
     def test_weights_past_the_edge_are_exactly_zero(self):
@@ -853,7 +889,7 @@ class TestFlushedSpectrum:
             xis = np.sqrt(np.linspace(0.5, 4.0, 2001) * spectral._FLUSH / (2.0 * p.gamma_p * t))
             dead = ~spectral._live(xis, p, t)
             assert 900 < np.count_nonzero(dead) < 2001
-            _, _, *weights = spectral._putzer_weights(xis[dead], p, t)
+            _, _, *weights = _weights(xis[dead], p, t)
             for w in (*weights, _heat_factor(p, t, xis[dead])):
                 assert np.all(w == 0.0), p
 
@@ -861,5 +897,7 @@ class TestFlushedSpectrum:
         xis = np.linspace(0.0, 1e3, 101)
         assert spectral._live(xis, SimpleNamespace(gamma_p=0.0), 1e300).all()
         assert spectral._live(xis, Params(1e-300, 1e-3, 1e-2, 1e-2), 1e6).all()
-        # t <= 0 keeps them too, so _apply_exp's NonPositiveTime is what a negative t meets
-        assert spectral._live(xis, GENERAL, -1e300).all() and spectral._live(xis, GENERAL, 0.0).all()
+        # t = 0 keeps them too; a negative t is refused here, before any weight is made
+        assert spectral._live(xis, GENERAL, 0.0).all()
+        with pytest.raises(NonPositiveTime):
+            spectral._live(xis, GENERAL, -1e300)
