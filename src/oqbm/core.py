@@ -513,7 +513,11 @@ def initial_mass(ic: InitialCondition) -> float:
 
 
 def tail_half_width(ic: InitialCondition) -> float:
-    """Smallest X with tail_mass(X) <= DEFAULT_EPS_TAIL, found by bisection."""
+    """Smallest X with tail_mass(X) <= DEFAULT_EPS_TAIL, found by bisection.
+
+    The bisection ends when lo and hi are adjacent doubles, where no
+    midpoint lies between them and further halvings would change neither.
+    """
     lo, hi = 0.0, 1.0
     while ic.tail_mass(hi) > DEFAULT_EPS_TAIL:
         hi *= 2.0
@@ -521,6 +525,8 @@ def tail_half_width(ic: InitialCondition) -> float:
             raise DomainTooNarrow("initial condition tail does not decay")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if ic.tail_mass(mid) > DEFAULT_EPS_TAIL:
             lo = mid
         else:

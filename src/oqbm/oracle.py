@@ -11,19 +11,21 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   at the step of Al-Mohy & Higham's bound, over only the components that
   can be non-zero.  Each step adds the terms (h/j) B T_{j-1} one by one
   (every increment B times a vector, so mass is kept to round-off) and
-  stops at the first term whose proven remainder bound, from h ||B||_inf,
-  is below 2^-53 ||y||_inf, or at degree 30.  B is applied matrix-free, as a
-  stencil on its non-zero blocks.  Its time-error estimate is the max-norm
-  difference from a re-run at half the step.  It touches only the core
-  types and scipy.special.ive; it uses no FFT and never imports the
-  spectral or closed-form modules, so agreement with them is meaningful
-  evidence.
+  stops at the first term, from one degree below the last step's stop,
+  whose proven remainder bound, from h ||B||_inf, is below 2^-53 ||y||_inf,
+  or at degree 30.  B is applied matrix-free, as a stencil on its non-zero
+  blocks.  Its time-error estimate is the max-norm difference from a re-run
+  at half the step.  It touches only the core types and scipy.special.ive;
+  it uses no FFT and never imports the spectral or closed-form modules, so
+  agreement with them is meaningful evidence.
 
-* :func:`quad_inverse_fourier` -- plain trapezoid quadrature of
-  (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a matrix symbol S at the
-  given points, with nested interval halving (each rule adds the midpoints
-  of the last, so no node is evaluated twice) until successive results
-  agree, its phases by angle addition.  No FFT involved.
+* :func:`quad_inverse_fourier` -- plain trapezoid quadrature of the real
+  part of (1/2pi) * integral exp(i xi x) S(xi) d(xi) for a symbol S of any
+  trailing shape at the given points, on exact multiples of the step, with
+  nested interval halving (each rule adds the midpoints of the last, so no
+  node is evaluated twice) until successive real sums agree; each node is
+  paired with its mirror and only the real part is summed, its phases by
+  angle addition.  No FFT involved.
 
 scipy.special is imported by the functions that use it, on first use, so
 importing this module loads no scipy.
@@ -178,7 +180,11 @@ def _taylor_run(
     J + 1 > theta the terms left out sum to at most ||T_J|| theta/(J + 1 -
     theta).  The step stops at the first such J where that bound is at most
     TAYLOR_TOL ||y||_inf, and otherwise at J = TAYLOR_DEGREE, the degree-30
-    polynomial; ``b_norm`` = inf always runs to it.  Every increment is B
+    polynomial; ``b_norm`` = inf always runs to it.  The bound is tested only
+    from one degree below the last step's stop: past the first J where it
+    holds it only shrinks (the next term is at most theta/(J + 1) of this
+    one, and theta/(J + 2 - theta) < theta/(J + 1 - theta)), so a step that
+    tests late still stops only where it holds.  Every increment is B
     times a vector, and the columns of B sum to exactly zero over the
     rho_plus rows, so the mass changes by round-off only.  The one
     ||y||_inf a step scales its stop rule by is also checked against
@@ -189,7 +195,7 @@ def _taylor_run(
     theta = h * b_norm
     y = y0.copy()
     term, new = np.empty_like(y), np.empty_like(y)
-    y_norm = _max_norm(y)
+    y_norm, first = _max_norm(y), 1  # first: the lowest degree whose bound is tested
     for step in range(nsteps):
         tol = TAYLOR_TOL * y_norm
         np.copyto(term, y)
@@ -197,9 +203,9 @@ def _taylor_run(
             B(term, h / j, new)
             term, new = new, term
             y += term
-            if j + 1 > theta and _max_norm(term) * theta / (j + 1 - theta) <= tol:
+            if j >= first and j + 1 > theta and _max_norm(term) * theta / (j + 1 - theta) <= tol:
                 break
-        y_norm = _max_norm(y)
+        y_norm, first = _max_norm(y), j - 1
         if not y_norm <= norm_cap:
             raise UnstableStep(
                 f"solution norm exceeded 10x its initial value after {step + 1} steps of {h:.3g}"
@@ -289,49 +295,60 @@ def fd_integrate(
 def quad_inverse_fourier(
     symbol: Callable[[np.ndarray], np.ndarray], x_points: np.ndarray, xi_max: float
 ) -> np.ndarray:
-    """Evaluate (1/2pi) * integral_{-xi_max}^{xi_max} S(xi) e^{i xi x} dxi.
+    """Evaluate the real part of (1/2pi) * integral_{-xi_max}^{xi_max} S(xi) e^{i xi x} dxi.
 
-    ``symbol`` maps an array of frequencies (m,) to stacked matrices
-    (m, 3, 3), its time dependence included.  The node count starts at
-    QUAD_START_NODES and is doubled (less one) until two successive
-    trapezoid results differ by less than QUAD_TOL in max norm, or raises
-    QuadratureNotConverged beyond QUAD_MAX_NODES.  The rules nest: the
-    (2n - 1)-node sum is the n-node sum plus the n - 1 new midpoints, so
-    each node's symbol is evaluated once.  A level's new nodes step by s,
-    so the phases come by angle addition: e^{i x xi_{b+k}} = e^{i x xi_b}
-    e^{i x k s}, one base block e^{i x k s}, k < PHASE_BLOCK, per level and
-    one exponential per point per PHASE_BLOCK nodes.  s is linspace's own
-    step, so xi_b + k s is within a few ulp of xi_max of the node, and each
-    phase within about 4 eps max|x| xi_max radians of the plain one.
-    Returns the real part, shape (len(x), 3, 3).
+    ``symbol`` maps an array of frequencies (m,) to an array (m, ...) of any
+    trailing shape, its time dependence included.  The nodes are exact
+    multiples xi = k h: h = xi_max / ((QUAD_START_NODES - 1) / 2) on the
+    first rule, and each refinement adds the odd multiples of h / 2^L, so
+    the node count goes n -> 2n - 1 and each node's symbol is evaluated
+    once, until two successive real sums differ by less than QUAD_TOL in
+    max norm, or QuadratureNotConverged beyond QUAD_MAX_NODES.  Each node
+    xi > 0 is paired with its mirror -xi (xi = 0 is its own), and only the
+    real part is summed: cos(x xi) Re(S(xi) + S(-xi)) - sin(x xi) Im(S(xi)
+    - S(-xi)).  A level's positive nodes step by s, so the phases come by
+    angle addition: the cos and sin of x xi_{b+k} are those of x xi_b and
+    x k s, k < PHASE_BLOCK, summed over each block as real matrix products
+    with one base block per level and one cos and sin per point per
+    PHASE_BLOCK nodes.  xi_b + k s is within two ulp of xi_max of the node,
+    so each phase is within about 2 eps max|x| xi_max radians of the plain
+    one.  Returns shape (len(x),) + the symbol's trailing shape.
     """
     x = np.atleast_1d(np.asarray(x_points, dtype=float))
-    n = QUAD_START_NODES
-    xi, s = np.linspace(-xi_max, xi_max, n, retstep=True)
-    new = xi
-    weights = np.ones(n)
-    weights[0] = weights[-1] = 0.5
-    total = np.zeros((x.size, 9), dtype=complex)  # the trapezoid sum over its step
-    prev = None
-    chunk = max(1, min(8192, 2**18 // x.size))  # nodes per symbol call
+    h = xi_max / ((QUAD_START_NODES - 1) // 2)
+    zero = np.asarray(symbol(np.zeros(1)))  # xi = 0, its own mirror
+    shape = zero.shape[1:]
+    total = np.tile(np.real(zero).reshape(1, -1), (x.size, 1))  # the trapezoid sum over its step
+    chunk = PHASE_BLOCK * min(64, max(1, 2**11 // x.size))  # pairs per symbol call
+    n, step, prev = QUAD_START_NODES, h, None
+    pos, s = h * np.arange(1, (n + 1) // 2), h  # the first rule's xi > 0
+    weights = np.ones(pos.size)
+    weights[-1] = 0.5
     while True:
-        base = np.exp(1j * np.outer(x, s * np.arange(PHASE_BLOCK)))
-        for lo in range(0, new.size, chunk):
-            hi = min(lo + chunk, new.size)
-            sym = np.asarray(symbol(new[lo:hi]), dtype=complex).reshape(hi - lo, 9)
-            sym = sym * weights[lo:hi, None]
-            for b in range(0, hi - lo, PHASE_BLOCK):
-                m = min(PHASE_BLOCK, hi - lo - b)
-                total += np.exp(1j * x * new[lo + b])[:, None] * (base[:, :m] @ sym[b:b + m])
-        result = (total * ((xi[1] - xi[0]) / (2.0 * math.pi))).reshape(x.size, 3, 3)
+        phase = np.outer(x, s * np.arange(PHASE_BLOCK))
+        base = np.concatenate([np.cos(phase), np.sin(phase)])
+        for lo in range(0, pos.size, chunk):
+            xi, w = pos[lo:lo + chunk], weights[lo:lo + chunk, None]
+            m, nb = xi.size, -(-xi.size // PHASE_BLOCK)
+            sym = np.asarray(symbol(np.concatenate([xi, -xi]))).reshape(2 * m, -1)
+            # column (re/im, b, entry) holds block b's w Re(S(xi) + S(-xi)) and w Im(S(xi) - S(-xi))
+            pairs = np.zeros((2, nb * PHASE_BLOCK, total.shape[1]))
+            pairs[0, :m] = w * np.real(sym[:m] + sym[m:])
+            pairs[1, :m] = w * np.imag(sym[:m] - sym[m:])
+            pairs = pairs.reshape(2, nb, PHASE_BLOCK, -1).transpose(2, 0, 1, 3).reshape(PHASE_BLOCK, -1)
+            (c_re, c_im), (s_re, s_im) = (base @ pairs).reshape(2, x.size, 2, nb, -1).transpose(0, 2, 1, 3, 4)
+            phase = np.outer(x, xi[::PHASE_BLOCK])
+            total += np.einsum("xb,xbt->xt", np.cos(phase), c_re - s_im)
+            total -= np.einsum("xb,xbt->xt", np.sin(phase), s_re + c_im)
+        result = total * (step / (2.0 * math.pi))
         if prev is not None and np.max(np.abs(result - prev)) < QUAD_TOL:
-            return np.real(result)
+            return result.reshape(x.shape + shape)
         prev = result
         n = 2 * n - 1
         if n > QUAD_MAX_NODES:
             raise QuadratureNotConverged(
                 f"inverse Fourier quadrature did not reach tol={QUAD_TOL:.1e} within {QUAD_MAX_NODES} nodes"
             )
-        xi, h = np.linspace(-xi_max, xi_max, n, retstep=True)
-        new, s = xi[1::2], 2.0 * h
-        weights = np.ones(new.size)
+        step *= 0.5
+        pos, s = step * np.arange(1, (n + 1) // 2, 2), 2.0 * step
+        weights = np.ones(pos.size)

@@ -322,6 +322,28 @@ class TestGridPlanning:
         w = tail_half_width(ic)
         assert ic.tail_mass(w) <= 1e-8 < ic.tail_mass(0.99 * w)
 
+    @pytest.mark.parametrize("name", ["FIG1_IC", "FIG2_IC", "FIG3_IC", "FIG6_RIGHT_IC", "FIG4_RIGHT_IC"])
+    def test_tail_half_width_stops_at_adjacent_doubles(self, name, monkeypatch):
+        # the full 200-halving bisection gives the same bits: once lo and hi
+        # are adjacent no midpoint moves either; the early stop evaluates
+        # the tail about 53 times past the doubling, not 200
+        from oqbm import validate
+        ic = getattr(validate, name)
+        lo, hi = 0.0, 1.0
+        while ic.tail_mass(hi) > core.DEFAULT_EPS_TAIL:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if ic.tail_mass(mid) > core.DEFAULT_EPS_TAIL:
+                lo = mid
+            else:
+                hi = mid
+        calls = []
+        tail_mass = type(ic).tail_mass
+        monkeypatch.setattr(type(ic), "tail_mass", lambda self, x: calls.append(x) or tail_mass(self, x))
+        assert tail_half_width(ic) == hi
+        assert len(calls) < 80
+
 
 class TestInitialSpectrum:
     @pytest.mark.parametrize("ic", [

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oqbm import gammaz0, oracle, specfun as sf, spectral
+from oqbm import gammaz0, oracle, specfun as sf, spectral, validate
 from oqbm.core import GaussianCoherent, GaussianMixture, Params, SpatialGrid, sample_initial
 from oqbm.errors import DomainTooNarrow, NonPositiveTime, QuadratureNotConverged, UnstableStep
 from oqbm.oracle import auto_time_step, fd_integrate, quad_inverse_fourier
@@ -238,6 +238,65 @@ class TestFdIntegrate:
         fd_integrate(FIG1, ic, 50.0, SpatialGrid(half_width, n), richardson=False)
         assert len(runs) == 1 and 0 < len(runs[0]) <= 400
 
+    def test_fd_row_counts_and_bits(self, monkeypatch):
+        # validate's FD row on its three cases: 880 applications of B, and
+        # the remainder bound tested only from one degree below the last
+        # step's stop, so at most 300 max norms (796 when every degree past
+        # theta was tested); the stop degrees, and so the row's bits, are
+        # those of testing every degree
+        runs, norms = [], []
+        coupling, max_norm = oracle._coupling, oracle._max_norm
+
+        def counted_coupling(p, grid, live):
+            apply, calls = counting(coupling(p, grid, live))
+            runs.append(calls)
+            return apply
+
+        def counted_norm(v):
+            norms.append(v.shape)
+            return max_norm(v)
+
+        monkeypatch.setattr(oracle, "_coupling", counted_coupling)
+        monkeypatch.setattr(oracle, "_max_norm", counted_norm)
+        row = validate.check_fd_cross()
+        assert len(runs) == 3 and sum(len(calls) for calls in runs) == 880
+        assert len(norms) <= 300
+        assert row.max_err == 8.03981947400414e-06
+
+    def test_late_first_test_stops_where_the_bound_holds(self):
+        # c_r = 1 damped at 2 gamma_z h = THETA_30 a step beside an undamped
+        # rho_plus = 1: the steps need ever fewer terms, the first degree
+        # where the bound holds falling by two or three a step, while each
+        # step tests from one below the last's stop; it stops later than it
+        # could, but only where the bound ||T_J|| theta/(J + 1 - theta)
+        # <= 2^-53 ||y|| holds, and c_r still decays to 2^-52 of exp(-2 gamma_z t)
+        p = Params(gamma_p=1e-3, gamma_z=1.0)
+        grid = SpatialGrid(20.0, 64)
+        apply = oracle._coupling(p, grid, np.array([True, False, False, True]))
+        b_norm = oracle._coupling_norm(p, grid)
+        h = auto_time_step(p, grid)
+        theta = h * b_norm
+        steps = []
+
+        def recorded(v, c, out):
+            if c == h:  # a step's first term: v is its y
+                steps.append([np.max(np.abs(v))])
+            apply(v, c, out)
+            steps[-1].append(np.max(np.abs(out)))
+
+        y = oracle._taylor_run(recorded, np.ones((2, grid.n_points)), 8 * h, h, math.inf, b_norm)
+        stops, firsts = [], []
+        for y_norm, *terms in steps:
+            held = [j for j, term in enumerate(terms, 1)
+                    if j + 1 > theta and term * theta / (j + 1 - theta) <= 2.0**-53 * y_norm]
+            assert held and held[-1] == len(terms)  # the bound holds where the step stopped
+            stops.append(len(terms))
+            firsts.append(held[0])
+        assert len(stops) == 8 and all(b >= a - 1 for a, b in zip(stops, stops[1:]))
+        assert any(first < stop - 1 for first, stop in zip(firsts, stops))
+        assert np.all(y[0] == 1.0)
+        assert np.max(np.abs(y[1] - math.exp(-2.0 * p.gamma_z * 8 * h))) <= 2.0**-52
+
     @pytest.mark.parametrize("seed", range(10))
     def test_auto_step_inside_taylor_region(self, seed):
         # dense spectrum of the coupling operator B on a small grid: h|lambda|
@@ -367,25 +426,67 @@ class TestQuadInverseFourier:
         K = quad_inverse_fourier(symbol, x, xi_max)
         assert np.max(np.abs(K[:, 0, 0] - sf.h_plus(t, x, p))) < 1e-10
 
-    def test_nested_sum_equals_plain_trapezoid(self):
-        gp, t = 1e-2, 25.0
-        calls = []
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1.0j], ids=["hermitian", "non_hermitian"])
+    def test_shifted_symbol_gives_shifted_heat_kernel(self, factor):
+        # exp(-i a xi - c xi^2) is not even in xi, so the sine half of each
+        # mirrored pair carries the shift; times 1 + i it is not conjugate
+        # symmetric either, and the real part is still the shifted kernel
+        gp, t, a = 1e-2, 25.0, 1.5
 
         def symbol(xi):
-            calls.append(xi.size)
-            out = np.zeros((xi.size, 3, 3), dtype=complex)
-            out[:, 0, 0] = np.exp(-2 * gp * t * xi**2)
-            return out
+            return factor * np.exp(-1j * a * xi - 2 * gp * t * xi**2)
 
         x = np.linspace(-5, 5, 21)
         xi_max = math.sqrt(16 * math.log(10) / (2 * gp * t))
         K = quad_inverse_fourier(symbol, x, xi_max)
-        assert len(calls) > 1  # at least one refinement was nested
-        xi = np.linspace(-xi_max, xi_max, sum(calls))
-        w = np.full(xi.size, xi[1] - xi[0])
-        w[0] = w[-1] = 0.5 * w[0]
-        plain = np.real(np.exp(1j * np.outer(x, xi)) @ (w * symbol(xi)[:, 0, 0])) / (2 * math.pi)
-        assert np.max(np.abs(K[:, 0, 0] - plain)) <= 1e-15 * np.max(np.abs(plain))
+        assert K.shape == x.shape
+        assert np.max(np.abs(K - sf.heat_kernel(t, x - a, gp))) < 1e-10
+
+    def test_any_trailing_shape(self):
+        # the same entries as (m,), (m, 3) and (m, 3, 3) symbols give the
+        # same sums, in the symbol's own trailing shape
+        gp, t, a = 1e-2, 25.0, 1.5
+        x = np.linspace(-5, 5, 21)
+        xi_max = math.sqrt(16 * math.log(10) / (2 * gp * t))
+
+        def entries(xi):
+            e = np.exp(-2 * gp * t * xi**2)
+            return e, np.exp(-1j * a * xi) * e, (1.0 + 2.0j) * e
+
+        K1 = quad_inverse_fourier(lambda xi: entries(xi)[1], x, xi_max)
+        K3 = quad_inverse_fourier(lambda xi: np.stack(entries(xi), axis=1), x, xi_max)
+        K33 = quad_inverse_fourier(
+            lambda xi: np.stack(entries(xi), axis=1)[:, :, None] * np.eye(3), x, xi_max)
+        assert K1.shape == (21,) and K3.shape == (21, 3) and K33.shape == (21, 3, 3)
+        assert np.max(np.abs(K3[:, 1] - K1)) <= 1e-16
+        assert np.max(np.abs(K33 - K3[:, :, None] * np.eye(3))) <= 1e-16
+        assert np.max(np.abs(K3 - sf.heat_kernel(t, x[:, None] - [0.0, a, 0.0], gp))) < 1e-10
+
+    def test_nested_sum_equals_plain_trapezoid(self):
+        # every node is an exact multiple of the last rule's step, and each
+        # is evaluated once; the nested, mirrored, angle-added real sum is
+        # the plain trapezoid over those nodes with direct cos and sin
+        gp, t, a = 1e-2, 25.0, 1.5
+        seen = []
+
+        def symbol(xi):
+            seen.append(xi.copy())
+            return np.exp(-1j * a * xi - 2 * gp * t * xi**2)
+
+        x = np.linspace(-5, 5, 21)
+        xi_max = math.sqrt(16 * math.log(10) / (2 * gp * t))
+        K = quad_inverse_fourier(symbol, x, xi_max)
+        nodes = np.concatenate(seen)
+        half = (nodes.size - 1) // 2
+        assert half > (oracle.QUAD_START_NODES - 1) // 2  # at least one refinement was nested
+        step = xi_max / half
+        assert np.array_equal(np.sort(nodes), step * np.arange(-half, half + 1))
+        w = np.full(nodes.size, step)
+        w[np.abs(nodes) == xi_max] *= 0.5
+        S = symbol(nodes)
+        phase = np.outer(x, nodes)
+        plain = (np.cos(phase) @ (w * S.real) - np.sin(phase) @ (w * S.imag)) / (2 * math.pi)
+        assert np.max(np.abs(K - plain)) <= 1e-15 * np.max(np.abs(plain))
 
     def test_angle_addition_at_validates_arguments(self):
         # validate's t = 1 row: |x xi| reaches about 1.2e4, where each phase
@@ -402,8 +503,9 @@ class TestQuadInverseFourier:
         x = SpatialGrid(260.0, 32768).nodes[np.linspace(0, 32767, 301).astype(int)]
         xi_max = math.sqrt(18.0 * math.log(10.0) / (2.0 * FIG4.gamma_p * t))
         K = quad_inverse_fourier(symbol, x, xi_max)
-        xi = np.linspace(-xi_max, xi_max, sum(calls))
-        w = np.full(xi.size, xi[1] - xi[0])
+        half = (sum(calls) - 1) // 2
+        xi = (xi_max / half) * np.arange(-half, half + 1)
+        w = np.full(xi.size, xi_max / half)
         w[0] = w[-1] = 0.5 * w[0]
         wS = w[:, None] * closed(xi).reshape(xi.size, 9)
         plain = np.real(np.exp(1j * np.outer(x, xi)) @ wS) / (2 * math.pi)
@@ -413,11 +515,11 @@ class TestQuadInverseFourier:
     def test_not_converged_raises(self, monkeypatch):
         # an oscillatory symbol cannot settle to 1e-14 within two refinements;
         # each refinement evaluates only its new midpoints, and none is made
-        # past QUAD_MAX_NODES
-        calls = []
+        # past QUAD_MAX_NODES: the 513-node rule's nodes, each once
+        seen = []
 
         def symbol(xi):
-            calls.append(xi.size)
+            seen.append(xi.copy())
             out = np.zeros((xi.size, 3, 3), dtype=complex)
             out[:, 0, 0] = np.cos(37.0 * xi)
             return out
@@ -427,4 +529,5 @@ class TestQuadInverseFourier:
         monkeypatch.setattr(oracle, "QUAD_MAX_NODES", 513)
         with pytest.raises(QuadratureNotConverged):
             quad_inverse_fourier(symbol, np.array([0.0]), xi_max=10.0)
-        assert calls == [129, 128, 256]
+        nodes = np.concatenate(seen)
+        assert np.array_equal(np.sort(nodes), (10.0 / 256) * np.arange(-256, 257))
