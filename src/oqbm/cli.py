@@ -232,13 +232,13 @@ def _format(v: float) -> str:
 # point put in after the digits before it, and "e+XX" at byte 17.  Byte 31,
 # past the longest text (25 bytes with its comma), is always NUL.
 _WORDS = 4
-_STAMP = 3  # words of t's text; the longest .17g text, "-1.2345678901234567e-100", has 24 bytes
+_STAMP = 3  # the most words of t's text; the longest .17g text, "-1.2345678901234567e-100", has 24 bytes
 _POW_MIN, _POW_MAX = -290, 300  # exponents of the 10^k table
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280  # |v| of the fast path, besides 0
 _TIE_GAP = 1e-6
 _ROWS_PER_CHUNK = 4096
 _KERNEL_ROWS, _FLAG_ROWS = 9, 4  # _format_g17's temporaries: rows of words and of flags
-_LINE = 8 * (_STAMP + 7 * _WORDS)  # a CSV row before its NUL bytes go: t and seven fields
+_LINE = 8 * (_STAMP + 7 * _WORDS)  # the longest CSV row before its NUL bytes go: t and seven fields
 _NEWLINE = ord("\n") << 56  # the row's "\n", in byte 31 of its last field
 
 
@@ -254,6 +254,9 @@ def _split(x: np.ndarray, out: tuple = (None, None)) -> tuple:
 def _words(text: str, size: int = 8) -> np.ndarray:
     """The ASCII ``text`` padded with NUL bytes to ``size`` bytes, as little-endian words."""
     return np.frombuffer(text.encode().ljust(size, b"\0"), "<i8")
+
+
+_ZERO = _words("\0" * 6 + ",0", 8 * _WORDS)  # _format_g17's words of +0.0
 
 
 @functools.cache
@@ -304,17 +307,16 @@ class _Scratch:
     :func:`_format_g17` for its 6 * _ROWS_PER_CHUNK values, 76 bytes a value
     (9 rows of words and 4 of flags: every temporary), and of
     :func:`write_snapshot_csv` for its _ROWS_PER_CHUNK rows, 296 bytes a row
-    (the six columns 48, the row text 248) and a mask of the text's bytes
-    kept in the memory of ``words``, which the kernel no longer needs once a
-    chunk's text is made; 752 bytes a row in all."""
+    (the six columns 48, the longest row text 248) and a mask of the text's
+    bytes kept in the memory of ``words``, which the kernel no longer needs
+    once a chunk's text is made; 752 bytes a row in all."""
 
     def __init__(self):
         size, rows = 6 * _ROWS_PER_CHUNK, _ROWS_PER_CHUNK
         self.words = np.empty((_KERNEL_ROWS, size), np.int64)
         self.flags = np.empty((_FLAG_ROWS, size), np.bool_)
-        self.block = np.empty((rows, 6))  # P, Q, C_R, C_I, rho11, rho22
+        self.block = np.empty((rows, 6))  # the live ones of P, Q, C_R, C_I, rho11, rho22
         self.text = np.empty(rows * _LINE, np.uint8)  # the CSV rows, NUL bytes and all
-        self.rows = self.text.view("<i8").reshape(rows, _LINE // 8)
         self.keep = self.words.reshape(-1).view(np.bool_)[:self.text.size]  # the text's bytes that are not NUL
 
 
@@ -471,19 +473,34 @@ def _node_slots(grid: SpatialGrid) -> np.ndarray:
 
 
 def write_snapshot_csv(path: Path, field: BlochField) -> None:
+    """One CSV of ``field``, a chunk of _ROWS_PER_CHUNK rows at a time.  A
+    column that is +0.0 in a whole chunk (no bit set, so -0.0 is formatted)
+    gets the words of ",0" without the kernel; the live ones are formatted
+    packed in one call.  t's text takes the words it fills, 1 to _STAMP."""
     cols = (field.rho_plus, field.rho_minus, field.c_r, field.c_i, field.rho11, field.rho22)
-    nodes = _node_slots(field.grid)
+    nodes, stamp = _node_slots(field.grid), _format(field.time)
+    size = -(-len(stamp) // 8)  # words of t's text
     work = _idle_scratch()
     try:
         with _open_output(path) as fh:
             fh.write((CSV_HEADER + "\n").encode())
-            work.rows[:, :_STAMP] = _words(_format(field.time), 8 * _STAMP)
+            lines = work.text.view("<i8")[:_ROWS_PER_CHUNK * (size + 7 * _WORDS)].reshape(_ROWS_PER_CHUNK, -1)
+            lines[:, :size] = _words(stamp, 8 * size)
             for start in range(0, len(nodes), _ROWS_PER_CHUNK):
                 stop = min(start + _ROWS_PER_CHUNK, len(nodes))
-                rows = work.rows[:stop - start]
-                block = np.stack([c[start:stop] for c in cols], axis=1, out=work.block[:stop - start])
-                rows[:, _STAMP:_STAMP + _WORDS] = nodes[start:stop]
-                _format_g17(block, work, out=rows[:, _STAMP + _WORDS:].reshape(-1, 6, _WORDS))
+                rows = lines[:stop - start]
+                rows[:, size:size + _WORDS] = nodes[start:stop]
+                fields = rows[:, size + _WORDS:].reshape(-1, 6, _WORDS)
+                live = [j for j, c in enumerate(cols) if c[start:stop].view(np.int64).any()]
+                if live:
+                    block = work.block.reshape(-1)[:len(rows) * len(live)].reshape(len(rows), -1)
+                    _format_g17(np.stack([cols[j][start:stop] for j in live], axis=1, out=block), work,
+                                out=fields[:, :len(live)])
+                for k, j in reversed(list(enumerate(live))):  # each to its slot, right to left
+                    if j != k:
+                        fields[:, j] = fields[:, k]
+                for j in set(range(6)).difference(live):
+                    fields[:, j] = _ZERO
                 rows[:, -1] |= _NEWLINE
                 # numpy's mask and copy release the GIL, so snapshot threads strip at once
                 text = work.text[:rows.nbytes]

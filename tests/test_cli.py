@@ -622,6 +622,87 @@ class TestCsvKernel:
         assert (tmp_path / "s.csv").read_text() == _csv_text(field)
 
 
+def _assert_same_text(got: bytes, expected: bytes, what) -> None:
+    """``got == expected``, reporting the first line that differs, not a diff of two megabytes."""
+    if got != expected:
+        pairs = enumerate(zip(got.split(b"\n"), expected.split(b"\n")))
+        pytest.fail(f"{what}: line {next((i for i, (a, b) in pairs if a != b), None)} differs")
+
+
+class TestCsvZeroColumns:
+    """A column that is +0.0 in a whole chunk is written without the kernel,
+    and t's text takes only the words it fills; the bytes stay format's."""
+
+    def test_zero_column_chunks_and_stamps_of_one_to_three_words(self, tmp_path):
+        # two chunks: in the first every column is +0.0, in the second P,
+        # C_I and rho22 are, while a lone 5e-324 and a lone -0.0 among zeros
+        # are not and rho11 is +0.0 in the first chunk only; the last field
+        # has the reverse, rho22 alone live in the first chunk and nothing in
+        # the second; t's text fills 1, 2, 3 and 1 words
+        import threading
+
+        n, chunk = 2 * cli._ROWS_PER_CHUNK, cli._ROWS_PER_CHUNK
+        grid, rng = _Rows(n), np.random.default_rng(46)
+        names = ("rho_plus", "rho_minus", "c_r", "c_i", "rho11", "rho22")
+        cols = {name: np.zeros(n) for name in names}
+        cols["rho_minus"][chunk + 7] = 5e-324
+        cols["c_r"][n - 3] = -0.0
+        cols["rho11"][chunk:] = rng.normal(size=chunk) * 10.0 ** rng.integers(-30, 30, chunk)
+        last = {name: np.zeros(n) for name in names}
+        last["rho22"][:chunk] = rng.normal(size=chunk)
+        fields = [types.SimpleNamespace(grid=grid, time=t, **cols) for t in (0.0, 0.0009765625, 1e-05)]
+        fields.append(types.SimpleNamespace(grid=grid, time=25.0, **last))
+        assert [-(-len(format(f.time, ".17g")) // 8) for f in fields] == [1, 2, 3, 1]
+        for k, field in enumerate(fields):
+            cli.write_snapshot_csv(tmp_path / f"one_{k}.csv", field)
+        barrier = threading.Barrier(2)
+
+        def write(ks):
+            barrier.wait()
+            for k in ks:
+                cli.write_snapshot_csv(tmp_path / f"two_{k}.csv", fields[k])
+
+        threads = [threading.Thread(target=write, args=(ks,)) for ks in ((0, 2), (1, 3))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, field in enumerate(fields):
+            expected = _csv_text(field).encode()
+            _assert_same_text((tmp_path / f"one_{k}.csv").read_bytes(), expected, ("one thread", k))
+            _assert_same_text((tmp_path / f"two_{k}.csv").read_bytes(), expected, ("two threads", k))
+        lines = (tmp_path / "one_2.csv").read_text().split("\n")
+        assert lines[1].startswith("1.0000000000000001e-05,-3,0,0,0,0,0,0")
+        assert lines[1 + chunk + 7].split(",")[3] == "4.9406564584124654e-324"
+        assert lines[n - 2].split(",")[4] == "-0"
+
+    def test_an_all_zero_column_chunk_sends_no_value_to_the_kernel(self, tmp_path, monkeypatch):
+        # C_R is +0.0 in the first chunk and C_I in the second: each chunk
+        # formats the other five columns, packed in one call; a field that
+        # is +0.0 throughout calls the kernel not at all
+        n, chunk = 2 * cli._ROWS_PER_CHUNK, cli._ROWS_PER_CHUNK
+        field = _table(_Rows(n), 3)
+        field.c_r[:chunk] = 0.0
+        field.c_i[chunk:] = 0.0
+        cli._node_slots(field.grid)  # the x column text is formatted before the count starts
+        shapes, format_g17 = [], cli._format_g17
+
+        def format_counted(values, work, out):
+            shapes.append(np.shape(values))
+            return format_g17(values, work, out)
+
+        monkeypatch.setattr(cli, "_format_g17", format_counted)
+        cli.write_snapshot_csv(tmp_path / "s.csv", field)
+        assert shapes == [(chunk, 5), (chunk, 5)]
+        _assert_same_text((tmp_path / "s.csv").read_bytes(), _csv_text(field).encode(), "s.csv")
+        zero = types.SimpleNamespace(grid=field.grid, time=0.0, **{
+            name: np.zeros(n) for name in ("rho_plus", "rho_minus", "c_r", "c_i", "rho11", "rho22")})
+        cli.write_snapshot_csv(tmp_path / "zero.csv", zero)
+        assert shapes == [(chunk, 5), (chunk, 5)]
+        _assert_same_text((tmp_path / "zero.csv").read_bytes(), _csv_text(zero).encode(), "zero.csv")
+
+
 class TestCsvWorkingMemory:
     """CSV writes share per-grid x text and reuse working memory across
     chunks, files and threads; none of it may leak between writes."""
