@@ -11,9 +11,9 @@ Two deliberately low-tech solvers used as ground truth everywhere else:
   at the step of Al-Mohy & Higham's bound, over only the components that
   can be non-zero.  Each step adds the terms (h/j) B T_{j-1} one by one
   (every increment B times a vector, so mass is kept to round-off) and
-  stops at the first term, from one or two degrees below the last step's
-  stop, whose proven remainder bound, from h ||B||_inf, is below
-  2^-53 ||y||_inf, or at degree 30.  B is applied matrix-free, as a stencil on its non-zero
+  stops at the first term, from one degree below the last step's stop,
+  whose proven remainder bound, from h ||B||_inf, is below 2^-53 ||y||_inf,
+  or at degree 30.  B is applied matrix-free, as a stencil on its non-zero
   blocks.  Its time-error estimate is the max-norm difference from a re-run
   at half the step.  It touches only the core types and scipy.special.ive;
   it uses no FFT and never imports the spectral or closed-form modules, so
@@ -181,8 +181,7 @@ def _taylor_run(
     theta).  The step stops at the first such J where that bound is at most
     TAYLOR_TOL ||y||_inf, and otherwise at J = TAYLOR_DEGREE, the degree-30
     polynomial; ``b_norm`` = inf always runs to it.  The bound is tested only
-    from one degree below the last step's stop, or two below if it held at
-    the first degree the last step tested: past the first J where it
+    from one degree below the last step's stop: past the first J where it
     holds it only shrinks (the next term is at most theta/(J + 1) of this
     one, and theta/(J + 2 - theta) < theta/(J + 1 - theta)), so a step that
     tests late still stops only where it holds.  Every increment is B
@@ -200,16 +199,13 @@ def _taylor_run(
     for step in range(nsteps):
         tol = TAYLOR_TOL * y_norm
         np.copyto(term, y)
-        drop = 2  # the next step tests from j - drop: j - 1 once a test here failed
         for j in range(1, TAYLOR_DEGREE + 1):
             B(term, h / j, new)
             term, new = new, term
             y += term
-            if j >= first and j + 1 > theta:
-                if _max_norm(term) * theta / (j + 1 - theta) <= tol:
-                    break
-                drop = 1
-        y_norm, first = _max_norm(y), max(1, j - drop)
+            if j >= first and j + 1 > theta and _max_norm(term) * theta / (j + 1 - theta) <= tol:
+                break
+        y_norm, first = _max_norm(y), j - 1
         if not y_norm <= norm_cap:
             raise UnstableStep(
                 f"solution norm exceeded 10x its initial value after {step + 1} steps of {h:.3g}"
@@ -313,7 +309,7 @@ def quad_inverse_fourier(
     - S(-xi)).  A level's positive nodes step by s, so the phases come by
     angle addition: the cos and sin of x xi_{b+k} are those of x xi_b and
     x k s, k < PHASE_BLOCK, summed over each block as real matrix products
-    with one base block per step s and one cos and sin per point per
+    with one base block per level and one cos and sin per point per
     PHASE_BLOCK nodes.  xi_b + k s is within two ulp of xi_max of the node,
     so each phase is within about 2 eps max|x| xi_max radians of the plain
     one.  Returns shape (len(x),) + the symbol's trailing shape.
@@ -324,14 +320,13 @@ def quad_inverse_fourier(
     shape = zero.shape[1:]
     total = np.tile(np.real(zero).reshape(1, -1), (x.size, 1))  # the trapezoid sum over its step
     chunk = PHASE_BLOCK * min(64, max(1, 2**11 // x.size))  # pairs per symbol call
-    n, step, prev, base_s = QUAD_START_NODES, h, None, None
+    n, step, prev = QUAD_START_NODES, h, None
     pos, s = h * np.arange(1, (n + 1) // 2), h  # the first rule's xi > 0
     weights = np.ones(pos.size)
     weights[-1] = 0.5
     while True:
-        if s != base_s:  # the first two rules both step by h
-            phase = np.outer(x, s * np.arange(PHASE_BLOCK))
-            base, base_s = np.concatenate([np.cos(phase), np.sin(phase)]), s
+        phase = np.outer(x, s * np.arange(PHASE_BLOCK))
+        base = np.concatenate([np.cos(phase), np.sin(phase)])
         for lo in range(0, pos.size, chunk):
             xi, w = pos[lo:lo + chunk], weights[lo:lo + chunk, None]
             m, nb = xi.size, -(-xi.size // PHASE_BLOCK)

@@ -625,8 +625,10 @@ class TestCsvKernel:
 def _assert_same_text(got: bytes, expected: bytes, what) -> None:
     """``got == expected``, reporting the first line that differs, not a diff of two megabytes."""
     if got != expected:
-        pairs = enumerate(zip(got.split(b"\n"), expected.split(b"\n")))
-        pytest.fail(f"{what}: line {next((i for i, (a, b) in pairs if a != b), None)} differs")
+        a_lines, b_lines = got.split(b"\n"), expected.split(b"\n")
+        pairs = enumerate(zip(a_lines, b_lines))
+        line = next((i for i, (a, b) in pairs if a != b), min(len(a_lines), len(b_lines)))
+        pytest.fail(f"{what}: line {line} differs ({len(a_lines)} lines against {len(b_lines)} expected)")
 
 
 class TestCsvZeroColumns:
